@@ -423,32 +423,91 @@ def affine_distance(a: np.ndarray, b: "np.ndarray | Hyperplane") -> float:
     return float(np.linalg.norm(resid))
 
 
-def _span_distances(vertices: np.ndarray, subsets_a, subsets_b, b_extra=None) -> np.ndarray:
+def _subsets(s: int, k: int) -> np.ndarray:
+    """The k-subsets of range(s) as rows of an index array, in lexicographic order."""
+    return np.array(list(combinations(range(s), k)), dtype=np.intp).reshape(-1, k)
+
+
+def _disjoint_pairs(s: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Index-disjoint subset pairs (A, B), 1 <= |A| <= |B| <= n+1, grouped by sizes.
+
+    One (A rows, B rows) group per size pair that has pairs, groups in
+    order of |A| then |B|, pairs inside a group with A in lexicographic
+    order and then B in lexicographic order. When |A| = |B| only B > A is
+    kept, so every unordered pair appears once.
+    """
+    top = min(n + 1, s)
+    subsets = {k: _subsets(s, k) for k in range(1, top + 1)}
+    member = {k: (rows[:, :, None] == np.arange(s)).any(axis=1) for k, rows in subsets.items()}
+    groups = []
+    for a in range(1, top + 1):
+        for b in range(a, top + 1):
+            ok = member[a].astype(float) @ member[b].T.astype(float) == 0.0
+            if a == b:
+                ok = np.triu(ok, k=1)
+            ia, ib = np.nonzero(ok)
+            if len(ia):
+                groups.append((subsets[a][ia], subsets[b][ib]))
+    return groups
+
+
+def _group_row(groups: list[tuple[np.ndarray, np.ndarray | None]], i: int) -> tuple:
+    """The i-th (A, B) pair, counting through the groups, as index tuples."""
+    for ia, ib in groups:
+        if i < len(ia):
+            return (
+                tuple(int(v) for v in ia[i]),
+                None if ib is None else tuple(int(v) for v in ib[i]),
+            )
+        i -= len(ia)
+    raise IndexError(i)
+
+
+def _span_distances(
+    vertices: np.ndarray,
+    groups: list[tuple[np.ndarray, np.ndarray | None]],
+    b_extra: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Batched hull-to-hull (or hull-to-plane) distances.
 
-    Every (A, B) pair is reduced to one least-squares system; systems are
-    padded with zero columns to a common width and solved through batched
+    ``groups`` holds nonempty index arrays (A rows, B rows) of equal
+    subset sizes; with ``b_extra = (point, directions)`` every A is
+    measured against that flat instead and the B rows are ignored. Every
+    (A, B) pair is reduced to one least-squares system; systems are padded
+    with zero columns to a common width and solved through batched
     pseudo-inverses: dist^2 = |r|^2 - r^T M (M^T M)^+ M^T r with M the
-    stacked edge directions and r the base-point difference.
+    stacked edge directions (those of A, then those of B) and r the
+    base-point difference.
+
+    The padded arrays are filled one group at a time by fancy indexing, so
+    the cost in Python is per size pair, not per subset pair. Pair order,
+    column order, zero padding and the single batched pseudo-inverse are
+    those of building each system on its own, so the distances are the
+    same bytes.
     """
     d = vertices.shape[1]
-    systems = []
-    rhs = []
-    for sa, sb in zip(subsets_a, subsets_b):
-        pa = vertices[list(sa)]
+    if b_extra is None:
+        widths = [ia.shape[1] + ib.shape[1] - 2 for ia, ib in groups]
+    else:
+        b_point, b_dirs = b_extra
+        widths = [ia.shape[1] - 1 + len(b_dirs) for ia, _ in groups]
+    total = sum(len(ia) for ia, _ in groups)
+    m = np.zeros((total, d, max(widths)))
+    r = np.empty((total, d))
+    at = 0
+    for (ia, ib), width in zip(groups, widths):
+        rows = slice(at, at + len(ia))
+        pa = vertices[ia]
+        ka = ia.shape[1] - 1
+        m[rows, :, :ka] = (pa[:, 1:] - pa[:, :1]).transpose(0, 2, 1)
         if b_extra is None:
-            pb = vertices[list(sb)]
-            b_point, b_dirs = pb[0], pb[1:] - pb[0]
+            pb = vertices[ib]
+            m[rows, :, ka:width] = (pb[:, 1:] - pb[:, :1]).transpose(0, 2, 1)
+            r[rows] = pb[:, 0] - pa[:, 0]
         else:
-            b_point, b_dirs = b_extra
-        cols = [pa[1:] - pa[0], b_dirs]
-        systems.append(np.vstack(cols).T)
-        rhs.append(b_point - pa[0])
-    width = max(s.shape[1] for s in systems)
-    m = np.zeros((len(systems), d, width))
-    for i, s in enumerate(systems):
-        m[i, :, : s.shape[1]] = s
-    r = np.asarray(rhs)
+            m[rows, :, ka:width] = b_dirs.T
+            r[rows] = b_point - pa[:, 0]
+        at += len(ia)
     proj = np.einsum("nij,nj->ni", m @ np.linalg.pinv(m), r)
     sq = np.einsum("ni,ni->n", r, r) - np.einsum("ni,ni->n", proj, r)
     return np.sqrt(np.maximum(sq, 0.0))
@@ -463,26 +522,15 @@ def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
     pair exists (fewer than two vertices).
     """
     z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
-    s = z.shape[0]
-    pairs_a = []
-    pairs_b = []
-    for a_size in range(1, min(n + 1, s) + 1):
-        for b_size in range(a_size, min(n + 1, s) + 1):
-            for sa in combinations(range(s), a_size):
-                rest = [i for i in range(s) if i not in sa]
-                for sb in combinations(rest, b_size):
-                    if a_size == b_size and sb < sa:
-                        continue
-                    pairs_a.append(sa)
-                    pairs_b.append(sb)
-    if not pairs_a:
+    groups = _disjoint_pairs(z.shape[0], n)
+    if not groups:
         return math.inf
-    dists = _span_distances(z, pairs_a, pairs_b)
+    dists = _span_distances(z, groups)
     worst = int(dists.argmin())
     if dists[worst] <= HULL_TOL:
+        sa, sb = _group_row(groups, worst)
         raise GeneralPositionError(
-            f"spans of {pairs_a[worst]} and {pairs_b[worst]} meet "
-            f"(distance {dists[worst]:.3g})"
+            f"spans of {sa} and {sb} meet (distance {dists[worst]:.3g})"
         )
     return float(dists.min())
 
@@ -495,16 +543,13 @@ def eta_prime(
     s = z.shape[0]
     if z.shape[1] != plane.ambient_dim:
         raise InputError("vertices and hyperplane disagree on ambient dimension")
-    subsets = [
-        sa
-        for a_size in range(1, min(n + 1, s) + 1)
-        for sa in combinations(range(s), a_size)
-    ]
-    dists = _span_distances(z, subsets, subsets, b_extra=(plane.base_point(), plane.basis()))
+    groups = [(_subsets(s, k), None) for k in range(1, min(n + 1, s) + 1)]
+    dists = _span_distances(z, groups, b_extra=(plane.base_point(), plane.basis()))
     worst = int(dists.argmin())
     if dists[worst] <= HULL_TOL:
+        subset, _ = _group_row(groups, worst)
         raise GeneralPositionError(
-            f"span of {subsets[worst]} touches the hyperplane "
+            f"span of {subset} touches the hyperplane "
             f"(distance {dists[worst]:.3g})"
         )
     return float(dists.min())
@@ -544,6 +589,50 @@ def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[i
         depth += 1
 
 
+# Floats per broadcast distance block in ball_preimage_cover (8 MiB).
+_CHUNK_FLOATS = 1 << 20
+
+
+def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:
+    """Integer cells of the grid {0..m}^d near the rows of f, sorted.
+
+    Row x contributes the box floor((f_x - radius) m) .. ceil((f_x + radius) m)
+    per axis, clamped to 0..m; the result is the union of the boxes as a
+    (cells, d) integer array in lexicographic row order. Grid point c sits
+    at c / m.
+    """
+    f = np.asarray(f, dtype=float)
+    if m > 2**62:
+        raise CertificateError(f"grid of {m} steps per axis is too fine to index")
+    boxes = []
+    for row in f:
+        bounds = [
+            (max(0, math.floor((c - radius) * m)), min(m, math.ceil((c + radius) * m)))
+            for c in row
+        ]
+        if all(lo <= hi for lo, hi in bounds):
+            axes = np.meshgrid(*(np.arange(lo, hi + 1) for lo, hi in bounds), indexing="ij")
+            boxes.append(np.stack(axes, axis=-1).reshape(-1, f.shape[1]))
+    if not boxes:
+        return np.zeros((0, f.shape[1]), dtype=np.int64)
+    cells = np.concatenate(boxes)
+    return cells[_first_rows(cells)]
+
+
+def _first_rows(a: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of a 2-d array.
+
+    The indices come in lexicographic order of their rows. (A stable
+    lexsort; ``np.unique(axis=0)`` would do the same but pulls in
+    ``numpy.ma``, about 1.7 MB of resident memory.)
+    """
+    order = np.lexsort(a.T[::-1])
+    runs = a[order]
+    start = np.ones(len(a), dtype=bool)
+    start[1:] = (runs[1:] != runs[:-1]).any(axis=1)
+    return order[start]
+
+
 def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cover:
     """Cover of the sample by preimages of delta-balls around grid points.
 
@@ -552,29 +641,36 @@ def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cov
     every image point has a lattice point within delta/2. Only lattice
     points within delta of some image are enumerated (there are at most
     (2 sqrt(d) + 3)^d per image point); members are the cozero ramps
-    max(0, (delta - |f(x) - g|)/delta), deduplicated by support.
+    max(0, (delta - |f(x) - g|)/delta), taken in lexicographic cell order
+    and deduplicated by support (the first cell of each support is kept).
+
+    The cells are measured in blocks: one broadcast norm gives the
+    distances from every image point to a block of grid points, with the
+    block capped at about 2^20 floats so memory does not grow with the
+    cell count. Supports are packed into bytes to find the first cell of
+    each; a member is built only for those. Order and values are exactly
+    those of walking the cells one by one.
     """
     f = np.asarray(f, dtype=float)
     p, d = f.shape
     m = max(1, math.ceil(math.sqrt(d) / delta))
-    cells: set[tuple[int, ...]] = set()
-    for row in f:
-        axes = []
-        for c in row:
-            lo = max(0, math.floor((c - delta) * m))
-            hi = min(m, math.ceil((c + delta) * m))
-            axes.append(range(lo, hi + 1))
-        cells.update(product(*axes))
+    cells = _lattice_cells(f, delta, m)
+    block = max(1, _CHUNK_FLOATS // (p * d))
+    seen: set[bytes] = set()
     members = []
-    for cell in sorted(cells):
-        g = np.array(cell, dtype=float) / m
-        dist = np.linalg.norm(f - g, axis=1)
+    for start in range(0, len(cells), block):
+        g = cells[start : start + block] / m
+        dist = np.linalg.norm(f[None] - g[:, None], axis=2)
         vals = np.maximum(0.0, (delta - dist) / delta)
-        if (vals > 0.0).any():
-            members.append(CozeroFunction(np.minimum(1.0, vals)))
+        packed = np.packbits(vals > 0.0, axis=1)
+        for i in np.sort(_first_rows(packed)):
+            key = packed[i].tobytes()
+            if key not in seen and packed[i].any():
+                seen.add(key)
+                members.append(CozeroFunction(np.minimum(1.0, vals[i])))
     if not members:
         raise CertificateError("no grid ball meets the image; grid construction failed")
-    cover = dedupe_by_support(Cover(tuple(members)))
+    cover = Cover(tuple(members))
     bad = cover.uncovered_point()
     if bad is not None:
         raise CertificateError(f"grid-ball preimages miss sample point {bad}")

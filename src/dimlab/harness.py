@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .embedding import (
     eta_prime,
     kappa_map,
     stage_pairs,
+    _lattice_cells,
     _stage_vertices,
 )
 from .errors import CertificateError, GeneralPositionError, InputError
@@ -358,21 +359,13 @@ def open_image_certificate(
         if not included:
             continue
         m = max(1, math.ceil(8.0 * math.sqrt(d) / st.eta))
-        cells: set[tuple[int, ...]] = set()
-        for row in f:
-            axes = []
-            for c in row:
-                lo = max(0, math.floor((c - rho) * m))
-                hi = min(m, math.ceil((c + rho) * m))
-                axes.append(range(lo, hi + 1))
-            cells.update(product(*axes))
-        for cell in sorted(cells):
-            y = np.array(cell, dtype=float) / m
+        for cell in _lattice_cells(f, rho, m):
+            y = cell / m
             pre = np.linalg.norm(f - y, axis=1) < rho
             if not pre.any():
                 continue
             if any((ball_supports[k] & ~pre).sum() == 0 for k in included):
-                key = (cell, rho)
+                key = (tuple(cell.tolist()), rho)
                 if key not in seen:
                     seen.add(key)
                     kept.append(Ball(center=y, radius=rho))

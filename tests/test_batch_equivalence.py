@@ -1,0 +1,245 @@
+"""The batched lattice cover and span distances against their per-item definitions.
+
+The references below walk lattice cells and subset pairs one at a time,
+exactly as the definitions read. The library's batched routes must give
+the same bytes: same member order, same cozero values, same distances.
+"""
+
+import math
+from itertools import combinations, product
+
+import numpy as np
+import pytest
+
+from dimlab import (
+    CertificateError,
+    Cover,
+    CozeroFunction,
+    GeneralPositionError,
+    ball_preimage_cover,
+    dedupe_by_support,
+    enumerate_hyperplanes,
+    eta,
+    eta_prime,
+)
+from dimlab import embedding
+from dimlab.embedding import HULL_TOL, _disjoint_pairs, _span_distances, _subsets
+from conftest import line_space
+
+
+def reference_ball_preimage_cover(f, delta):
+    """One member per lattice cell in sorted order, then dedupe by support."""
+    f = np.asarray(f, dtype=float)
+    p, d = f.shape
+    m = max(1, math.ceil(math.sqrt(d) / delta))
+    cells = set()
+    for row in f:
+        axes = []
+        for c in row:
+            lo = max(0, math.floor((c - delta) * m))
+            hi = min(m, math.ceil((c + delta) * m))
+            axes.append(range(lo, hi + 1))
+        cells.update(product(*axes))
+    members = []
+    for cell in sorted(cells):
+        g = np.array(cell, dtype=float) / m
+        dist = np.linalg.norm(f - g, axis=1)
+        vals = np.maximum(0.0, (delta - dist) / delta)
+        if (vals > 0.0).any():
+            members.append(CozeroFunction(np.minimum(1.0, vals)))
+    if not members:
+        raise CertificateError("no grid ball meets the image; grid construction failed")
+    cover = dedupe_by_support(Cover(tuple(members)))
+    bad = cover.uncovered_point()
+    if bad is not None:
+        raise CertificateError(f"grid-ball preimages miss sample point {bad}")
+    return cover
+
+
+def reference_span_distances(vertices, subsets_a, subsets_b, b_extra=None):
+    """One least-squares system per pair, padded and solved in one batch."""
+    d = vertices.shape[1]
+    systems = []
+    rhs = []
+    for sa, sb in zip(subsets_a, subsets_b):
+        pa = vertices[list(sa)]
+        if b_extra is None:
+            pb = vertices[list(sb)]
+            b_point, b_dirs = pb[0], pb[1:] - pb[0]
+        else:
+            b_point, b_dirs = b_extra
+        cols = [pa[1:] - pa[0], b_dirs]
+        systems.append(np.vstack(cols).T)
+        rhs.append(b_point - pa[0])
+    width = max(s.shape[1] for s in systems)
+    m = np.zeros((len(systems), d, width))
+    for i, s in enumerate(systems):
+        m[i, :, : s.shape[1]] = s
+    r = np.asarray(rhs)
+    proj = np.einsum("nij,nj->ni", m @ np.linalg.pinv(m), r)
+    sq = np.einsum("ni,ni->n", r, r) - np.einsum("ni,ni->n", proj, r)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def reference_eta_pairs(s, n):
+    pairs_a, pairs_b = [], []
+    for a_size in range(1, min(n + 1, s) + 1):
+        for b_size in range(a_size, min(n + 1, s) + 1):
+            for sa in combinations(range(s), a_size):
+                rest = [i for i in range(s) if i not in sa]
+                for sb in combinations(rest, b_size):
+                    if a_size == b_size and sb < sa:
+                        continue
+                    pairs_a.append(sa)
+                    pairs_b.append(sb)
+    return pairs_a, pairs_b
+
+
+def reference_subsets(s, n):
+    return [sa for a_size in range(1, min(n + 1, s) + 1) for sa in combinations(range(s), a_size)]
+
+
+def flatten(groups):
+    pairs_a, pairs_b = [], []
+    for ia, ib in groups:
+        pairs_a += [tuple(int(v) for v in row) for row in ia]
+        if ib is not None:
+            pairs_b += [tuple(int(v) for v in row) for row in ib]
+    return pairs_a, pairs_b
+
+
+def random_images(rng, p, d, delta, clustered=False):
+    """p image points in the cube, some coordinates clamped onto faces 0 and 1."""
+    if clustered:
+        f = rng.uniform(0.0, 1.0, d) + rng.uniform(-2.0 * delta, 2.0 * delta, (p, d))
+    else:
+        f = rng.uniform(0.0, 1.0, (p, d))
+    face = rng.uniform(size=(p, d))
+    f[face < 0.15] = 0.0
+    f[face > 0.85] = 1.0
+    return np.clip(f, 0.0, 1.0)
+
+
+def assert_same_cover(f, delta):
+    space = line_space(f.shape[0])
+    got = ball_preimage_cover(space, f, delta)
+    want = reference_ball_preimage_cover(f, delta)
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+def cover_cases(d, count, seed, clustered=False):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = int(rng.integers(1, 14))
+        delta = float(10.0 ** rng.uniform(-3.0, math.log10(0.5)))
+        yield random_images(rng, p, d, delta, clustered), delta
+
+
+class TestBallPreimageCoverBytes:
+    @pytest.mark.parametrize("d,count", [(1, 120), (3, 40)])
+    def test_matches_per_cell_walk(self, d, count):
+        for f, delta in cover_cases(d, count, seed=100 + d):
+            assert_same_cover(f, delta)
+
+    def test_matches_per_cell_walk_d5(self):
+        # ~7.5^5 cells per image point: few cases, images clustered so
+        # thirteen points still share most of their cells
+        rng = np.random.default_rng(105)
+        for p in (1, 2, 13):
+            delta = float(10.0 ** rng.uniform(-3.0, math.log10(0.5)))
+            assert_same_cover(random_images(rng, p, 5, delta, clustered=p > 2), delta)
+
+    def test_small_blocks_keep_first_support(self, monkeypatch):
+        # many blocks per call: the first cell of a support may sit in an
+        # earlier block than its later duplicates
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 64)
+        for f, delta in cover_cases(3, 15, seed=7):
+            assert_same_cover(f, delta)
+
+    def test_uncovered_point_message(self):
+        f = np.array([[0.5, 0.5, 0.5], [3.0, 3.0, 3.0]])
+        with pytest.raises(CertificateError) as want:
+            reference_ball_preimage_cover(f, 0.1)
+        with pytest.raises(CertificateError) as got:
+            ball_preimage_cover(line_space(2), f, 0.1)
+        assert str(got.value) == str(want.value) == "grid-ball preimages miss sample point 1"
+
+    def test_grid_too_fine_to_index(self):
+        # cell indices are int64; past 2^62 steps per axis the cover fails by name
+        with pytest.raises(CertificateError, match="too fine to index"):
+            ball_preimage_cover(line_space(1), np.array([[0.5, 0.5, 0.5]]), 1e-19)
+
+    def test_no_cell_message(self):
+        f = np.array([[3.0, 3.0, 3.0]])
+        with pytest.raises(CertificateError) as want:
+            reference_ball_preimage_cover(f, 0.1)
+        with pytest.raises(CertificateError) as got:
+            ball_preimage_cover(line_space(1), f, 0.1)
+        assert str(got.value) == str(want.value)
+
+
+class TestSpanDistanceBytes:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_eta_pairs_and_distances(self, n):
+        rng = np.random.default_rng(200 + n)
+        for s in range(1, 10 if n < 3 else 9):
+            z = rng.uniform(0.0, 1.0, (s, 2 * n + 1))
+            groups = _disjoint_pairs(s, n)
+            pairs_a, pairs_b = reference_eta_pairs(s, n)
+            assert flatten(groups) == (pairs_a, pairs_b)
+            if not pairs_a:
+                assert eta(z, n) == math.inf
+                continue
+            want = reference_span_distances(z, pairs_a, pairs_b)
+            got = _span_distances(z, groups)
+            assert got.tobytes() == want.tobytes()
+            assert eta(z, n) == float(want.min())
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_eta_prime_every_plane_kind(self, n):
+        # every fixed-coordinate set, with values on the faces and inside
+        rng = np.random.default_rng(300 + n)
+        planes = enumerate_hyperplanes(n, 60 if n < 2 else 200)
+        kinds = {}
+        for plane in planes:
+            edge = tuple(v in (0, 1) for v in plane.values)
+            kinds.setdefault((plane.coords, edge), plane)
+        assert len(kinds) > len({pl.coords for pl in planes})
+        for plane in kinds.values():
+            for s in (1, 3, 6):
+                z = rng.uniform(0.0, 1.0, (s, 2 * n + 1))
+                subsets = reference_subsets(s, n)
+                extra = (plane.base_point(), plane.basis())
+                want = reference_span_distances(z, subsets, subsets, b_extra=extra)
+                groups = [(_subsets(s, k), None) for k in range(1, min(n + 1, s) + 1)]
+                assert flatten(groups)[0] == subsets
+                got = _span_distances(z, groups, b_extra=extra)
+                assert got.tobytes() == want.tobytes()
+                if want.min() > HULL_TOL:
+                    assert eta_prime(z, plane, n) == float(want.min())
+
+    def test_single_vertex(self):
+        z = np.array([[0.2, 0.4, 0.6]])
+        assert eta(z, 1) == math.inf
+        plane = enumerate_hyperplanes(1, 5)[4]
+        assert eta_prime(z, plane, 1) == pytest.approx(plane.distance_to_point(z[0]))
+
+    def test_meeting_spans_message(self):
+        z = np.array([[0.1, 0.2, 0.3], [0.9, 0.8, 0.7], [0.5, 0.5, 0.5], [0.4, 0.1, 0.9]])
+        pairs_a, pairs_b = reference_eta_pairs(4, 1)
+        dists = reference_span_distances(z, pairs_a, pairs_b)
+        worst = int(dists.argmin())
+        with pytest.raises(GeneralPositionError) as got:
+            eta(z, 1)
+        assert str(got.value) == (
+            f"spans of {pairs_a[worst]} and {pairs_b[worst]} meet "
+            f"(distance {dists[worst]:.3g})"
+        )
+
+    def test_touching_plane_message(self):
+        plane = enumerate_hyperplanes(1, 1)[0]
+        z = np.array([[0.6, 0.3, 0.9], [0.0, 0.0, 0.4], [0.2, 0.7, 0.1]])
+        with pytest.raises(GeneralPositionError) as got:
+            eta_prime(z, plane, 1)
+        assert str(got.value) == "span of (1,) touches the hyperplane (distance 0)"
