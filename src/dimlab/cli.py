@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 a certificate or mathematical check failed,
 2 bad input (malformed files, unknown flags, schema violations). All
-output is deterministic for a fixed seed; the seed defaults to the
-DIMLAB_SEED environment variable, then 0.
+output is deterministic for a fixed seed; the seed of ``genpos`` and
+``embed`` defaults to the DIMLAB_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -25,16 +25,19 @@ from .embedding import (
     result_to_json_bytes,
 )
 from .errors import CertificateError, DimlabError, InputError
-from .harness import verify_nobeling_membership, verify_result
+from .harness import CertificateReport, verify_nobeling_membership, verify_result
 from .metric import SampledSpace
 from .nerve import export_complex, nerve_of
 
 
-def _default_seed() -> int:
+def _seed(args: argparse.Namespace) -> int:
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("DIMLAB_SEED", "0")
     try:
-        return int(os.environ.get("DIMLAB_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise InputError(f"DIMLAB_SEED must be an integer, not {raw!r}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -70,36 +73,32 @@ def _dump(doc) -> bytes:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dimlab")
     parser.add_argument("--version", action="version", version=f"dimlab {__version__}")
-    # shared flags live on every subcommand so they can follow it on the line
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed (default: DIMLAB_SEED or 0)")
-    common.add_argument("--tolerance", type=float, default=1e-9)
     sub = parser.add_subparsers(dest="command", required=True)
 
     cover = sub.add_parser("cover", help="cover calculus")
     cover_sub = cover.add_subparsers(dest="cover_command", required=True)
 
-    p = cover_sub.add_parser("shrink", parents=[common], help="closed shrinking of a cover")
+    p = cover_sub.add_parser("shrink", help="closed shrinking of a cover")
     p.add_argument("--space", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--out")
 
-    p = cover_sub.add_parser("star", parents=[common], help="star of one member")
+    p = cover_sub.add_parser("star", help="star of one member")
     p.add_argument("--space", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--member", type=int, required=True)
 
-    p = cover_sub.add_parser("meet", parents=[common], help="common refinement of two covers")
+    p = cover_sub.add_parser("meet", help="common refinement of two covers")
     p.add_argument("--space", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--other", required=True)
     p.add_argument("--out")
 
-    p = cover_sub.add_parser("order", parents=[common], help="order of a cover")
+    p = cover_sub.add_parser("order", help="order of a cover")
     p.add_argument("--space", required=True)
     p.add_argument("--cover", required=True)
 
-    p = cover_sub.add_parser("reduce-order", parents=[common], help="shrink to order at most n")
+    p = cover_sub.add_parser("reduce-order", help="shrink to order at most n")
     p.add_argument("--space", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -107,23 +106,26 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="witness supplier: separator, or map:G.json for a fixed boundary map")
     p.add_argument("--out")
 
-    p = sub.add_parser("nerve", parents=[common], help="nerve complex of a cover")
+    p = sub.add_parser("nerve", help="nerve complex of a cover")
     p.add_argument("--space", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("genpos", parents=[common], help="general-position perturbation")
+    p = sub.add_parser("genpos", help="general-position perturbation")
     p.add_argument("--targets", required=True)
     p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--seed", type=int, default=None, help="seed (default: DIMLAB_SEED or 0)")
+    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--out")
 
-    p = sub.add_parser("embed", parents=[common], help="run the staged embedding")
+    p = sub.add_parser("embed", help="run the staged embedding")
     p.add_argument("--space", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stages", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None, help="seed (default: DIMLAB_SEED or 0)")
     p.add_argument("--out")
 
-    p = sub.add_parser("verify", parents=[common], help="re-verify an embedding result")
+    p = sub.add_parser("verify", help="re-verify an embedding result")
     p.add_argument("--result", required=True)
     p.add_argument("--space", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -144,7 +146,6 @@ def _resolve_oracle(name: str):
 
 
 def _run(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.command == "cover":
         space = _load_space(args.space)
         cov = _load_cover(args.cover, space)
@@ -178,12 +179,12 @@ def _run(args: argparse.Namespace) -> int:
         if "targets" not in doc:
             raise InputError("targets file must contain a targets list")
         targets = np.array(doc["targets"], dtype=float)
-        placed = general_position(targets, args.eps, seed=seed, tol=args.tolerance)
+        placed = general_position(targets, args.eps, seed=_seed(args), tol=args.tolerance)
         _emit(_dump({"points": [[float(v) for v in row] for row in placed]}), args.out)
         return 0
     if args.command == "embed":
         space = _load_space(args.space)
-        result = nobeling_embed(space, args.n, args.stages, seed=seed)
+        result = nobeling_embed(space, args.n, args.stages, seed=_seed(args))
         _emit(result_to_json_bytes(result), args.out)
         return 0
     if args.command == "verify":
@@ -191,24 +192,10 @@ def _run(args: argparse.Namespace) -> int:
         with open(args.result, "rb") as fh:
             result = result_from_json_bytes(fh.read())
         report = verify_result(result, space, args.n)
-        checks = list(report.checks)
         if args.membership:
-            checks.extend(verify_nobeling_membership(result).checks)
-        overall = all(c.passed for c in checks)
-        doc = {
-            "overall": overall,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "margin": None if c.margin in (float("inf"), float("-inf")) else c.margin,
-                    "location": c.location,
-                }
-                for c in checks
-            ],
-        }
-        sys.stdout.write(_dump(doc).decode("utf-8") + "\n")
-        return 0 if overall else 1
+            report = CertificateReport(report.checks + verify_nobeling_membership(result).checks)
+        sys.stdout.write(_dump(report.to_json_dict()).decode("utf-8") + "\n")
+        return 0 if report.overall else 1
     raise InputError(f"unknown command {args.command!r}")
 
 

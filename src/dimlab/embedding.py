@@ -45,6 +45,7 @@ from .covers import (
 from .dimension import Oracle, reduce_order, separator_oracle
 from .errors import CertificateError, GeneralPositionError, InputError
 from .metric import (
+    _CHUNK_FLOATS,
     Ball,
     CozeroFunction,
     SampledSpace,
@@ -255,26 +256,18 @@ class AffineConstraint:
         return self.point + self.basis.T @ (self.basis @ (x - self.point))
 
 
-def _dependent_subset(
-    points: np.ndarray, tol: float, max_size: int
-) -> tuple[int, ...] | None:
-    """First affinely dependent subset of size <= max_size, or None.
+def _subset_sigmas(points: np.ndarray, max_size: int) -> Iterator[tuple[list, np.ndarray]]:
+    """Each size 2..max_size in turn: its subsets, lexicographic, and their least sigmas.
 
-    A subset of size s is independent iff the s-1 difference vectors from
-    its first point have all singular values above tol. Checks are batched
-    per subset size.
+    A subset's sigma is the least singular value of its differences from its
+    first point; one batched SVD per size, computed only when reached.
     """
     k = len(points)
     for s in range(2, min(k, max_size) + 1):
         subs = list(combinations(range(k), s))
         base = points[[c[0] for c in subs]]
         rest = points[np.array(subs)[:, 1:]]
-        diffs = rest - base[:, None, :]
-        sigma = np.linalg.svd(diffs, compute_uv=False)
-        bad = np.nonzero(sigma.min(axis=1) <= tol)[0]
-        if bad.size:
-            return subs[int(bad[0])]
-    return None
+        yield subs, np.linalg.svd(rest - base[:, None, :], compute_uv=False).min(axis=1)
 
 
 def general_position(
@@ -348,8 +341,11 @@ def general_position(
         shift = np.linalg.norm(candidate - pts, axis=1)
         if round_no > 0 and (shift >= eps).any():
             continue
-        violation = _dependent_subset(candidate, tol, d + 1)
-        if violation is None:
+        for subs, sigma in _subset_sigmas(candidate, d + 1):
+            if (sigma <= tol).any():
+                violation = subs[int(np.argmax(sigma <= tol))]
+                break
+        else:
             return candidate
     raise GeneralPositionError(
         f"no general-position perturbation found in {rounds} rounds; "
@@ -589,10 +585,6 @@ def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[i
         depth += 1
 
 
-# Floats per broadcast distance block in ball_preimage_cover (8 MiB).
-_CHUNK_FLOATS = 1 << 20
-
-
 def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:
     """Integer cells of the grid {0..m}^d near the rows of f, sorted.
 
@@ -679,34 +671,31 @@ def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cov
 
 @dataclass(frozen=True, eq=False)
 class StageState:
-    """Record of one stage: inputs (t, f, delta) plus everything built.
+    """Complete record of one stage; every field is required.
 
-    A fresh state carries only t, f and delta; running a stage fills the
-    artifact fields and the successor data f_next, delta_next.
+    The inputs (t, f, delta), the ball pair and hyperplane, what the stage
+    built, and the successor data f_next, delta_next.
     """
 
     t: int
     f: np.ndarray
     delta: float
-    pair_code: tuple[int, int] | None = None
-    hyperplane: Hyperplane | None = None
-    cover_u: Cover | None = None
-    vertices: np.ndarray | None = None
-    anchors: np.ndarray | None = None
-    eta: float | None = None
-    eta_prime: float | None = None
-    f_next: np.ndarray | None = None
-    delta_next: float | None = None
-    contraction: float | None = None
+    pair_code: tuple[int, int]
+    hyperplane: Hyperplane
+    cover_u: Cover
+    vertices: np.ndarray
+    anchors: np.ndarray
+    eta: float
+    eta_prime: float
+    f_next: np.ndarray
+    delta_next: float
+    contraction: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "f", _as_readonly(np.asarray(self.f, dtype=float)))
         if self.delta <= 0:
             raise InputError("stage scale must be positive")
-        for name in ("vertices", "anchors", "f_next"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _as_readonly(np.asarray(val, dtype=float)))
+        for name in ("f", "vertices", "anchors", "f_next"):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -768,43 +757,51 @@ def _stage_vertices(cover: Cover) -> list[int]:
     return picks
 
 
+def _stage_covers(
+    space: SampledSpace, balls: Sequence[Ball], pair: tuple[int, int], f: np.ndarray, delta: float
+) -> tuple[Cover, Cover]:
+    """The stage's ball-pair cover V and its meet with the delta-ball preimage cover.
+
+    V = {outer ball, complement of the closed inner ball} covers the sample only
+    if the inner ball is strictly inside the outer one; on a miss the builder
+    raises and the verifier reports the checks that fail.
+    """
+    inner, outer = pair
+    cover_v = Cover(
+        (ball_cozero(space, balls[outer]), complement_cozero(space, balls[inner]))
+    )
+    cover_w = ball_preimage_cover(space, f, delta)
+    return cover_v, dedupe_by_support(drop_empty_members(meet(cover_v, cover_w)))
+
+
 def embedding_stage(
-    state: StageState,
+    t: int,
+    f: np.ndarray,
+    delta: float,
     space: SampledSpace,
     balls: Sequence[Ball],
     n: int,
+    pair: tuple[int, int],
+    plane: Hyperplane,
     oracle: Oracle = separator_oracle,
     seed: int = 0,
-    pair: tuple[int, int] | None = None,
 ) -> StageState:
-    """Run stage t, returning the fully populated stage record.
+    """Run stage t on the map f at scale delta, returning the stage record.
 
-    ``pair`` defaults to the t-th strict-inclusion pair of ``balls``; the
-    stage's hyperplane is the t-th of the fixed enumeration. Raises a
-    certificate error naming the failing claim if any stage inequality
-    fails.
+    ``pair`` (inner, outer indices into ``balls``) and ``plane`` are the t-th
+    entries of :func:`pair_schedule` and :func:`enumerate_hyperplanes`.
+    Raises a certificate error naming the failing claim if any stage
+    inequality fails.
     """
-    t, f_t, delta = state.t, state.f, state.delta
+    f_t = np.asarray(f, dtype=float)
     d = 2 * n + 1
     if f_t.shape[1] != d:
         raise InputError(f"map must land in dimension {d}")
     _require_in_cube(f_t, f"stage {t} map")
-    if pair is None:
-        all_pairs = stage_pairs(space, balls)
-        if t >= len(all_pairs):
-            raise InputError(f"ball enumeration has no stage-{t} pair; deepen it")
-        pair = all_pairs[t]
-    inner, outer = pair
-    plane = enumerate_hyperplanes(n, t + 1)[t]
-
-    cover_v = Cover(
-        (ball_cozero(space, balls[outer]), complement_cozero(space, balls[inner]))
-    )
+    cover_v, met = _stage_covers(space, balls, pair, f_t, delta)
     bad = cover_v.uncovered_point()
     if bad is not None:
         raise CertificateError(f"stage {t}: ball pair cover misses point {bad}")
-    cover_w = ball_preimage_cover(space, f_t, delta)
-    met = dedupe_by_support(drop_empty_members(meet(cover_v, cover_w)))
 
     reduced = drop_empty_members(reduce_order(space, met, n, oracle))
     starred, _ = star_refinement(reduced)
@@ -857,7 +854,7 @@ def embedding_stage(
         t=t,
         f=f_t,
         delta=delta,
-        pair_code=(inner, outer),
+        pair_code=tuple(pair),
         hyperplane=plane,
         cover_u=cover_u,
         vertices=z,
@@ -926,12 +923,13 @@ def nobeling_embed(
     if n < 0:
         raise InputError("n must be nonnegative")
     balls, pairs, depth = pair_schedule(space, T)
-    state = StageState(t=0, f=initial_map(space, n), delta=DELTA0)
+    planes = enumerate_hyperplanes(n, T)
+    f, delta = initial_map(space, n), DELTA0
     stages: list[StageState] = []
     for t in range(T):
-        done = embedding_stage(state, space, balls, n, oracle, seed, pair=pairs[t])
+        done = embedding_stage(t, f, delta, space, balls, n, pairs[t], planes[t], oracle, seed)
         stages.append(done)
-        state = StageState(t=t + 1, f=done.f_next, delta=done.delta_next)
+        f, delta = done.f_next, done.delta_next
     f_final = stages[-1].f_next
     avoided = []
     for st in stages:
@@ -986,48 +984,42 @@ def _denum(x) -> float | None:
 
 
 def stage_to_json_dict(st: StageState) -> dict:
-    doc: dict = {
+    return {
         "t": st.t,
         "delta": st.delta,
         "f": [[float(v) for v in row] for row in st.f],
+        "pair_code": list(st.pair_code),
+        "hyperplane": st.hyperplane.to_json_dict(),
+        "cover_u": st.cover_u.to_json_dict(),
+        "vertices": [[float(v) for v in row] for row in st.vertices],
+        "anchors": [[float(v) for v in row] for row in st.anchors],
+        "eta": _num(st.eta),
+        "eta_prime": _num(st.eta_prime),
+        "f_next": [[float(v) for v in row] for row in st.f_next],
+        "delta_next": st.delta_next,
+        "contraction": st.contraction,
     }
-    if st.pair_code is not None:
-        doc["pair_code"] = list(st.pair_code)
-        doc["hyperplane"] = st.hyperplane.to_json_dict()
-        doc["cover_u"] = st.cover_u.to_json_dict()
-        doc["vertices"] = [[float(v) for v in row] for row in st.vertices]
-        doc["anchors"] = [[float(v) for v in row] for row in st.anchors]
-        doc["eta"] = _num(st.eta)
-        doc["eta_prime"] = _num(st.eta_prime)
-        doc["f_next"] = [[float(v) for v in row] for row in st.f_next]
-        doc["delta_next"] = st.delta_next
-        doc["contraction"] = st.contraction
-    return doc
 
 
 def stage_from_json_dict(doc: dict, sample_size: int) -> StageState:
     try:
-        base = {
-            "t": int(doc["t"]),
-            "delta": float(doc["delta"]),
-            "f": np.array(doc["f"], dtype=float),
-        }
-        if "pair_code" in doc:
-            base.update(
-                pair_code=tuple(int(v) for v in doc["pair_code"]),
-                hyperplane=Hyperplane.from_json_dict(doc["hyperplane"]),
-                cover_u=Cover.from_json_dict(doc["cover_u"], sample_size),
-                vertices=np.array(doc["vertices"], dtype=float),
-                anchors=np.array(doc["anchors"], dtype=float),
-                eta=_denum(doc["eta"]),
-                eta_prime=_denum(doc["eta_prime"]),
-                f_next=np.array(doc["f_next"], dtype=float),
-                delta_next=float(doc["delta_next"]),
-                contraction=float(doc["contraction"]),
-            )
+        return StageState(
+            t=int(doc["t"]),
+            delta=float(doc["delta"]),
+            f=np.array(doc["f"], dtype=float),
+            pair_code=tuple(int(v) for v in doc["pair_code"]),
+            hyperplane=Hyperplane.from_json_dict(doc["hyperplane"]),
+            cover_u=Cover.from_json_dict(doc["cover_u"], sample_size),
+            vertices=np.array(doc["vertices"], dtype=float),
+            anchors=np.array(doc["anchors"], dtype=float),
+            eta=_denum(doc["eta"]),
+            eta_prime=_denum(doc["eta_prime"]),
+            f_next=np.array(doc["f_next"], dtype=float),
+            delta_next=float(doc["delta_next"]),
+            contraction=float(doc["contraction"]),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"not a stage document: {exc}") from exc
-    return StageState(**base)
 
 
 def result_to_json_dict(r: EmbeddingResult) -> dict:

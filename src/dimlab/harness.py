@@ -10,33 +10,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .covers import Cover, dedupe_by_support, drop_empty_members, is_point_star_refinement, meet, order_of
+from .covers import is_point_star_refinement, order_of
 from .embedding import (
     CUBE_TOL,
     HULL_TOL,
     RANK_TOL,
     EmbeddingResult,
     StageState,
-    ball_preimage_cover,
     enumerate_hyperplanes,
     eta,
     eta_prime,
     kappa_map,
     stage_pairs,
     _lattice_cells,
+    _stage_covers,
     _stage_vertices,
+    _subset_sigmas,
 )
 from .errors import CertificateError, GeneralPositionError, InputError
 from .metric import (
     Ball,
     SampledSpace,
     ball_cozero,
-    complement_cozero,
     enumerate_balls,
     formally_included,
 )
@@ -83,36 +82,10 @@ def _cube_excess(points: np.ndarray) -> float:
     return float(max(0.0, (-points).max(initial=0.0), (points - 1.0).max(initial=0.0)))
 
 
-def _min_subset_sigma(points: np.ndarray, max_size: int) -> tuple[float, tuple[int, ...]]:
-    """Smallest singular value over all difference systems of subsets."""
-    k = len(points)
-    best = math.inf
-    best_sub: tuple[int, ...] = ()
-    for s in range(2, min(k, max_size) + 1):
-        subs = list(combinations(range(k), s))
-        base = points[[c[0] for c in subs]]
-        rest = points[np.array(subs)[:, 1:]]
-        sigma = np.linalg.svd(rest - base[:, None, :], compute_uv=False).min(axis=1)
-        i = int(sigma.argmin())
-        if sigma[i] < best:
-            best = float(sigma[i])
-            best_sub = subs[i]
-    return best, best_sub
-
-
-def _stage_meet(space: SampledSpace, st: StageState, balls: Sequence[Ball]) -> tuple[Cover, Cover]:
-    inner, outer = st.pair_code
-    cover_v = Cover(
-        (ball_cozero(space, balls[outer]), complement_cozero(space, balls[inner]))
-    )
-    cover_w = ball_preimage_cover(space, st.f, st.delta)
-    return cover_v, dedupe_by_support(drop_empty_members(meet(cover_v, cover_w)))
-
-
 def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> CertificateReport:
     """Recheck every stage and final invariant of an embedding result.
 
-    Raises on malformed input (wrong n, missing stage artifacts); returns
+    Raises on malformed input (wrong n, a map of the wrong shape); returns
     a report whose checks, in deterministic order, cover the stage chain,
     ball-pair and hyperplane schedules, cover properties, vertex placement
     and general position, the kappa recomputation, the delta schedule, the
@@ -123,9 +96,6 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         raise InputError(f"result was built for n={r.n}, not n={n}")
     if not r.stages:
         raise InputError("result has no stages")
-    for st in r.stages:
-        if st.pair_code is None or st.cover_u is None or st.f_next is None:
-            raise InputError(f"stage {st.t} record is incomplete")
     if r.f.shape != (space.size, 2 * n + 1):
         raise InputError("final map shape does not match the sample")
     d = 2 * n + 1
@@ -163,7 +133,7 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
             add("order", order_of(st.cover_u) <= n, float(n - order_of(st.cover_u)), loc)
         else:
             add("order", False, -1.0, loc)
-        cover_v, met = _stage_meet(space, st, balls)
+        cover_v, met = _stage_covers(space, balls, st.pair_code, st.f, st.delta)
         ok = is_point_star_refinement(st.cover_u, met)
         add("star-refinement", ok, 0.0 if ok else -1.0, loc)
 
@@ -178,7 +148,11 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         ) if len(st.anchors) else 0.0
         add("anchors-on-plane", anchor_err == 0.0, -anchor_err, loc)
 
-        sigma, subset = _min_subset_sigma(np.vstack([st.vertices, st.anchors]), d + 1)
+        sigma, subset = math.inf, ()  # least over all sizes; the first subset on ties
+        for subs, sig in _subset_sigmas(np.vstack([st.vertices, st.anchors]), d + 1):
+            i = int(sig.argmin())
+            if sig[i] < sigma:
+                sigma, subset = float(sig[i]), subs[i]
         add("general-position", sigma > RANK_TOL, sigma - RANK_TOL,
             f"{loc}, subset {subset}" if sigma <= RANK_TOL else loc)
 

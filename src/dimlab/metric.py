@@ -28,6 +28,9 @@ from .errors import InputError
 # comparisons elsewhere are exact on the computed float values.
 DISTANCE_TOL = 1e-9
 
+# Floats per broadcast block in the triangle check and the lattice cover (8 MiB).
+_CHUNK_FLOATS = 1 << 20
+
 Center = Union[int, np.ndarray]
 
 
@@ -67,11 +70,14 @@ class SampledSpace:
         if (off <= 0.0).any():
             i, j = np.argwhere(off <= 0.0)[0]
             raise InputError(f"distinct points must have positive distance (points {i}, {j})")
-        # d(i,k) <= d(i,j) + d(j,k) for all triples, up to tolerance.
-        slack = (d[:, :, None] + d[None, :, :]).min(axis=1) - d
-        if (slack < -DISTANCE_TOL).any():
-            i, k = np.argwhere(slack < -DISTANCE_TOL)[0]
-            raise InputError(f"triangle inequality violated at points {i}, {k}")
+        # d(i,k) <= d(i,j) + d(j,k) for all triples, up to tolerance, by blocks of rows i.
+        rows = max(1, _CHUNK_FLOATS // d.size)
+        for start in range(0, d.shape[0], rows):
+            block = d[start : start + rows]
+            slack = (block[:, :, None] + d[None, :, :]).min(axis=1) - block
+            if (slack < -DISTANCE_TOL).any():
+                i, k = np.argwhere(slack < -DISTANCE_TOL)[0]
+                raise InputError(f"triangle inequality violated at points {start + i}, {k}")
         if not (isinstance(self.mesh, (int, float)) and math.isfinite(self.mesh) and self.mesh > 0):
             raise InputError("mesh must be a positive real")
         object.__setattr__(self, "dist", _as_readonly(d))

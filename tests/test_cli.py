@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from dimlab import Cover, CozeroFunction, cli_main, order_of
+from dimlab import (
+    CertificateReport,
+    Cover,
+    CozeroFunction,
+    cli_main,
+    order_of,
+    result_from_json_bytes,
+    verify_nobeling_membership,
+    verify_result,
+)
 
 from conftest import brute_force_order, line_space
 
@@ -233,3 +242,55 @@ def test_embed_deterministic_and_env_seed(workdir, capsys, monkeypatch):
     monkeypatch.setenv("DIMLAB_SEED", "7")
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_verify_prints_library_report(workdir, capsys):
+    tmp, space, _ = workdir
+    result_path = tmp / "result.json"
+    argv = ["embed", "--space", str(tmp / "space.json"), "--n", "0", "--stages", "2"]
+    assert cli_main(argv + ["--out", str(result_path)]) == 0
+    result = result_from_json_bytes(result_path.read_bytes())
+    verify = ["verify", "--result", str(result_path), "--space", str(tmp / "space.json")]
+    for membership in ([], ["--membership"]):
+        capsys.readouterr()
+        assert cli_main(verify + ["--n", "0"] + membership) == 0
+        report = verify_result(result, space, 0)
+        if membership:
+            report = CertificateReport(report.checks + verify_nobeling_membership(result).checks)
+        canonical = json.dumps(report.to_json_dict(), separators=(",", ":"), allow_nan=False)
+        assert capsys.readouterr().out == canonical + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "order", "--space", "S", "--cover", "C", "--tolerance", "1e-6"],
+        ["cover", "order", "--space", "S", "--cover", "C", "--seed", "3"],
+        ["nerve", "--space", "S", "--cover", "C", "--seed", "3"],
+        ["embed", "--space", "S", "--n", "1", "--stages", "2", "--tolerance", "1e-6"],
+        ["verify", "--result", "R", "--space", "S", "--n", "1", "--seed", "3"],
+    ],
+)
+def test_seed_and_tolerance_only_where_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+
+
+def test_genpos_tolerance_is_read(workdir, capsys):
+    tmp, _, _ = workdir
+    # two points 1e-4 apart are independent at the default tolerance, not at 1e-3
+    (tmp / "targets.json").write_text(json.dumps({"targets": [[0.5, 0.5], [0.5, 0.5001]]}))
+    argv = ["genpos", "--targets", str(tmp / "targets.json"), "--eps", "1e-6", "--seed", "3"]
+    assert cli_main(argv) == 0
+    assert cli_main(argv + ["--tolerance", "1e-3"]) == 1
+    assert "general-position" in capsys.readouterr().err
+
+
+def test_bad_env_seed_exits_2(workdir, capsys, monkeypatch):
+    tmp, _, _ = workdir
+    argv = ["embed", "--space", str(tmp / "space.json"), "--n", "0", "--stages", "2"]
+    monkeypatch.setenv("DIMLAB_SEED", "seven")
+    assert cli_main(argv) == 2
+    assert "DIMLAB_SEED must be an integer" in capsys.readouterr().err
+    assert cli_main(argv + ["--seed", "7"]) == 0

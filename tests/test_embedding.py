@@ -1,5 +1,6 @@
 """Hyperplane enumeration, general position, kappa maps, separation, stages."""
 
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,7 +17,6 @@ from dimlab import (
     Hyperplane,
     InputError,
     SampledSpace,
-    StageState,
     active_indices,
     affine_distance,
     ball_preimage_cover,
@@ -198,6 +198,12 @@ class TestGeneralPosition:
         targets = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
         with pytest.raises(GeneralPositionError):
             general_position(targets, eps=0.05, constraints=[line] * 3, seed=1)
+
+    def test_names_first_dependent_subset(self):
+        # round 0 only: the coincident pair (0, 1) is the first subset of size 2
+        targets = [[0.2, 0.2], [0.2, 0.2], [0.8, 0.6]]
+        with pytest.raises(GeneralPositionError, match=r"last violating subset: \(0, 1\)$"):
+            general_position(targets, eps=0.1, rounds=1)
 
     def test_deterministic_under_seed(self):
         targets = np.array([[0.2, 0.2], [0.7, 0.2], [0.45, 0.2]])
@@ -463,8 +469,8 @@ class TestEmbeddingStage:
     def test_single_stage_on_line(self):
         s = line_space(8)
         balls, pairs, _ = pair_schedule(s, 1)
-        state = StageState(t=0, f=initial_map(s, 1), delta=0.25)
-        out = embedding_stage(state, s, balls, n=1)
+        plane = enumerate_hyperplanes(1, 1)[0]
+        out = embedding_stage(0, initial_map(s, 1), 0.25, s, balls, 1, pairs[0], plane)
         assert out.pair_code == pairs[0]
         assert out.hyperplane == enumerate_hyperplanes(1, 1)[0]
         assert out.contraction < 3 * out.delta
@@ -477,18 +483,25 @@ class TestEmbeddingStage:
 
     def test_rejects_map_outside_cube(self):
         s = line_space(4)
-        balls, _, _ = pair_schedule(s, 1)
+        balls, pairs, _ = pair_schedule(s, 1)
         f = initial_map(s, 1).copy()
         f[0, 0] = 1.5
         with pytest.raises(CertificateError, match="cube"):
-            embedding_stage(StageState(t=0, f=f, delta=0.25), s, balls, n=1)
+            embedding_stage(0, f, 0.25, s, balls, 1, pairs[0], enumerate_hyperplanes(1, 1)[0])
+
+    def test_rejects_pair_whose_cover_misses_a_point(self):
+        s = line_space(8)
+        balls, pairs, _ = pair_schedule(s, 1)
+        plane = enumerate_hyperplanes(1, 1)[0]
+        with pytest.raises(CertificateError, match="stage 0: ball pair cover misses point"):
+            embedding_stage(0, initial_map(s, 1), 0.25, s, balls, 1, pairs[0][::-1], plane)
 
     def test_rejects_wrong_width(self):
         s = line_space(4)
-        balls, _, _ = pair_schedule(s, 1)
+        balls, pairs, _ = pair_schedule(s, 1)
         with pytest.raises(InputError, match="dimension"):
             embedding_stage(
-                StageState(t=0, f=np.full((4, 2), 0.5), delta=0.25), s, balls, n=1
+                0, np.full((4, 2), 0.5), 0.25, s, balls, 1, pairs[0], enumerate_hyperplanes(1, 1)[0]
             )
 
 
@@ -560,6 +573,13 @@ class TestResultSerialization:
         back = result_from_json_bytes(data)
         assert back.stages[0].eta == np.inf
         assert back.injectivity_margin is None
+
+    def test_rejects_stage_missing_a_field(self):
+        s = line_space(8)
+        doc = json.loads(result_to_json_bytes(nobeling_embed(s, n=1, T=2, seed=0)))
+        del doc["stages"][1]["pair_code"]
+        with pytest.raises(InputError, match="not a stage document: 'pair_code'"):
+            result_from_json_bytes(json.dumps(doc).encode("utf-8"))
 
     def test_rejects_garbage(self):
         with pytest.raises(InputError):

@@ -145,6 +145,31 @@ class TestVerifyResult:
         assert "eta" in {c.name for c in report.failures()}
 
 
+    def test_reports_swapped_ball_pair(self, line_run):
+        """A pair whose cover misses a point is reported, not raised."""
+        space, r = line_run
+
+        def mutate(doc):
+            doc["stages"][1]["pair_code"] = doc["stages"][1]["pair_code"][::-1]
+
+        report = verify_result(tampered(r, mutate), space, 1)
+        failed = {(c.name, c.location) for c in report.failures()}
+        assert ("pair-schedule", "stage 1") in failed
+        assert ("star-refinement", "stage 1") in failed
+
+    def test_names_least_sigma_subset(self, line_run):
+        """Coincident vertices give sigma 0, located at the first such subset."""
+        space, r = line_run
+
+        def mutate(doc):
+            doc["stages"][1]["vertices"][1] = list(doc["stages"][1]["vertices"][0])
+
+        report = verify_result(tampered(r, mutate), space, 1)
+        (check,) = [c for c in report.checks if c.name == "general-position" and not c.passed]
+        assert check.location == "stage 1, subset (0, 1)"
+        assert check.margin == -1e-9
+
+
 class TestVerifyMembership:
     def test_clean_run_passes(self, line_run):
         _, r = line_run

@@ -19,6 +19,7 @@ from dimlab import (
     formally_included,
     strictly_included,
 )
+from dimlab import metric
 from conftest import line_space
 
 
@@ -43,6 +44,18 @@ class TestSampledSpace:
         bad = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
         with pytest.raises(InputError):
             SampledSpace.from_distance_matrix(bad, mesh=1.0)
+
+    def test_triangle_violation_past_first_block(self, monkeypatch):
+        # five points on a line, except d(2, 4) = 5 > d(2, 3) + d(3, 4) = 2;
+        # two rows per block, so the violation sits in the second block
+        d = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
+        d[2, 4] = d[4, 2] = 5.0
+        message = "triangle inequality violated at points 2, 4"
+        with pytest.raises(InputError, match=message):
+            SampledSpace.from_distance_matrix(d, mesh=1.0)
+        monkeypatch.setattr(metric, "_CHUNK_FLOATS", 2 * d.size)
+        with pytest.raises(InputError, match=message):
+            SampledSpace.from_distance_matrix(d, mesh=1.0)
 
     def test_rejects_nonpositive_mesh(self):
         with pytest.raises(InputError):
