@@ -1001,13 +1001,19 @@ def stage_to_json_dict(st: StageState) -> dict:
     }
 
 
+def _pair_code(value) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2 or any(type(v) is not int for v in value):
+        raise ValueError(f"pair_code must be two integers, got {value!r}")
+    return value[0], value[1]
+
+
 def stage_from_json_dict(doc: dict, sample_size: int) -> StageState:
     try:
         return StageState(
             t=int(doc["t"]),
             delta=float(doc["delta"]),
             f=np.array(doc["f"], dtype=float),
-            pair_code=tuple(int(v) for v in doc["pair_code"]),
+            pair_code=_pair_code(doc["pair_code"]),
             hyperplane=Hyperplane.from_json_dict(doc["hyperplane"]),
             cover_u=Cover.from_json_dict(doc["cover_u"], sample_size),
             vertices=np.array(doc["vertices"], dtype=float),

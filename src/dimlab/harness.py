@@ -110,6 +110,9 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
     prev: StageState | None = None
     for st in r.stages:
         loc = f"stage {st.t}"
+        if not all(0 <= i < len(balls) for i in st.pair_code):
+            raise InputError(f"{loc}: pair_code {list(st.pair_code)} names a ball "
+                             f"outside 0..{len(balls) - 1}")
         if prev is not None:
             ok = bool(np.array_equal(prev.f_next, st.f)) and prev.delta_next == st.delta
             add("chain", ok, 0.0 if ok else -1.0, loc)

@@ -1,9 +1,9 @@
 """Nerve complexes of covers.
 
-The nerve has one vertex per cover member and a simplex for every index
-set whose members share a sample point. Its dimension therefore equals
-the order of the cover; tests lean on that identity, so the construction
-here stays exhaustive and obviously correct rather than clever.
+The nerve has a vertex per cover member and a face per index set whose
+members share a sample point, so its dimension is the order of the cover.
+A complex is kept as its facets (maximal faces), so it is downward closed
+by construction; the full face list is enumerated only for export and import.
 """
 
 from __future__ import annotations
@@ -23,30 +23,30 @@ from .metric import _as_readonly
 class SimplicialComplex:
     """Abstract simplicial complex on vertices 0..vertex_count-1.
 
-    ``simplices`` holds every nonempty face (downward closure is part of
-    the data, not reconstructed). ``realization`` optionally places each
-    vertex in an ambient space, one row per vertex.
+    ``facets`` generates the complex: the constructor takes any nonempty
+    faces and keeps the maximal ones. ``realization`` optionally places
+    each vertex in an ambient space, one row per vertex.
     """
 
     vertex_count: int
-    simplices: frozenset[frozenset[int]]
+    facets: frozenset[frozenset[int]]
     realization: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise InputError("vertex count must be nonnegative")
-        faces = frozenset(frozenset(s) for s in self.simplices)
+        faces = {frozenset(s) for s in self.facets}
         for s in faces:
             if not s:
                 raise InputError("the empty face is not stored")
             if min(s) < 0 or max(s) >= self.vertex_count:
                 raise InputError(f"face {sorted(s)} uses vertices outside range")
-            for v in s:
-                if s - {v} and s - {v} not in faces:
-                    raise InputError(f"face {sorted(s)} is missing a boundary face")
-            if len(s) > 1 and not all(frozenset([v]) in faces for v in s):
-                raise InputError(f"face {sorted(s)} has an unlisted vertex")
-        object.__setattr__(self, "simplices", faces)
+        # sizes descend: a face is maximal unless a larger facet contains it
+        facets: list[frozenset[int]] = []
+        for size in sorted({len(s) for s in faces}, reverse=True):
+            larger = tuple(facets)
+            facets += [s for s in faces if len(s) == size and not any(s < f for f in larger)]
+        object.__setattr__(self, "facets", frozenset(facets))
         if self.realization is not None:
             r = _as_readonly(np.atleast_2d(np.asarray(self.realization, dtype=float)))
             if r.shape[0] != self.vertex_count:
@@ -55,50 +55,47 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        """Dimension: largest face size minus one; -1 when empty."""
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        """Dimension: largest facet size minus one; -1 when empty."""
+        return max((len(f) for f in self.facets), default=0) - 1
 
     def has_face(self, indices) -> bool:
-        return frozenset(indices) in self.simplices
+        face = frozenset(indices)
+        return bool(face) and any(face <= f for f in self.facets)
 
     def sorted_faces(self) -> list[list[int]]:
-        return sorted((sorted(s) for s in self.simplices), key=lambda f: (len(f), f))
+        """Every nonempty face, sorted by (size, lexicographic)."""
+        facets = [sorted(f) for f in self.facets]
+        faces: list[list[int]] = []
+        for r in range(1, self.dim + 2):  # per size, the union of the facets' r-subsets
+            faces += map(list, sorted(set().union(*(combinations(f, r) for f in facets))))
+        return faces
+
+    @property
+    def simplices(self) -> frozenset[frozenset[int]]:
+        """Every nonempty face, as enumerated by :meth:`sorted_faces`."""
+        return frozenset(frozenset(s) for s in self.sorted_faces())
 
 
 def nerve_of(cover: Cover) -> SimplicialComplex:
     """Nerve of a cover: a face per index set with a common sample point.
 
     A set of indices shares a point iff it sits inside some point's set of
-    active members, so faces are enumerated from those active sets; the
-    result is downward closed by construction.
+    active members, so those active sets generate the nerve.
     """
     if cover.size == 0:
         raise InputError("nerve of an empty family is not defined")
-    supports = cover.supports()
-    faces: set[frozenset[int]] = set()
-    for x in range(cover.sample_size):
-        active = tuple(int(i) for i in np.nonzero(supports[:, x])[0])
-        for r in range(1, len(active) + 1):
-            for combo in combinations(active, r):
-                faces.add(frozenset(combo))
-    return SimplicialComplex(cover.size, frozenset(faces))
+    active = {frozenset(np.flatnonzero(col).tolist()) for col in cover.supports().T}
+    return SimplicialComplex(cover.size, frozenset(active - {frozenset()}))
 
 
-def export_complex(
-    complex: SimplicialComplex, realization: np.ndarray | None = None
-) -> bytes:
+def export_complex(complex: SimplicialComplex, realization: np.ndarray | None = None) -> bytes:
     """Serialize to canonical JSON bytes; identical input, identical bytes.
 
     Faces are sorted by (size, lexicographic). Coordinates appear only
     when a realization is supplied here or stored on the complex.
     """
     coords = realization if realization is not None else complex.realization
-    doc: dict = {
-        "vertices": complex.vertex_count,
-        "simplices": complex.sorted_faces(),
-    }
+    doc: dict = {"vertices": complex.vertex_count, "simplices": complex.sorted_faces()}
     if coords is not None:
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         if coords.shape[0] != complex.vertex_count:
@@ -108,18 +105,18 @@ def export_complex(
 
 
 def import_complex(data: bytes) -> SimplicialComplex:
+    """Parse a complex document; its faces may repeat but must be downward closed."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        count, faces = doc["vertices"], frozenset(map(frozenset, doc["simplices"]))
+        if type(count) is not int or any(type(v) is not int for s in faces for v in s):
+            raise TypeError("the vertex count and every face vertex must be integers")
+        coords = doc.get("coords")
+        realization = None if coords is None else np.array(
+            [[float(v) for v in row] for row in coords])
+    except (UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"not a complex document: {exc}") from exc
-    for key in ("vertices", "simplices"):
-        if key not in doc:
-            raise InputError(f"complex document is missing {key!r}")
-    realization = None
-    if "coords" in doc:
-        realization = np.array([[float(v) for v in row] for row in doc["coords"]])
-    return SimplicialComplex(
-        int(doc["vertices"]),
-        frozenset(frozenset(int(v) for v in s) for s in doc["simplices"]),
-        realization,
-    )
+    out = SimplicialComplex(count, faces, realization)
+    if faces != out.simplices:
+        raise InputError("complex document's faces are not downward closed")
+    return out

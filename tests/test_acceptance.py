@@ -146,6 +146,7 @@ def test_criterion_3_order_reduction():
 
 @criterion(4, "nerve dimension equals cover order on every generated cover")
 def test_criterion_4_nerve_coincidence():
+    t0 = time.perf_counter()
     pool: list[Cover] = []
     for _, cover in shrink_instances():
         pool.append(cover)
@@ -161,6 +162,8 @@ def test_criterion_4_nerve_coincidence():
     assert len(pool) > 600
     for cover in pool:
         assert nerve_of(cover).dim == order_of(cover)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"budget 10 s exceeded: {elapsed:.2f} s"
 
 
 @criterion(5, "general position separates all small subsets within eps")

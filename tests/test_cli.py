@@ -213,6 +213,22 @@ def test_verify_rejects_tampered_result(workdir, capsys):
     assert json.loads(capsys.readouterr().out)["overall"] is False
 
 
+@pytest.mark.parametrize(
+    "code", [[999, 0], [0, 1, 2], [-1, 0]], ids=["past-the-end", "three", "negative"]
+)
+def test_verify_rejects_malformed_pair_code(workdir, capsys, code):
+    tmp, _, _ = workdir
+    result_path = tmp / "result.json"
+    space = ["--space", str(tmp / "space.json"), "--n", "0"]
+    assert cli_main(["embed", *space, "--stages", "2", "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text())
+    doc["stages"][1]["pair_code"] = code
+    result_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["verify", "--result", str(result_path), *space]) == 2
+    assert "pair_code" in capsys.readouterr().err
+
+
 def test_embed_merge_exits_1(tmp_path, capsys):
     # six points with spacing below the stage-0 merge threshold collapse
     space = line_space(6)

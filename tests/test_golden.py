@@ -1,19 +1,42 @@
-"""Pinned result and report bytes: sha256 of the canonical JSON of fixed runs.
+"""Pinned result, report and nerve bytes: sha256 of the canonical JSON of fixed runs.
 
 Criterion 9 compares two runs of the same code; the result hashes were
 taken from the per-cell and per-pair implementations of the lattice cover
-and the span distances, and the report hashes from the verifier before the
-builder and verifier shared their stage-cover and subset-sigma code, so any
-drift in output between versions shows here.
+and the span distances, the report hashes from the verifier before the
+builder and verifier shared their stage-cover and subset-sigma code, and
+the nerve hashes from the complex that stored every face, so any drift in
+output between versions shows here.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from dimlab import nobeling_embed, result_to_json_bytes, verify_result
-from conftest import grid_square_space, line_space
+from dimlab import (
+    Ball,
+    Cover,
+    ball_cozero,
+    complement_cozero,
+    export_complex,
+    meet,
+    nerve_of,
+    nobeling_embed,
+    order_of,
+    reduce_order,
+    result_to_json_bytes,
+    separator_oracle,
+    star_refinement,
+    verify_result,
+)
+from conftest import (
+    grid_square_space,
+    line_space,
+    random_ball_cover,
+    random_value_cover,
+    square_space,
+)
 
 GOLDEN = [
     (
@@ -54,3 +77,44 @@ def test_result_bytes_pinned(name, n, T, seed, digest, report_digest):
     assert report.overall
     data = json.dumps(report.to_json_dict(), separators=(",", ":"), allow_nan=False)
     assert hashlib.sha256(data.encode("utf-8")).hexdigest() == report_digest
+
+
+def star_refined(seed):
+    """Star refinement of the criterion-2 instance with this seed."""
+    rng = np.random.default_rng(seed)
+    space = square_space(rng, count=20)
+    cover = random_value_cover(space, int(rng.integers(1, 6)), rng)
+    return star_refinement(cover)[0]
+
+
+def reduced(seed, meet_pair=False):
+    """Order reduction of the criterion-3 instance with this seed, or its meet
+    with the cover by the ball of radius 0.6 around point 0 and the complement
+    of the closed ball of radius 0.3."""
+    rng = np.random.default_rng(seed)
+    space = square_space(rng, count=20)
+    s = int(rng.integers(1, 7))
+    n = int(rng.integers(0, 2))
+    out = reduce_order(space, random_ball_cover(space, s, rng), n, separator_oracle)
+    if not meet_pair:
+        return out
+    pair = Cover((ball_cozero(space, Ball(center=0, radius=0.6)),
+                  complement_cozero(space, Ball(center=0, radius=0.3))))
+    return meet(pair, out)
+
+
+NERVES = [
+    ("star-2015", lambda: star_refined(2015), 15,
+     "eef5215288de4d1aa3cd1a087b0eeb9f1b97506e126938ec3a656f909a9a4aaa"),
+    ("reduce-3005", lambda: reduced(3005), 1,
+     "7219c273f09c9e1c718b14e9bf9898f5d4cadbf6cbfb2f4eb06b0f988edd4b30"),
+    ("meet-3011", lambda: reduced(3011, meet_pair=True), 3,
+     "9defdad552f9e0132fb7eeb854bc0e41e58909ddd5af3b1ed816c4b11c689b34"),
+]
+
+
+@pytest.mark.parametrize("make,order,digest", [c[1:] for c in NERVES], ids=[c[0] for c in NERVES])
+def test_nerve_export_bytes_pinned(make, order, digest):
+    cover = make()
+    assert order_of(cover) == order
+    assert hashlib.sha256(export_complex(nerve_of(cover))).hexdigest() == digest

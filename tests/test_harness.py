@@ -157,6 +157,28 @@ class TestVerifyResult:
         assert ("pair-schedule", "stage 1") in failed
         assert ("star-refinement", "stage 1") in failed
 
+    @pytest.mark.parametrize("code", [[999, 0], [-1, 0]], ids=["past-the-end", "negative"])
+    def test_rejects_pair_code_outside_enumeration(self, line_run, code):
+        space, r = line_run
+
+        def mutate(doc):
+            doc["stages"][1]["pair_code"] = code
+
+        with pytest.raises(InputError, match=r"stage 1: pair_code .* names a ball outside"):
+            verify_result(tampered(r, mutate), space, 1)
+
+    @pytest.mark.parametrize(
+        "code",
+        [[0, 1, 2], [0], [0, 1.0], [0, True], "01", 5],
+        ids=["three", "one", "float", "bool", "string", "number"],
+    )
+    def test_rejects_pair_code_not_two_ints(self, line_run, code):
+        def mutate(doc):
+            doc["stages"][1]["pair_code"] = code
+
+        with pytest.raises(InputError, match="pair_code must be two integers"):
+            tampered(line_run[1], mutate)
+
     def test_names_least_sigma_subset(self, line_run):
         """Coincident vertices give sigma 0, located at the first such subset."""
         space, r = line_run

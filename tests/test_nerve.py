@@ -24,24 +24,21 @@ def cover_of(matrix) -> Cover:
 
 
 class TestSimplicialComplex:
-    def test_validates_downward_closure(self):
-        with pytest.raises(InputError):
-            SimplicialComplex(
-                vertex_count=2,
-                simplices=frozenset({frozenset({0, 1})}),  # missing the vertices
-            )
-
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(InputError):
             SimplicialComplex(
                 vertex_count=1,
-                simplices=frozenset({frozenset({0}), frozenset({1})}),
+                facets=frozenset({frozenset({0}), frozenset({1})}),
             )
+
+    def test_rejects_empty_face(self):
+        with pytest.raises(InputError):
+            SimplicialComplex(vertex_count=1, facets=frozenset({frozenset()}))
 
     def test_dim_and_faces(self):
         k = SimplicialComplex(
             vertex_count=3,
-            simplices=frozenset(
+            facets=frozenset(
                 {
                     frozenset({0}),
                     frozenset({1}),
@@ -50,10 +47,22 @@ class TestSimplicialComplex:
                 }
             ),
         )
+        assert k.facets == {frozenset({0, 1}), frozenset({2})}
         assert k.dim == 1
         assert k.has_face([0, 1])
+        assert k.has_face([1])
         assert not k.has_face([1, 2])
+        assert not k.has_face([])
         assert k.sorted_faces() == [[0], [1], [2], [0, 1]]
+
+    def test_generating_faces_close_downward(self):
+        k = SimplicialComplex(vertex_count=4, facets=[[0, 1, 2], [2, 3], [1, 2]])
+        assert k.facets == {frozenset({0, 1, 2}), frozenset({2, 3})}
+        assert k.dim == 2
+        assert k.sorted_faces() == [
+            [0], [1], [2], [3], [0, 1], [0, 2], [1, 2], [2, 3], [0, 1, 2]
+        ]
+        assert k.simplices == {frozenset(f) for f in k.sorted_faces()}
 
 
 class TestNerveOf:
@@ -84,6 +93,11 @@ class TestNerveOf:
         assert k.vertex_count == 2
         assert k.sorted_faces() == [[0]]
 
+    def test_facets_are_the_maximal_active_sets(self):
+        # points 0 and 1 meet {0, 1}, point 2 meets {0, 1, 2}, point 3 only {2}
+        c = cover_of([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        assert nerve_of(c).facets == {frozenset({0, 1, 2})}
+
 
 class TestExportImport:
     def test_edge_complex_bytes(self):
@@ -92,7 +106,8 @@ class TestExportImport:
         assert data == b'{"vertices":2,"simplices":[[0],[1],[0,1]]}'
 
     def test_empty_complex_bytes(self):
-        k = SimplicialComplex(vertex_count=0, simplices=frozenset())
+        k = SimplicialComplex(vertex_count=0, facets=frozenset())
+        assert k.dim == -1
         assert export_complex(k) == b'{"vertices":0,"simplices":[]}'
 
     def test_round_trip(self):
@@ -100,12 +115,13 @@ class TestExportImport:
         k = nerve_of(c)
         back = import_complex(export_complex(k))
         assert back.vertex_count == k.vertex_count
+        assert back.facets == k.facets
         assert back.simplices == k.simplices
 
     def test_realization_coordinates_serialized(self):
         k = SimplicialComplex(
             vertex_count=2,
-            simplices=frozenset({frozenset({0}), frozenset({1})}),
+            facets=frozenset({frozenset({0}), frozenset({1})}),
             realization=np.array([[0.0, 0.5], [1.0, 0.25]]),
         )
         doc = json.loads(export_complex(k))
@@ -117,7 +133,7 @@ class TestExportImport:
     def test_export_rejects_short_realization(self):
         k = SimplicialComplex(
             vertex_count=2,
-            simplices=frozenset({frozenset({0}), frozenset({1})}),
+            facets=frozenset({frozenset({0}), frozenset({1})}),
         )
         with pytest.raises(InputError):
             export_complex(k, realization=np.array([[0.0]]))
@@ -127,6 +143,48 @@ class TestExportImport:
             import_complex(b"not json")
         with pytest.raises(InputError):
             import_complex(b'{"vertices":1}')
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"5",
+            b"[]",
+            b'{"vertices":"x","simplices":[]}',
+            b'{"vertices":true,"simplices":[]}',
+            b'{"vertices":2,"simplices":5}',
+            b'{"vertices":2,"simplices":[5]}',
+            b'{"vertices":2,"simplices":[["a"]]}',
+            b'{"vertices":2,"simplices":[[0.0]]}',
+            b'{"vertices":2,"simplices":[[0]],"coords":[["x"]]}',
+            b'{"vertices":2,"simplices":[[0],[1]],"coords":[[0.0],[1.0,2.0]]}',
+            b'{"vertices":2,"simplices":[[]]}',
+            b'{"vertices":1,"simplices":[[0],[1]]}',
+        ],
+        ids=[
+            "number", "list", "vertices-str", "vertices-bool", "simplices-number",
+            "face-number", "vertex-str", "vertex-float", "coord-str", "coords-ragged",
+            "empty-face", "vertex-out-of-range",
+        ],
+    )
+    def test_import_rejects_malformed(self, data):
+        with pytest.raises(InputError):
+            import_complex(data)
+
+    @pytest.mark.parametrize(
+        "faces",
+        [[[0, 1]], [[0], [0, 1]], [[0], [1], [2], [0, 1, 2]]],
+        ids=["edge-without-vertices", "edge-missing-a-vertex", "triangle-without-edges"],
+    )
+    def test_import_rejects_faces_not_downward_closed(self, faces):
+        data = json.dumps({"vertices": 3, "simplices": faces}).encode()
+        with pytest.raises(InputError, match="not downward closed"):
+            import_complex(data)
+
+    def test_import_accepts_repeated_and_unsorted_faces(self):
+        data = b'{"vertices":2,"simplices":[[1],[0],[1,0],[0],[0,1]]}'
+        k = import_complex(data)
+        assert k.facets == {frozenset({0, 1})}
+        assert export_complex(k) == b'{"vertices":2,"simplices":[[0],[1],[0,1]]}'
 
 
 @settings(max_examples=60, deadline=None)
