@@ -53,7 +53,6 @@ from .metric import (
     ball_cozero,
     complement_cozero,
     enumerate_balls,
-    strictly_included,
 )
 
 RANK_TOL = 1e-9
@@ -558,20 +557,32 @@ def eta_prime(
 def stage_pairs(space: SampledSpace, balls: Sequence[Ball]) -> list[tuple[int, int]]:
     """Strict-inclusion pairs (inner, outer) in ball-production order.
 
-    Each newly produced ball is paired against all earlier ones, first as
-    the inner part of pairs (earlier, new), then of pairs (new, earlier).
-    The list for a longer ball enumeration extends the list for a prefix,
-    so the t-th pair does not depend on the enumeration depth used.
+    Ball q lies strictly inside ball m when d(c_q, c_m) < r_m - r_q, the
+    float comparison :func:`strictly_included` makes. Each newly produced
+    ball m is paired against all earlier balls q < m, first as the outer
+    ball of pairs (q, m), then as the inner ball of pairs (m, q), each run
+    in increasing q. The list for a longer ball enumeration extends the
+    list for a prefix, so the t-th pair does not depend on the enumeration
+    depth used.
+
+    Centres must be point ids, as :func:`enumerate_balls` makes them; an
+    ambient-vector centre is an ``InputError``. The comparisons run as one
+    batch into a boolean mask inside[q, m], which one ``nonzero`` over the
+    (m, part, q) stack of its strict upper triangle (transposed) and strict
+    lower triangle reads out in the order above. Beyond the N^2 booleans,
+    the distances and radius gaps are float blocks of at most ~2^20 entries.
     """
-    pairs: list[tuple[int, int]] = []
-    for m in range(len(balls)):
-        for q in range(m):
-            if strictly_included(balls[q], balls[m], space):
-                pairs.append((q, m))
-        for q in range(m):
-            if strictly_included(balls[m], balls[q], space):
-                pairs.append((m, q))
-    return pairs
+    if not all(isinstance(b.center, int) for b in balls):
+        raise InputError("stage_pairs needs balls with point-id centres")
+    c = np.array([space.check_point(b.center) for b in balls], dtype=np.intp)
+    r = np.array([b.radius for b in balls], dtype=float)
+    inside = np.empty((len(c), len(c)), dtype=bool)
+    block = max(1, _CHUNK_FLOATS // max(1, len(c)))
+    for s in range(0, len(c), block):
+        rows = slice(s, s + block)
+        inside[rows] = space.dist[np.ix_(c[rows], c)] < r - r[rows, None]
+    m, part, q = np.nonzero(np.stack([np.triu(inside, 1).T, np.tril(inside, -1)], axis=1))
+    return list(zip(np.where(part, m, q).tolist(), np.where(part, q, m).tolist()))
 
 
 def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[int, int]], int]:
@@ -1001,6 +1012,13 @@ def stage_to_json_dict(st: StageState) -> dict:
     }
 
 
+def _int(value, name: str) -> int:
+    # int() would take 1.5 or true as 1; booleans are not integers here
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _pair_code(value) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2 or any(type(v) is not int for v in value):
         raise ValueError(f"pair_code must be two integers, got {value!r}")
@@ -1010,7 +1028,7 @@ def _pair_code(value) -> tuple[int, int]:
 def stage_from_json_dict(doc: dict, sample_size: int) -> StageState:
     try:
         return StageState(
-            t=int(doc["t"]),
+            t=_int(doc["t"], "t"),
             delta=float(doc["delta"]),
             f=np.array(doc["f"], dtype=float),
             pair_code=_pair_code(doc["pair_code"]),
@@ -1063,10 +1081,10 @@ def result_from_json_dict(doc: dict) -> EmbeddingResult:
             for av in doc["avoided"]
         )
         return EmbeddingResult(
-            n=int(doc["n"]),
-            seed=int(doc["seed"]),
+            n=_int(doc["n"], "n"),
+            seed=_int(doc["seed"], "seed"),
             delta0=float(doc["delta0"]),
-            radii_depth=int(doc["radii_depth"]),
+            radii_depth=_int(doc["radii_depth"], "radii_depth"),
             f=f,
             stages=stages,
             avoided=avoided,

@@ -25,7 +25,7 @@ from .embedding import (
     eta,
     eta_prime,
     kappa_map,
-    stage_pairs,
+    pair_schedule,
     _lattice_cells,
     _stage_covers,
     _stage_vertices,
@@ -33,10 +33,10 @@ from .embedding import (
 )
 from .errors import CertificateError, GeneralPositionError, InputError
 from .metric import (
+    _CHUNK_FLOATS,
     Ball,
     SampledSpace,
     ball_cozero,
-    enumerate_balls,
     formally_included,
 )
 
@@ -85,12 +85,14 @@ def _cube_excess(points: np.ndarray) -> float:
 def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> CertificateReport:
     """Recheck every stage and final invariant of an embedding result.
 
-    Raises on malformed input (wrong n, a map of the wrong shape); returns
-    a report whose checks, in deterministic order, cover the stage chain,
-    ball-pair and hyperplane schedules, cover properties, vertex placement
-    and general position, the kappa recomputation, the delta schedule, the
-    contraction and clearance bounds, the small-ball (V-mapping) property
-    of the final map, hyperplane avoidance, and injectivity.
+    Raises on malformed input (wrong n, a map of the wrong shape, a
+    radii_depth other than the one the stage count schedules, a stage index
+    or pair code outside its range); returns a report whose checks, in
+    deterministic order, cover the stage chain, ball-pair and hyperplane
+    schedules, cover properties, vertex placement and general position, the
+    kappa recomputation, the delta schedule, the contraction and clearance
+    bounds, the small-ball (V-mapping) property of the final map, hyperplane
+    avoidance, and injectivity.
     """
     if r.n != n:
         raise InputError(f"result was built for n={r.n}, not n={n}")
@@ -99,8 +101,10 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
     if r.f.shape != (space.size, 2 * n + 1):
         raise InputError("final map shape does not match the sample")
     d = 2 * n + 1
-    balls = enumerate_balls(space, r.radii_depth)
-    pairs = stage_pairs(space, balls)
+    balls, pairs, depth = pair_schedule(space, len(r.stages))
+    if r.radii_depth != depth:
+        raise InputError(f"result has radii_depth {r.radii_depth}, but its "
+                         f"{len(r.stages)} stages schedule balls at depth {depth}")
     planes = enumerate_hyperplanes(n, len(r.stages))
     checks: list[CertificateCheck] = []
 
@@ -110,13 +114,15 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
     prev: StageState | None = None
     for st in r.stages:
         loc = f"stage {st.t}"
+        if not 0 <= st.t < len(r.stages):
+            raise InputError(f"{loc} outside 0..{len(r.stages) - 1}")
         if not all(0 <= i < len(balls) for i in st.pair_code):
             raise InputError(f"{loc}: pair_code {list(st.pair_code)} names a ball "
                              f"outside 0..{len(balls) - 1}")
         if prev is not None:
             ok = bool(np.array_equal(prev.f_next, st.f)) and prev.delta_next == st.delta
             add("chain", ok, 0.0 if ok else -1.0, loc)
-        ok = st.t < len(pairs) and tuple(st.pair_code) == pairs[st.t]
+        ok = tuple(st.pair_code) == pairs[st.t]
         add("pair-schedule", ok, 0.0 if ok else -1.0, loc)
         ok = st.hyperplane == planes[st.t]
         add("hyperplane-schedule", ok, 0.0 if ok else -1.0, loc)
@@ -313,9 +319,7 @@ def open_image_certificate(
     for e in comp:
         in_u |= ball_cozero(space, balls[e]).values > 0.0
 
-    ball_supports = []
-    for b in balls:
-        ball_supports.append(space.distances_from(b.center) < b.radius)
+    ball_supports = np.array([space.distances_from(b.center) < b.radius for b in balls])
 
     f = r.f
     d = f.shape[1]
@@ -336,16 +340,19 @@ def open_image_certificate(
         if not included:
             continue
         m = max(1, math.ceil(8.0 * math.sqrt(d) / st.eta))
-        for cell in _lattice_cells(f, rho, m):
-            y = cell / m
-            pre = np.linalg.norm(f - y, axis=1) < rho
-            if not pre.any():
-                continue
-            if any((ball_supports[k] & ~pre).sum() == 0 for k in included):
-                key = (tuple(cell.tolist()), rho)
+        cells = _lattice_cells(f, rho, m)
+        supports = ball_supports[included]
+        block = max(1, _CHUNK_FLOATS // (space.size * d))
+        for start in range(0, len(cells), block):
+            g = cells[start : start + block] / m
+            pre = np.linalg.norm(f[None] - g[:, None], axis=2) < rho
+            # a cell is kept when some included (nonempty) support lies inside pre
+            hit = ~((~pre) @ supports.T).all(axis=1)
+            for i in np.nonzero(hit)[0]:
+                key = (tuple(cells[start + i].tolist()), rho)
                 if key not in seen:
                     seen.add(key)
-                    kept.append(Ball(center=y, radius=rho))
+                    kept.append(Ball(center=g[i], radius=rho))
 
     covered = np.zeros(space.size, dtype=bool)
     for j in kept:

@@ -1,8 +1,9 @@
-"""The batched lattice cover and span distances against their per-item definitions.
+"""The batched lattice cover, span distances and ball pairs against their per-item definitions.
 
-The references below walk lattice cells and subset pairs one at a time,
-exactly as the definitions read. The library's batched routes must give
-the same bytes: same member order, same cozero values, same distances.
+The references below walk lattice cells, subset pairs and ball pairs one
+at a time, exactly as the definitions read. The library's batched routes
+must give the same bytes: same member order, same cozero values, same
+distances, same pair list.
 """
 
 import math
@@ -12,19 +13,25 @@ import numpy as np
 import pytest
 
 from dimlab import (
+    Ball,
     CertificateError,
     Cover,
     CozeroFunction,
     GeneralPositionError,
+    InputError,
+    SampledSpace,
     ball_preimage_cover,
     dedupe_by_support,
+    enumerate_balls,
     enumerate_hyperplanes,
     eta,
     eta_prime,
+    stage_pairs,
+    strictly_included,
 )
 from dimlab import embedding
 from dimlab.embedding import HULL_TOL, _disjoint_pairs, _span_distances, _subsets
-from conftest import line_space
+from conftest import line_space, square_space
 
 
 def reference_ball_preimage_cover(f, delta):
@@ -93,6 +100,19 @@ def reference_eta_pairs(s, n):
                     pairs_a.append(sa)
                     pairs_b.append(sb)
     return pairs_a, pairs_b
+
+
+def reference_stage_pairs(space, balls):
+    """Each new ball m against every earlier q: pairs (q, m), then pairs (m, q)."""
+    pairs = []
+    for m in range(len(balls)):
+        for q in range(m):
+            if strictly_included(balls[q], balls[m], space):
+                pairs.append((q, m))
+        for q in range(m):
+            if strictly_included(balls[m], balls[q], space):
+                pairs.append((m, q))
+    return pairs
 
 
 def reference_subsets(s, n):
@@ -243,3 +263,61 @@ class TestSpanDistanceBytes:
         with pytest.raises(GeneralPositionError) as got:
             eta_prime(z, plane, 1)
         assert str(got.value) == "span of (1,) touches the hyperplane (distance 0)"
+
+
+def assert_same_pairs(space, depth):
+    balls = enumerate_balls(space, depth)
+    want = reference_stage_pairs(space, balls)
+    got = stage_pairs(space, balls)
+    assert got == want
+    assert all(type(i) is int for pair in got for i in pair)
+    return got
+
+
+class TestStagePairsList:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_seeded_square_samples(self, depth):
+        rng = np.random.default_rng(400 + depth)
+        for count in (2, 5, 13, 24):
+            assert_same_pairs(square_space(rng, count=count), depth)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_distance_only_space(self, depth):
+        rng = np.random.default_rng(410 + depth)
+        pts = rng.uniform(0.0, 1.0, size=(15, 3))
+        dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        assert_same_pairs(SampledSpace.from_distance_matrix(dist, mesh=0.5), depth)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_one_point_space(self, depth):
+        # diameter zero: radii fall back to the mesh, and each smaller ball
+        # sits strictly inside every larger one around the same point
+        got = assert_same_pairs(SampledSpace.from_points([[0.3]], mesh=0.1), depth)
+        assert len(got) == depth * (depth + 1) // 2
+
+    def test_exact_tie_does_not_pair(self):
+        # on 0, 1/2, 1 the ball (1/2, 1/2) meets the ball (0, 1) with
+        # d == r_m - r_q exactly: not strictly inside
+        space = line_space(3)
+        balls = enumerate_balls(space, 1)
+        assert (balls[4].center, balls[4].radius) == (1, 0.5)
+        assert (balls[0].center, balls[0].radius) == (0, 1.0)
+        assert space.dist[1, 0] == balls[0].radius - balls[4].radius
+        got = assert_same_pairs(space, 1)
+        assert (4, 0) not in got and (4, 2) not in got
+        assert (4, 1) in got
+
+    def test_small_blocks(self, monkeypatch):
+        # several row blocks per call must give the one-block list
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 50)
+        rng = np.random.default_rng(420)
+        for depth in (1, 3):
+            assert_same_pairs(square_space(rng, count=11), depth)
+
+    def test_rejects_ambient_vector_centre(self):
+        space = line_space(3)
+        balls = enumerate_balls(space, 1) + [Ball(center=np.array([0.5]), radius=0.25)]
+        with pytest.raises(InputError, match="point-id centres"):
+            stage_pairs(space, balls)
+        with pytest.raises(InputError, match="unknown point identifier"):
+            stage_pairs(space, [Ball(center=3, radius=0.5)])

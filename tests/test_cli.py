@@ -229,6 +229,29 @@ def test_verify_rejects_malformed_pair_code(workdir, capsys, code):
     assert "pair_code" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where,field,value,message",
+    [
+        ("stage", "t", 1.5, "t must be an integer"),
+        ("stage", "t", 999, "stage 999 outside"),
+        ("result", "radii_depth", 50, "radii_depth 50"),
+        ("result", "radii_depth", 1.5, "radii_depth must be an integer"),
+    ],
+    ids=["t-float", "t-past-the-end", "depth-off-schedule", "depth-float"],
+)
+def test_verify_rejects_bad_integer_field(workdir, capsys, where, field, value, message):
+    tmp, _, _ = workdir
+    result_path = tmp / "result.json"
+    space = ["--space", str(tmp / "space.json"), "--n", "0"]
+    assert cli_main(["embed", *space, "--stages", "2", "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text())
+    (doc["stages"][1] if where == "stage" else doc)[field] = value
+    result_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["verify", "--result", str(result_path), *space]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_embed_merge_exits_1(tmp_path, capsys):
     # six points with spacing below the stage-0 merge threshold collapse
     space = line_space(6)

@@ -179,6 +179,44 @@ class TestVerifyResult:
         with pytest.raises(InputError, match="pair_code must be two integers"):
             tampered(line_run[1], mutate)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("t", 1.5), ("t", True), ("t", "1"), ("radii_depth", 1.5), ("radii_depth", True),
+         ("n", 1.0), ("seed", False), ("seed", 0.0)],
+        ids=["t-float", "t-bool", "t-string", "depth-float", "depth-bool", "n-float",
+             "seed-bool", "seed-float"],
+    )
+    def test_rejects_non_integer_field(self, line_run, field, value):
+        def mutate(doc):
+            if field == "t":
+                doc["stages"][1]["t"] = value
+            else:
+                doc[field] = value
+
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            tampered(line_run[1], mutate)
+
+    @pytest.mark.parametrize("t", [999, 4, -1])
+    def test_rejects_stage_index_outside_stages(self, line_run, t):
+        space, r = line_run
+
+        def mutate(doc):
+            doc["stages"][1]["t"] = t
+
+        with pytest.raises(InputError, match=rf"stage {t} outside 0\.\.3"):
+            verify_result(tampered(r, mutate), space, 1)
+
+    @pytest.mark.parametrize("depth", [50, 2, 0])
+    def test_rejects_radii_depth_off_schedule(self, line_run, depth):
+        """The verifier enumerates balls at the schedule's own depth, never the document's."""
+        space, r = line_run
+
+        def mutate(doc):
+            doc["radii_depth"] = depth
+
+        with pytest.raises(InputError, match=rf"radii_depth {depth}, .* at depth 1"):
+            verify_result(tampered(r, mutate), space, 1)
+
     def test_names_least_sigma_subset(self, line_run):
         """Coincident vertices give sigma 0, located at the first such subset."""
         space, r = line_run
