@@ -554,6 +554,56 @@ def eta_prime(
 # stage machinery
 
 
+def _ball_arrays(space: SampledSpace, balls: Sequence[Ball]) -> tuple[np.ndarray, np.ndarray]:
+    if not all(isinstance(b.center, int) for b in balls):
+        raise InputError("stage_pairs needs balls with point-id centres")
+    c = np.array([space.check_point(b.center) for b in balls], dtype=np.intp)
+    return c, np.array([b.radius for b in balls], dtype=float)
+
+
+def _pair_blocks(
+    space: SampledSpace, c: np.ndarray, r: np.ndarray, start: int, want: int | None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(inner, outer) index arrays of the pairs made by balls start, start + 1, ...
+
+    Pairs come in :func:`stage_pairs` order, one array pair per block of new
+    balls m (centres ``c``, radii ``r``), each compared with every q < m.
+    Block heights double along the pass up to ``_CHUNK_FLOATS // len(c)``
+    and, with ``want`` given, never exceed the pairs still missing; exactly
+    ``want`` pairs are kept (``None``: all).
+    """
+    blocks, count = [], 0
+    height = max(1, _CHUNK_FLOATS // max(1, len(c)))
+    m0 = start
+    while m0 < len(c) and (want is None or count < want):
+        rows = min(height, max(1, m0))
+        if want is not None:
+            rows = min(rows, want - count)
+        m1 = min(len(c), m0 + rows)
+        d = space.dist[np.ix_(c[m0:m1], c[:m1])]
+        earlier = np.tri(m1 - m0, m1, m0 - 1, dtype=bool)  # q < m
+        q_in_m = (d < r[m0:m1, None] - r[:m1]) & earlier
+        m_in_q = (d < r[:m1] - r[m0:m1, None]) & earlier
+        m, part, q = np.nonzero(np.stack([q_in_m, m_in_q], axis=1))
+        if want is not None:
+            m, part, q = m[: want - count], part[: want - count], q[: want - count]
+        m += m0
+        blocks.append((np.where(part, m, q), np.where(part, q, m)))
+        count += len(m)
+        m0 = m1
+    return blocks
+
+
+def _as_pairs(blocks: list[tuple[np.ndarray, np.ndarray]], size: int) -> list[tuple[int, int]]:
+    # one int object per ball index, where tolist() on the index arrays
+    # would make a fresh one per entry
+    ids = np.arange(size, dtype=object)
+    pairs = []
+    for inner, outer in blocks:
+        pairs += zip(ids[inner], ids[outer])
+    return pairs
+
+
 def stage_pairs(space: SampledSpace, balls: Sequence[Ball]) -> list[tuple[int, int]]:
     """Strict-inclusion pairs (inner, outer) in ball-production order.
 
@@ -563,37 +613,39 @@ def stage_pairs(space: SampledSpace, balls: Sequence[Ball]) -> list[tuple[int, i
     ball of pairs (q, m), then as the inner ball of pairs (m, q), each run
     in increasing q. The list for a longer ball enumeration extends the
     list for a prefix, so the t-th pair does not depend on the enumeration
-    depth used.
+    depth used; :func:`pair_schedule` relies on this to stop at T pairs.
 
     Centres must be point ids, as :func:`enumerate_balls` makes them; an
-    ambient-vector centre is an ``InputError``. The comparisons run as one
-    batch into a boolean mask inside[q, m], which one ``nonzero`` over the
-    (m, part, q) stack of its strict upper triangle (transposed) and strict
-    lower triangle reads out in the order above. Beyond the N^2 booleans,
-    the distances and radius gaps are float blocks of at most ~2^20 entries.
+    ambient-vector centre is an ``InputError``. The comparisons run in
+    blocks of newly produced balls m, each a boolean mask against every
+    earlier q of at most ~2^20 entries, read out in the order above by one
+    ``nonzero`` over its (m, part, q) stack. Equal ball indices in the list
+    are one int object.
     """
-    if not all(isinstance(b.center, int) for b in balls):
-        raise InputError("stage_pairs needs balls with point-id centres")
-    c = np.array([space.check_point(b.center) for b in balls], dtype=np.intp)
-    r = np.array([b.radius for b in balls], dtype=float)
-    inside = np.empty((len(c), len(c)), dtype=bool)
-    block = max(1, _CHUNK_FLOATS // max(1, len(c)))
-    for s in range(0, len(c), block):
-        rows = slice(s, s + block)
-        inside[rows] = space.dist[np.ix_(c[rows], c)] < r - r[rows, None]
-    m, part, q = np.nonzero(np.stack([np.triu(inside, 1).T, np.tril(inside, -1)], axis=1))
-    return list(zip(np.where(part, m, q).tolist(), np.where(part, q, m).tolist()))
+    c, r = _ball_arrays(space, balls)
+    return _as_pairs(_pair_blocks(space, c, r, 0, None), len(balls))
 
 
 def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[int, int]], int]:
-    """Balls, first T strict-inclusion pairs, and the depth that sufficed."""
-    depth = 1
+    """Balls, first T strict-inclusion pairs, and the depth that sufficed.
+
+    The depth is the least one whose :func:`enumerate_balls` list makes at
+    least T pairs in :func:`stage_pairs`, and the pairs are the first T of
+    that list. Each depth only compares the balls it adds against the
+    earlier ones, and the comparisons stop at T pairs: the rest of the
+    list is never built.
+    """
+    blocks, count, depth, done = [], 0, 1, 0
     while True:
         balls = enumerate_balls(space, depth)
-        pairs = stage_pairs(space, balls)
-        if len(pairs) >= T:
-            return balls, pairs[:T], depth
-        depth += 1
+        c, r = _ball_arrays(space, balls)
+        # a negative T slices as a list does: all depth-1 pairs but the last -T
+        new = _pair_blocks(space, c, r, done, T - count if T >= 0 else None)
+        blocks += new
+        count += sum(len(inner) for inner, _ in new)
+        if count >= T:
+            return balls, _as_pairs(blocks, len(balls))[:T], depth
+        depth, done = depth + 1, len(balls)
 
 
 def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:

@@ -34,6 +34,46 @@ _CHUNK_FLOATS = 1 << 20
 Center = Union[int, np.ndarray]
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    # ragged rows and non-numbers make numpy raise ValueError or TypeError
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a rectangular array of numbers") from exc
+
+
+def _check_triangles(d: np.ndarray) -> None:
+    """Raise on the first (i, k), row-major, with min_j d(i,j) + d(j,k) < d(i,k) - tol.
+
+    ``d`` must already be known symmetric; see :class:`SampledSpace`.
+    """
+    p = d.shape[0]
+    buf = np.empty(max(p * p, min(_CHUNK_FLOATS, p**3)))
+    start = 0
+    while start < p:
+        cols = p - start
+        rows = max(1, min(cols, _CHUNK_FLOATS // (p * cols)))
+        block = d[start : start + rows]
+        if rows == p:
+            # the whole matrix in one block: sums[i, j, k] = d(i, j) + d(j, k),
+            # reduced across the j rows, which is quicker for short rows
+            sums = buf[: p**3].reshape(p, p, p)
+            np.add(block[:, :, None], d[None, :, :], out=sums)
+            mins = sums.min(axis=1)
+        else:
+            # sums[b, k, j] = d(start+b, j) + d(start+k, j), where d(start+k, j)
+            # == d(j, start+k); j runs along the contiguous axis, so each min
+            # stays one long reduction however few columns are left
+            sums = buf[: rows * cols * p].reshape(rows, cols, p)
+            np.add(block[:, None, :], d[None, start:, :], out=sums)
+            mins = sums.min(axis=2)
+        slack = mins - block[:, start:]
+        if (slack < -DISTANCE_TOL).any():
+            i, k = np.argwhere(slack < -DISTANCE_TOL)[0]
+            raise InputError(f"triangle inequality violated at points {start + i}, {start + k}")
+        start += rows
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
@@ -47,7 +87,15 @@ class SampledSpace:
     Invariants, checked at construction: the distance matrix is symmetric,
     exactly zero on the diagonal, strictly positive off it, and satisfies the
     triangle inequality up to ``DISTANCE_TOL``; the sample is nonempty and
-    ``mesh`` is positive.
+    ``mesh`` is a positive real (an ``int`` or a ``float``, not a ``bool``).
+
+    The triangle check runs in row blocks of at most ``_CHUNK_FLOATS`` float
+    sums, held in one reused buffer (one row of p^2 sums when p^2 exceeds
+    it). Symmetry makes the slack of (i, k) equal that of (k, i) bit for
+    bit, so a block starting at row s sums only the columns k >= s: about
+    p^3/2 sums for p points once p^3 is well above ``_CHUNK_FLOATS``, and
+    p^3 in the single block below it. The first violation in row-major
+    order has k > i, so the pair it names is the one a full check names.
     """
 
     dist: np.ndarray
@@ -55,7 +103,7 @@ class SampledSpace:
     mesh: float
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.dist, dtype=float)
+        d = _float_array(self.dist, "distance matrix")
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
             raise InputError("distance matrix must be square and nonempty")
         if not np.isfinite(d).all():
@@ -70,19 +118,13 @@ class SampledSpace:
         if (off <= 0.0).any():
             i, j = np.argwhere(off <= 0.0)[0]
             raise InputError(f"distinct points must have positive distance (points {i}, {j})")
-        # d(i,k) <= d(i,j) + d(j,k) for all triples, up to tolerance, by blocks of rows i.
-        rows = max(1, _CHUNK_FLOATS // d.size)
-        for start in range(0, d.shape[0], rows):
-            block = d[start : start + rows]
-            slack = (block[:, :, None] + d[None, :, :]).min(axis=1) - block
-            if (slack < -DISTANCE_TOL).any():
-                i, k = np.argwhere(slack < -DISTANCE_TOL)[0]
-                raise InputError(f"triangle inequality violated at points {start + i}, {k}")
-        if not (isinstance(self.mesh, (int, float)) and math.isfinite(self.mesh) and self.mesh > 0):
+        _check_triangles(d)
+        mesh = self.mesh
+        if not ((type(mesh) is int or isinstance(mesh, float)) and math.isfinite(mesh) and mesh > 0):
             raise InputError("mesh must be a positive real")
         object.__setattr__(self, "dist", _as_readonly(d))
         if self.coords is not None:
-            c = np.asarray(self.coords, dtype=float)
+            c = _float_array(self.coords, "coordinates")
             if c.ndim != 2 or c.shape[0] != d.shape[0]:
                 raise InputError("coordinates must be one row per sample point")
             object.__setattr__(self, "coords", _as_readonly(c))
@@ -90,7 +132,7 @@ class SampledSpace:
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence[float]], mesh: float) -> "SampledSpace":
-        c = np.asarray(points, dtype=float)
+        c = _float_array(points, "points")
         if c.ndim != 2 or c.shape[0] == 0:
             raise InputError("points must be a nonempty list of coordinate rows")
         diff = c[:, None, :] - c[None, :, :]
@@ -100,7 +142,7 @@ class SampledSpace:
 
     @classmethod
     def from_distance_matrix(cls, dist: Sequence[Sequence[float]], mesh: float) -> "SampledSpace":
-        return cls(dist=np.asarray(dist, dtype=float), coords=None, mesh=mesh)
+        return cls(dist=_float_array(dist, "distance matrix"), coords=None, mesh=mesh)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SampledSpace":
@@ -286,7 +328,7 @@ def enumerate_balls(space: SampledSpace, radii_depth: int) -> list[Ball]:
     centered at point i. A one-point sample has diameter zero; its radii fall
     back to the mesh so that every ball stays a genuine ball.
     """
-    if not (isinstance(radii_depth, int) and radii_depth >= 1):
+    if not (type(radii_depth) is int and radii_depth >= 1):
         raise InputError("radii_depth must be an integer >= 1")
     base = space.diameter if space.diameter > 0 else space.mesh
     out = []

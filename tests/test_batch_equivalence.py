@@ -1,9 +1,10 @@
-"""The batched lattice cover, span distances and ball pairs against their per-item definitions.
+"""The batched lattice cover, span distances, ball pairs and triangle check against references.
 
 The references below walk lattice cells, subset pairs and ball pairs one
-at a time, exactly as the definitions read. The library's batched routes
-must give the same bytes: same member order, same cozero values, same
-distances, same pair list.
+at a time, exactly as the definitions read, and check the triangle
+inequality over the full matrix. The library's batched routes must give
+the same bytes: same member order, same cozero values, same distances,
+same pair list, same schedule depth, same verdict and message.
 """
 
 import math
@@ -26,10 +27,12 @@ from dimlab import (
     enumerate_hyperplanes,
     eta,
     eta_prime,
+    pair_schedule,
     stage_pairs,
     strictly_included,
 )
-from dimlab import embedding
+from dimlab import embedding, metric
+from dimlab.metric import DISTANCE_TOL
 from dimlab.embedding import HULL_TOL, _disjoint_pairs, _span_distances, _subsets
 from conftest import line_space, square_space
 
@@ -113,6 +116,30 @@ def reference_stage_pairs(space, balls):
             if strictly_included(balls[m], balls[q], space):
                 pairs.append((m, q))
     return pairs
+
+
+def reference_pair_schedule(space, T):
+    """Each depth in turn, its whole pair list, until it holds T pairs."""
+    depth = 1
+    while True:
+        balls = enumerate_balls(space, depth)
+        pairs = reference_stage_pairs(space, balls)
+        if len(pairs) >= T:
+            return balls, pairs[:T], depth
+        depth += 1
+
+
+def reference_triangle_message(d):
+    """Full-matrix check in row blocks: the message for the first violation, or None."""
+    d = np.asarray(d, dtype=float)
+    rows = max(1, metric._CHUNK_FLOATS // d.size)
+    for start in range(0, d.shape[0], rows):
+        block = d[start : start + rows]
+        slack = (block[:, :, None] + d[None, :, :]).min(axis=1) - block
+        if (slack < -DISTANCE_TOL).any():
+            i, k = np.argwhere(slack < -DISTANCE_TOL)[0]
+            return f"triangle inequality violated at points {start + i}, {k}"
+    return None
 
 
 def reference_subsets(s, n):
@@ -307,6 +334,25 @@ class TestStagePairsList:
         assert (4, 0) not in got and (4, 2) not in got
         assert (4, 1) in got
 
+    def test_growing_radii(self):
+        # enumerate_balls never makes an older ball fit inside a newer one;
+        # reversed, every pair has the newer ball outside, with the exact
+        # tie of test_exact_tie_does_not_pair as ball 8 = (0, 1) after
+        # ball 4 = (1, 1/2)
+        space = line_space(3)
+        balls = enumerate_balls(space, 2)[::-1]
+        assert (balls[4].center, balls[4].radius, balls[8].center, balls[8].radius) == (1, 0.5, 0, 1.0)
+        got = stage_pairs(space, balls)
+        assert got == reference_stage_pairs(space, balls)
+        assert all(q < m for q, m in got)
+        assert (4, 7) in got and (4, 8) not in got
+        rng = np.random.default_rng(425)
+        for count in (3, 9):
+            space = square_space(rng, count=count)
+            balls = enumerate_balls(space, 3)
+            balls = [balls[i] for i in rng.permutation(len(balls))]
+            assert stage_pairs(space, balls) == reference_stage_pairs(space, balls)
+
     def test_small_blocks(self, monkeypatch):
         # several row blocks per call must give the one-block list
         monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 50)
@@ -321,3 +367,137 @@ class TestStagePairsList:
             stage_pairs(space, balls)
         with pytest.raises(InputError, match="unknown point identifier"):
             stage_pairs(space, [Ball(center=3, radius=0.5)])
+
+    def test_equal_indices_are_one_object(self):
+        # ints above 256 are not cached by the interpreter: each index must
+        # still be a single object however many pairs it appears in
+        space = square_space(np.random.default_rng(430), count=160)
+        got = stage_pairs(space, enumerate_balls(space, 1))
+        seen = {}
+        for i in (i for pair in got for i in pair):
+            assert seen.setdefault(i, i) is i
+        assert max(seen) >= 257
+
+
+def assert_same_schedule(space, T):
+    balls, pairs, depth = pair_schedule(space, T)
+    want_balls, want_pairs, want_depth = reference_pair_schedule(space, T)
+    assert (depth, pairs) == (want_depth, want_pairs)
+    assert [(b.center, b.radius) for b in balls] == [(b.center, b.radius) for b in want_balls]
+    assert pairs == stage_pairs(space, enumerate_balls(space, depth))[:T]
+    assert all(type(i) is int for pair in pairs for i in pair)
+    return depth
+
+
+class TestPairSchedule:
+    def test_at_and_past_the_end_of_depth_one(self):
+        space = square_space(np.random.default_rng(440), count=9)
+        last = len(reference_stage_pairs(space, enumerate_balls(space, 1)))
+        assert assert_same_schedule(space, 0) == 1
+        assert assert_same_schedule(space, 1) == 1
+        assert assert_same_schedule(space, last) == 1
+        assert assert_same_schedule(space, last + 1) == 2
+
+    def test_negative_demand_slices_like_a_list(self):
+        space = line_space(4)
+        assert assert_same_schedule(space, -1) == 1
+
+    @pytest.mark.parametrize("T", [1, 7, 40, 200])
+    def test_seeded_square_samples(self, T):
+        rng = np.random.default_rng(450 + T)
+        for count in (2, 6, 17):
+            assert_same_schedule(square_space(rng, count=count), T)
+
+    @pytest.mark.parametrize("T", [0, 5, 60])
+    def test_distance_only_space(self, T):
+        rng = np.random.default_rng(460 + T)
+        pts = rng.uniform(0.0, 1.0, size=(12, 3))
+        dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        assert_same_schedule(SampledSpace.from_distance_matrix(dist, mesh=0.5), T)
+
+    @pytest.mark.parametrize("T", [0, 1, 2, 3, 4, 10])
+    def test_one_point_space(self, T):
+        # depth k makes k (k + 1) / 2 pairs: 1, 3, 6, ...
+        space = SampledSpace.from_points([[0.3]], mesh=0.1)
+        depth = assert_same_schedule(space, T)
+        assert depth == next(k for k in range(1, 10) if k * (k + 1) // 2 >= T)
+
+    def test_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 30)
+        space = square_space(np.random.default_rng(470), count=10)
+        for T in (0, 3, 45, 300):
+            assert_same_schedule(space, T)
+
+
+def euclidean_matrix(rng, count, dim=2):
+    pts = rng.uniform(0.0, 1.0, size=(count, dim))
+    return np.linalg.norm(pts[:, None] - pts[None], axis=2)
+
+
+def triangle_message(d):
+    try:
+        SampledSpace.from_distance_matrix(d, mesh=1.0)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def assert_same_triangle_verdict(d):
+    want = reference_triangle_message(d)
+    assert triangle_message(d) == want
+    return want
+
+
+class TestTriangleCheck:
+    # blocks of one row, of a few rows, of one row beyond _CHUNK_FLOATS,
+    # and the whole matrix in one block
+    CHUNKS = [1, 50, 400, 1 << 20]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_seeded_metrics_pass(self, monkeypatch, chunk):
+        monkeypatch.setattr(metric, "_CHUNK_FLOATS", chunk)
+        rng = np.random.default_rng(500)
+        for count in (1, 2, 3, 8, 21):
+            assert assert_same_triangle_verdict(euclidean_matrix(rng, count)) is None
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_planted_violations(self, monkeypatch, chunk):
+        # stretched and shrunk entries at random places, one to three at a
+        # time: the first violation then sits above and below the diagonal
+        # of the changed entries and anywhere in the row blocks
+        monkeypatch.setattr(metric, "_CHUNK_FLOATS", chunk)
+        rng = np.random.default_rng(510)
+        found = 0
+        for _ in range(60):
+            count = int(rng.integers(3, 16))
+            d = euclidean_matrix(rng, count)
+            for _ in range(int(rng.integers(1, 4))):
+                i, k = rng.choice(count, size=2, replace=False)
+                d[i, k] = d[k, i] = d[i, k] * rng.choice([0.05, 3.0])
+            found += assert_same_triangle_verdict(d) is not None
+        assert found > 40
+
+    @pytest.mark.parametrize("chunk", [2 * 25, 3 * 25, 25 * 4])
+    def test_violation_at_block_boundaries(self, monkeypatch, chunk):
+        # five points on a line; each single stretched pair names itself,
+        # with rows split at every block edge the chunk size makes
+        monkeypatch.setattr(metric, "_CHUNK_FLOATS", chunk)
+        line = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
+        for i, k in combinations(range(5), 2):
+            if k - i < 2:
+                continue
+            d = line.copy()
+            d[i, k] = d[k, i] = k - i + 1.0
+            assert assert_same_triangle_verdict(d) == f"triangle inequality violated at points {i}, {k}"
+
+    def test_slack_of_exactly_minus_tol_is_not_a_violation(self):
+        t = DISTANCE_TOL
+        d = np.array([[0.0, t / 2, 2 * t], [t / 2, 0.0, t / 2], [2 * t, t / 2, 0.0]])
+        assert (d[0, 1] + d[1, 2]) - d[0, 2] == -DISTANCE_TOL
+        assert assert_same_triangle_verdict(d) is None
+        d[0, 2] = d[2, 0] = np.nextafter(2 * t, 1.0)
+        assert assert_same_triangle_verdict(d) == "triangle inequality violated at points 0, 2"
+
+    def test_one_and_two_points(self):
+        assert assert_same_triangle_verdict(np.zeros((1, 1))) is None
+        assert assert_same_triangle_verdict(np.array([[0.0, 3.0], [3.0, 0.0]])) is None

@@ -271,6 +271,25 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"points": None, "distance_matrix": [[0, 1], [1]], "mesh": 0.5},
+         "distance matrix must be a rectangular array of numbers"),
+        ({"points": [[0.0], ["x"]], "distance_matrix": None, "mesh": 0.5},
+         "points must be a rectangular array of numbers"),
+        ({"points": [[0.0], [1.0]], "distance_matrix": None, "mesh": True},
+         "mesh must be a positive real"),
+    ],
+    ids=["ragged-matrix", "string-point", "bool-mesh"],
+)
+def test_embed_malformed_space_exits_2(tmp_path, capsys, doc, message):
+    (tmp_path / "space.json").write_text(json.dumps(doc))
+    code = cli_main(["embed", "--space", str(tmp_path / "space.json"), "--n", "0", "--stages", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_embed_deterministic_and_env_seed(workdir, capsys, monkeypatch):
     tmp, _, _ = workdir
     argv = ["embed", "--space", str(tmp / "space.json"), "--n", "0", "--stages", "2"]

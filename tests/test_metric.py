@@ -61,6 +61,43 @@ class TestSampledSpace:
         with pytest.raises(InputError):
             SampledSpace.from_points([[0.0], [1.0]], mesh=0.0)
 
+    @pytest.mark.parametrize(
+        "points",
+        [[[0.0], [1.0, 2.0]], [["a"], ["b"]], [[{"x": 1.0}], [[2.0]]]],
+        ids=["ragged", "strings", "objects"],
+    )
+    def test_malformed_points_are_input_errors(self, points):
+        with pytest.raises(InputError, match="points must be a rectangular array of numbers"):
+            SampledSpace.from_points(points, mesh=1.0)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[0, 1], [1]], [[0, "x"], ["x", 0]], [[0, None], [{}, 0]]],
+        ids=["ragged", "strings", "objects"],
+    )
+    def test_malformed_matrix_is_input_error(self, matrix):
+        message = "distance matrix must be a rectangular array of numbers"
+        with pytest.raises(InputError, match=message):
+            SampledSpace.from_distance_matrix(matrix, mesh=1.0)
+        with pytest.raises(InputError, match=message):
+            SampledSpace.from_json_dict({"points": None, "distance_matrix": matrix, "mesh": 0.5})
+        with pytest.raises(InputError, match=message):
+            SampledSpace(dist=matrix, coords=None, mesh=1.0)
+
+    def test_malformed_coordinates_are_input_error(self):
+        with pytest.raises(InputError, match="coordinates must be a rectangular array"):
+            SampledSpace(dist=[[0.0, 1.0], [1.0, 0.0]], coords=[[0.0], [1.0, 0.0]], mesh=1.0)
+
+    @pytest.mark.parametrize("mesh", [True, "0.5", None, [0.5], float("inf"), -1])
+    def test_rejects_mesh_that_is_not_a_positive_real(self, mesh):
+        with pytest.raises(InputError, match="mesh must be a positive real"):
+            SampledSpace.from_points([[0.0], [1.0]], mesh=mesh)
+
+    @pytest.mark.parametrize("mesh", [1, 0.5, np.float64(0.5)])
+    def test_accepts_int_and_float_mesh(self, mesh):
+        s = SampledSpace.from_points([[0.0], [1.0]], mesh=mesh)
+        assert type(s.mesh) is float and s.mesh == mesh
+
     def test_json_round_trip_points(self):
         s = line_space(4)
         doc = s.to_json_dict()
@@ -177,6 +214,12 @@ class TestEnumerateBalls:
     def test_rejects_bad_depth(self):
         with pytest.raises(InputError):
             enumerate_balls(line_space(3), 0)
+
+    @pytest.mark.parametrize("depth", [True, 1.0, "1", np.int64(1)])
+    def test_rejects_depth_that_is_not_an_int(self, depth):
+        # a bool is not an integer here, as for the result's radii_depth
+        with pytest.raises(InputError, match="radii_depth must be an integer >= 1"):
+            enumerate_balls(line_space(3), depth)
 
 
 @settings(max_examples=50, deadline=None)
