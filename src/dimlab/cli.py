@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .covers import Cover, closed_shrinking, meet, order_of, star_of_member
 from .dimension import map_oracle, reduce_order, separator_oracle
@@ -26,7 +24,7 @@ from .embedding import (
 )
 from .errors import CertificateError, DimlabError, InputError
 from .harness import CertificateReport, verify_nobeling_membership, verify_result
-from .metric import SampledSpace
+from .metric import SampledSpace, _float_array
 from .nerve import export_complex, nerve_of
 
 
@@ -141,7 +139,7 @@ def _resolve_oracle(name: str):
         doc = _load_json(name[len("map:"):])
         if not isinstance(doc, dict) or "g" not in doc:
             raise InputError("map oracle file must contain a g matrix")
-        return map_oracle(np.array(doc["g"], dtype=float))
+        return map_oracle(_float_array(doc["g"], "map oracle g"))
     raise InputError(f"unknown oracle {name!r}; use separator or map:G.json")
 
 
@@ -176,10 +174,9 @@ def _run(args: argparse.Namespace) -> int:
         return 0
     if args.command == "genpos":
         doc = _load_json(args.targets)
-        if "targets" not in doc:
+        if not isinstance(doc, dict) or "targets" not in doc:
             raise InputError("targets file must contain a targets list")
-        targets = np.array(doc["targets"], dtype=float)
-        placed = general_position(targets, args.eps, seed=_seed(args), tol=args.tolerance)
+        placed = general_position(doc["targets"], args.eps, seed=_seed(args), tol=args.tolerance)
         _emit(_dump({"points": [[float(v) for v in row] for row in placed]}), args.out)
         return 0
     if args.command == "embed":

@@ -101,7 +101,7 @@ class Cover:
 
     @classmethod
     def from_json_dict(cls, obj: dict, sample_size: int) -> "Cover":
-        if not isinstance(obj, dict) or "members" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("members"), list):
             raise InputError("cover document must be an object with a members list")
         members = []
         for entry in obj["members"]:

@@ -50,6 +50,8 @@ from .metric import (
     CozeroFunction,
     SampledSpace,
     _as_readonly,
+    _ball_radii,
+    _float_array,
     ball_cozero,
     complement_cozero,
     enumerate_balls,
@@ -165,7 +167,7 @@ class Hyperplane:
         try:
             coords = tuple(int(c) for c in obj["coords"])
             values = tuple(Fraction(int(p), int(q)) for p, q in obj["values"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a hyperplane document: {exc}") from exc
         return cls(coords, values)
 
@@ -187,14 +189,11 @@ def enumerate_hyperplanes(n: int, T: int) -> list[Hyperplane]:
     max_den = 1
     while len(out) < T:
         ranked = stern_brocot_rationals(max_den)
-        rank = {v: i for i, v in enumerate(ranked)}
-        fresh = sorted(
-            (v for v in ranked if v.denominator == max_den), key=lambda v: rank[v]
-        )
+        fresh = [v for v in ranked if v.denominator == max_den]
         if fresh:
             for coords in coord_sets:
                 width = len(coords)
-                for tup in _value_tuples(ranked, fresh, rank, width):
+                for tup in _value_tuples(ranked, fresh, width):
                     out.append(Hyperplane(coords, tup))
                     if len(out) == T:
                         return out
@@ -203,15 +202,11 @@ def enumerate_hyperplanes(n: int, T: int) -> list[Hyperplane]:
 
 
 def _value_tuples(
-    ranked: list[Fraction],
-    fresh: list[Fraction],
-    rank: dict[Fraction, int],
-    width: int,
+    ranked: list[Fraction], fresh: list[Fraction], width: int
 ) -> Iterator[tuple[Fraction, ...]]:
     """Width-tuples over ``ranked`` containing a ``fresh`` value, rank-lex order."""
-    ordered = sorted(ranked, key=lambda v: rank[v])
     fresh_set = set(fresh)
-    for tup in product(ordered, repeat=width):
+    for tup in product(ranked, repeat=width):
         if any(v in fresh_set for v in tup):
             yield tup
 
@@ -289,7 +284,7 @@ def general_position(
     ``seed``, so results are reproducible. Exhausting the round budget
     raises and names the last violating subset.
     """
-    pts = np.array([np.asarray(t, dtype=float) for t in targets], dtype=float)
+    pts = _float_array(targets, "targets")
     if pts.ndim != 2:
         raise InputError("targets must be points of a common dimension")
     k, d = pts.shape
@@ -554,98 +549,51 @@ def eta_prime(
 # stage machinery
 
 
-def _ball_arrays(space: SampledSpace, balls: Sequence[Ball]) -> tuple[np.ndarray, np.ndarray]:
-    if not all(isinstance(b.center, int) for b in balls):
-        raise InputError("stage_pairs needs balls with point-id centres")
-    c = np.array([space.check_point(b.center) for b in balls], dtype=np.intp)
-    return c, np.array([b.radius for b in balls], dtype=float)
+def _depth_pairs(space: SampledSpace, radii: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(inner, outer) ball indices of the pairs whose inner ball has the last radius."""
+    k, p = len(radii) - 1, space.size
+    gaps = np.subtract(radii[:k], radii[k])[:, None]
+    i, outer_depth, j = np.nonzero(space.dist[:, None, :] < gaps)
+    return k * p + i, outer_depth * p + j
 
 
-def _pair_blocks(
-    space: SampledSpace, c: np.ndarray, r: np.ndarray, start: int, want: int | None
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(inner, outer) index arrays of the pairs made by balls start, start + 1, ...
-
-    Pairs come in :func:`stage_pairs` order, one array pair per block of new
-    balls m (centres ``c``, radii ``r``), each compared with every q < m.
-    Block heights double along the pass up to ``_CHUNK_FLOATS // len(c)``
-    and, with ``want`` given, never exceed the pairs still missing; exactly
-    ``want`` pairs are kept (``None``: all).
-    """
-    blocks, count = [], 0
-    height = max(1, _CHUNK_FLOATS // max(1, len(c)))
-    m0 = start
-    while m0 < len(c) and (want is None or count < want):
-        rows = min(height, max(1, m0))
-        if want is not None:
-            rows = min(rows, want - count)
-        m1 = min(len(c), m0 + rows)
-        d = space.dist[np.ix_(c[m0:m1], c[:m1])]
-        earlier = np.tri(m1 - m0, m1, m0 - 1, dtype=bool)  # q < m
-        q_in_m = (d < r[m0:m1, None] - r[:m1]) & earlier
-        m_in_q = (d < r[:m1] - r[m0:m1, None]) & earlier
-        m, part, q = np.nonzero(np.stack([q_in_m, m_in_q], axis=1))
-        if want is not None:
-            m, part, q = m[: want - count], part[: want - count], q[: want - count]
-        m += m0
-        blocks.append((np.where(part, m, q), np.where(part, q, m)))
-        count += len(m)
-        m0 = m1
-    return blocks
-
-
-def _as_pairs(blocks: list[tuple[np.ndarray, np.ndarray]], size: int) -> list[tuple[int, int]]:
-    # one int object per ball index, where tolist() on the index arrays
-    # would make a fresh one per entry
+def _pair_list(depths: list, size: int, T: int | None = None) -> list[tuple[int, int]]:
+    # one int object per ball index, where tolist() would make one per entry
     ids = np.arange(size, dtype=object)
-    pairs = []
-    for inner, outer in blocks:
-        pairs += zip(ids[inner], ids[outer])
-    return pairs
+    inner, outer = (np.concatenate(a)[:T] for a in zip(*depths))
+    return list(zip(ids[inner], ids[outer]))
 
 
-def stage_pairs(space: SampledSpace, balls: Sequence[Ball]) -> list[tuple[int, int]]:
-    """Strict-inclusion pairs (inner, outer) in ball-production order.
+def stage_pairs(space: SampledSpace, radii_depth: int) -> list[tuple[int, int]]:
+    """Strict-inclusion pairs (inner, outer) of ``enumerate_balls(space, radii_depth)``.
 
     Ball q lies strictly inside ball m when d(c_q, c_m) < r_m - r_q, the
-    float comparison :func:`strictly_included` makes. Each newly produced
-    ball m is paired against all earlier balls q < m, first as the outer
-    ball of pairs (q, m), then as the inner ball of pairs (m, q), each run
-    in increasing q. The list for a longer ball enumeration extends the
-    list for a prefix, so the t-th pair does not depend on the enumeration
-    depth used; :func:`pair_schedule` relies on this to stop at T pairs.
-
-    Centres must be point ids, as :func:`enumerate_balls` makes them; an
-    ambient-vector centre is an ``InputError``. The comparisons run in
-    blocks of newly produced balls m, each a boolean mask against every
-    earlier q of at most ~2^20 entries, read out in the order above by one
-    ``nonzero`` over its (m, part, q) stack. Equal ball indices in the list
-    are one int object.
+    float comparison :func:`strictly_included` makes. Ball k*p + i (centre
+    i, radius R_k halving with k) can only lie inside a ball k'*p + j with
+    k' < k, so one boolean mask per depth k, indexed (i, k', j), holds the
+    pairs of its inner balls, and ``nonzero`` reads them out by inner, then
+    outer index. A deeper enumeration's list extends a shallower one's, so
+    the t-th pair does not depend on the depth. Equal ball indices in the
+    list are one int object.
     """
-    c, r = _ball_arrays(space, balls)
-    return _as_pairs(_pair_blocks(space, c, r, 0, None), len(balls))
+    radii = _ball_radii(space, radii_depth)
+    depths = [_depth_pairs(space, radii[: k + 1]) for k in range(1, radii_depth + 1)]
+    return _pair_list(depths, len(radii) * space.size)
 
 
 def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[int, int]], int]:
     """Balls, first T strict-inclusion pairs, and the depth that sufficed.
 
-    The depth is the least one whose :func:`enumerate_balls` list makes at
-    least T pairs in :func:`stage_pairs`, and the pairs are the first T of
-    that list. Each depth only compares the balls it adds against the
-    earlier ones, and the comparisons stop at T pairs: the rest of the
-    list is never built.
+    The depth is the least whose :func:`stage_pairs` list holds T pairs
+    (1 when T <= 0), the balls are its :func:`enumerate_balls` list and the
+    pairs the first T of that list, sliced as a list is for negative T.
     """
-    blocks, count, depth, done = [], 0, 1, 0
-    while True:
-        balls = enumerate_balls(space, depth)
-        c, r = _ball_arrays(space, balls)
-        # a negative T slices as a list does: all depth-1 pairs but the last -T
-        new = _pair_blocks(space, c, r, done, T - count if T >= 0 else None)
-        blocks += new
-        count += sum(len(inner) for inner, _ in new)
-        if count >= T:
-            return balls, _as_pairs(blocks, len(balls))[:T], depth
-        depth, done = depth + 1, len(balls)
+    depths, count = [], 0
+    while not depths or count < T:
+        depths.append(_depth_pairs(space, _ball_radii(space, len(depths) + 1)))
+        count += len(depths[-1][0])
+    balls = enumerate_balls(space, len(depths))
+    return balls, _pair_list(depths, len(balls), T), len(depths)
 
 
 def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:

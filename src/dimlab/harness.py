@@ -85,14 +85,14 @@ def _cube_excess(points: np.ndarray) -> float:
 def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> CertificateReport:
     """Recheck every stage and final invariant of an embedding result.
 
-    Raises on malformed input (wrong n, a map of the wrong shape, a
-    radii_depth other than the one the stage count schedules, a stage index
-    or pair code outside its range); returns a report whose checks, in
-    deterministic order, cover the stage chain, ball-pair and hyperplane
-    schedules, cover properties, vertex placement and general position, the
-    kappa recomputation, the delta schedule, the contraction and clearance
-    bounds, the small-ball (V-mapping) property of the final map, hyperplane
-    avoidance, and injectivity.
+    Raises on malformed input (wrong n, a map, vertex or anchor array of
+    the wrong shape, a radii_depth other than the one the stage count
+    schedules, a stage index or pair code outside its range); returns a
+    report whose checks, in deterministic order, cover the stage chain,
+    ball-pair and hyperplane schedules, cover properties, vertex placement
+    and general position, the kappa recomputation, the delta schedule, the
+    contraction and clearance bounds, the small-ball (V-mapping) property
+    of the final map, hyperplane avoidance, and injectivity.
     """
     if r.n != n:
         raise InputError(f"result was built for n={r.n}, not n={n}")
@@ -119,6 +119,11 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         if not all(0 <= i < len(balls) for i in st.pair_code):
             raise InputError(f"{loc}: pair_code {list(st.pair_code)} names a ball "
                              f"outside 0..{len(balls) - 1}")
+        for name, rows in (("f", space.size), ("f_next", space.size),
+                           ("vertices", st.cover_u.size), ("anchors", n + 1)):
+            shape = getattr(st, name).shape
+            if shape != (rows, d):
+                raise InputError(f"{loc}: {name} has shape {shape}, not {(rows, d)}")
         if prev is not None:
             ok = bool(np.array_equal(prev.f_next, st.f)) and prev.delta_next == st.delta
             add("chain", ok, 0.0 if ok else -1.0, loc)
@@ -147,14 +152,9 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         add("star-refinement", ok, 0.0 if ok else -1.0, loc)
 
         picks = _stage_vertices(st.cover_u)
-        if st.vertices.shape[0] != st.cover_u.size:
-            raise InputError(f"stage {st.t} has {st.vertices.shape[0]} vertices "
-                             f"for {st.cover_u.size} members")
         prox = float(np.linalg.norm(st.vertices - st.f[picks], axis=1).max())
         add("vertex-proximity", prox < st.delta, st.delta - prox, loc)
-        anchor_err = max(
-            st.hyperplane.equation_violation(row) for row in st.anchors
-        ) if len(st.anchors) else 0.0
+        anchor_err = max(st.hyperplane.equation_violation(row) for row in st.anchors)
         add("anchors-on-plane", anchor_err == 0.0, -anchor_err, loc)
 
         sigma, subset = math.inf, ()  # least over all sizes; the first subset on ties

@@ -272,6 +272,8 @@ class CozeroFunction:
 
     @classmethod
     def from_sparse_dict(cls, obj: dict, size: int) -> "CozeroFunction":
+        if not isinstance(obj, dict):
+            raise InputError("cover values must be an object of point index: value")
         v = np.zeros(size, dtype=float)
         for key, value in obj.items():
             try:
@@ -280,7 +282,10 @@ class CozeroFunction:
                 raise InputError(f"bad point index {key!r} in cover values") from exc
             if not 0 <= i < size:
                 raise InputError(f"unknown point identifier: {i}")
-            v[i] = float(value)
+            try:
+                v[i] = float(value)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"bad value {value!r} at point {i} in cover values") from exc
         return cls(v)
 
 
@@ -320,6 +325,14 @@ def strictly_included(b1: Ball, b2: Ball, space: SampledSpace | None = None) -> 
     return center_distance(b1, b2, space) < b2.radius - b1.radius
 
 
+def _ball_radii(space: SampledSpace, radii_depth: int) -> list[float]:
+    """Radius of each depth 0..radii_depth of :func:`enumerate_balls`."""
+    if not (type(radii_depth) is int and radii_depth >= 1):
+        raise InputError("radii_depth must be an integer >= 1")
+    base = space.diameter if space.diameter > 0 else space.mesh
+    return [base * 2.0 ** (-k) for k in range(radii_depth + 1)]
+
+
 def enumerate_balls(space: SampledSpace, radii_depth: int) -> list[Ball]:
     """Deterministic ball enumeration: dyadic radii, then point index.
 
@@ -328,12 +341,5 @@ def enumerate_balls(space: SampledSpace, radii_depth: int) -> list[Ball]:
     centered at point i. A one-point sample has diameter zero; its radii fall
     back to the mesh so that every ball stays a genuine ball.
     """
-    if not (type(radii_depth) is int and radii_depth >= 1):
-        raise InputError("radii_depth must be an integer >= 1")
-    base = space.diameter if space.diameter > 0 else space.mesh
-    out = []
-    for k in range(radii_depth + 1):
-        r = base * 2.0 ** (-k)
-        for i in range(space.size):
-            out.append(Ball(center=i, radius=r))
-    return out
+    radii = _ball_radii(space, radii_depth)
+    return [Ball(center=i, radius=r) for r in radii for i in range(space.size)]

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from dimlab import (
-    Ball,
     CertificateError,
     Cover,
     CozeroFunction,
@@ -295,7 +294,7 @@ class TestSpanDistanceBytes:
 def assert_same_pairs(space, depth):
     balls = enumerate_balls(space, depth)
     want = reference_stage_pairs(space, balls)
-    got = stage_pairs(space, balls)
+    got = stage_pairs(space, depth)
     assert got == want
     assert all(type(i) is int for pair in got for i in pair)
     return got
@@ -334,45 +333,18 @@ class TestStagePairsList:
         assert (4, 0) not in got and (4, 2) not in got
         assert (4, 1) in got
 
-    def test_growing_radii(self):
-        # enumerate_balls never makes an older ball fit inside a newer one;
-        # reversed, every pair has the newer ball outside, with the exact
-        # tie of test_exact_tie_does_not_pair as ball 8 = (0, 1) after
-        # ball 4 = (1, 1/2)
-        space = line_space(3)
-        balls = enumerate_balls(space, 2)[::-1]
-        assert (balls[4].center, balls[4].radius, balls[8].center, balls[8].radius) == (1, 0.5, 0, 1.0)
-        got = stage_pairs(space, balls)
-        assert got == reference_stage_pairs(space, balls)
-        assert all(q < m for q, m in got)
-        assert (4, 7) in got and (4, 8) not in got
-        rng = np.random.default_rng(425)
-        for count in (3, 9):
-            space = square_space(rng, count=count)
-            balls = enumerate_balls(space, 3)
-            balls = [balls[i] for i in rng.permutation(len(balls))]
-            assert stage_pairs(space, balls) == reference_stage_pairs(space, balls)
-
     def test_small_blocks(self, monkeypatch):
-        # several row blocks per call must give the one-block list
+        # the broadcast block size of the lattice cover leaves the pair list alone
         monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 50)
         rng = np.random.default_rng(420)
         for depth in (1, 3):
             assert_same_pairs(square_space(rng, count=11), depth)
 
-    def test_rejects_ambient_vector_centre(self):
-        space = line_space(3)
-        balls = enumerate_balls(space, 1) + [Ball(center=np.array([0.5]), radius=0.25)]
-        with pytest.raises(InputError, match="point-id centres"):
-            stage_pairs(space, balls)
-        with pytest.raises(InputError, match="unknown point identifier"):
-            stage_pairs(space, [Ball(center=3, radius=0.5)])
-
     def test_equal_indices_are_one_object(self):
         # ints above 256 are not cached by the interpreter: each index must
         # still be a single object however many pairs it appears in
         space = square_space(np.random.default_rng(430), count=160)
-        got = stage_pairs(space, enumerate_balls(space, 1))
+        got = stage_pairs(space, 1)
         seen = {}
         for i in (i for pair in got for i in pair):
             assert seen.setdefault(i, i) is i
@@ -384,7 +356,7 @@ def assert_same_schedule(space, T):
     want_balls, want_pairs, want_depth = reference_pair_schedule(space, T)
     assert (depth, pairs) == (want_depth, want_pairs)
     assert [(b.center, b.radius) for b in balls] == [(b.center, b.radius) for b in want_balls]
-    assert pairs == stage_pairs(space, enumerate_balls(space, depth))[:T]
+    assert pairs == stage_pairs(space, depth)[:T]
     assert all(type(i) is int for pair in pairs for i in pair)
     return depth
 

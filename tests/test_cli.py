@@ -290,6 +290,54 @@ def test_embed_malformed_space_exits_2(tmp_path, capsys, doc, message):
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"targets": [[0.5, 0.5], [0.5]]}, "targets must be a rectangular array of numbers"),
+        (5, "targets file must contain a targets list"),
+        ({"targets": [[0.5, "x"]]}, "targets must be a rectangular array of numbers"),
+    ],
+    ids=["ragged", "not-an-object", "string-target"],
+)
+def test_genpos_malformed_targets_exits_2(tmp_path, capsys, doc, message):
+    (tmp_path / "targets.json").write_text(json.dumps(doc))
+    code = cli_main(["genpos", "--targets", str(tmp_path / "targets.json"), "--eps", "1e-6"])
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_reduce_order_ragged_map_exits_2(workdir, capsys):
+    tmp, _, _ = workdir
+    (tmp / "g.json").write_text(json.dumps({"g": [[0.0], [0.0, 1.0], [1.0], [1.0]]}))
+    code = cli_main(
+        ["cover", "reduce-order", "--space", str(tmp / "space.json"), "--cover",
+         str(tmp / "cover.json"), "--n", "0", "--oracle", f"map:{tmp / 'g.json'}"]
+    )
+    assert code == 2
+    message = "map oracle g must be a rectangular array of numbers"
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"members": 5}, "cover document must be an object with a members list"),
+        ({"members": [{"values": [1.0, 1.0, 1.0, 1.0]}]},
+         "cover values must be an object of point index: value"),
+        ({"members": [{"values": {"0": "x"}}]}, "bad value 'x' at point 0 in cover values"),
+    ],
+    ids=["members-number", "values-list", "string-value"],
+)
+def test_malformed_cover_exits_2(workdir, capsys, doc, message):
+    tmp, _, _ = workdir
+    (tmp / "bad.json").write_text(json.dumps(doc))
+    code = cli_main(
+        ["cover", "order", "--space", str(tmp / "space.json"), "--cover", str(tmp / "bad.json")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_embed_deterministic_and_env_seed(workdir, capsys, monkeypatch):
     tmp, _, _ = workdir
     argv = ["embed", "--space", str(tmp / "space.json"), "--n", "0", "--stages", "2"]

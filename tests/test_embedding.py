@@ -389,8 +389,7 @@ class TestStagePairs:
         closer than 1/2 qualify, in production order of the small ball.
         """
         s = line_space(4)
-        balls = enumerate_balls(s, 1)
-        got = stage_pairs(s, balls)
+        got = stage_pairs(s, 1)
         assert got == [
             (4, 0), (4, 1),
             (5, 0), (5, 1), (5, 2),
@@ -400,8 +399,8 @@ class TestStagePairs:
 
     def test_prefix_stable_in_depth(self):
         s = line_space(5)
-        shallow = stage_pairs(s, enumerate_balls(s, 1))
-        deep = stage_pairs(s, enumerate_balls(s, 3))
+        shallow = stage_pairs(s, 1)
+        deep = stage_pairs(s, 3)
         assert deep[: len(shallow)] == shallow
 
     def test_pairs_are_strict_inclusions(self):
@@ -409,7 +408,7 @@ class TestStagePairs:
 
         s = line_space(6)
         balls = enumerate_balls(s, 2)
-        for q, m in stage_pairs(s, balls):
+        for q, m in stage_pairs(s, 2):
             assert strictly_included(balls[q], balls[m], s)
 
     def test_pair_schedule_reaches_demand(self):

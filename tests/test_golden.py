@@ -136,7 +136,7 @@ def test_pair_schedule_pinned():
     assert hashlib.sha256(repr(schedule).encode()).hexdigest() == (
         "39bab3c77f67127520affd0b42ec5de9d83d0298b1dea0094731cc676450097d"
     )
-    pairs = stage_pairs(space, schedule[0])
+    pairs = stage_pairs(space, schedule[2])
     assert len(pairs) == 45362
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
         "39afcee10bf6629bab14f743c4b84daabfeee62e1522c03be39f6c3453df3a0c"

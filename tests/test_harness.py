@@ -217,6 +217,29 @@ class TestVerifyResult:
         with pytest.raises(InputError, match=rf"radii_depth {depth}, .* at depth 1"):
             verify_result(tampered(r, mutate), space, 1)
 
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda st: st.update(anchors=[row[:2] for row in st["anchors"]]),
+             r"stage 1: anchors has shape \(2, 2\), not \(2, 3\)"),
+            (lambda st: st.update(anchors=[]), r"stage 1: anchors has shape \(0,\), not \(2, 3\)"),
+            (lambda st: st.update(vertices=[row[:2] for row in st["vertices"]]),
+             r"stage 1: vertices has shape \(\d+, 2\), not \(\d+, 3\)"),
+            (lambda st: st.update(f_next=st["f_next"][:3]),
+             r"stage 1: f_next has shape \(3, 3\), not \(8, 3\)"),
+            (lambda st: st["hyperplane"]["values"].__setitem__(0, [1, 0]),
+             "not a hyperplane document"),
+            (lambda st: st["cover_u"]["members"][0].update(values=[1.0] * 8),
+             "cover values must be an object"),
+        ],
+        ids=["anchors-width", "anchors-empty", "vertices-width", "f-next-rows",
+             "zero-denominator", "values-list"],
+    )
+    def test_rejects_malformed_stage(self, line_run, mutate, message):
+        space, r = line_run
+        with pytest.raises(InputError, match=message):
+            verify_result(tampered(r, lambda doc: mutate(doc["stages"][1])), space, 1)
+
     def test_names_least_sigma_subset(self, line_run):
         """Coincident vertices give sigma 0, located at the first such subset."""
         space, r = line_run
