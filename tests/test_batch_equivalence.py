@@ -1,4 +1,5 @@
-"""The batched lattice cover, span distances, ball pairs and triangle check against references.
+"""The batched lattice cover, span distances, hyperplane measures, ball pairs and triangle check
+against references.
 
 The references below walk lattice cells, subset pairs and ball pairs one
 at a time, exactly as the definitions read, and check the triangle
@@ -8,6 +9,7 @@ same pair list, same schedule depth, same verdict and message.
 """
 
 import math
+from fractions import Fraction as F
 from itertools import combinations, product
 
 import numpy as np
@@ -18,6 +20,7 @@ from dimlab import (
     Cover,
     CozeroFunction,
     GeneralPositionError,
+    Hyperplane,
     InputError,
     SampledSpace,
     ball_preimage_cover,
@@ -225,6 +228,13 @@ class TestBallPreimageCoverBytes:
         assert str(got.value) == str(want.value)
 
 
+def span_distance(a, b):
+    """Distance between the affine hulls of the point lists a and b."""
+    z = np.array(a + b, dtype=float)
+    groups = [(np.arange(len(a))[None], np.arange(len(a), len(z))[None])]
+    return float(_span_distances(z, groups)[0])
+
+
 class TestSpanDistanceBytes:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_eta_pairs_and_distances(self, n):
@@ -283,12 +293,64 @@ class TestSpanDistanceBytes:
             f"(distance {dists[worst]:.3g})"
         )
 
+    # hull-to-hull and hull-to-plane cases with known distances
+
+    def test_point_to_point(self):
+        assert span_distance([[0.0, 0.0]], [[3.0, 4.0]]) == pytest.approx(5.0)
+
+    def test_point_to_spanning_hull(self):
+        # hull of three affinely independent points in the plane is the plane
+        hull = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert span_distance([[5.0, -3.0]], hull) == pytest.approx(0.0)
+
+    def test_parallel_lines(self):
+        a = [[0.0, 0.0], [1.0, 0.0]]
+        b = [[0.0, 1.0], [2.0, 1.0]]
+        assert span_distance(a, b) == pytest.approx(1.0)
+
+    def test_skew_lines_in_3d(self):
+        # the x-axis and the line through (0, 0, 1) along y are 1 apart
+        a = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        b = [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+        assert span_distance(a, b) == pytest.approx(1.0)
+
+    def test_point_to_plane_matches_fixed_coords(self, rng):
+        h = Hyperplane((0, 2), (F(1, 4), F(3, 4)))
+        extra = (h.base_point(), h.basis())
+        for _ in range(10):
+            x = rng.uniform(0.0, 1.0, size=(1, 3))
+            got = float(_span_distances(x, [(np.array([[0]]), None)], b_extra=extra)[0])
+            assert got == pytest.approx(h.distance_to_point(x[0]), abs=1e-9)
+
     def test_touching_plane_message(self):
         plane = enumerate_hyperplanes(1, 1)[0]
         z = np.array([[0.6, 0.3, 0.9], [0.0, 0.0, 0.4], [0.2, 0.7, 0.1]])
         with pytest.raises(GeneralPositionError) as got:
             eta_prime(z, plane, 1)
         assert str(got.value) == "span of (1,) touches the hyperplane (distance 0)"
+
+
+class TestHyperplaneRowBytes:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_rows_match_per_point_reference(self, n):
+        # every plane kind of the first 40, points off the plane, on it, and
+        # on some of its equations only
+        rng = np.random.default_rng(500 + n)
+        for plane in enumerate_hyperplanes(n, 40):
+            x = rng.uniform(0.0, 1.0, (30, 2 * n + 1))
+            on = rng.uniform(size=x.shape) < 0.5
+            on[:10] = True
+            for c, v in zip(plane.coords, plane.values):
+                x[on[:, c], c] = float(v)
+            offsets = [[row[c] - float(v) for c, v in zip(plane.coords, plane.values)] for row in x]
+            dist = [math.sqrt(sum(o * o for o in off)) for off in offsets]
+            worst = [max(abs(o) for o in off) for off in offsets]
+            assert plane.distance_to_point(x).tobytes() == np.array(dist).tobytes()
+            assert plane.equation_violation(x).tobytes() == np.array(worst).tobytes()
+            assert plane.contains(x).tolist() == [w == 0.0 for w in worst]
+            assert [plane.distance_to_point(row) for row in x] == dist
+            assert [plane.equation_violation(row) for row in x] == worst
+            assert all(plane.contains(row) for row in x[:10])
 
 
 def assert_same_pairs(space, depth):
@@ -301,10 +363,14 @@ def assert_same_pairs(space, depth):
 
 
 class TestStagePairsList:
-    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
-    def test_seeded_square_samples(self, depth):
-        rng = np.random.default_rng(400 + depth)
-        for count in (2, 5, 13, 24):
+    @pytest.mark.parametrize(
+        "seed, counts, depth",
+        [pytest.param(400 + k, (2, 5, 13, 24), k, id=str(k)) for k in (1, 2, 3, 4)]
+        + [pytest.param(420, (11,), k, id=f"seed420-11pts-depth{k}") for k in (1, 3)],
+    )
+    def test_seeded_square_samples(self, seed, counts, depth):
+        rng = np.random.default_rng(seed)
+        for count in counts:
             assert_same_pairs(square_space(rng, count=count), depth)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -332,13 +398,6 @@ class TestStagePairsList:
         got = assert_same_pairs(space, 1)
         assert (4, 0) not in got and (4, 2) not in got
         assert (4, 1) in got
-
-    def test_small_blocks(self, monkeypatch):
-        # the broadcast block size of the lattice cover leaves the pair list alone
-        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 50)
-        rng = np.random.default_rng(420)
-        for depth in (1, 3):
-            assert_same_pairs(square_space(rng, count=11), depth)
 
     def test_equal_indices_are_one_object(self):
         # ints above 256 are not cached by the interpreter: each index must
@@ -374,10 +433,14 @@ class TestPairSchedule:
         space = line_space(4)
         assert assert_same_schedule(space, -1) == 1
 
-    @pytest.mark.parametrize("T", [1, 7, 40, 200])
-    def test_seeded_square_samples(self, T):
-        rng = np.random.default_rng(450 + T)
-        for count in (2, 6, 17):
+    @pytest.mark.parametrize(
+        "seed, counts, T",
+        [pytest.param(450 + T, (2, 6, 17), T, id=str(T)) for T in (1, 7, 40, 200)]
+        + [pytest.param(470, (10,), T, id=f"seed470-10pts-T{T}") for T in (0, 3, 45, 300)],
+    )
+    def test_seeded_square_samples(self, seed, counts, T):
+        rng = np.random.default_rng(seed)
+        for count in counts:
             assert_same_schedule(square_space(rng, count=count), T)
 
     @pytest.mark.parametrize("T", [0, 5, 60])
@@ -393,12 +456,6 @@ class TestPairSchedule:
         space = SampledSpace.from_points([[0.3]], mesh=0.1)
         depth = assert_same_schedule(space, T)
         assert depth == next(k for k in range(1, 10) if k * (k + 1) // 2 >= T)
-
-    def test_small_blocks(self, monkeypatch):
-        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 30)
-        space = square_space(np.random.default_rng(470), count=10)
-        for T in (0, 3, 45, 300):
-            assert_same_schedule(space, T)
 
 
 def euclidean_matrix(rng, count, dim=2):

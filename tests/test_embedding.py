@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from dimlab import (
-    AffineConstraint,
     CertificateError,
     Cover,
     GeneralPositionError,
@@ -18,7 +17,6 @@ from dimlab import (
     InputError,
     SampledSpace,
     active_indices,
-    affine_distance,
     ball_preimage_cover,
     embedding_stage,
     enumerate_hyperplanes,
@@ -180,10 +178,28 @@ class TestGeneralPosition:
         out = general_position(
             np.array([target, [0.1, 0.9, 0.4]]),
             eps=0.05,
-            constraints=[AffineConstraint.on_hyperplane(target, plane), None],
+            constraints=[plane, None],
             seed=5,
         )
         assert plane.contains(out[0])
+
+    def test_target_near_its_plane_lands_on_it(self):
+        plane = Hyperplane((0, 1), (F(1, 2), F(1, 2)))
+        near = [0.503, 0.498, 0.4]
+        out = general_position(np.array([near]), eps=0.05, constraints=[plane])
+        assert out.tolist() == [[0.5, 0.5, 0.4]]
+        # both land on one point of the plane, so later rounds must perturb,
+        # and only the free coordinate moves
+        targets = np.array([near, [0.5, 0.5, 0.4]])
+        out = general_position(targets, eps=0.05, constraints=[plane, plane], seed=5)
+        assert out[:, :2].tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        assert out[0, 2] != out[1, 2]
+        assert (np.linalg.norm(out - targets, axis=1) < 0.05).all()
+
+    def test_rejects_plane_of_other_dimension(self):
+        plane = Hyperplane((0, 1), (F(0), F(0)))
+        with pytest.raises(InputError, match="disagree on dimension"):
+            general_position(np.array([[0.0, 0.0]]), eps=0.01, constraints=[plane])
 
     def test_box_respected(self):
         targets = np.array([[0.0, 0.0], [0.0, 1.0], [1e-4, 0.5]])
@@ -194,8 +210,8 @@ class TestGeneralPosition:
 
     def test_impossible_instance_raises(self):
         # three points pinned to a shared line can never be affinely free
-        line = AffineConstraint(np.zeros(2), np.array([[1.0, 0.0]]))
-        targets = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        line = Hyperplane((0, 1), (F(0), F(0)))
+        targets = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
         with pytest.raises(GeneralPositionError):
             general_position(targets, eps=0.05, constraints=[line] * 3, seed=1)
 
@@ -213,13 +229,12 @@ class TestGeneralPosition:
 
     def test_rejects_far_constraint(self):
         plane = Hyperplane((0, 1), (F(0), F(0)))
-        # the constraint is the plane itself; the target is nowhere near it
-        on_plane = AffineConstraint(plane.base_point(), plane.basis())
+        # the target is nowhere near its constraint plane
         with pytest.raises(InputError, match="beyond eps"):
             general_position(
                 np.array([[0.9, 0.9, 0.5]]),
                 eps=0.01,
-                constraints=[on_plane],
+                constraints=[plane],
             )
 
 
@@ -264,36 +279,6 @@ class TestKappa:
         c = Cover.from_matrix(np.array([[1.0, 0.0]]))
         with pytest.raises(InputError, match="point 1"):
             kappa_map(c, np.array([[0.5]]))
-
-
-class TestAffineDistance:
-    def test_point_to_point(self):
-        assert affine_distance(
-            np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])
-        ) == pytest.approx(5.0)
-
-    def test_point_to_spanning_hull(self):
-        # hull of three affinely independent points in the plane is the plane
-        hull = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert affine_distance(np.array([[5.0, -3.0]]), hull) == pytest.approx(0.0)
-
-    def test_parallel_lines(self):
-        a = np.array([[0.0, 0.0], [1.0, 0.0]])
-        b = np.array([[0.0, 1.0], [2.0, 1.0]])
-        assert affine_distance(a, b) == pytest.approx(1.0)
-
-    def test_hyperplane_distance_matches_fixed_coords(self, rng):
-        h = Hyperplane((0, 2), (F(1, 4), F(3, 4)))
-        for _ in range(10):
-            x = rng.uniform(0.0, 1.0, size=3)
-            got = affine_distance(x[None, :], h)
-            assert got == pytest.approx(h.distance_to_point(x), abs=1e-9)
-
-    def test_skew_lines_in_3d(self):
-        # classic skew pair: x-axis and the line (t, 0, 1) rotated; distance 1
-        a = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        b = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        assert affine_distance(a, b) == pytest.approx(1.0)
 
 
 class TestEta:
