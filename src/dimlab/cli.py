@@ -17,6 +17,7 @@ from . import __version__
 from .covers import Cover, closed_shrinking, meet, order_of, star_of_member
 from .dimension import map_oracle, reduce_order, separator_oracle
 from .embedding import (
+    _reject_json_constant,
     general_position,
     nobeling_embed,
     result_from_json_bytes,
@@ -41,7 +42,7 @@ def _seed(args: argparse.Namespace) -> int:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
-            return json.loads(fh.read().decode("utf-8"))
+            return json.loads(fh.read().decode("utf-8"), parse_constant=_reject_json_constant)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

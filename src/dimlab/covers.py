@@ -38,46 +38,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InputError
-from .metric import CozeroFunction, _as_readonly
+from .metric import CozeroFunction, _as_readonly, _sparse_dict
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Cover:
     """An indexed family of cozero functions over one sample.
 
+    The family is stored as one read-only (k, p) matrix whose row i holds
+    the values of member i. Construction checks it once: at least one
+    member, a nonempty sample, rows of one length, finite values in [0, 1].
     The covering property (every point has a positive member) is an
     invariant of covers-as-used; operations that rely on it check it and
     raise, naming an uncovered point, rather than assuming it.
     """
 
-    members: tuple[CozeroFunction, ...]
+    matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        if not members:
-            raise InputError("a cover needs at least one member")
-        sizes = {m.values.shape[0] for m in members}
-        if len(sizes) != 1:
+    def __init__(self, members: Iterable[CozeroFunction]) -> None:
+        rows = [m.values for m in members]
+        if len({len(row) for row in rows}) > 1:
             raise InputError("cover members disagree on the sample size")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_matrix", _as_readonly(np.vstack([m.values for m in members])))
+        object.__setattr__(self, "matrix", _cover_matrix(rows))
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "Cover":
-        return cls(tuple(CozeroFunction(row) for row in np.asarray(matrix, dtype=float)))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix  # type: ignore[attr-defined]
+    def from_matrix(cls, matrix) -> "Cover":
+        out = cls.__new__(cls)
+        object.__setattr__(out, "matrix", _cover_matrix(matrix))
+        return out
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.matrix.shape[0]
 
     @property
     def sample_size(self) -> int:
@@ -97,7 +94,7 @@ class Cover:
         return self.uncovered_point() is None
 
     def to_json_dict(self) -> dict:
-        return {"members": [{"values": m.to_sparse_dict()} for m in self.members]}
+        return {"members": [{"values": _sparse_dict(row)} for row in self.matrix]}
 
     @classmethod
     def from_json_dict(cls, obj: dict, sample_size: int) -> "Cover":
@@ -108,7 +105,21 @@ class Cover:
             if not isinstance(entry, dict) or "values" not in entry:
                 raise InputError("each cover member must be an object with values")
             members.append(CozeroFunction.from_sparse_dict(entry["values"], sample_size))
-        return cls(tuple(members))
+        return cls(members)
+
+
+def _cover_matrix(rows) -> np.ndarray:
+    """``rows`` as a read-only (k, p) float matrix, checked as a cover's values."""
+    g = _as_readonly(rows)
+    if g.ndim != 2 or 0 in g.shape:
+        raise InputError("a cover needs at least one member over a nonempty sample")
+    if not np.isfinite(g).all():
+        raise InputError("cozero values must be finite")
+    outside = (g < 0.0) | (g > 1.0)
+    if outside.any():
+        i, x = np.argwhere(outside)[0]
+        raise InputError(f"cozero value out of [0, 1] at member {i}, point {x}")
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,13 +127,13 @@ class ShrinkResult:
     """Output of :func:`closed_shrinking`.
 
     ``open_shrink`` carries the functions gp_i (cozero sets W_i),
-    ``closed_shrink`` the point sets F_i, and ``tilde`` the rescaled
-    functions gt_i that define both.
+    ``closed_shrink`` the point sets F_i, and ``tilde`` the read-only
+    (k, p) matrix of the rescaled functions gt_i that define both.
     """
 
     open_shrink: Cover
     closed_shrink: tuple[frozenset[int], ...]
-    tilde: tuple[CozeroFunction, ...]
+    tilde: np.ndarray
 
 
 def _require_covering(c: Cover) -> None:
@@ -179,13 +190,11 @@ def closed_shrinking(c: Cover) -> ShrinkResult:
         gt[i] = g[i] / denom
         gp[i] = np.maximum(0.0, gt[i] - 0.5)
         prefix_gp = np.maximum(prefix_gp, gp[i])
-    closed = tuple(
-        frozenset(int(x) for x in np.nonzero(gt[i] >= 0.5)[0]) for i in range(k)
-    )
+    closed = tuple(frozenset(np.flatnonzero(row >= 0.5).tolist()) for row in gt)
     return ShrinkResult(
         open_shrink=Cover.from_matrix(gp),
         closed_shrink=closed,
-        tilde=tuple(CozeroFunction(row) for row in gt),
+        tilde=_as_readonly(gt),
     )
 
 
@@ -206,22 +215,18 @@ def star(s: Iterable[int] | frozenset[int], c: Cover) -> frozenset[int]:
 def star_of_member(i: int, c: Cover) -> frozenset[int]:
     if not 0 <= i < c.size:
         raise InputError(f"cover has no member {i}")
-    return star(c.members[i].support(), c)
+    return star(np.flatnonzero(c.matrix[i] > 0.0).tolist(), c)
 
 
 def meet(a: Cover, b: Cover) -> Cover:
     """Pairwise pointwise-minimum cover, nonempty members only, a-major order."""
     if a.sample_size != b.sample_size:
         raise InputError("covers live over different samples")
-    members = []
-    for ua in a.members:
-        low = np.minimum(ua.values[None, :], b.matrix)
-        for row in low:
-            if (row > 0.0).any():
-                members.append(CozeroFunction(row))
-    if not members:
+    low = np.minimum(a.matrix[:, None, :], b.matrix[None, :, :]).reshape(-1, a.sample_size)
+    nonempty = (low > 0.0).any(axis=1)
+    if not nonempty.any():
         raise InputError("meet produced no nonempty member; inputs do not overlap")
-    return Cover(tuple(members))
+    return Cover.from_matrix(low[nonempty])
 
 
 def star_refinement(c: Cover) -> tuple[Cover, tuple[int, ...]]:
@@ -239,7 +244,7 @@ def star_refinement(c: Cover) -> tuple[Cover, tuple[int, ...]]:
     shrink = closed_shrinking(c)
     g = c.matrix
     gp = shrink.open_shrink.matrix
-    gt = np.vstack([t.values for t in shrink.tilde])
+    gt = shrink.tilde
     k, p = g.shape
     comp = np.maximum(0.0, 0.5 - gt)  # exact complement of F_i on the sample
 
@@ -269,9 +274,9 @@ def star_refinement(c: Cover) -> tuple[Cover, tuple[int, ...]]:
             stack.append(g[i] if pick == 1 else comp[i])
         member = np.min(np.vstack(stack), axis=0)
         if (member > 0.0).any():
-            members.append(CozeroFunction(member))
+            members.append(member)
             witness.append(l)
-    return Cover(tuple(members)), tuple(witness)
+    return Cover.from_matrix(members), tuple(witness)
 
 
 def is_point_star_refinement(v: Cover, u: Cover) -> bool:
@@ -290,10 +295,10 @@ def is_point_star_refinement(v: Cover, u: Cover) -> bool:
 
 def drop_empty_members(c: Cover) -> Cover:
     """The subfamily of nonempty members, in the original order."""
-    kept = [m for m in c.members if not m.is_empty()]
-    if not kept:
+    nonempty = c.supports().any(axis=1)
+    if not nonempty.any():
         raise InputError("cover has no nonempty member")
-    return Cover(tuple(kept))
+    return Cover.from_matrix(c.matrix[nonempty])
 
 
 def dedupe_by_support(c: Cover) -> Cover:
@@ -305,7 +310,7 @@ def dedupe_by_support(c: Cover) -> Cover:
     compared as packed bytes.
     """
     first = np.sort(_first_rows(np.packbits(c.supports(), axis=1)))
-    return Cover(tuple(c.members[i] for i in first))
+    return Cover.from_matrix(c.matrix[first])
 
 
 def _first_rows(a: np.ndarray) -> np.ndarray:

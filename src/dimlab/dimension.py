@@ -188,27 +188,21 @@ def shrink_to_empty_intersection(
         raise InputError(f"cover does not cover the sample: point {bad} uncovered")
     g = cover.matrix
     shrink = closed_shrinking(cover)
-    gt = np.vstack([t.values for t in shrink.tilde])
-    comp_f = np.maximum(0.0, 0.5 - gt)
-    all_points = frozenset(range(cover.sample_size))
+    comp_f = np.maximum(0.0, 0.5 - shrink.tilde)
+    outside = ~cover.supports()
     pairs = DisjointPairFamily(
         tuple(
-            (shrink.closed_shrink[i], all_points - cover.members[i].support())
+            (shrink.closed_shrink[i], frozenset(np.flatnonzero(outside[i]).tolist()))
             for i in range(k - 1)
         )
     )
     witness = oracle(space, pairs)
     witness.validate(pairs, cover.sample_size)
 
-    new_rows = []
-    v_rows = []
-    for i in range(k - 1):
-        u_prime, v_prime = witness.opens[i]
-        new_rows.append(np.minimum(u_prime.values, g[i]))
-        v_rows.append(np.minimum(v_prime.values, comp_f[i]))
-    last = np.minimum(g[k - 1], np.max(np.vstack(v_rows), axis=0))
-    new_rows.append(last)
-    out = Cover.from_matrix(np.vstack(new_rows))
+    u_prime = np.array([u.values for u, _ in witness.opens])
+    v_rows = np.minimum(np.array([v.values for _, v in witness.opens]), comp_f[:-1])
+    last = np.minimum(g[k - 1], np.max(v_rows, axis=0))
+    out = Cover.from_matrix(np.vstack([np.minimum(u_prime, g[:-1]), last]))
 
     bad = out.uncovered_point()
     if bad is not None:
@@ -225,7 +219,6 @@ def reduce_order(
     cover: Cover,
     n: int,
     oracle: Oracle,
-    trace: list | None = None,
 ) -> Cover:
     """Shrink a covering family to order at most n.
 
@@ -236,7 +229,7 @@ def reduce_order(
     and the whole cover is replaced by its open shrinking. Subsets whose
     members already fail to intersect are skipped; every step only shrinks
     members, so earlier empty intersections persist and the final cover has
-    order at most n. Pass ``trace`` to record each sweep step.
+    order at most n.
     """
     if not (isinstance(n, int) and n >= 0):
         raise InputError("target order must be an integer >= 0")
@@ -250,23 +243,17 @@ def reduce_order(
     for subset in combinations(range(s), n + 2):
         live = (g[list(subset)] > 0.0).all(axis=0)
         if not live.any():
-            if trace is not None:
-                trace.append({"subset": subset, "changed": False, "matrix": g.copy()})
             continue
         rest = [j for j in range(s) if j not in subset]
-        aux_rows = [g[d] for d in subset[:-1]]
-        lump = g[subset[-1]]
+        aux = g[list(subset)]
         if rest:
-            lump = np.maximum(lump, np.max(g[rest], axis=0))
-        aux_rows.append(lump)
-        shrunk = shrink_to_empty_intersection(space, Cover.from_matrix(np.vstack(aux_rows)), oracle)
+            aux[-1] = np.maximum(aux[-1], np.max(g[rest], axis=0))
+        shrunk = shrink_to_empty_intersection(space, Cover.from_matrix(aux), oracle)
         for m, d in enumerate(subset[:-1]):
             g[d] = shrunk.matrix[m]
         g[subset[-1]] = np.minimum(shrunk.matrix[-1], g[subset[-1]])
         # interleave: keep the open shrinking of the whole updated family
         g = closed_shrinking(Cover.from_matrix(g)).open_shrink.matrix.copy()
-        if trace is not None:
-            trace.append({"subset": subset, "changed": True, "matrix": g.copy()})
     out = Cover.from_matrix(g)
     bad = out.uncovered_point()
     if bad is not None:

@@ -48,7 +48,6 @@ from .errors import CertificateError, GeneralPositionError, InputError
 from .metric import (
     _CHUNK_FLOATS,
     Ball,
-    CozeroFunction,
     SampledSpace,
     _as_readonly,
     _ball_radii,
@@ -564,6 +563,21 @@ def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:
     return cells[_first_rows(cells)]
 
 
+def _lattice_blocks(
+    f: np.ndarray, radius: float, m: int, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(cells, grid points cells / m, their distances to each row of f) per block.
+
+    The cells are :func:`_lattice_cells`, in blocks of max(1, chunk // (p d)).
+    """
+    p, d = f.shape
+    cells = _lattice_cells(f, radius, m)
+    block = max(1, chunk // (p * d))
+    for start in range(0, len(cells), block):
+        g = cells[start : start + block] / m
+        yield cells[start : start + block], g, np.linalg.norm(f[None] - g[:, None], axis=2)
+
+
 def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cover:
     """Cover of the sample by preimages of delta-balls around grid points.
 
@@ -584,22 +598,16 @@ def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cov
     values are exactly those of walking the cells one by one.
     """
     f = np.asarray(f, dtype=float)
-    p, d = f.shape
-    m = max(1, math.ceil(math.sqrt(d) / delta))
-    cells = _lattice_cells(f, delta, m)
-    block = max(1, _CHUNK_FLOATS // (p * d))
+    m = max(1, math.ceil(math.sqrt(f.shape[1]) / delta))
     members = []
-    for start in range(0, len(cells), block):
-        g = cells[start : start + block] / m
-        dist = np.linalg.norm(f[None] - g[:, None], axis=2)
+    for _, _, dist in _lattice_blocks(f, delta, m, _CHUNK_FLOATS):
         vals = np.maximum(0.0, (delta - dist) / delta)
         packed = np.packbits(vals > 0.0, axis=1)
-        for i in np.sort(_first_rows(packed)):
-            if packed[i].any():
-                members.append(CozeroFunction(np.minimum(1.0, vals[i])))
-    if not members:
+        first = np.sort(_first_rows(packed))
+        members.append(np.minimum(1.0, vals[first[packed[first].any(axis=1)]]))
+    if not sum(map(len, members)):
         raise CertificateError("no grid ball meets the image; grid construction failed")
-    cover = dedupe_by_support(Cover(tuple(members)))
+    cover = dedupe_by_support(Cover.from_matrix(np.concatenate(members)))
     bad = cover.uncovered_point()
     if bad is not None:
         raise CertificateError(f"grid-ball preimages miss sample point {bad}")
@@ -685,13 +693,9 @@ def _anchor_targets(plane: Hyperplane, n: int) -> np.ndarray:
     return np.asarray(anchors)
 
 
-def _stage_vertices(cover: Cover) -> list[int]:
-    """Least-index sample point of each member."""
-    picks = []
-    for m in cover.members:
-        sup = np.nonzero(m.values > 0.0)[0]
-        picks.append(int(sup[0]))
-    return picks
+def _stage_vertices(cover: Cover) -> np.ndarray:
+    """Least-index sample point of each member; every member must be nonempty."""
+    return cover.supports().argmax(axis=1)
 
 
 def _stage_covers(
@@ -1026,9 +1030,14 @@ def result_to_json_bytes(r: EmbeddingResult) -> bytes:
     )
 
 
+def _reject_json_constant(name: str):
+    # json.loads reads NaN and +-Infinity; no document written here holds them
+    raise InputError(f"non-finite number {name} in JSON input")
+
+
 def result_from_json_bytes(data: bytes) -> EmbeddingResult:
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), parse_constant=_reject_json_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"not a result document: {exc}") from exc
     return result_from_json_dict(doc)

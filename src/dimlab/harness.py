@@ -26,7 +26,7 @@ from .embedding import (
     eta_prime,
     kappa_map,
     pair_schedule,
-    _lattice_cells,
+    _lattice_blocks,
     _stage_covers,
     _stage_vertices,
     _subset_sigmas,
@@ -124,6 +124,9 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
             shape = getattr(st, name).shape
             if shape != (rows, d):
                 raise InputError(f"{loc}: {name} has shape {shape}, not {(rows, d)}")
+        empty = np.flatnonzero(~st.cover_u.supports().any(axis=1))
+        if empty.size:
+            raise InputError(f"{loc}: cover_u member {int(empty[0])} is empty")
         if prev is not None:
             ok = bool(np.array_equal(prev.f_next, st.f)) and prev.delta_next == st.delta
             add("chain", ok, 0.0 if ok else -1.0, loc)
@@ -194,23 +197,16 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
             clearance - st.eta_prime, loc)
 
         # small image balls pull back into one member of the stage pair cover
-        vm_margin = math.inf
-        vm_loc = loc
-        vm_ok = True
+        vm_margin, vm_loc = math.inf, loc
         supports = cover_v.supports()
         for x in range(space.size):
             pre = np.linalg.norm(r.f - r.f[x], axis=1) < st.eta / 4.0
             inside = supports[:, pre].all(axis=1)
-            if not inside.any():
-                vm_ok = False
-                vm_loc = f"{loc}, point {x}"
-                vm_margin = 0.0
+            if not (pre.any() and inside.any()):
+                vm_margin, vm_loc = 0.0, f"{loc}, point {x}"
                 break
-            best = max(
-                float(cover_v.matrix[i, pre].min()) for i in np.nonzero(inside)[0]
-            )
-            vm_margin = min(vm_margin, best)
-        add("v-mapping", vm_ok, vm_margin if vm_ok else 0.0, vm_loc)
+            vm_margin = min(vm_margin, float(cover_v.matrix[inside][:, pre].min(axis=1).max()))
+        add("v-mapping", vm_loc == loc, vm_margin, vm_loc)
         prev = st
 
     ok = bool(np.array_equal(r.stages[-1].f_next, r.f))
@@ -340,16 +336,13 @@ def open_image_certificate(
         if not included:
             continue
         m = max(1, math.ceil(8.0 * math.sqrt(d) / st.eta))
-        cells = _lattice_cells(f, rho, m)
         supports = ball_supports[included]
-        block = max(1, _CHUNK_FLOATS // (space.size * d))
-        for start in range(0, len(cells), block):
-            g = cells[start : start + block] / m
-            pre = np.linalg.norm(f[None] - g[:, None], axis=2) < rho
+        for cells, g, dist in _lattice_blocks(f, rho, m, _CHUNK_FLOATS):
+            pre = dist < rho
             # a cell is kept when some included (nonempty) support lies inside pre
             hit = ~((~pre) @ supports.T).all(axis=1)
             for i in np.nonzero(hit)[0]:
-                key = (tuple(cells[start + i].tolist()), rho)
+                key = (tuple(cells[i].tolist()), rho)
                 if key not in seen:
                     seen.add(key)
                     kept.append(Ball(center=g[i], radius=rho))

@@ -263,12 +263,8 @@ class CozeroFunction:
     def support(self) -> frozenset[int]:
         return frozenset(int(i) for i in np.nonzero(self.values > 0.0)[0])
 
-    def is_empty(self) -> bool:
-        return not (self.values > 0.0).any()
-
     def to_sparse_dict(self) -> dict[str, float]:
-        nz = np.nonzero(self.values != 0.0)[0]
-        return {str(int(i)): float(self.values[i]) for i in nz}
+        return _sparse_dict(self.values)
 
     @classmethod
     def from_sparse_dict(cls, obj: dict, size: int) -> "CozeroFunction":
@@ -287,6 +283,11 @@ class CozeroFunction:
             except (TypeError, ValueError) as exc:
                 raise InputError(f"bad value {value!r} at point {i} in cover values") from exc
         return cls(v)
+
+
+def _sparse_dict(values: np.ndarray) -> dict[str, float]:
+    """The nonzero entries of a value vector, keyed by point index in order."""
+    return {str(int(i)): float(values[i]) for i in np.nonzero(values)[0]}
 
 
 def ball_cozero(space: SampledSpace, ball: Ball) -> CozeroFunction:

@@ -1,6 +1,7 @@
 """Command-line smoke tests: exit codes, JSON plumbing, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -304,6 +305,30 @@ def test_genpos_malformed_targets_exits_2(tmp_path, capsys, doc, message):
     code = cli_main(["genpos", "--targets", str(tmp_path / "targets.json"), "--eps", "1e-6"])
     assert code == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [("verify", "f"), ("verify", "vertices"), ("genpos", "targets")],
+    ids=["verify-stage-f", "verify-vertices", "genpos-targets"],
+)
+def test_nan_literal_exits_2(workdir, capsys, command, field):
+    # json.loads reads NaN, which no dimlab writer emits
+    tmp, _, _ = workdir
+    path = tmp / "doc.json"
+    space = ["--space", str(tmp / "space.json"), "--n", "0"]
+    if command == "genpos":
+        path.write_text(json.dumps({"targets": [[math.nan, 0.2], [0.7, 0.2], [0.45, 0.2]]}))
+        argv = ["genpos", "--targets", str(path), "--eps", "0.01"]
+    else:
+        assert cli_main(["embed", *space, "--stages", "2", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["stages"][1][field][0][0] = math.nan
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "--result", str(path), *space]
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "input error: non-finite number NaN in JSON input\n"
 
 
 def test_reduce_order_ragged_map_exits_2(workdir, capsys):

@@ -33,6 +33,38 @@ def small_cover(matrix) -> Cover:
     return Cover.from_matrix(np.asarray(matrix, dtype=float))
 
 
+class TestCoverValues:
+    @pytest.mark.parametrize(
+        "value, message",
+        [(-0.25, r"out of \[0, 1\] at member 1, point 2"),
+         (1.5, r"out of \[0, 1\] at member 1, point 2"),
+         (float("nan"), "must be finite")],
+        ids=["negative", "above-one", "nan"],
+    )
+    def test_matrix_checked_once(self, value, message):
+        g = np.array([[1.0, 1.0, 0.0], [0.0, 0.5, 1.0]])
+        g[1, 2] = value
+        with pytest.raises(InputError, match=message):
+            Cover.from_matrix(g)
+
+    def test_stored_read_only(self):
+        c = Cover((CozeroFunction(np.array([1.0, 0.5])), CozeroFunction(np.array([0.0, 1.0]))))
+        assert c.matrix.tolist() == [[1.0, 0.5], [0.0, 1.0]]
+        assert not c.matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [(lambda: Cover(()), "at least one member"),
+         (lambda: Cover.from_matrix(np.zeros((2, 0))), "nonempty sample"),
+         (lambda: Cover((CozeroFunction(np.ones(2)), CozeroFunction(np.ones(3)))),
+          "cover members disagree on the sample size")],
+        ids=["no-member", "no-point", "ragged"],
+    )
+    def test_shape_checked(self, make, message):
+        with pytest.raises(InputError, match=message):
+            make()
+
+
 class TestClosedShrinking:
     def test_three_point_oracle(self):
         """Frozen worked example, derived by hand.
@@ -46,8 +78,8 @@ class TestClosedShrinking:
         """
         c = small_cover([[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]])
         res = closed_shrinking(c)
-        assert res.tilde[0].values.tolist() == [1.0, 0.5, 0.0]
-        assert res.tilde[1].values.tolist() == [0.0, 1.0, 1.0]
+        assert res.tilde[0].tolist() == [1.0, 0.5, 0.0]
+        assert res.tilde[1].tolist() == [0.0, 1.0, 1.0]
         assert res.open_shrink.matrix.tolist() == [[0.5, 0.0, 0.0], [0.0, 0.5, 0.5]]
         assert res.closed_shrink == (frozenset({0, 1}), frozenset({1, 2}))
 
@@ -55,7 +87,7 @@ class TestClosedShrinking:
         # gt = 1/2 exactly lands in F but not W
         c = small_cover([[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]])
         res = closed_shrinking(c)
-        assert 1 not in res.open_shrink.members[0].support()
+        assert not res.open_shrink.supports()[0, 1]
         assert 1 in res.closed_shrink[0]
 
     def test_noncovering_input_rejected(self):
@@ -67,7 +99,7 @@ class TestClosedShrinking:
         c = small_cover([[0.25, 0.75, 1.0]])
         res = closed_shrinking(c)
         # only member: denominator equals the member itself, gt constant 1
-        assert res.tilde[0].values.tolist() == [1.0, 1.0, 1.0]
+        assert res.tilde[0].tolist() == [1.0, 1.0, 1.0]
         assert res.closed_shrink[0] == frozenset({0, 1, 2})
 
 

@@ -171,18 +171,6 @@ class TestReduceOrder:
         reduced = reduce_order(s, c, 1, separator_oracle)
         assert np.array_equal(reduced.matrix, c.matrix)
 
-    def test_trace_visits_subsets_in_order(self, rng):
-        s = square_space(rng, 14)
-        c = random_ball_cover(s, 5, rng)
-        trace: list[dict] = []
-        reduced = reduce_order(s, c, 0, separator_oracle, trace=trace)
-        assert order_of(reduced) == 0
-        # every 2-subset appears exactly once, lexicographically
-        subsets = [t["subset"] for t in trace]
-        assert subsets == sorted(subsets)
-        assert len(subsets) == len(set(subsets))
-        assert len(subsets) == 5 * 4 // 2
-
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1), n=st.integers(0, 1))

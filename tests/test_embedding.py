@@ -410,8 +410,8 @@ class TestBallPreimageCover:
         delta = 0.25
         c = ball_preimage_cover(s, f, delta)
         assert c.is_covering()
-        for m in c.members:
-            sup = sorted(m.support())
+        for row in c.supports():
+            sup = np.flatnonzero(row)
             for i in sup:
                 for j in sup:
                     assert np.linalg.norm(f[i] - f[j]) < 2.0 * delta
@@ -461,8 +461,8 @@ class TestEmbeddingStage:
         assert out.delta_next <= out.delta / 3.0
         assert out.f_next.shape == (8, 3)
         # vertices sit within delta of the image of their member's least point
-        for i, m in enumerate(out.cover_u.members):
-            x = min(m.support())
+        for i, row in enumerate(out.cover_u.supports()):
+            x = np.flatnonzero(row).min()
             assert np.linalg.norm(out.vertices[i] - out.f[x]) < out.delta
 
     def test_rejects_map_outside_cube(self):

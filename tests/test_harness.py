@@ -144,6 +144,19 @@ class TestVerifyResult:
         assert not report.overall
         assert "eta" in {c.name for c in report.failures()}
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_detects_nonpositive_eta(self, line_run, value):
+        """An image ball of radius eta/4 <= 0 holds no point: v-mapping fails, at margin 0."""
+        space, r = line_run
+
+        def mutate(doc):
+            doc["stages"][0]["eta"] = value
+
+        failures = verify_result(tampered(r, mutate), space, 1).failures()
+        assert "eta" in {c.name for c in failures}
+        vm = [c for c in failures if c.name == "v-mapping"]
+        assert [(c.margin, c.location) for c in vm] == [(0.0, "stage 0, point 0")]
+
 
     def test_reports_swapped_ball_pair(self, line_run):
         """A pair whose cover misses a point is reported, not raised."""
@@ -231,9 +244,12 @@ class TestVerifyResult:
              "not a hyperplane document"),
             (lambda st: st["cover_u"]["members"][0].update(values=[1.0] * 8),
              "cover values must be an object"),
+            (lambda st: (st["cover_u"]["members"].append({"values": {}}),
+                         st["vertices"].append(st["vertices"][0])),
+             r"stage 1: cover_u member \d+ is empty"),
         ],
         ids=["anchors-width", "anchors-empty", "vertices-width", "f-next-rows",
-             "zero-denominator", "values-list"],
+             "zero-denominator", "values-list", "empty-member"],
     )
     def test_rejects_malformed_stage(self, line_run, mutate, message):
         space, r = line_run
