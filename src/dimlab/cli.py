@@ -17,7 +17,6 @@ from . import __version__
 from .covers import Cover, closed_shrinking, meet, order_of, star_of_member
 from .dimension import map_oracle, reduce_order, separator_oracle
 from .embedding import (
-    _reject_json_constant,
     general_position,
     nobeling_embed,
     result_from_json_bytes,
@@ -25,7 +24,7 @@ from .embedding import (
 )
 from .errors import CertificateError, DimlabError, InputError
 from .harness import CertificateReport, verify_nobeling_membership, verify_result
-from .metric import SampledSpace, _float_array
+from .metric import SampledSpace, _float_array, _reject_json_constant
 from .nerve import export_complex, nerve_of
 
 

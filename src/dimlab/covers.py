@@ -1,8 +1,9 @@
 """Indexed open covers of a finite sample and their combinatorial calculus.
 
 A cover is an indexed family of cozero functions (g_i)_{i<k} whose
-positivity loci jointly cover the sample. The operations here are the
-standard desk-scale cover tools:
+positivity loci jointly cover the sample, stored as one (k, p) value
+matrix whose row i is g_i on the p sample points. The operations here are
+the standard desk-scale cover tools:
 
 order
     order(U) = max over sample points x of |{i : g_i(x) > 0}| - 1.
@@ -43,34 +44,30 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InputError
-from .metric import CozeroFunction, _as_readonly, _sparse_dict
+from .metric import _as_readonly, _float_array
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Cover:
-    """An indexed family of cozero functions over one sample.
+    """An indexed family of cozero vectors over one sample.
 
     The family is stored as one read-only (k, p) matrix whose row i holds
-    the values of member i. Construction checks it once: at least one
-    member, a nonempty sample, rows of one length, finite values in [0, 1].
-    The covering property (every point has a positive member) is an
-    invariant of covers-as-used; operations that rely on it check it and
-    raise, naming an uncovered point, rather than assuming it.
+    the values of member i; ``Cover(rows)`` takes that matrix or a sequence
+    of k value vectors and checks it with :func:`_cover_matrix`. The
+    covering property (every point has a positive member) is an invariant
+    of covers-as-used; operations that rely on it check it and raise,
+    naming an uncovered point, rather than assuming it.
     """
 
     matrix: np.ndarray
 
-    def __init__(self, members: Iterable[CozeroFunction]) -> None:
-        rows = [m.values for m in members]
-        if len({len(row) for row in rows}) > 1:
-            raise InputError("cover members disagree on the sample size")
-        object.__setattr__(self, "matrix", _cover_matrix(rows))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", _cover_matrix(self.matrix))
 
     @classmethod
     def from_matrix(cls, matrix) -> "Cover":
-        out = cls.__new__(cls)
-        object.__setattr__(out, "matrix", _cover_matrix(matrix))
-        return out
+        """The same as ``Cover(matrix)``."""
+        return cls(matrix)
 
     @property
     def size(self) -> int:
@@ -94,23 +91,47 @@ class Cover:
         return self.uncovered_point() is None
 
     def to_json_dict(self) -> dict:
-        return {"members": [{"values": _sparse_dict(row)} for row in self.matrix]}
+        """Each member as the sparse object {point index: value} of its nonzero values."""
+        return {
+            "members": [
+                {"values": {str(int(x)): float(row[x]) for x in np.flatnonzero(row)}}
+                for row in self.matrix
+            ]
+        }
 
     @classmethod
     def from_json_dict(cls, obj: dict, sample_size: int) -> "Cover":
         if not isinstance(obj, dict) or not isinstance(obj.get("members"), list):
             raise InputError("cover document must be an object with a members list")
-        members = []
-        for entry in obj["members"]:
+        g = np.zeros((len(obj["members"]), sample_size))
+        for row, entry in zip(g, obj["members"]):
             if not isinstance(entry, dict) or "values" not in entry:
                 raise InputError("each cover member must be an object with values")
-            members.append(CozeroFunction.from_sparse_dict(entry["values"], sample_size))
-        return cls(members)
+            if not isinstance(entry["values"], dict):
+                raise InputError("cover values must be an object of point index: value")
+            for key, value in entry["values"].items():
+                try:
+                    i = int(key)
+                except (TypeError, ValueError) as exc:
+                    raise InputError(f"bad point index {key!r} in cover values") from exc
+                if not 0 <= i < sample_size:
+                    raise InputError(f"unknown point identifier: {i}")
+                try:
+                    row[i] = float(value)
+                except (TypeError, ValueError) as exc:
+                    raise InputError(f"bad value {value!r} at point {i} in cover values") from exc
+        return cls(g)
 
 
 def _cover_matrix(rows) -> np.ndarray:
-    """``rows`` as a read-only (k, p) float matrix, checked as a cover's values."""
-    g = _as_readonly(rows)
+    """``rows`` as a read-only (k, p) float matrix of cozero values.
+
+    The one check of a family of open sets, for covers and separation
+    witnesses alike: rows of one length (ragged rows are an
+    :class:`InputError`), at least one row over a nonempty sample, finite
+    values in [0, 1].
+    """
+    g = _as_readonly(_float_array(rows, "cozero values"))
     if g.ndim != 2 or 0 in g.shape:
         raise InputError("a cover needs at least one member over a nonempty sample")
     if not np.isfinite(g).all():
@@ -126,14 +147,18 @@ def _cover_matrix(rows) -> np.ndarray:
 class ShrinkResult:
     """Output of :func:`closed_shrinking`.
 
-    ``open_shrink`` carries the functions gp_i (cozero sets W_i),
-    ``closed_shrink`` the point sets F_i, and ``tilde`` the read-only
-    (k, p) matrix of the rescaled functions gt_i that define both.
+    ``open_shrink`` carries the functions gp_i (cozero sets W_i) and
+    ``tilde`` the read-only (k, p) matrix of the rescaled functions gt_i
+    that define both shrinkings; ``closed_shrink`` reads the point sets
+    F_i = {gt_i >= 1/2} off it.
     """
 
     open_shrink: Cover
-    closed_shrink: tuple[frozenset[int], ...]
     tilde: np.ndarray
+
+    @property
+    def closed_shrink(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.tilde >= 0.5)
 
 
 def _require_covering(c: Cover) -> None:
@@ -190,12 +215,7 @@ def closed_shrinking(c: Cover) -> ShrinkResult:
         gt[i] = g[i] / denom
         gp[i] = np.maximum(0.0, gt[i] - 0.5)
         prefix_gp = np.maximum(prefix_gp, gp[i])
-    closed = tuple(frozenset(np.flatnonzero(row >= 0.5).tolist()) for row in gt)
-    return ShrinkResult(
-        open_shrink=Cover.from_matrix(gp),
-        closed_shrink=closed,
-        tilde=_as_readonly(gt),
-    )
+    return ShrinkResult(open_shrink=Cover(gp), tilde=_as_readonly(gt))
 
 
 def star(s: Iterable[int] | frozenset[int], c: Cover) -> frozenset[int]:
@@ -226,7 +246,7 @@ def meet(a: Cover, b: Cover) -> Cover:
     nonempty = (low > 0.0).any(axis=1)
     if not nonempty.any():
         raise InputError("meet produced no nonempty member; inputs do not overlap")
-    return Cover.from_matrix(low[nonempty])
+    return Cover(low[nonempty])
 
 
 def star_refinement(c: Cover) -> tuple[Cover, tuple[int, ...]]:
@@ -276,7 +296,7 @@ def star_refinement(c: Cover) -> tuple[Cover, tuple[int, ...]]:
         if (member > 0.0).any():
             members.append(member)
             witness.append(l)
-    return Cover.from_matrix(members), tuple(witness)
+    return Cover(members), tuple(witness)
 
 
 def is_point_star_refinement(v: Cover, u: Cover) -> bool:
@@ -298,7 +318,7 @@ def drop_empty_members(c: Cover) -> Cover:
     nonempty = c.supports().any(axis=1)
     if not nonempty.any():
         raise InputError("cover has no nonempty member")
-    return Cover.from_matrix(c.matrix[nonempty])
+    return Cover(c.matrix[nonempty])
 
 
 def dedupe_by_support(c: Cover) -> Cover:
@@ -310,7 +330,7 @@ def dedupe_by_support(c: Cover) -> Cover:
     compared as packed bytes.
     """
     first = np.sort(_first_rows(np.packbits(c.supports(), axis=1)))
-    return Cover.from_matrix(c.matrix[first])
+    return Cover(c.matrix[first])
 
 
 def _first_rows(a: np.ndarray) -> np.ndarray:

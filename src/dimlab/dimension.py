@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .covers import Cover, closed_shrinking
+from .covers import Cover, _cover_matrix, closed_shrinking
 from .errors import CertificateError, InputError
-from .metric import CozeroFunction, SampledSpace
+from .metric import SampledSpace
 
 BOUNDARY_TOL = 1e-9
 
@@ -50,35 +50,61 @@ class DisjointPairFamily:
 class InessentialWitness:
     """Disjoint open pairs (U_i, V_i) separating a DisjointPairFamily.
 
-    Invariants (checked by :meth:`validate`): cozero(U_i) and cozero(V_i)
-    are disjoint for each i, A_i lies in cozero(U_i), B_i in cozero(V_i),
-    and the union of all the cozero sets is the whole sample.
+    ``u`` and ``v`` are read-only (pairs, p) cozero matrices, checked at
+    construction as a cover's values are: row i of ``u`` codes U_i and row
+    i of ``v`` codes V_i. Invariants (checked by :meth:`validate`): U_i and
+    V_i are disjoint for each i, A_i lies in U_i, B_i in V_i, and the union
+    of all the U_i and V_i is the whole sample.
     """
 
-    opens: tuple[tuple[CozeroFunction, CozeroFunction], ...]
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "u", _cover_matrix(self.u))
+        object.__setattr__(self, "v", _cover_matrix(self.v))
 
     def validate(self, pairs: DisjointPairFamily, sample_size: int) -> None:
-        if len(self.opens) != len(pairs):
+        shape = (len(pairs), sample_size)
+        if self.u.shape != shape or self.v.shape != shape:
             raise InputError(
-                f"witness has {len(self.opens)} pairs, family has {len(pairs)}"
+                f"witness values have shapes {self.u.shape} and {self.v.shape}, not {shape}"
             )
-        union = np.zeros(sample_size, dtype=bool)
-        for i, ((u, v), (a, b)) in enumerate(zip(self.opens, pairs.pairs)):
-            u_sup = u.values > 0.0
-            v_sup = v.values > 0.0
-            if (u_sup & v_sup).any():
-                x = int(np.nonzero(u_sup & v_sup)[0][0])
-                raise InputError(f"witness pair {i} overlaps at point {x}")
-            for x in a:
-                if not u_sup[x]:
-                    raise InputError(f"witness pair {i} misses A point {x}")
-            for x in b:
-                if not v_sup[x]:
-                    raise InputError(f"witness pair {i} misses B point {x}")
-            union |= u_sup | v_sup
+        u_sup, v_sup = self.u > 0.0, self.v > 0.0
+        a, b = _pair_masks(pairs, sample_size)
+        _raise_first(
+            "witness pair {i} {what} point {x}",
+            ("overlaps at", u_sup & v_sup), ("misses A", a & ~u_sup), ("misses B", b & ~v_sup),
+        )
+        union = (u_sup | v_sup).any(axis=0)
         if not union.all():
             x = int(np.nonzero(~union)[0][0])
             raise InputError(f"witness does not cover the sample: point {x}")
+
+
+def _pair_masks(pairs: DisjointPairFamily, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (pairs, p) matrices of the A_i and of the B_i."""
+    a = np.zeros((len(pairs), p), dtype=bool)
+    b = np.zeros((len(pairs), p), dtype=bool)
+    for i, (ai, bi) in enumerate(pairs.pairs):
+        a[i, list(ai)] = True
+        b[i, list(bi)] = True
+    return a, b
+
+
+def _raise_first(message: str, *checks: tuple[str, np.ndarray]) -> None:
+    """Raise for the least pair i failing a check, naming its first failed check.
+
+    Each check is (what, bad) with ``bad`` a boolean (pairs, p) matrix of
+    offending points; the message names the least offending point x.
+    """
+    bad = np.stack([mask for _, mask in checks])
+    hit = bad.any(axis=2)
+    if hit.any():
+        i = int(hit.any(axis=0).argmax())
+        c = int(hit[:, i].argmax())
+        x = int(bad[c, i].argmax())
+        raise InputError(message.format(i=i, what=checks[c][0], x=x))
 
 
 Oracle = Callable[[SampledSpace, DisjointPairFamily], InessentialWitness]
@@ -94,20 +120,17 @@ def separator_oracle(
     Every finite metric sample admits this witness for any number of pairs.
     """
     p = space.size
-    opens = []
-    for a, b in pairs.pairs:
+    u = np.zeros((len(pairs), p))
+    v = np.zeros((len(pairs), p))
+    for i, (a, b) in enumerate(pairs.pairs):
         da = space.dist[:, sorted(a)].min(axis=1) if a else np.full(p, np.inf)
         db = space.dist[:, sorted(b)].min(axis=1) if b else np.full(p, np.inf)
-        u = np.zeros(p)
-        v = np.zeros(p)
         less = da < db
         greater = da > db
-        tie = ~less & ~greater
-        u[less] = np.minimum(1.0, db[less] - da[less])
-        u[tie] = tol
-        v[greater] = np.minimum(1.0, da[greater] - db[greater])
-        opens.append((CozeroFunction(u), CozeroFunction(v)))
-    witness = InessentialWitness(tuple(opens))
+        u[i, less] = np.minimum(1.0, db[less] - da[less])
+        u[i, ~less & ~greater] = tol
+        v[i, greater] = np.minimum(1.0, da[greater] - db[greater])
+    witness = InessentialWitness(u, v)
     witness.validate(pairs, p)
     return witness
 
@@ -136,22 +159,13 @@ def inessential_witness_from_map(
     if not on_boundary.any(axis=1).all():
         x = int(np.nonzero(~on_boundary.any(axis=1))[0][0])
         raise InputError(f"point {x} does not land on the cube boundary")
-    for i, (a, b) in enumerate(pairs.pairs):
-        for x in a:
-            if abs(g[x, i]) > tol:
-                raise InputError(f"map is not 0 on A at point {x}, coordinate {i}")
-        for x in b:
-            if abs(1.0 - g[x, i]) > tol:
-                raise InputError(f"map is not 1 on B at point {x}, coordinate {i}")
-    clipped = np.clip(g, 0.0, 1.0)
-    opens = tuple(
-        (
-            CozeroFunction(np.maximum(0.0, 0.5 - clipped[:, i])),
-            CozeroFunction(np.maximum(0.0, clipped[:, i] - 0.5)),
-        )
-        for i in range(width)
+    a, b = _pair_masks(pairs, p)
+    _raise_first(
+        "map is not {what} at point {x}, coordinate {i}",
+        ("0 on A", a & (np.abs(g.T) > tol)), ("1 on B", b & (np.abs(1.0 - g.T) > tol)),
     )
-    witness = InessentialWitness(opens)
+    clipped = np.clip(g.T, 0.0, 1.0)
+    witness = InessentialWitness(np.maximum(0.0, 0.5 - clipped), np.maximum(0.0, clipped - 0.5))
     witness.validate(pairs, p)
     return witness
 
@@ -189,20 +203,16 @@ def shrink_to_empty_intersection(
     g = cover.matrix
     shrink = closed_shrinking(cover)
     comp_f = np.maximum(0.0, 0.5 - shrink.tilde)
+    closed = shrink.closed_shrink
     outside = ~cover.supports()
     pairs = DisjointPairFamily(
-        tuple(
-            (shrink.closed_shrink[i], frozenset(np.flatnonzero(outside[i]).tolist()))
-            for i in range(k - 1)
-        )
+        tuple((closed[i], frozenset(np.flatnonzero(outside[i]).tolist())) for i in range(k - 1))
     )
     witness = oracle(space, pairs)
     witness.validate(pairs, cover.sample_size)
 
-    u_prime = np.array([u.values for u, _ in witness.opens])
-    v_rows = np.minimum(np.array([v.values for _, v in witness.opens]), comp_f[:-1])
-    last = np.minimum(g[k - 1], np.max(v_rows, axis=0))
-    out = Cover.from_matrix(np.vstack([np.minimum(u_prime, g[:-1]), last]))
+    last = np.minimum(g[k - 1], np.max(np.minimum(witness.v, comp_f[:-1]), axis=0))
+    out = Cover(np.vstack([np.minimum(witness.u, g[:-1]), last]))
 
     bad = out.uncovered_point()
     if bad is not None:
@@ -248,13 +258,13 @@ def reduce_order(
         aux = g[list(subset)]
         if rest:
             aux[-1] = np.maximum(aux[-1], np.max(g[rest], axis=0))
-        shrunk = shrink_to_empty_intersection(space, Cover.from_matrix(aux), oracle)
+        shrunk = shrink_to_empty_intersection(space, Cover(aux), oracle)
         for m, d in enumerate(subset[:-1]):
             g[d] = shrunk.matrix[m]
         g[subset[-1]] = np.minimum(shrunk.matrix[-1], g[subset[-1]])
         # interleave: keep the open shrinking of the whole updated family
-        g = closed_shrinking(Cover.from_matrix(g)).open_shrink.matrix.copy()
-    out = Cover.from_matrix(g)
+        g = closed_shrinking(Cover(g)).open_shrink.matrix.copy()
+    out = Cover(g)
     bad = out.uncovered_point()
     if bad is not None:
         raise CertificateError(f"order reduction lost covering at point {bad}")

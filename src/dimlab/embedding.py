@@ -52,6 +52,7 @@ from .metric import (
     _as_readonly,
     _ball_radii,
     _float_array,
+    _reject_json_constant,
     ball_cozero,
     complement_cozero,
     enumerate_balls,
@@ -382,33 +383,28 @@ def _disjoint_pairs(s: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def _group_row(groups: list[tuple[np.ndarray, np.ndarray | None]], i: int) -> tuple:
+def _group_row(groups: list[tuple[np.ndarray, np.ndarray]], i: int) -> tuple:
     """The i-th (A, B) pair, counting through the groups, as index tuples."""
     for ia, ib in groups:
         if i < len(ia):
-            return (
-                tuple(int(v) for v in ia[i]),
-                None if ib is None else tuple(int(v) for v in ib[i]),
-            )
+            return tuple(int(v) for v in ia[i]), tuple(int(v) for v in ib[i])
         i -= len(ia)
     raise IndexError(i)
 
 
 def _span_distances(
-    vertices: np.ndarray,
-    groups: list[tuple[np.ndarray, np.ndarray | None]],
-    b_extra: tuple[np.ndarray, np.ndarray] | None = None,
+    vertices: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
-    """Batched hull-to-hull (or hull-to-plane) distances.
+    """Batched hull-to-hull distances.
 
     ``groups`` holds nonempty index arrays (A rows, B rows) of equal
-    subset sizes; with ``b_extra = (point, directions)`` every A is
-    measured against that flat instead and the B rows are ignored. Every
-    (A, B) pair is reduced to one least-squares system; systems are padded
-    with zero columns to a common width and solved through batched
-    pseudo-inverses: dist^2 = |r|^2 - r^T M (M^T M)^+ M^T r with M the
-    stacked edge directions (those of A, then those of B) and r the
-    base-point difference.
+    subset sizes (``eta_prime`` makes the B rows a hyperplane's spanning
+    points, see :func:`_plane_groups`). Every (A, B) pair is reduced to
+    one least-squares system; systems are padded with zero columns to a
+    common width and solved through batched pseudo-inverses:
+    dist^2 = |r|^2 - r^T M (M^T M)^+ M^T r with M the stacked edge
+    directions (those of A, then those of B) and r the base-point
+    difference.
 
     The padded arrays are filled one group at a time by fancy indexing, so
     the cost in Python is per size pair, not per subset pair. Pair order,
@@ -417,11 +413,7 @@ def _span_distances(
     same bytes.
     """
     d = vertices.shape[1]
-    if b_extra is None:
-        widths = [ia.shape[1] + ib.shape[1] - 2 for ia, ib in groups]
-    else:
-        b_point, b_dirs = b_extra
-        widths = [ia.shape[1] - 1 + len(b_dirs) for ia, _ in groups]
+    widths = [ia.shape[1] + ib.shape[1] - 2 for ia, ib in groups]
     total = sum(len(ia) for ia, _ in groups)
     m = np.zeros((total, d, max(widths)))
     r = np.empty((total, d))
@@ -429,19 +421,37 @@ def _span_distances(
     for (ia, ib), width in zip(groups, widths):
         rows = slice(at, at + len(ia))
         pa = vertices[ia]
+        pb = vertices[ib]
         ka = ia.shape[1] - 1
         m[rows, :, :ka] = (pa[:, 1:] - pa[:, :1]).transpose(0, 2, 1)
-        if b_extra is None:
-            pb = vertices[ib]
-            m[rows, :, ka:width] = (pb[:, 1:] - pb[:, :1]).transpose(0, 2, 1)
-            r[rows] = pb[:, 0] - pa[:, 0]
-        else:
-            m[rows, :, ka:width] = b_dirs.T
-            r[rows] = b_point - pa[:, 0]
+        m[rows, :, ka:width] = (pb[:, 1:] - pb[:, :1]).transpose(0, 2, 1)
+        r[rows] = pb[:, 0] - pa[:, 0]
         at += len(ia)
     proj = np.einsum("nij,nj->ni", m @ np.linalg.pinv(m), r)
     sq = np.einsum("ni,ni->n", r, r) - np.einsum("ni,ni->n", proj, r)
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _plane_groups(
+    vertices: np.ndarray, plane: Hyperplane, n: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The vertices with the plane appended, and the groups measuring spans against it.
+
+    The plane's spanning points, its base point and the base point plus
+    each basis row, follow the s vertices, and each group pairs the
+    k-subsets of the vertices (k <= n+1) with those points. The basis rows
+    are unit vectors and the base point is 1/2 on the free axes, so the
+    appended edges are the basis rows exactly.
+    """
+    s = vertices.shape[0]
+    base = plane.base_point()
+    span = np.vstack([base, base + plane.basis()])
+    ib = np.arange(s, s + len(span))
+    groups = []
+    for k in range(1, min(n + 1, s) + 1):
+        ia = _subsets(s, k)
+        groups.append((ia, np.broadcast_to(ib, (len(ia), len(ib)))))
+    return np.vstack([vertices, span]), groups
 
 
 def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
@@ -471,11 +481,10 @@ def eta_prime(
 ) -> float:
     """Least distance from spans of <= n+1 vertices to the hyperplane."""
     z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
-    s = z.shape[0]
     if z.shape[1] != plane.ambient_dim:
         raise InputError("vertices and hyperplane disagree on ambient dimension")
-    groups = [(_subsets(s, k), None) for k in range(1, min(n + 1, s) + 1)]
-    dists = _span_distances(z, groups, b_extra=(plane.base_point(), plane.basis()))
+    z, groups = _plane_groups(z, plane, n)
+    dists = _span_distances(z, groups)
     worst = int(dists.argmin())
     if dists[worst] <= HULL_TOL:
         subset, _ = _group_row(groups, worst)
@@ -607,7 +616,7 @@ def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cov
         members.append(np.minimum(1.0, vals[first[packed[first].any(axis=1)]]))
     if not sum(map(len, members)):
         raise CertificateError("no grid ball meets the image; grid construction failed")
-    cover = dedupe_by_support(Cover.from_matrix(np.concatenate(members)))
+    cover = dedupe_by_support(Cover(np.concatenate(members)))
     bad = cover.uncovered_point()
     if bad is not None:
         raise CertificateError(f"grid-ball preimages miss sample point {bad}")
@@ -1028,11 +1037,6 @@ def result_to_json_bytes(r: EmbeddingResult) -> bytes:
     return json.dumps(result_to_json_dict(r), separators=(",", ":"), allow_nan=False).encode(
         "utf-8"
     )
-
-
-def _reject_json_constant(name: str):
-    # json.loads reads NaN and +-Infinity; no document written here holds them
-    raise InputError(f"non-finite number {name} in JSON input")
 
 
 def result_from_json_bytes(data: bytes) -> EmbeddingResult:

@@ -36,7 +36,6 @@ from .metric import (
     _CHUNK_FLOATS,
     Ball,
     SampledSpace,
-    ball_cozero,
     formally_included,
 )
 
@@ -311,11 +310,8 @@ def open_image_certificate(
     comp = _resolve_ball_indices(u, balls, space)
     if not comp:
         return []
-    in_u = np.zeros(space.size, dtype=bool)
-    for e in comp:
-        in_u |= ball_cozero(space, balls[e]).values > 0.0
-
     ball_supports = np.array([space.distances_from(b.center) < b.radius for b in balls])
+    in_u = ball_supports[comp].any(axis=0)
 
     f = r.f
     d = f.shape[1]

@@ -1,12 +1,13 @@
-"""Finite samples of metric spaces and ball-shaped cozero functions.
+"""Finite samples of metric spaces and ball-shaped cozero vectors.
 
 A :class:`SampledSpace` holds a finite point set together with its pairwise
 distances, either computed from ambient coordinates or supplied directly as a
-matrix. Open sets over the sample are represented extensionally by
-:class:`CozeroFunction`: a vector of values in [0, 1], one per sample point,
-whose strict-positivity locus is the open set. Balls come with two canonical
-cozero representations, one for the ball itself and one for the complement of
-its formal closure.
+matrix. An open set over the sample is coded extensionally by a cozero
+vector: a read-only float vector of values in [0, 1], one per sample point,
+whose strict-positivity locus is the open set. Families of open sets are
+(k, p) matrices of such vectors, checked by ``covers._cover_matrix``. Balls
+come with two canonical cozero vectors, one for the ball itself and one for
+the complement of its formal closure.
 
 Points are identified by their index in the sample. Ball centers may be
 point indices or ambient coordinate vectors (the latter only when the space
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -40,6 +41,11 @@ def _float_array(value, what: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what} must be a rectangular array of numbers") from exc
+
+
+def _reject_json_constant(name: str):
+    # json.loads reads NaN and +-Infinity; no document written here holds them
+    raise InputError(f"non-finite number {name} in JSON input")
 
 
 def _check_triangles(d: np.ndarray) -> None:
@@ -240,72 +246,22 @@ def center_distance(b1: Ball, b2: Ball, space: SampledSpace | None = None) -> fl
     return float(np.sqrt(((c1 - c2) ** 2).sum()))
 
 
-@dataclass(frozen=True, eq=False)
-class CozeroFunction:
-    """A [0, 1]-valued function on the sample; its open set is {x : u(x) > 0}."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.shape[0] == 0:
-            raise InputError("cozero values must form a nonempty vector")
-        if not np.isfinite(v).all():
-            raise InputError("cozero values must be finite")
-        if (v < 0.0).any() or (v > 1.0).any():
-            i = int(np.nonzero((v < 0.0) | (v > 1.0))[0][0])
-            raise InputError(f"cozero value out of [0, 1] at point {i}")
-        object.__setattr__(self, "values", _as_readonly(v))
-
-    def __call__(self, i: int) -> float:
-        return float(self.values[i])
-
-    def support(self) -> frozenset[int]:
-        return frozenset(int(i) for i in np.nonzero(self.values > 0.0)[0])
-
-    def to_sparse_dict(self) -> dict[str, float]:
-        return _sparse_dict(self.values)
-
-    @classmethod
-    def from_sparse_dict(cls, obj: dict, size: int) -> "CozeroFunction":
-        if not isinstance(obj, dict):
-            raise InputError("cover values must be an object of point index: value")
-        v = np.zeros(size, dtype=float)
-        for key, value in obj.items():
-            try:
-                i = int(key)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad point index {key!r} in cover values") from exc
-            if not 0 <= i < size:
-                raise InputError(f"unknown point identifier: {i}")
-            try:
-                v[i] = float(value)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad value {value!r} at point {i} in cover values") from exc
-        return cls(v)
-
-
-def _sparse_dict(values: np.ndarray) -> dict[str, float]:
-    """The nonzero entries of a value vector, keyed by point index in order."""
-    return {str(int(i)): float(values[i]) for i in np.nonzero(values)[0]}
-
-
-def ball_cozero(space: SampledSpace, ball: Ball) -> CozeroFunction:
+def ball_cozero(space: SampledSpace, ball: Ball) -> np.ndarray:
     """Normalized linear ramp vanishing exactly where the ball does.
 
     u(x) = min(1, max(0, (r - d(x, c)) / r)); u(x) > 0 iff d(x, c) < r.
     """
     d = space.distances_from(ball.center)
-    return CozeroFunction(np.minimum(1.0, np.maximum(0.0, (ball.radius - d) / ball.radius)))
+    return _as_readonly(np.minimum(1.0, np.maximum(0.0, (ball.radius - d) / ball.radius)))
 
 
-def complement_cozero(space: SampledSpace, ball: Ball) -> CozeroFunction:
-    """Cozero function of the complement of the ball's formal closure.
+def complement_cozero(space: SampledSpace, ball: Ball) -> np.ndarray:
+    """Cozero vector of the complement of the ball's formal closure.
 
     u(x) = min(1, max(0, d(x, c) - r)); u(x) > 0 iff d(x, c) > r.
     """
     d = space.distances_from(ball.center)
-    return CozeroFunction(np.minimum(1.0, np.maximum(0.0, d - ball.radius)))
+    return _as_readonly(np.minimum(1.0, np.maximum(0.0, d - ball.radius)))
 
 
 def formally_included(b1: Ball, b2: Ball, space: SampledSpace | None = None) -> bool:

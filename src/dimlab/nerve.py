@@ -16,7 +16,7 @@ import numpy as np
 
 from .covers import Cover
 from .errors import InputError
-from .metric import _as_readonly
+from .metric import _as_readonly, _reject_json_constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,15 +105,21 @@ def export_complex(complex: SimplicialComplex, realization: np.ndarray | None = 
 
 
 def import_complex(data: bytes) -> SimplicialComplex:
-    """Parse a complex document; its faces may repeat but must be downward closed."""
+    """Parse a complex document; its faces may repeat but must be downward closed.
+
+    Coordinates must be finite: the ``NaN`` and ``Infinity`` literals and
+    strings such as ``"nan"`` are an :class:`InputError`.
+    """
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), parse_constant=_reject_json_constant)
         count, faces = doc["vertices"], frozenset(map(frozenset, doc["simplices"]))
         if type(count) is not int or any(type(v) is not int for s in faces for v in s):
             raise TypeError("the vertex count and every face vertex must be integers")
         coords = doc.get("coords")
         realization = None if coords is None else np.array(
             [[float(v) for v in row] for row in coords])
+        if realization is not None and not np.isfinite(realization).all():
+            raise ValueError("coordinates must be finite")
     except (UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"not a complex document: {exc}") from exc
     out = SimplicialComplex(count, faces, realization)

@@ -9,7 +9,7 @@ owner's farthest assigned point.
 import numpy as np
 import pytest
 
-from dimlab import Ball, Cover, CozeroFunction, SampledSpace, ball_cozero
+from dimlab import Ball, Cover, SampledSpace, ball_cozero
 
 
 def line_space(k: int, mesh: float | None = None) -> SampledSpace:
@@ -63,7 +63,7 @@ def random_value_cover(space: SampledSpace, k: int, rng: np.random.Generator) ->
     hole = ~(g > 0.0).any(axis=0)
     for x in np.nonzero(hole)[0]:
         g[rng.integers(0, k), x] = rng.uniform(0.5, 1.0)
-    return Cover(tuple(CozeroFunction(row) for row in g))
+    return Cover(g)
 
 
 def brute_force_order(c: Cover) -> int:

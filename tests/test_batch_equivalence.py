@@ -18,7 +18,6 @@ import pytest
 from dimlab import (
     CertificateError,
     Cover,
-    CozeroFunction,
     GeneralPositionError,
     Hyperplane,
     InputError,
@@ -35,7 +34,7 @@ from dimlab import (
 )
 from dimlab import embedding, metric
 from dimlab.metric import DISTANCE_TOL
-from dimlab.embedding import HULL_TOL, _disjoint_pairs, _span_distances, _subsets
+from dimlab.embedding import HULL_TOL, _disjoint_pairs, _plane_groups, _span_distances, _subsets
 from conftest import line_space, square_space
 
 
@@ -58,7 +57,7 @@ def reference_ball_preimage_cover(f, delta):
         dist = np.linalg.norm(f - g, axis=1)
         vals = np.maximum(0.0, (delta - dist) / delta)
         if (vals > 0.0).any():
-            members.append(CozeroFunction(np.minimum(1.0, vals)))
+            members.append(np.minimum(1.0, vals))
     if not members:
         raise CertificateError("no grid ball meets the image; grid construction failed")
     cover = dedupe_by_support(Cover(tuple(members)))
@@ -152,8 +151,7 @@ def flatten(groups):
     pairs_a, pairs_b = [], []
     for ia, ib in groups:
         pairs_a += [tuple(int(v) for v in row) for row in ia]
-        if ib is not None:
-            pairs_b += [tuple(int(v) for v in row) for row in ib]
+        pairs_b += [tuple(int(v) for v in row) for row in ib]
     return pairs_a, pairs_b
 
 
@@ -268,9 +266,12 @@ class TestSpanDistanceBytes:
                 subsets = reference_subsets(s, n)
                 extra = (plane.base_point(), plane.basis())
                 want = reference_span_distances(z, subsets, subsets, b_extra=extra)
-                groups = [(_subsets(s, k), None) for k in range(1, min(n + 1, s) + 1)]
-                assert flatten(groups)[0] == subsets
-                got = _span_distances(z, groups, b_extra=extra)
+                # the route under test appends the plane's n+1 spanning points
+                # to the vertices and pairs every subset with them
+                zp, groups = _plane_groups(z, plane, n)
+                assert zp.shape == (s + n + 1, 2 * n + 1)
+                assert flatten(groups) == (subsets, [tuple(range(s, s + n + 1))] * len(subsets))
+                got = _span_distances(zp, groups)
                 assert got.tobytes() == want.tobytes()
                 if want.min() > HULL_TOL:
                     assert eta_prime(z, plane, n) == float(want.min())
@@ -316,10 +317,9 @@ class TestSpanDistanceBytes:
 
     def test_point_to_plane_matches_fixed_coords(self, rng):
         h = Hyperplane((0, 2), (F(1, 4), F(3, 4)))
-        extra = (h.base_point(), h.basis())
         for _ in range(10):
             x = rng.uniform(0.0, 1.0, size=(1, 3))
-            got = float(_span_distances(x, [(np.array([[0]]), None)], b_extra=extra)[0])
+            got = float(_span_distances(*_plane_groups(x, h, 1))[0])
             assert got == pytest.approx(h.distance_to_point(x[0]), abs=1e-9)
 
     def test_touching_plane_message(self):

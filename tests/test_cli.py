@@ -9,7 +9,6 @@ import pytest
 from dimlab import (
     CertificateReport,
     Cover,
-    CozeroFunction,
     cli_main,
     order_of,
     result_from_json_bytes,
@@ -23,12 +22,7 @@ from conftest import brute_force_order, line_space
 @pytest.fixture
 def workdir(tmp_path):
     space = line_space(4)
-    cover = Cover(
-        (
-            CozeroFunction(np.array([1.0, 1.0, 0.6, 0.0])),
-            CozeroFunction(np.array([0.0, 0.6, 1.0, 1.0])),
-        )
-    )
+    cover = Cover(np.array([[1.0, 1.0, 0.6, 0.0], [0.0, 0.6, 1.0, 1.0]]))
     space_path = tmp_path / "space.json"
     cover_path = tmp_path / "cover.json"
     space_path.write_text(json.dumps(space.to_json_dict()))
@@ -103,6 +97,18 @@ def test_reduce_order_map_oracle(workdir, capsys):
     out = Cover.from_json_dict(json.loads(capsys.readouterr().out), space.size)
     assert out.is_covering()
     assert brute_force_order(out) == 0
+
+
+def test_reduce_order_map_oracle_not_zero_on_a_exits_2(workdir, capsys):
+    tmp, _, _ = workdir
+    # point 0 lies in F_0 = {0,1}, where a boundary map must be 0
+    (tmp / "g.json").write_text(json.dumps({"g": [[1.0], [0.0], [1.0], [1.0]]}))
+    code = cli_main(
+        ["cover", "reduce-order", "--space", str(tmp / "space.json"), "--cover",
+         str(tmp / "cover.json"), "--n", "0", "--oracle", f"map:{tmp / 'g.json'}"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "input error: map is not 0 on A at point 0, coordinate 0\n"
 
 
 def test_reduce_order_unknown_oracle(workdir, capsys):

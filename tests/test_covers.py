@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dimlab import (
     Cover,
-    CozeroFunction,
     InputError,
     closed_shrinking,
     dedupe_by_support,
@@ -48,16 +47,22 @@ class TestCoverValues:
             Cover.from_matrix(g)
 
     def test_stored_read_only(self):
-        c = Cover((CozeroFunction(np.array([1.0, 0.5])), CozeroFunction(np.array([0.0, 1.0]))))
-        assert c.matrix.tolist() == [[1.0, 0.5], [0.0, 1.0]]
+        c = Cover((np.array([1.0, 0.5, 0.0, 0.25]), np.array([0.0, 1.0, 0.0, 1.0])))
+        assert c.matrix.tolist() == [[1.0, 0.5, 0.0, 0.25], [0.0, 1.0, 0.0, 1.0]]
         assert not c.matrix.flags.writeable
+        # the sparse JSON form keeps only the nonzero values and reads back the same matrix
+        doc = c.to_json_dict()
+        assert doc == {"members": [{"values": {"0": 1.0, "1": 0.5, "3": 0.25}},
+                                   {"values": {"1": 1.0, "3": 1.0}}]}
+        back = Cover.from_json_dict(doc, 4)
+        assert np.array_equal(back.matrix, c.matrix) and not back.matrix.flags.writeable
 
     @pytest.mark.parametrize(
         "make, message",
         [(lambda: Cover(()), "at least one member"),
          (lambda: Cover.from_matrix(np.zeros((2, 0))), "nonempty sample"),
-         (lambda: Cover((CozeroFunction(np.ones(2)), CozeroFunction(np.ones(3)))),
-          "cover members disagree on the sample size")],
+         (lambda: Cover((np.ones(2), np.ones(3))),
+          "cozero values must be a rectangular array of numbers")],
         ids=["no-member", "no-point", "ragged"],
     )
     def test_shape_checked(self, make, message):
@@ -188,12 +193,7 @@ class TestOrderAndHygiene:
         assert order_of(c) == 2
 
     def test_drop_empty_members(self):
-        c = Cover(
-            (
-                CozeroFunction(np.array([1.0, 1.0])),
-                CozeroFunction(np.array([0.0, 0.0])),
-            )
-        )
+        c = Cover((np.array([1.0, 1.0]), np.array([0.0, 0.0])))
         d = drop_empty_members(c)
         assert d.size == 1
 

@@ -13,7 +13,6 @@ from dimlab import (
     DisjointPairFamily,
     InessentialWitness,
     InputError,
-    CozeroFunction,
     inessential_witness_from_map,
     is_refinement,
     map_oracle,
@@ -45,19 +44,19 @@ class TestSeparatorOracle:
         s = line_space(3)
         fam = DisjointPairFamily(((frozenset({0}), frozenset({2})),))
         w = separator_oracle(s, fam)
-        u, v = w.opens[0]
-        assert u.values[0] == 1.0
-        assert u.values[1] == pytest.approx(1e-9)
-        assert u.values[2] == 0.0
-        assert v.values.tolist() == [0.0, 0.0, 1.0]
+        assert w.u.shape == w.v.shape == (1, 3)
+        assert w.u[0, 0] == 1.0
+        assert w.u[0, 1] == pytest.approx(1e-9)
+        assert w.u[0, 2] == 0.0
+        assert w.v[0].tolist() == [0.0, 0.0, 1.0]
+        assert not w.u.flags.writeable and not w.v.flags.writeable
 
     def test_empty_side_gives_whole_sample(self):
         s = line_space(3)
         fam = DisjointPairFamily(((frozenset(), frozenset({1})),))
         w = separator_oracle(s, fam)
-        u, v = w.opens[0]
-        assert u.support() == frozenset()
-        assert v.support() == frozenset({0, 1, 2})
+        assert not (w.u[0] > 0.0).any()
+        assert (w.v[0] > 0.0).all()
 
     def test_validates_for_many_pairs(self, rng):
         s = square_space(rng, 15)
@@ -70,21 +69,88 @@ class TestSeparatorOracle:
         w.validate(fam, s.size)  # raises on any invariant breach
 
 
+class TestWitnessValidate:
+    """Each invariant breach names the least failing pair and its least point."""
+
+    FAMILY = DisjointPairFamily(
+        ((frozenset({0}), frozenset({3})), (frozenset({1, 2}), frozenset({0, 3})))
+    )
+
+    @pytest.mark.parametrize(
+        "u, v, message",
+        [
+            ([[1, 1, 0, 0], [0, 1, 1, 1]], [[0, 0, 1, 1], [1, 1, 0, 1]],
+             "witness pair 1 overlaps at point 1"),
+            ([[1, 1, 0, 0], [0, 0, 0, 0]], [[0, 0, 1, 1], [1, 1, 1, 1]],
+             "witness pair 1 misses A point 1"),
+            ([[1, 1, 0, 0], [0, 1, 1, 0]], [[0, 0, 1, 1], [0, 0, 0, 0]],
+             "witness pair 1 misses B point 0"),
+            ([[1, 0, 0, 0], [1, 1, 1, 1]], [[0, 0, 0, 0], [1, 1, 1, 1]],
+             "witness pair 0 misses B point 3"),
+            ([[1, 0, 0, 0], [0, 1, 1, 0]], [[0, 0, 0, 1], [1, 0, 0, 1]], None),
+        ],
+        ids=["overlap", "misses-a", "misses-b", "least-pair", "valid"],
+    )
+    def test_names_pair_and_least_point(self, u, v, message):
+        w = InessentialWitness(np.array(u, dtype=float), np.array(v, dtype=float))
+        if message is None:
+            w.validate(self.FAMILY, 4)
+            return
+        with pytest.raises(InputError, match=f"^{message}$"):
+            w.validate(self.FAMILY, 4)
+
+    def test_rejects_uncovered_point_and_wrong_shapes(self):
+        fam = DisjointPairFamily(((frozenset({0}), frozenset({2})),))
+        w = InessentialWitness(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(InputError, match="does not cover the sample: point 1"):
+            w.validate(fam, 3)
+        with pytest.raises(InputError, match=r"shapes \(1, 3\) and \(1, 3\), not \(2, 3\)"):
+            w.validate(DisjointPairFamily(fam.pairs * 2), 3)
+        with pytest.raises(InputError, match=r"shapes \(1, 3\) and \(1, 3\), not \(1, 4\)"):
+            w.validate(fam, 4)
+        w = InessentialWitness(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]] * 2))
+        with pytest.raises(InputError, match=r"shapes \(1, 3\) and \(2, 3\), not \(1, 3\)"):
+            w.validate(fam, 3)
+
+    @pytest.mark.parametrize(
+        "u, message",
+        [([[0.5, -0.1]], r"out of \[0, 1\] at member 0, point 1"),
+         ([[0.5], [0.5, 0.5]], "cozero values must be a rectangular array of numbers"),
+         ([[np.inf, 0.0]], "must be finite")],
+        ids=["negative", "ragged", "infinite"],
+    )
+    def test_values_checked_as_a_cover(self, u, message):
+        with pytest.raises(InputError, match=message):
+            InessentialWitness(u, [[0.0, 1.0]])
+
+
 class TestWitnessFromMap:
     def test_frozen_ramp_values(self):
         # two points, one pair; g sends point 0 to 0 and point 1 to 1
         fam = DisjointPairFamily(((frozenset({0}), frozenset({1})),))
         g = np.array([[0.0], [1.0]])
         w = inessential_witness_from_map(g, fam)
-        u, v = w.opens[0]
-        assert u.values.tolist() == [0.5, 0.0]
-        assert v.values.tolist() == [0.0, 0.5]
+        assert w.u.tolist() == [[0.5, 0.0]]
+        assert w.v.tolist() == [[0.0, 0.5]]
 
     def test_rejects_interior_point(self):
         fam = DisjointPairFamily(((frozenset({0}), frozenset({1})),))
         g = np.array([[0.0], [0.4]])  # point 1 never touches the boundary
         with pytest.raises(InputError, match="point 1"):
             inessential_witness_from_map(g, fam)
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]], "not 0 on A at point 2, coordinate 1"),
+         ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "not 1 on B at point 2, coordinate 0")],
+        ids=["a-side", "b-side"],
+    )
+    def test_names_least_point_of_first_failing_coordinate(self, g, message):
+        fam = DisjointPairFamily(
+            ((frozenset({0}), frozenset({1, 2})), (frozenset({0, 3, 2}), frozenset()))
+        )
+        with pytest.raises(InputError, match=message):
+            inessential_witness_from_map(np.array(g), fam)
 
     def test_rejects_wrong_width(self):
         fam = DisjointPairFamily(((frozenset({0}), frozenset({1})),))

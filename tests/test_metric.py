@@ -1,4 +1,4 @@
-"""Metric layer: spaces, balls, cozero functions, ball enumeration."""
+"""Metric layer: spaces, balls, cozero vectors, ball enumeration."""
 
 import json
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dimlab import (
     Ball,
-    CozeroFunction,
+    Cover,
     InputError,
     SampledSpace,
     ball_cozero,
@@ -140,24 +140,22 @@ class TestBalls:
         s = line_space(3)  # points 0, 0.5, 1
         u = ball_cozero(s, Ball(center=0, radius=0.6))
         # normalized ramp (r - d) / r, capped at 1 and floored at 0
-        assert u.values == pytest.approx([1.0, 1.0 / 6.0, 0.0])
-        assert u.support() == frozenset({0, 1})
+        assert u == pytest.approx([1.0, 1.0 / 6.0, 0.0])
+        assert np.flatnonzero(u > 0.0).tolist() == [0, 1]
+        assert not u.flags.writeable
 
     def test_complement_cozero_values(self):
         s = line_space(3)
         v = complement_cozero(s, Ball(center=0, radius=0.4))
         # value is d(x, center) - radius on the strict outside
-        assert v.values == pytest.approx([0.0, 0.1, 0.6])
-        assert v.support() == frozenset({1, 2})
+        assert v == pytest.approx([0.0, 0.1, 0.6])
+        assert np.flatnonzero(v > 0.0).tolist() == [1, 2]
+        assert not v.flags.writeable
 
     def test_cozero_rejects_negative_values(self):
-        with pytest.raises(InputError):
-            CozeroFunction(np.array([0.5, -0.1]))
-
-    def test_sparse_dict_round_trip(self):
-        u = CozeroFunction(np.array([0.0, 0.25, 0.0, 1.0]))
-        back = CozeroFunction.from_sparse_dict(u.to_sparse_dict(), 4)
-        assert np.array_equal(back.values, u.values)
+        # a family of one open set is checked as a cover's values are
+        with pytest.raises(InputError, match=r"out of \[0, 1\] at member 0, point 1"):
+            Cover((np.array([0.5, -0.1]),))
 
     def test_center_distance_indices_and_vectors(self):
         s = line_space(3)
@@ -181,9 +179,9 @@ class TestBalls:
         for b_in in balls[::5]:
             for b_out in balls[::7]:
                 if formally_included(b_in, b_out, s):
-                    inner = ball_cozero(s, b_in).support()
-                    outer = ball_cozero(s, b_out).support()
-                    assert inner <= outer
+                    inner = ball_cozero(s, b_in) > 0.0
+                    outer = ball_cozero(s, b_out) > 0.0
+                    assert not (inner & ~outer).any()
 
 
 class TestEnumerateBalls:

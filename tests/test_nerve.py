@@ -171,6 +171,19 @@ class TestExportImport:
             import_complex(data)
 
     @pytest.mark.parametrize(
+        "coords, message",
+        [(b'[[NaN, 0.5]]', "non-finite number NaN in JSON input"),
+         (b'[[0.5, -Infinity]]', "non-finite number -Infinity in JSON input"),
+         (b'[["nan", 0.5]]', "not a complex document: coordinates must be finite"),
+         (b'[[0.5, "inf"]]', "not a complex document: coordinates must be finite")],
+        ids=["nan-literal", "infinity-literal", "nan-string", "inf-string"],
+    )
+    def test_import_rejects_non_finite_coordinates(self, coords, message):
+        data = b'{"vertices":1,"simplices":[[0]],"coords":' + coords + b"}"
+        with pytest.raises(InputError, match=f"^{message}$"):
+            import_complex(data)
+
+    @pytest.mark.parametrize(
         "faces",
         [[[0, 1]], [[0], [0, 1]], [[0], [1], [2], [0, 1, 2]]],
         ids=["edge-without-vertices", "edge-missing-a-vertex", "triangle-without-edges"],
