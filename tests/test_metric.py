@@ -157,6 +157,13 @@ class TestBalls:
         with pytest.raises(InputError, match=r"out of \[0, 1\] at member 0, point 1"):
             Cover((np.array([0.5, -0.1]),))
 
+    def test_sparse_dict_round_trip(self):
+        # an open set's vector, zeros included, survives the sparse JSON form
+        s = line_space(4)
+        for u in (np.array([0.0, 0.25, 0.0, 1.0]), ball_cozero(s, Ball(center=0, radius=0.5))):
+            back = Cover.from_json_dict(Cover((u,)).to_json_dict(), 4)
+            assert np.array_equal(back.matrix[0], u)
+
     def test_center_distance_indices_and_vectors(self):
         s = line_space(3)
         assert center_distance(Ball(0, 1.0), Ball(2, 1.0), s) == pytest.approx(1.0)
