@@ -17,7 +17,7 @@ map into the boundary of the (n+1)-cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,13 +65,15 @@ class InessentialWitness:
         object.__setattr__(self, "v", _cover_matrix(self.v))
 
     def validate(self, pairs: DisjointPairFamily, sample_size: int) -> None:
-        shape = (len(pairs), sample_size)
-        if self.u.shape != shape or self.v.shape != shape:
+        self._validate_masks(*_pair_masks(pairs, sample_size))
+
+    def _validate_masks(self, a: np.ndarray, b: np.ndarray) -> None:
+        """:meth:`validate` against the (pairs, p) masks of the A_i and of the B_i."""
+        if self.u.shape != a.shape or self.v.shape != a.shape:
             raise InputError(
-                f"witness values have shapes {self.u.shape} and {self.v.shape}, not {shape}"
+                f"witness values have shapes {self.u.shape} and {self.v.shape}, not {a.shape}"
             )
         u_sup, v_sup = self.u > 0.0, self.v > 0.0
-        a, b = _pair_masks(pairs, sample_size)
         _raise_first(
             "witness pair {i} {what} point {x}",
             ("overlaps at", u_sup & v_sup), ("misses A", a & ~u_sup), ("misses B", b & ~v_sup),
@@ -83,12 +85,25 @@ class InessentialWitness:
 
 
 def _pair_masks(pairs: DisjointPairFamily, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (pairs, p) matrices of the A_i and of the B_i."""
+    """Boolean (pairs, p) matrices of the A_i and of the B_i.
+
+    Raises for the least pair naming a point id outside 0..p-1, with its
+    least such id; indexing alone would wrap a negative id around.
+    """
     a = np.zeros((len(pairs), p), dtype=bool)
     b = np.zeros((len(pairs), p), dtype=bool)
     for i, (ai, bi) in enumerate(pairs.pairs):
-        a[i, list(ai)] = True
-        b[i, list(bi)] = True
+        try:
+            ids = np.fromiter(chain(ai, bi), np.intp, len(ai) + len(bi))
+            # read as unsigned, a negative id is at least p too
+            stray = ids.size and ids.view(np.uintp).max() >= p
+        except OverflowError:
+            stray = True
+        if stray:
+            point = min(x for x in chain(ai, bi) if not 0 <= x < p)
+            raise InputError(f"pair {i} names point {point} outside 0..{p - 1}")
+        a[i, ids[: len(ai)]] = True
+        b[i, ids[len(ai) :]] = True
     return a, b
 
 
@@ -120,6 +135,7 @@ def separator_oracle(
     Every finite metric sample admits this witness for any number of pairs.
     """
     p = space.size
+    masks = _pair_masks(pairs, p)
     u = np.zeros((len(pairs), p))
     v = np.zeros((len(pairs), p))
     for i, (a, b) in enumerate(pairs.pairs):
@@ -131,7 +147,7 @@ def separator_oracle(
         u[i, ~less & ~greater] = tol
         v[i, greater] = np.minimum(1.0, da[greater] - db[greater])
     witness = InessentialWitness(u, v)
-    witness.validate(pairs, p)
+    witness._validate_masks(*masks)
     return witness
 
 
@@ -166,7 +182,7 @@ def inessential_witness_from_map(
     )
     clipped = np.clip(g.T, 0.0, 1.0)
     witness = InessentialWitness(np.maximum(0.0, 0.5 - clipped), np.maximum(0.0, clipped - 0.5))
-    witness.validate(pairs, p)
+    witness._validate_masks(a, b)
     return witness
 
 

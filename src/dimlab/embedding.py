@@ -24,6 +24,7 @@ image balls have preimages inside single members of the stage-1 covers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -60,6 +61,9 @@ from .metric import (
 
 RANK_TOL = 1e-9
 HULL_TOL = 1e-9
+# 25x the cancellation error of |r|^2 - r^T M M^+ r (about 4e-8 at d <= 7);
+# see _widest_first
+SCAN_GUARD = 1e-6
 CUBE_TOL = 1e-12
 DELTA0 = 0.25
 
@@ -355,18 +359,23 @@ def kappa_map(cozeros: Cover, vertices: np.ndarray | Sequence[np.ndarray]) -> Ka
     return KappaMap(values=weights @ z, weights=weights)
 
 
+@functools.lru_cache(maxsize=32)
 def _subsets(s: int, k: int) -> np.ndarray:
-    """The k-subsets of range(s) as rows of an index array, in lexicographic order."""
-    return np.array(list(combinations(range(s), k)), dtype=np.intp).reshape(-1, k)
+    """The k-subsets of range(s) as rows of a read-only index array, in lexicographic order."""
+    out = np.array(list(combinations(range(s), k)), dtype=np.intp).reshape(-1, k)
+    out.setflags(write=False)
+    return out
 
 
-def _disjoint_pairs(s: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+@functools.lru_cache(maxsize=32)
+def _disjoint_pairs(s: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Index-disjoint subset pairs (A, B), 1 <= |A| <= |B| <= n+1, grouped by sizes.
 
     One (A rows, B rows) group per size pair that has pairs, groups in
     order of |A| then |B|, pairs inside a group with A in lexicographic
     order and then B in lexicographic order. When |A| = |B| only B > A is
-    kept, so every unordered pair appears once.
+    kept, so every unordered pair appears once. Built once per (s, n); the
+    arrays are read-only.
     """
     top = min(n + 1, s)
     subsets = {k: _subsets(s, k) for k in range(1, top + 1)}
@@ -379,11 +388,14 @@ def _disjoint_pairs(s: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
                 ok = np.triu(ok, k=1)
             ia, ib = np.nonzero(ok)
             if len(ia):
-                groups.append((subsets[a][ia], subsets[b][ib]))
-    return groups
+                pair = subsets[a][ia], subsets[b][ib]
+                for rows in pair:
+                    rows.setflags(write=False)
+                groups.append(pair)
+    return tuple(groups)
 
 
-def _group_row(groups: list[tuple[np.ndarray, np.ndarray]], i: int) -> tuple:
+def _group_row(groups: Sequence[tuple[np.ndarray, np.ndarray]], i: int) -> tuple:
     """The i-th (A, B) pair, counting through the groups, as index tuples."""
     for ia, ib in groups:
         if i < len(ia):
@@ -393,7 +405,7 @@ def _group_row(groups: list[tuple[np.ndarray, np.ndarray]], i: int) -> tuple:
 
 
 def _span_distances(
-    vertices: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]]
+    vertices: np.ndarray, groups: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
     """Batched hull-to-hull distances.
 
@@ -410,7 +422,10 @@ def _span_distances(
     the cost in Python is per size pair, not per subset pair. Pair order,
     column order, zero padding and the single batched pseudo-inverse are
     those of building each system on its own, so the distances are the
-    same bytes.
+    same bytes. The pseudo-inverse is taken matrix by matrix, so a pair's
+    distance depends only on its own system and the padded width: passing
+    only the widest groups (see :func:`_widest_first`) gives their
+    distances the bytes they have in the call with every group.
     """
     d = vertices.shape[1]
     widths = [ia.shape[1] + ib.shape[1] - 2 for ia, ib in groups]
@@ -454,19 +469,46 @@ def _plane_groups(
     return np.vstack([vertices, span]), groups
 
 
+def _widest_first(
+    vertices: np.ndarray, groups: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, Sequence[tuple[np.ndarray, np.ndarray]]]:
+    """Span distances of the widest groups if their least clears SCAN_GUARD, else of all.
+
+    Returns the distances with the groups they were measured over. A span
+    only grows with its subset, so every pair lies inside a no farther pair
+    of a widest group (|A| + |B| largest). The float form cancels, though:
+    near zero a smaller pair can come out lower than its widest superset,
+    even under HULL_TOL, so at or below ``SCAN_GUARD`` every group is
+    measured and the values, verdicts and messages are the full scan's.
+    Above it the verdict is the full scan's, and so is the value unless a
+    smaller pair exactly ties its widest superset: the superset's rounding
+    is returned, which can differ from the full scan's minimum by the
+    cancellation error (up to about 1e-4 relative just above the guard).
+    """
+    width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
+    widest = [g for g in groups if g[0].shape[1] + g[1].shape[1] == width]
+    if len(widest) < len(groups):
+        dists = _span_distances(vertices, widest)
+        if dists.min() > SCAN_GUARD:
+            return dists, widest
+    return _span_distances(vertices, groups), groups
+
+
 def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
     """Least distance between affine spans of disjoint vertex subsets.
 
     Subsets range over sizes 1..n+1. In general position every pair of
     index-disjoint spans is disjoint; a pair closer than the degeneracy
     threshold therefore reports a violation. Returns +inf when no disjoint
-    pair exists (fewer than two vertices).
+    pair exists (fewer than two vertices). The maximal pairs are measured
+    first and decide the value when it clears ``SCAN_GUARD``; otherwise
+    every pair is (see :func:`_widest_first`).
     """
     z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
     groups = _disjoint_pairs(z.shape[0], n)
     if not groups:
         return math.inf
-    dists = _span_distances(z, groups)
+    dists, groups = _widest_first(z, groups)
     worst = int(dists.argmin())
     if dists[worst] <= HULL_TOL:
         sa, sb = _group_row(groups, worst)
@@ -479,12 +521,17 @@ def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
 def eta_prime(
     vertices: np.ndarray | Sequence[np.ndarray], plane: Hyperplane, n: int
 ) -> float:
-    """Least distance from spans of <= n+1 vertices to the hyperplane."""
+    """Least distance from spans of <= n+1 vertices to the hyperplane.
+
+    The spans of min(n+1, s) vertices are measured first and decide the
+    value when it clears ``SCAN_GUARD``; otherwise every subset's is (see
+    :func:`_widest_first`).
+    """
     z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
     if z.shape[1] != plane.ambient_dim:
         raise InputError("vertices and hyperplane disagree on ambient dimension")
     z, groups = _plane_groups(z, plane, n)
-    dists = _span_distances(z, groups)
+    dists, groups = _widest_first(z, groups)
     worst = int(dists.argmin())
     if dists[worst] <= HULL_TOL:
         subset, _ = _group_row(groups, worst)
@@ -553,21 +600,31 @@ def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:
     per axis, clamped to 0..m; the result is the union of the boxes as a
     (cells, d) integer array in lexicographic row order. Grid point c sits
     at c / m.
+
+    All boxes are built at once: each row's corner plus one grid of offsets
+    as large as the widest box on every axis, masked to the row's own box.
+    Rows go in blocks of at most ``_CHUNK_FLOATS`` cell coordinates.
     """
     f = np.asarray(f, dtype=float)
     if m > 2**62:
         raise CertificateError(f"grid of {m} steps per axis is too fine to index")
+    d = f.shape[1]
+    # clipped into int64 range first: a bound beyond it is beyond 0..m anyway
+    edge = 2.0**63 - 1024.0
+    lo = np.clip(np.floor((f - radius) * m), -1.0, edge).astype(np.int64)
+    hi = np.clip(np.ceil((f + radius) * m), -1.0, edge).astype(np.int64)
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, m)
+    keep = (lo <= hi).all(axis=1)
+    if not keep.any():
+        return np.zeros((0, d), dtype=np.int64)
+    lo, ext = lo[keep], (hi - lo + 1)[keep]
+    offsets = np.indices(ext.max(axis=0)).reshape(d, -1).T
+    block = max(1, _CHUNK_FLOATS // offsets.size)
     boxes = []
-    for row in f:
-        bounds = [
-            (max(0, math.floor((c - radius) * m)), min(m, math.ceil((c + radius) * m)))
-            for c in row
-        ]
-        if all(lo <= hi for lo, hi in bounds):
-            axes = np.meshgrid(*(np.arange(lo, hi + 1) for lo, hi in bounds), indexing="ij")
-            boxes.append(np.stack(axes, axis=-1).reshape(-1, f.shape[1]))
-    if not boxes:
-        return np.zeros((0, f.shape[1]), dtype=np.int64)
+    for start in range(0, len(lo), block):
+        rows = slice(start, start + block)
+        inside = (offsets < ext[rows, None]).all(axis=2)
+        boxes.append((lo[rows, None] + offsets)[inside])
     cells = np.concatenate(boxes)
     return cells[_first_rows(cells)]
 

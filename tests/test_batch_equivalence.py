@@ -5,7 +5,10 @@ The references below walk lattice cells, subset pairs and ball pairs one
 at a time, exactly as the definitions read, and check the triangle
 inequality over the full matrix. The library's batched routes must give
 the same bytes: same member order, same cozero values, same distances,
-same pair list, same schedule depth, same verdict and message.
+same pair list, same schedule depth, same verdict and message. ``eta`` and
+``eta_prime`` measure the widest pairs first; against the full scan of
+every pair they give the same messages and the same values, up to exact
+ties between a pair and its widest superset.
 """
 
 import math
@@ -34,7 +37,15 @@ from dimlab import (
 )
 from dimlab import embedding, metric
 from dimlab.metric import DISTANCE_TOL
-from dimlab.embedding import HULL_TOL, _disjoint_pairs, _plane_groups, _span_distances, _subsets
+from dimlab.embedding import (
+    HULL_TOL,
+    SCAN_GUARD,
+    _disjoint_pairs,
+    _lattice_cells,
+    _plane_groups,
+    _span_distances,
+    _subsets,
+)
 from conftest import line_space, square_space
 
 
@@ -65,6 +76,17 @@ def reference_ball_preimage_cover(f, delta):
     if bad is not None:
         raise CertificateError(f"grid-ball preimages miss sample point {bad}")
     return cover
+
+
+def reference_lattice_cells(f, radius, m):
+    """The union of each row's clamped box, one row at a time, sorted."""
+    cells = set()
+    for row in np.asarray(f, dtype=float):
+        cells.update(product(*(
+            range(max(0, math.floor((c - radius) * m)), min(m, math.ceil((c + radius) * m)) + 1)
+            for c in row
+        )))
+    return np.array(sorted(cells), dtype=np.int64).reshape(-1, f.shape[1])
 
 
 def reference_span_distances(vertices, subsets_a, subsets_b, b_extra=None):
@@ -104,6 +126,33 @@ def reference_eta_pairs(s, n):
                     pairs_a.append(sa)
                     pairs_b.append(sb)
     return pairs_a, pairs_b
+
+
+def full_scan_eta(z, n):
+    """eta over every disjoint pair, with the size |A| + |B| of the least pair."""
+    pairs_a, pairs_b = reference_eta_pairs(len(z), n)
+    if not pairs_a:
+        return math.inf, None
+    dists = reference_span_distances(z, pairs_a, pairs_b)
+    worst = int(dists.argmin())
+    if dists[worst] <= HULL_TOL:
+        raise GeneralPositionError(
+            f"spans of {pairs_a[worst]} and {pairs_b[worst]} meet (distance {dists[worst]:.3g})"
+        )
+    return float(dists.min()), len(pairs_a[worst]) + len(pairs_b[worst])
+
+
+def full_scan_eta_prime(z, plane, n):
+    """eta' over every subset, with the size of the least subset."""
+    subsets = reference_subsets(len(z), n)
+    extra = (plane.base_point(), plane.basis())
+    dists = reference_span_distances(z, subsets, subsets, b_extra=extra)
+    worst = int(dists.argmin())
+    if dists[worst] <= HULL_TOL:
+        raise GeneralPositionError(
+            f"span of {subsets[worst]} touches the hyperplane (distance {dists[worst]:.3g})"
+        )
+    return float(dists.min()), len(subsets[worst])
 
 
 def reference_stage_pairs(space, balls):
@@ -226,6 +275,46 @@ class TestBallPreimageCoverBytes:
         assert str(got.value) == str(want.value)
 
 
+class TestLatticeCells:
+    """The one-pass cells against the union of the per-row boxes."""
+
+    @pytest.mark.parametrize("d,count", [(1, 40), (2, 30), (3, 20), (4, 6), (5, 3)])
+    def test_matches_per_row_boxes(self, d, count):
+        # random_images clamps some coordinates onto the faces 0 and 1
+        rng = np.random.default_rng(700 + d)
+        for _ in range(count):
+            p = int(rng.integers(1, 9))
+            radius = float(10.0 ** rng.uniform(-3.0, math.log10(0.5)))
+            m = max(1, math.ceil(math.sqrt(d) / radius))
+            f = random_images(rng, p, d, radius, clustered=d > 3)
+            got = _lattice_cells(f, radius, m)
+            want = reference_lattice_cells(f, radius, m)
+            assert got.dtype == np.int64
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_rows_with_empty_clamped_boxes(self):
+        # rows 1 and 3 lie beyond the faces by more than the radius, row 2
+        # sticks out by less and keeps the face cells
+        f = np.array([[0.5, 0.5], [3.0, 0.5], [1.05, 0.0], [-0.5, -0.5]])
+        got = _lattice_cells(f, 0.1, 10)
+        assert got.tobytes() == reference_lattice_cells(f, 0.1, 10).tobytes()
+        assert got.tobytes() == _lattice_cells(f[[0, 2]], 0.1, 10).tobytes()
+        empty = _lattice_cells(f[[1, 3]], 0.1, 10)
+        assert empty.shape == (0, 2) and empty.dtype == np.int64
+
+    @pytest.mark.parametrize("chunk", [1, 40, 300])
+    def test_row_blocks(self, monkeypatch, chunk):
+        # one row per block, a few rows per block, and blocks that end
+        # inside the row list
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
+        rng = np.random.default_rng(710)
+        for d in (1, 2, 3):
+            f = random_images(rng, 11, d, 0.2)
+            got = _lattice_cells(f, 0.2, 9)
+            assert got.tobytes() == reference_lattice_cells(f, 0.2, 9).tobytes()
+
+
 def span_distance(a, b):
     """Distance between the affine hulls of the point lists a and b."""
     z = np.array(a + b, dtype=float)
@@ -328,6 +417,106 @@ class TestSpanDistanceBytes:
         with pytest.raises(GeneralPositionError) as got:
             eta_prime(z, plane, 1)
         assert str(got.value) == "span of (1,) touches the hyperplane (distance 0)"
+
+
+def near_degenerate_vertices(rng, n, kind, plane):
+    """One corpus case: dyadic-rounded, nearly collinear, a vertex on the plane, or uniform."""
+    d = 2 * n + 1
+    s = int(rng.integers(1, 2 * n + 4))
+    z = rng.uniform(0.0, 1.0, (s, d))
+    if kind == "dyadic":
+        scale = 2.0 ** int(rng.integers(1, 4))
+        z = np.round(z * scale) / scale
+    elif kind == "collinear":
+        a, b = rng.uniform(0.0, 1.0, (2, d))
+        near = rng.uniform(size=s) < 0.6
+        t = rng.uniform(0.0, 1.0, (int(near.sum()), 1))
+        z[near] = a + t * (b - a) + rng.uniform(-3e-9, 3e-9, (int(near.sum()), d))
+    elif kind == "on-plane":
+        z[int(rng.integers(s)), list(plane.coords)] = [float(v) for v in plane.values]
+    return z
+
+
+class TestWidestFirst:
+    """eta and eta_prime measure the widest pairs first, then the full scan below SCAN_GUARD."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_full_scan_on_near_degenerate_sets(self, n):
+        rng = np.random.default_rng(600 + n)
+        planes = enumerate_hyperplanes(n, 40)
+        calls = raised = ties = 0
+        for kind in ("dyadic", "collinear", "on-plane", "uniform"):
+            for _ in range(24 if n < 3 else 12):
+                plane = planes[int(rng.integers(len(planes)))]
+                z = near_degenerate_vertices(rng, n, kind, plane)
+                widest_eta, widest_prime = min(len(z), 2 * n + 2), min(len(z), n + 1)
+                for run, full_scan, widest in (
+                    (lambda: eta(z, n), lambda: full_scan_eta(z, n), widest_eta),
+                    (lambda: eta_prime(z, plane, n), lambda: full_scan_eta_prime(z, plane, n),
+                     widest_prime),
+                ):
+                    calls += 1
+                    try:
+                        want, size = full_scan()
+                    except GeneralPositionError as exc:
+                        with pytest.raises(GeneralPositionError) as got:
+                            run()
+                        assert str(got.value) == str(exc)
+                        raised += 1
+                        continue
+                    got = run()
+                    if got != want:
+                        # an exact tie: the least pair of the full scan is
+                        # not a widest one, and a widest pair holding it
+                        # is as far up to rounding
+                        assert size < widest
+                        assert abs(got - want) <= 1e-14 * want
+                        ties += 1
+        assert raised >= calls // 10
+        assert ties <= calls // 50
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_widest_distances_keep_their_bytes(self, n):
+        rng = np.random.default_rng(650 + n)
+        for s in range(2, 10 if n < 3 else 9):
+            z = rng.uniform(0.0, 1.0, (s, 2 * n + 1))
+            groups = _disjoint_pairs(s, n)
+            sizes = [ia.shape[1] + ib.shape[1] for ia, ib in groups]
+            widest = [g for g, size in zip(groups, sizes) if size == max(sizes)]
+            rows = np.repeat(np.array(sizes) == max(sizes), [len(ia) for ia, _ in groups])
+            full = _span_distances(z, groups)
+            assert _span_distances(z, widest).tobytes() == full[rows].tobytes()
+
+    def test_guard_band_returns_full_scan_minimum(self, monkeypatch):
+        # vertex 0 sits 3.6e-7 off the plane and the edge to vertex 1 runs
+        # along the free axis, so subset (0,) and the widest subset (0, 1)
+        # are equally far; below SCAN_GUARD every group is measured again
+        # and the full scan's minimum is the value
+        plane = Hyperplane((0, 1), (F(1, 3), F(1, 2)))
+        v = np.array([1 / 3 + 3e-7, 0.5 - 2e-7, 0.2])
+        z = np.array([v, v + [0.0, 0.0, 0.5]])
+        zp, groups = _plane_groups(z, plane, 1)
+        widest = float(_span_distances(zp, groups[-1:]).min())
+        assert HULL_TOL < widest <= SCAN_GUARD
+        calls = []
+
+        def recording(vertices, groups):
+            calls.append([len(ia) for ia, _ in groups])
+            return _span_distances(vertices, groups)
+
+        monkeypatch.setattr(embedding, "_span_distances", recording)
+        assert eta_prime(z, plane, 1) == full_scan_eta_prime(z, plane, 1)[0]
+        # the widest group (0, 1) alone, then both groups of the full scan
+        assert calls == [[1], [2, 1]]
+
+    def test_cached_groups_are_read_only(self):
+        assert _disjoint_pairs(6, 1) is _disjoint_pairs(6, 1)
+        for ia, ib in _disjoint_pairs(6, 1):
+            for rows in (ia, ib):
+                with pytest.raises(ValueError):
+                    rows[0, 0] = 5
+        with pytest.raises(ValueError):
+            _subsets(6, 2)[0, 0] = 5
 
 
 class TestHyperplaneRowBytes:

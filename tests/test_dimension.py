@@ -124,6 +124,40 @@ class TestWitnessValidate:
             InessentialWitness(u, [[0.0, 1.0]])
 
 
+class TestPointIdRange:
+    """Point ids outside 0..p-1 are named, neither wrapped nor left to IndexError."""
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_every_route_names_pair_and_id(self, bad, side):
+        # pair 2's id 12 and pair 1's id 9 are not the least stray ones
+        a, b = ({bad}, {0}) if side == "A" else ({0}, {bad, 1, 9})
+        fam = DisjointPairFamily(
+            ((frozenset({0}), frozenset({2})), (frozenset(a), frozenset(b)),
+             (frozenset({12}), frozenset({1})))
+        )
+        message = rf"^pair 1 names point {bad} outside 0\.\.3$"
+        g = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(InputError, match=message):
+            separator_oracle(line_space(4), fam)
+        with pytest.raises(InputError, match=message):
+            inessential_witness_from_map(g, fam)
+        with pytest.raises(InputError, match=message):
+            map_oracle(g)(line_space(4), fam)
+        w = InessentialWitness(np.ones((3, 4)), np.zeros((3, 4)))
+        with pytest.raises(InputError, match=message):
+            w.validate(fam, 4)
+
+    @pytest.mark.parametrize("bad", [2**70, -(2**70)])
+    def test_ids_beyond_machine_integers(self, bad):
+        fam = DisjointPairFamily(((frozenset({0}), frozenset({2, bad})),))
+        message = rf"^pair 0 names point {bad} outside 0\.\.3$"
+        with pytest.raises(InputError, match=message):
+            separator_oracle(line_space(4), fam)
+        with pytest.raises(InputError, match=message):
+            InessentialWitness(np.ones((1, 4)), np.zeros((1, 4))).validate(fam, 4)
+
+
 class TestWitnessFromMap:
     def test_frozen_ramp_values(self):
         # two points, one pair; g sends point 0 to 0 and point 1 to 1
