@@ -1,138 +1,42 @@
-"""Cover calculus, order reduction, and staged cube embeddings on finite metric samples."""
+"""Cover calculus, order reduction, and staged cube embeddings on finite metric samples.
+
+The package exports what the scripts and the benchmark call, plus the error
+hierarchy; every other name is imported from its module.
+"""
 
 __version__ = "0.1.0"
 
-from .covers import (
-    Cover,
-    ShrinkResult,
-    closed_shrinking,
-    dedupe_by_support,
-    drop_empty_members,
-    is_point_star_refinement,
-    is_refinement,
-    meet,
-    order_of,
-    star,
-    star_of_member,
-    star_refinement,
-)
-from .dimension import (
-    DisjointPairFamily,
-    InessentialWitness,
-    inessential_witness_from_map,
-    map_oracle,
-    reduce_order,
-    separator_oracle,
-    shrink_to_empty_intersection,
-)
-from .embedding import (
-    AvoidedHyperplane,
-    EmbeddingResult,
-    Hyperplane,
-    KappaMap,
-    StageState,
-    active_indices,
-    ball_preimage_cover,
-    embedding_stage,
-    enumerate_hyperplanes,
-    eta,
-    eta_prime,
-    general_position,
-    initial_map,
-    kappa_map,
-    nobeling_embed,
-    pair_schedule,
-    result_from_json_bytes,
-    result_from_json_dict,
-    result_to_json_bytes,
-    result_to_json_dict,
-    stage_pairs,
-    stern_brocot_rationals,
-)
+from .covers import Cover, closed_shrinking, meet, order_of, star_refinement
+from .dimension import reduce_order, separator_oracle
+from .embedding import nobeling_embed, pair_schedule, result_from_json_bytes, result_to_json_bytes
 from .errors import CertificateError, DimlabError, GeneralPositionError, InputError
-from .harness import (
-    CertificateCheck,
-    CertificateReport,
-    open_image_certificate,
-    verify_nobeling_membership,
-    verify_result,
-)
-from .cli import cli_main
-from .metric import (
-    Ball,
-    SampledSpace,
-    ball_cozero,
-    center_distance,
-    complement_cozero,
-    enumerate_balls,
-    formally_included,
-    strictly_included,
-)
-from .nerve import SimplicialComplex, export_complex, import_complex, nerve_of
+from .harness import verify_nobeling_membership, verify_result
+from .metric import Ball, SampledSpace, ball_cozero, complement_cozero
+from .nerve import export_complex, nerve_of
 
 __all__ = [
     "__version__",
-    "AvoidedHyperplane",
     "Ball",
-    "CertificateCheck",
     "CertificateError",
-    "CertificateReport",
     "Cover",
     "DimlabError",
-    "DisjointPairFamily",
-    "EmbeddingResult",
     "GeneralPositionError",
-    "Hyperplane",
-    "InessentialWitness",
     "InputError",
-    "KappaMap",
     "SampledSpace",
-    "ShrinkResult",
-    "SimplicialComplex",
-    "StageState",
-    "active_indices",
     "ball_cozero",
-    "ball_preimage_cover",
-    "center_distance",
-    "cli_main",
     "closed_shrinking",
     "complement_cozero",
-    "dedupe_by_support",
-    "drop_empty_members",
-    "embedding_stage",
-    "enumerate_balls",
-    "enumerate_hyperplanes",
-    "eta",
-    "eta_prime",
     "export_complex",
-    "formally_included",
-    "general_position",
-    "import_complex",
-    "inessential_witness_from_map",
-    "initial_map",
-    "is_point_star_refinement",
-    "is_refinement",
-    "kappa_map",
-    "map_oracle",
     "meet",
     "nerve_of",
     "nobeling_embed",
-    "open_image_certificate",
     "order_of",
     "pair_schedule",
     "reduce_order",
     "result_from_json_bytes",
-    "result_from_json_dict",
     "result_to_json_bytes",
-    "result_to_json_dict",
     "separator_oracle",
-    "shrink_to_empty_intersection",
-    "stage_pairs",
-    "star",
-    "stern_brocot_rationals",
-    "star_of_member",
     "star_refinement",
-    "strictly_included",
     "verify_nobeling_membership",
     "verify_result",
 ]

@@ -23,7 +23,7 @@ from .embedding import (
     result_to_json_bytes,
 )
 from .errors import CertificateError, DimlabError, InputError
-from .harness import CertificateReport, verify_nobeling_membership, verify_result
+from .harness import verify_result
 from .metric import SampledSpace, _float_array, _reject_json_constant
 from .nerve import export_complex, nerve_of
 
@@ -127,8 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--result", required=True)
     p.add_argument("--space", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--membership", action="store_true",
-                   help="also check per-hyperplane equation clearances")
     return parser
 
 
@@ -189,8 +187,6 @@ def _run(args: argparse.Namespace) -> int:
         with open(args.result, "rb") as fh:
             result = result_from_json_bytes(fh.read())
         report = verify_result(result, space, args.n)
-        if args.membership:
-            report = CertificateReport(report.checks + verify_nobeling_membership(result).checks)
         sys.stdout.write(_dump(report.to_json_dict()).decode("utf-8") + "\n")
         return 0 if report.overall else 1
     raise InputError(f"unknown command {args.command!r}")

@@ -173,23 +173,6 @@ def order_of(c: Cover) -> int:
     return int(c.supports().sum(axis=0).max()) - 1
 
 
-def is_refinement(v: Cover, u: Cover) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether every member of ``v`` sits inside some member of ``u``.
-
-    On success the witness maps each index j of ``v`` to the least index i
-    with support(v_j) inside support(u_i). Empty members of ``v`` refine
-    everything and map to index 0.
-    """
-    vs = v.supports()
-    us = u.supports()
-    # containment[j, i] is true when v_j subset u_i on the sample
-    containment = ~(vs[:, None, :] & ~us[None, :, :]).any(axis=2)
-    ok = containment.any(axis=1)
-    if not ok.all():
-        return False, None
-    return True, tuple(int(containment[j].argmax()) for j in range(v.size))
-
-
 def closed_shrinking(c: Cover) -> ShrinkResult:
     """Simultaneous open/closed shrinking of a covering family.
 

@@ -252,16 +252,16 @@ def general_position(
     """Move each target at most eps so no m+2 outputs sit in an m-flat.
 
     Affine independence is required of every subset of size up to d+1
-    (singular values above ``tol``). A target with a constraint hyperplane
-    must lie within eps of it; its fixed coordinates are set to the
-    plane's values and never perturbed, so the output stays exactly on
-    the hyperplane. If ``box`` is given, unconstrained points are clipped
-    into it (constrained points must land inside on their own). Round 0
-    tries the projected targets unperturbed; later rounds redraw uniform
-    perturbations of Euclidean size <= eps/2 (on the free coordinates
-    only, for a constrained point) from a generator seeded by ``seed``,
-    so results are reproducible. Exhausting the round budget raises and
-    names the last violating subset.
+    (singular values above ``tol``, which must be finite and nonnegative).
+    A target with a constraint hyperplane must lie within eps of it; its
+    fixed coordinates are set to the plane's values and never perturbed,
+    so the output stays exactly on the hyperplane. If ``box`` is given,
+    unconstrained points are clipped into it (constrained points must land
+    inside on their own). Round 0 tries the projected targets unperturbed;
+    later rounds redraw uniform perturbations of Euclidean size <= eps/2
+    (on the free coordinates only, for a constrained point) from a
+    generator seeded by ``seed``, so results are reproducible. Exhausting
+    the round budget raises and names the last violating subset.
     """
     pts = _float_array(targets, "targets")
     if pts.ndim != 2:
@@ -269,6 +269,8 @@ def general_position(
     k, d = pts.shape
     if not (eps > 0):
         raise InputError("perturbation budget must be positive")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"rank tolerance must be finite and nonnegative, got {tol!r}")
     planes: list[Hyperplane | None] = list(constraints) if constraints else [None] * k
     if len(planes) != k:
         raise InputError("need one constraint entry (possibly None) per target")
@@ -325,12 +327,6 @@ def general_position(
 
 # ---------------------------------------------------------------------------
 # kappa maps and separation quantities
-
-
-def active_indices(cozeros: Cover, x: int) -> frozenset[int]:
-    """Indices of the members positive at sample point x."""
-    col = cozeros.matrix[:, x]
-    return frozenset(int(i) for i in np.nonzero(col > 0.0)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""Re-verification of embedding results and open-image certificates.
+"""Re-verification of embedding results.
 
 Everything here recomputes from raw stage data; stored margins and
 booleans are treated as claims to be checked, never as evidence. Each
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,18 +25,12 @@ from .embedding import (
     eta_prime,
     kappa_map,
     pair_schedule,
-    _lattice_blocks,
     _stage_covers,
     _stage_vertices,
     _subset_sigmas,
 )
-from .errors import CertificateError, GeneralPositionError, InputError
-from .metric import (
-    _CHUNK_FLOATS,
-    Ball,
-    SampledSpace,
-    formally_included,
-)
+from .errors import GeneralPositionError, InputError
+from .metric import SampledSpace
 
 
 @dataclass(frozen=True)
@@ -242,16 +235,16 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
     return CertificateReport(tuple(checks))
 
 
-def verify_nobeling_membership(r: EmbeddingResult, T: int | None = None) -> CertificateReport:
+def verify_nobeling_membership(r: EmbeddingResult) -> CertificateReport:
     """Check every image point clears every handled hyperplane's equations.
 
     For each avoided hyperplane, every point must violate at least one of
     its defining equations, by at least the recorded per-plane margin.
+    :func:`verify_result`'s ``equation-margin`` check asks for equality
+    with that margin, so it implies this one.
     """
-    count = len(r.avoided) if T is None else min(T, len(r.avoided))
     checks: list[CertificateCheck] = []
-    for t in range(count):
-        av = r.avoided[t]
+    for t, av in enumerate(r.avoided):
         eqs = av.hyperplane.equation_violation(r.f)
         worst = int(eqs.argmin())
         margin = float(eqs[worst])
@@ -262,97 +255,3 @@ def verify_nobeling_membership(r: EmbeddingResult, T: int | None = None) -> Cert
             )
         )
     return CertificateReport(tuple(checks))
-
-
-def _resolve_ball_indices(
-    u: Sequence, balls: Sequence[Ball], space: SampledSpace
-) -> list[int]:
-    indices = []
-    for item in u:
-        if isinstance(item, (int, np.integer)):
-            if not 0 <= int(item) < len(balls):
-                raise InputError(f"ball index {int(item)} outside the enumeration")
-            indices.append(int(item))
-            continue
-        if isinstance(item, Ball):
-            for i, b in enumerate(balls):
-                if b.radius == item.radius and (
-                    isinstance(b.center, (int, np.integer))
-                    and isinstance(item.center, (int, np.integer))
-                    and int(b.center) == int(item.center)
-                ):
-                    indices.append(i)
-                    break
-            else:
-                raise InputError("ball is not part of the enumerated list")
-            continue
-        raise InputError("open sets must be given as enumerated ball indices")
-    return indices
-
-
-def open_image_certificate(
-    r: EmbeddingResult,
-    u: Sequence,
-    balls: Sequence[Ball],
-    space: SampledSpace,
-) -> list[Ball]:
-    """Image-side balls whose union equals f[u] on the sample.
-
-    ``u`` is a union of enumerated balls (by index or Ball). Candidates
-    come from stages whose outer ball is a component of u: grid points
-    within eta_t/4 of a sample image, radius eta_t/4. A candidate is kept
-    iff some enumerated ball with nonempty sample support maps entirely
-    into it and is formally included in the stage's inner ball; the
-    stage-pair property then pins the candidate's whole preimage inside
-    the outer component. The kept list is verified extensionally: the
-    sample points of u must be exactly those mapped into the union.
-    """
-    comp = _resolve_ball_indices(u, balls, space)
-    if not comp:
-        return []
-    ball_supports = np.array([space.distances_from(b.center) < b.radius for b in balls])
-    in_u = ball_supports[comp].any(axis=0)
-
-    f = r.f
-    d = f.shape[1]
-    kept: list[Ball] = []
-    seen: set[tuple] = set()
-    for st in r.stages:
-        inner, outer = st.pair_code
-        if outer not in comp:
-            continue
-        rho = st.eta / 4.0
-        if math.isinf(rho):
-            continue
-        included = [
-            k
-            for k, b in enumerate(balls)
-            if ball_supports[k].any() and formally_included(b, balls[inner], space)
-        ]
-        if not included:
-            continue
-        m = max(1, math.ceil(8.0 * math.sqrt(d) / st.eta))
-        supports = ball_supports[included]
-        for cells, g, dist in _lattice_blocks(f, rho, m, _CHUNK_FLOATS):
-            pre = dist < rho
-            # a cell is kept when some included (nonempty) support lies inside pre
-            hit = ~((~pre) @ supports.T).all(axis=1)
-            for i in np.nonzero(hit)[0]:
-                key = (tuple(cells[i].tolist()), rho)
-                if key not in seen:
-                    seen.add(key)
-                    kept.append(Ball(center=g[i], radius=rho))
-
-    covered = np.zeros(space.size, dtype=bool)
-    for j in kept:
-        covered |= np.linalg.norm(f - np.asarray(j.center), axis=1) < j.radius
-    for x in range(space.size):
-        if in_u[x] and not covered[x]:
-            raise CertificateError(
-                f"image of point {x} is not certified open (no kept ball reaches it)"
-            )
-        if covered[x] and not in_u[x]:
-            raise CertificateError(
-                f"kept balls leak outside the open set at point {x}"
-            )
-    return kept

@@ -9,9 +9,8 @@ whose strict-positivity locus is the open set. Families of open sets are
 come with two canonical cozero vectors, one for the ball itself and one for
 the complement of its formal closure.
 
-Points are identified by their index in the sample. Ball centers may be
-point indices or ambient coordinate vectors (the latter only when the space
-carries coordinates).
+Points are identified by their index in the sample, and a ball is centred
+at a sample point.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -31,8 +30,6 @@ DISTANCE_TOL = 1e-9
 
 # Floats per broadcast block in the triangle check and the lattice cover (8 MiB).
 _CHUNK_FLOATS = 1 << 20
-
-Center = Union[int, np.ndarray]
 
 
 def _float_array(value, what: str) -> np.ndarray:
@@ -199,51 +196,24 @@ class SampledSpace:
             raise InputError(f"unknown point identifier: {i!r}")
         return int(i)
 
-    def distances_from(self, center: Center) -> np.ndarray:
-        """Distances from every sample point to ``center``."""
-        if isinstance(center, (int, np.integer)):
-            return self.dist[self.check_point(center)]
-        c = np.asarray(center, dtype=float)
-        if self.coords is None:
-            raise InputError("ambient-vector centers require a space with coordinates")
-        if c.shape != (self.coords.shape[1],):
-            raise InputError(
-                f"center has dimension {c.shape}, expected ({self.coords.shape[1]},)"
-            )
-        diff = self.coords - c[None, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
+    def distances_from(self, center: int) -> np.ndarray:
+        """Distances from every sample point to the point ``center``."""
+        return self.dist[self.check_point(center)]
 
 
 @dataclass(frozen=True, eq=False)
 class Ball:
-    """An open metric ball, given by a center and a positive radius."""
+    """An open metric ball, given by a center point index and a positive radius."""
 
-    center: Center
+    center: int
     radius: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise InputError(f"ball radius must be positive, got {self.radius!r}")
-        if not isinstance(self.center, (int, np.integer)):
-            object.__setattr__(self, "center", _as_readonly(np.atleast_1d(self.center)))
-        else:
-            object.__setattr__(self, "center", int(self.center))
-
-
-def center_distance(b1: Ball, b2: Ball, space: SampledSpace | None = None) -> float:
-    """Distance between two ball centers, using ``space`` for point ids."""
-    c1, c2 = b1.center, b2.center
-    if isinstance(c1, int) or isinstance(c2, int):
-        if space is None:
-            raise InputError("point-id centers require the sampled space")
-        if isinstance(c1, int) and isinstance(c2, int):
-            return float(space.dist[space.check_point(c1), space.check_point(c2)])
-        if isinstance(c1, int):
-            return float(space.distances_from(c2)[space.check_point(c1)])
-        return float(space.distances_from(c1)[space.check_point(c2)])
-    if c1.shape != c2.shape:
-        raise InputError("ball centers live in different ambient dimensions")
-    return float(np.sqrt(((c1 - c2) ** 2).sum()))
+        if isinstance(self.center, bool) or not isinstance(self.center, (int, np.integer)):
+            raise InputError(f"ball center must be a point index, got {self.center!r}")
+        object.__setattr__(self, "center", int(self.center))
 
 
 def ball_cozero(space: SampledSpace, ball: Ball) -> np.ndarray:
@@ -264,22 +234,14 @@ def complement_cozero(space: SampledSpace, ball: Ball) -> np.ndarray:
     return _as_readonly(np.minimum(1.0, np.maximum(0.0, d - ball.radius)))
 
 
-def formally_included(b1: Ball, b2: Ball, space: SampledSpace | None = None) -> bool:
-    """Center-distance test d(c1, c2) <= r2 - r1.
-
-    It implies that the formal closure of ``b1`` sits inside the formal
-    closure of ``b2``, by the triangle inequality.
-    """
-    return center_distance(b1, b2, space) <= b2.radius - b1.radius
-
-
-def strictly_included(b1: Ball, b2: Ball, space: SampledSpace | None = None) -> bool:
+def strictly_included(b1: Ball, b2: Ball, space: SampledSpace) -> bool:
     """Strict center-distance test d(c1, c2) < r2 - r1.
 
     Strict inclusion puts the formal closure of ``b1`` inside the open ball
-    ``b2``, which is what the two-member separating covers below need.
+    ``b2``, which is what the two-member separating covers need.
     """
-    return center_distance(b1, b2, space) < b2.radius - b1.radius
+    d = space.dist[space.check_point(b1.center), space.check_point(b2.center)]
+    return float(d) < b2.radius - b1.radius
 
 
 def _ball_radii(space: SampledSpace, radii_depth: int) -> list[float]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .covers import Cover
 from .errors import InputError
-from .metric import _as_readonly, _reject_json_constant
+from .metric import _reject_json_constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,13 +24,11 @@ class SimplicialComplex:
     """Abstract simplicial complex on vertices 0..vertex_count-1.
 
     ``facets`` generates the complex: the constructor takes any nonempty
-    faces and keeps the maximal ones. ``realization`` optionally places
-    each vertex in an ambient space, one row per vertex.
+    faces and keeps the maximal ones.
     """
 
     vertex_count: int
     facets: frozenset[frozenset[int]]
-    realization: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
@@ -47,11 +45,6 @@ class SimplicialComplex:
             larger = tuple(facets)
             facets += [s for s in faces if len(s) == size and not any(s < f for f in larger)]
         object.__setattr__(self, "facets", frozenset(facets))
-        if self.realization is not None:
-            r = _as_readonly(np.atleast_2d(np.asarray(self.realization, dtype=float)))
-            if r.shape[0] != self.vertex_count:
-                raise InputError("realization must place every vertex")
-            object.__setattr__(self, "realization", r)
 
     @property
     def dim(self) -> int:
@@ -88,41 +81,32 @@ def nerve_of(cover: Cover) -> SimplicialComplex:
     return SimplicialComplex(cover.size, frozenset(active - {frozenset()}))
 
 
-def export_complex(complex: SimplicialComplex, realization: np.ndarray | None = None) -> bytes:
+def export_complex(complex: SimplicialComplex) -> bytes:
     """Serialize to canonical JSON bytes; identical input, identical bytes.
 
-    Faces are sorted by (size, lexicographic). Coordinates appear only
-    when a realization is supplied here or stored on the complex.
+    Faces are sorted by (size, lexicographic).
     """
-    coords = realization if realization is not None else complex.realization
-    doc: dict = {"vertices": complex.vertex_count, "simplices": complex.sorted_faces()}
-    if coords is not None:
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        if coords.shape[0] != complex.vertex_count:
-            raise InputError("realization must place every vertex")
-        doc["coords"] = [[repr(float(v)) for v in row] for row in coords]
+    doc = {"vertices": complex.vertex_count, "simplices": complex.sorted_faces()}
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
 def import_complex(data: bytes) -> SimplicialComplex:
     """Parse a complex document; its faces may repeat but must be downward closed.
 
-    Coordinates must be finite: the ``NaN`` and ``Infinity`` literals and
-    strings such as ``"nan"`` are an :class:`InputError`.
+    The document holds exactly the keys ``vertices`` and ``simplices``; any
+    other key, such as coordinates, is an :class:`InputError`.
     """
     try:
         doc = json.loads(data.decode("utf-8"), parse_constant=_reject_json_constant)
+        extra = sorted(set(doc) - {"vertices", "simplices"}) if isinstance(doc, dict) else []
+        if extra:
+            raise ValueError(f"unknown keys {extra}; a complex holds vertices and simplices")
         count, faces = doc["vertices"], frozenset(map(frozenset, doc["simplices"]))
         if type(count) is not int or any(type(v) is not int for s in faces for v in s):
             raise TypeError("the vertex count and every face vertex must be integers")
-        coords = doc.get("coords")
-        realization = None if coords is None else np.array(
-            [[float(v) for v in row] for row in coords])
-        if realization is not None and not np.isfinite(realization).all():
-            raise ValueError("coordinates must be finite")
     except (UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"not a complex document: {exc}") from exc
-    out = SimplicialComplex(count, faces, realization)
+    out = SimplicialComplex(count, faces)
     if faces != out.simplices:
         raise InputError("complex document's faces are not downward closed")
     return out

@@ -72,6 +72,17 @@ def brute_force_order(c: Cover) -> int:
     return int(sup.sum(axis=0).max()) - 1
 
 
+def refines(v: Cover, u: Cover) -> bool:
+    """Whether every member of v has its support inside some member of u."""
+    vs, us = v.supports(), u.supports()
+    return all(any(not (vs[j] & ~us[i]).any() for i in range(u.size)) for j in range(v.size))
+
+
+def active_members(c: Cover, x: int) -> list[int]:
+    """Indices of the members positive at sample point x, in increasing order."""
+    return [i for i in range(c.size) if c.matrix[i, x] > 0.0]
+
+
 def segment_distance(p1, p2, q1, q2) -> float:
     """Closed-form distance between segments [p1,p2] and [q1,q2].
 

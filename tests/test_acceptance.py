@@ -18,27 +18,34 @@ import scipy.optimize
 
 from dimlab import (
     Cover,
-    active_indices,
     ball_cozero,
     closed_shrinking,
     complement_cozero,
-    enumerate_balls,
-    general_position,
-    is_refinement,
-    kappa_map,
     nerve_of,
     nobeling_embed,
     order_of,
     reduce_order,
-    result_from_json_dict,
     result_to_json_bytes,
-    result_to_json_dict,
     separator_oracle,
     star_refinement,
     verify_result,
 )
+from dimlab.metric import enumerate_balls
+from dimlab.embedding import (
+    general_position,
+    kappa_map,
+    result_from_json_dict,
+    result_to_json_dict,
+)
 
-from conftest import line_space, random_ball_cover, random_value_cover, square_space
+from conftest import (
+    active_members,
+    line_space,
+    random_ball_cover,
+    random_value_cover,
+    refines,
+    square_space,
+)
 
 EPS_GENPOS = 1e-2
 RANK_TOL = 1e-9
@@ -134,8 +141,7 @@ def test_criterion_3_order_reduction():
     for space, cover, n in reduce_instances():
         out = reduce_order(space, cover, n, separator_oracle)
         assert out.is_covering(), "reduced family does not cover"
-        ok, _ = is_refinement(out, cover)
-        assert ok, "reduced family does not refine the input"
+        assert refines(out, cover), "reduced family does not refine the input"
         sup = out.supports()
         for combo in itertools.combinations(range(out.size), n + 2):
             common = np.logical_and.reduce(sup[list(combo)])
@@ -199,7 +205,7 @@ def test_criterion_6_kappa_mapping():
         worst = np.abs(km.weights.sum(axis=1) - 1.0).max()
         assert worst <= WEIGHT_TOL, f"weight row off by {worst}"
         for x in range(space.size):
-            active = sorted(active_indices(cover, x))
+            active = active_members(cover, x)
             system = np.vstack([vertices[active].T, np.ones(len(active))])
             rhs = np.concatenate([km.values[x], [1.0]])
             _, residual = scipy.optimize.nnls(system, rhs)

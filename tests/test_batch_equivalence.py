@@ -22,29 +22,27 @@ from dimlab import (
     CertificateError,
     Cover,
     GeneralPositionError,
-    Hyperplane,
     InputError,
     SampledSpace,
-    ball_preimage_cover,
-    dedupe_by_support,
-    enumerate_balls,
-    enumerate_hyperplanes,
-    eta,
-    eta_prime,
     pair_schedule,
-    stage_pairs,
-    strictly_included,
 )
 from dimlab import embedding, metric
-from dimlab.metric import DISTANCE_TOL
+from dimlab.metric import DISTANCE_TOL, enumerate_balls, strictly_included
+from dimlab.covers import dedupe_by_support
 from dimlab.embedding import (
     HULL_TOL,
     SCAN_GUARD,
+    Hyperplane,
     _disjoint_pairs,
     _lattice_cells,
     _plane_groups,
     _span_distances,
     _subsets,
+    ball_preimage_cover,
+    enumerate_hyperplanes,
+    eta,
+    eta_prime,
+    stage_pairs,
 )
 from conftest import line_space, square_space
 

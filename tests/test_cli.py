@@ -6,15 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from dimlab import (
-    CertificateReport,
-    Cover,
-    cli_main,
-    order_of,
-    result_from_json_bytes,
-    verify_nobeling_membership,
-    verify_result,
-)
+from dimlab import Cover, order_of, result_from_json_bytes, verify_result
+from dimlab.cli import cli_main
 
 from conftest import brute_force_order, line_space
 
@@ -41,6 +34,10 @@ def test_unknown_flag_exits_2(workdir):
     tmp, _, _ = workdir
     with pytest.raises(SystemExit) as exc:
         cli_main(["cover", "order", "--space", str(tmp / "space.json"), "--no-such-flag"])
+    assert exc.value.code == 2
+    # verify has no --membership: every report's equation-margin is the stricter check
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "--result", "R", "--space", "S", "--n", "1", "--membership"])
     assert exc.value.code == 2
 
 
@@ -181,13 +178,12 @@ def test_embed_verify_roundtrip(workdir, capsys):
             str(tmp / "space.json"),
             "--n",
             "0",
-            "--membership",
         ]
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["overall"] is True
-    assert any(c["name"] == "rational-avoidance" for c in report["checks"])
+    assert any(c["name"] == "equation-margin" for c in report["checks"])
 
 
 def test_verify_rejects_tampered_result(workdir, capsys):
@@ -388,14 +384,11 @@ def test_verify_prints_library_report(workdir, capsys):
     assert cli_main(argv + ["--out", str(result_path)]) == 0
     result = result_from_json_bytes(result_path.read_bytes())
     verify = ["verify", "--result", str(result_path), "--space", str(tmp / "space.json")]
-    for membership in ([], ["--membership"]):
-        capsys.readouterr()
-        assert cli_main(verify + ["--n", "0"] + membership) == 0
-        report = verify_result(result, space, 0)
-        if membership:
-            report = CertificateReport(report.checks + verify_nobeling_membership(result).checks)
-        canonical = json.dumps(report.to_json_dict(), separators=(",", ":"), allow_nan=False)
-        assert capsys.readouterr().out == canonical + "\n"
+    capsys.readouterr()
+    assert cli_main(verify + ["--n", "0"]) == 0
+    report = verify_result(result, space, 0)
+    canonical = json.dumps(report.to_json_dict(), separators=(",", ":"), allow_nan=False)
+    assert capsys.readouterr().out == canonical + "\n"
 
 
 @pytest.mark.parametrize(
@@ -422,6 +415,17 @@ def test_genpos_tolerance_is_read(workdir, capsys):
     assert cli_main(argv) == 0
     assert cli_main(argv + ["--tolerance", "1e-3"]) == 1
     assert "general-position" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_genpos_bad_tolerance_exits_2(workdir, capsys, tolerance):
+    # three collinear targets, which a NaN or negative tolerance used to pass unmoved
+    tmp, _, _ = workdir
+    (tmp / "targets.json").write_text(json.dumps({"targets": [[0.2, 0.2], [0.7, 0.2], [0.45, 0.2]]}))
+    argv = ["genpos", "--targets", str(tmp / "targets.json"), "--eps", "1e-6"]
+    assert cli_main(argv + ["--tolerance", tolerance]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: rank tolerance must be finite and nonnegative, got {float(tolerance)!r}\n")
 
 
 def test_bad_env_seed_exits_2(workdir, capsys, monkeypatch):

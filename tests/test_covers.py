@@ -5,25 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimlab import (
-    Cover,
-    InputError,
-    closed_shrinking,
+from dimlab import Cover, InputError, closed_shrinking, meet, order_of, star_refinement
+from dimlab.covers import (
     dedupe_by_support,
     drop_empty_members,
     is_point_star_refinement,
-    is_refinement,
-    meet,
-    order_of,
     star,
     star_of_member,
-    star_refinement,
 )
 from conftest import (
     brute_force_order,
     line_space,
     random_ball_cover,
     random_value_cover,
+    refines,
     square_space,
 )
 
@@ -150,8 +145,8 @@ class TestMeet:
         a = random_ball_cover(s, 3, rng)
         b = random_ball_cover(s, 4, rng)
         m = meet(a, b)
-        assert is_refinement(m, a)[0]
-        assert is_refinement(m, b)[0]
+        assert refines(m, a)
+        assert refines(m, b)
 
 
 class TestStarRefinement:
@@ -203,19 +198,6 @@ class TestOrderAndHygiene:
         assert d.size == 2
         assert d.matrix[0].tolist() == [1.0, 1.0]
         assert d.matrix[1].tolist() == [1.0, 0.0]
-
-    def test_is_refinement_witness(self):
-        u = small_cover([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-        v = small_cover([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        ok, witness = is_refinement(v, u)
-        assert ok
-        assert witness == (0, 1, 0)
-
-    def test_is_refinement_failure(self):
-        u = small_cover([[1.0, 0.0], [0.0, 1.0]])
-        v = small_cover([[1.0, 1.0]])
-        ok, witness = is_refinement(v, u)
-        assert not ok and witness is None
 
 
 covers_strategy = st.integers(min_value=1, max_value=5).flatmap(

@@ -7,21 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimlab import (
-    CertificateError,
-    Cover,
+from dimlab import Cover, InputError, order_of, reduce_order, separator_oracle
+from dimlab.dimension import (
     DisjointPairFamily,
     InessentialWitness,
-    InputError,
     inessential_witness_from_map,
-    is_refinement,
     map_oracle,
-    order_of,
-    reduce_order,
-    separator_oracle,
     shrink_to_empty_intersection,
 )
-from conftest import line_space, random_ball_cover, random_value_cover, square_space
+from conftest import line_space, random_ball_cover, random_value_cover, refines, square_space
 
 
 class TestDisjointPairFamily:
@@ -250,7 +244,7 @@ class TestReduceOrder:
             assert reduced.is_covering()
             assert order_of(reduced) <= n
             assert brute_force_max_multiplicity_ok(reduced, n)
-            assert is_refinement(reduced, c)[0]
+            assert refines(reduced, c)
             assert reduced.size == c.size
 
     def test_shrinks_member_wise(self, rng):
@@ -281,4 +275,4 @@ def test_reduce_order_property(seed, n):
     reduced = reduce_order(s, c, n, separator_oracle)
     assert reduced.is_covering()
     assert order_of(reduced) <= n
-    assert is_refinement(reduced, c)[0]
+    assert refines(reduced, c)

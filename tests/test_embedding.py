@@ -13,10 +13,15 @@ from dimlab import (
     CertificateError,
     Cover,
     GeneralPositionError,
-    Hyperplane,
     InputError,
     SampledSpace,
-    active_indices,
+    nobeling_embed,
+    pair_schedule,
+    result_from_json_bytes,
+    result_to_json_bytes,
+)
+from dimlab.embedding import (
+    Hyperplane,
     ball_preimage_cover,
     embedding_stage,
     enumerate_hyperplanes,
@@ -25,15 +30,12 @@ from dimlab import (
     general_position,
     initial_map,
     kappa_map,
-    nobeling_embed,
-    pair_schedule,
-    result_from_json_bytes,
-    result_to_json_bytes,
     stage_pairs,
     stern_brocot_rationals,
 )
-from dimlab.metric import enumerate_balls
+from dimlab.metric import enumerate_balls, strictly_included
 from conftest import (
+    active_members,
     grid_square_space,
     line_space,
     point_segment_distance,
@@ -257,8 +259,7 @@ class TestKappa:
             assert np.abs(km.weights.sum(axis=1) - 1.0).max() <= 1e-12
             assert (km.weights >= 0.0).all()
             for x in range(s.size):
-                sup = frozenset(np.nonzero(km.weights[x] > 0.0)[0])
-                assert sup == active_indices(c, x)
+                assert np.flatnonzero(km.weights[x] > 0.0).tolist() == active_members(c, x)
 
     def test_values_in_convex_hull_feasibility(self, rng):
         """Independent hull check: nonnegative least squares on [z; 1]."""
@@ -389,8 +390,6 @@ class TestStagePairs:
         assert deep[: len(shallow)] == shallow
 
     def test_pairs_are_strict_inclusions(self):
-        from dimlab import strictly_included
-
         s = line_space(6)
         balls = enumerate_balls(s, 2)
         for q, m in stage_pairs(s, 2):

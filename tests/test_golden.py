@@ -1,13 +1,12 @@
-"""Pinned result, report, nerve, pair and open-image bytes: sha256 of fixed runs.
+"""Pinned result, report, nerve and pair bytes: sha256 of fixed runs.
 
 Criterion 9 compares two runs of the same code; the result hashes were
 taken from the per-cell and per-pair implementations of the lattice cover
 and the span distances, the report hashes from the verifier before the
 builder and verifier shared their stage-cover and subset-sigma code, the
-nerve hashes from the complex that stored every face, the pair hashes
-from the ball-by-ball strict-inclusion loop and the open-image hash from
-the cell-by-cell certificate, so any drift in output between versions
-shows here.
+nerve hashes from the complex that stored every face and the pair hashes
+from the ball-by-ball strict-inclusion loop, so any drift in output
+between versions shows here.
 """
 
 import hashlib
@@ -21,22 +20,19 @@ from dimlab import (
     Cover,
     ball_cozero,
     complement_cozero,
-    enumerate_balls,
     export_complex,
     meet,
     nerve_of,
     nobeling_embed,
-    open_image_certificate,
     order_of,
     pair_schedule,
     reduce_order,
     result_to_json_bytes,
     separator_oracle,
-    stage_pairs,
     star_refinement,
     verify_result,
 )
-from dimlab import harness
+from dimlab.embedding import stage_pairs
 from conftest import (
     grid_square_space,
     line_space,
@@ -141,19 +137,3 @@ def test_pair_schedule_pinned():
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
         "39afcee10bf6629bab14f743c4b84daabfeee62e1522c03be39f6c3453df3a0c"
     )
-
-
-@pytest.mark.parametrize("chunk", [None, 4096], ids=["one-block", "many-blocks"])
-def test_open_image_kept_balls_pinned(monkeypatch, chunk):
-    """Kept balls for ball 0 of the 8-point line, n=1, T=16: centres and radii."""
-    if chunk is not None:
-        monkeypatch.setattr(harness, "_CHUNK_FLOATS", chunk)
-    space = line_space(8)
-    r = nobeling_embed(space, n=1, T=16, seed=0)
-    kept = open_image_certificate(r, [0], enumerate_balls(space, 4), space)
-    assert len(kept) == 1907
-    h = hashlib.sha256()
-    for b in kept:
-        h.update(np.asarray(b.center, dtype=float).tobytes())
-        h.update(repr(float(b.radius)).encode())
-    assert h.hexdigest() == "76f811a59360ff48bd1edf96a6c5666f931930a1f8b49070ad14d77a547dc45f"

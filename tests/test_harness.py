@@ -1,25 +1,11 @@
-"""Re-verification harness: full recheck, tamper detection, image openness."""
+"""Re-verification harness: full recheck and tamper detection."""
 
 import json
 
-import numpy as np
 import pytest
 
-from dimlab import (
-    Ball,
-    CertificateError,
-    InputError,
-    SampledSpace,
-    enumerate_balls,
-    nobeling_embed,
-    open_image_certificate,
-    result_from_json_bytes,
-    result_from_json_dict,
-    result_to_json_bytes,
-    result_to_json_dict,
-    verify_nobeling_membership,
-    verify_result,
-)
+from dimlab import InputError, nobeling_embed, verify_nobeling_membership, verify_result
+from dimlab.embedding import result_from_json_dict, result_to_json_dict
 from conftest import line_space
 
 
@@ -279,10 +265,6 @@ class TestVerifyMembership:
             assert c.name == "rational-avoidance"
             assert c.margin > 0.0
 
-    def test_prefix_argument(self, line_run):
-        _, r = line_run
-        assert len(verify_nobeling_membership(r, T=2).checks) == 2
-
     def test_detects_forged_margin(self, line_run):
         _, r = line_run
 
@@ -291,73 +273,3 @@ class TestVerifyMembership:
 
         report = verify_nobeling_membership(tampered(r, mutate))
         assert not report.overall
-
-
-@pytest.fixture(scope="module")
-def interval_run():
-    space = line_space(4)
-    r = nobeling_embed(space, n=0, T=10, seed=0)
-    # certification needs balls small enough to have singleton supports
-    # (the run's own depth stops at radius 1/2, which never does)
-    balls = enumerate_balls(space, 3)
-    return space, r, balls
-
-
-class TestOpenImageCertificate:
-
-    def test_single_ball_component(self, interval_run):
-        space, r, balls = interval_run
-        kept = open_image_certificate(r, [0], balls, space)
-        assert kept
-        # extensional containment, rechecked from scratch
-        in_u = space.distances_from(balls[0].center) < balls[0].radius
-        covered = np.zeros(space.size, dtype=bool)
-        for b in kept:
-            covered |= np.linalg.norm(r.f - np.asarray(b.center), axis=1) < b.radius
-        assert np.array_equal(covered, in_u)
-
-    def test_whole_space_component(self, interval_run):
-        space, r, balls = interval_run
-        kept = open_image_certificate(r, [0, 1, 2, 3], balls, space)
-        covered = np.zeros(space.size, dtype=bool)
-        for b in kept:
-            covered |= np.linalg.norm(r.f - np.asarray(b.center), axis=1) < b.radius
-        assert covered.all()
-
-    def test_empty_component(self, interval_run):
-        space, r, balls = interval_run
-        assert open_image_certificate(r, [], balls, space) == []
-
-    def test_accepts_ball_objects(self, interval_run):
-        space, r, balls = interval_run
-        by_index = open_image_certificate(r, [0], balls, space)
-        by_ball = open_image_certificate(r, [balls[0]], balls, space)
-        assert len(by_index) == len(by_ball)
-
-    def test_rejects_unknown_ball(self, interval_run):
-        space, r, balls = interval_run
-        with pytest.raises(InputError):
-            open_image_certificate(r, [10**6], balls, space)
-        with pytest.raises(InputError):
-            open_image_certificate(
-                r, [Ball(center=0, radius=0.123456)], balls, space
-            )
-
-    def test_eight_point_line_ball(self):
-        """One enumerated ball on the 8-point line sample.
-
-        Sixteen stages are the least that handle the pair (ball 11, ball 0),
-        after which the handled inner balls around points 0..3 blanket all
-        seven support points of ball 0; shorter runs leave the far points
-        of the component with no certifying stage.
-        """
-        space = line_space(8)
-        r = nobeling_embed(space, n=1, T=16, seed=0)
-        balls = enumerate_balls(space, 4)
-        kept = open_image_certificate(r, [0], balls, space)
-        assert kept
-        in_u = space.distances_from(balls[0].center) < balls[0].radius
-        covered = np.zeros(space.size, dtype=bool)
-        for b in kept:
-            covered |= np.linalg.norm(r.f - np.asarray(b.center), axis=1) < b.radius
-        assert np.array_equal(covered, in_u)

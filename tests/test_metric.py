@@ -7,18 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimlab import (
-    Ball,
-    Cover,
-    InputError,
-    SampledSpace,
-    ball_cozero,
-    center_distance,
-    complement_cozero,
-    enumerate_balls,
-    formally_included,
-    strictly_included,
-)
+from dimlab import Ball, Cover, InputError, SampledSpace, ball_cozero, complement_cozero
+from dimlab.metric import enumerate_balls, strictly_included
 from dimlab import metric
 from conftest import line_space
 
@@ -121,9 +111,11 @@ class TestSampledSpace:
             )
 
     def test_distances_from_vector_center(self):
+        # a center is a point index; an ambient vector is not one
         s = line_space(3)  # points 0, 0.5, 1
-        d = s.distances_from(np.array([0.25]))
-        assert d == pytest.approx([0.25, 0.25, 0.75])
+        assert s.distances_from(1).tolist() == [0.5, 0.0, 0.5]
+        with pytest.raises(InputError, match="unknown point identifier"):
+            s.distances_from(np.array([0.25]))
 
     def test_readonly_arrays(self):
         s = line_space(3)
@@ -164,28 +156,31 @@ class TestBalls:
             back = Cover.from_json_dict(Cover((u,)).to_json_dict(), 4)
             assert np.array_equal(back.matrix[0], u)
 
-    def test_center_distance_indices_and_vectors(self):
-        s = line_space(3)
-        assert center_distance(Ball(0, 1.0), Ball(2, 1.0), s) == pytest.approx(1.0)
-        b1 = Ball(center=np.array([0.0]), radius=1.0)
-        b2 = Ball(center=np.array([0.3]), radius=1.0)
-        assert center_distance(b1, b2) == pytest.approx(0.3)
+    @pytest.mark.parametrize("center", [0.25, np.array([0.25]), np.array([0.0, 1.0]), True],
+                             ids=["float", "array", "vector", "bool"])
+    def test_ball_rejects_non_index_center(self, center):
+        with pytest.raises(InputError, match="ball center must be a point index"):
+            Ball(center=center, radius=1.0)
+
+    def test_ball_accepts_numpy_index_center(self):
+        b = Ball(center=np.int64(2), radius=1.0)
+        assert b.center == 2 and type(b.center) is int
 
     def test_formal_inclusion_is_syntactic(self):
         s = line_space(3)
-        # d(centers) = 0.5 <= 1.0 - 0.4 holds, so inclusion is formal
-        assert formally_included(Ball(1, 0.4), Ball(0, 1.0), s)
-        # equality boundary: d = r_out - r_in exactly
-        assert formally_included(Ball(1, 0.5), Ball(0, 1.0), s)
-        assert not strictly_included(Ball(1, 0.5), Ball(0, 1.0), s)
+        # d(centers) = 0.5 < 1.0 - 0.4, read from the distance matrix
         assert strictly_included(Ball(1, 0.4), Ball(0, 1.0), s)
+        # equality boundary: d = r_out - r_in exactly is not strict
+        assert not strictly_included(Ball(1, 0.5), Ball(0, 1.0), s)
+        with pytest.raises(InputError, match="unknown point identifier"):
+            strictly_included(Ball(5, 0.4), Ball(0, 1.0), s)
 
     def test_formal_inclusion_implies_pointwise(self):
         s = line_space(9)
         balls = enumerate_balls(s, 3)
         for b_in in balls[::5]:
             for b_out in balls[::7]:
-                if formally_included(b_in, b_out, s):
+                if strictly_included(b_in, b_out, s):
                     inner = ball_cozero(s, b_in) > 0.0
                     outer = ball_cozero(s, b_out) > 0.0
                     assert not (inner & ~outer).any()
