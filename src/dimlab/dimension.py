@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covers import is_point_star_refinement, order_of
+from .covers import Cover, _first_rows, order_of
 from .embedding import (
     CUBE_TOL,
     HULL_TOL,
@@ -25,12 +25,11 @@ from .embedding import (
     eta_prime,
     kappa_map,
     pair_schedule,
-    _stage_covers,
     _stage_vertices,
     _subset_sigmas,
 )
 from .errors import GeneralPositionError, InputError
-from .metric import SampledSpace
+from .metric import _CHUNK_FLOATS, SampledSpace, ball_cozero, complement_cozero
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,67 @@ def _cube_excess(points: np.ndarray) -> float:
     return float(max(0.0, (-points).max(initial=0.0), (points - 1.0).max(initial=0.0)))
 
 
+def _stars_in_met_cover(cover_u: Cover, cover_v: np.ndarray, f: np.ndarray, delta: float) -> bool:
+    """Whether the star of every point of ``cover_u`` lies in one member of V meet W.
+
+    V is the stage's ball-pair cover (the rows of ``cover_v``) and W the
+    cover by preimages of the delta-balls around the grid points c / m,
+    c in {0..m}^d, m = max(1, ceil(sqrt(d) / delta)). A star S lies in a
+    member of the meet when it lies in one V member and some grid point g
+    has |f(y) - g| < delta for every y in S, which is where the ramps
+    max(0, (delta - |f(y) - g|) / delta) are positive. Such a g lies in the
+    box floor((f_y - delta) m) .. ceil((f_y + delta) m), clamped to 0..m,
+    of every y in S, so only the intersection of those boxes is measured,
+    for the distinct nonempty stars together: first the one cell nearest
+    the middle of f(S)'s bounding box, then, for the stars it leaves open,
+    every cell, in blocks of at most ``_CHUNK_FLOATS`` floats. A grid
+    finer than 2^62 steps per axis fails.
+    """
+    sup = cover_u.supports().astype(float)
+    stars = sup.T @ sup > 0.0
+    stars = stars[stars.any(axis=1)]
+    stars = stars[_first_rows(np.packbits(stars, axis=1))]
+    if not (~(stars[:, None, :] & ~(cover_v > 0.0)).any(axis=2)).any(axis=1).all():
+        return False
+    p, d = f.shape
+    if not math.sqrt(d) / delta <= 2**62:
+        return False  # also a NaN delta
+    m = max(1, math.ceil(math.sqrt(d) / delta))
+    # clipped into int64 range first: a bound beyond it is beyond 0..m anyway
+    edge = 2.0**63 - 1024.0
+    lo = np.maximum(np.clip(np.floor((f - delta) * m), -1.0, edge).astype(np.int64), 0)
+    hi = np.minimum(np.clip(np.ceil((f + delta) * m), -1.0, edge).astype(np.int64), m)
+    member = stars[:, :, None]
+    lo = np.where(member, lo, 0).max(axis=1)
+    hi = np.where(member, hi, m).min(axis=1)
+    if (lo > hi).any():
+        return False
+
+    def fits(owner: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        near = np.linalg.norm(f[None] - (cells / m)[:, None], axis=2) < delta
+        return (near | ~stars[owner]).all(axis=1)
+
+    # the grid point nearest the middle of f(S)'s bounding box settles most stars
+    mid = (np.where(member, f, np.inf).min(axis=1) + np.where(member, f, -np.inf).max(axis=1)) / 2
+    first = np.clip(np.clip(np.rint(mid * m), -1.0, edge).astype(np.int64), lo, hi)
+    found = fits(np.arange(len(stars)), first)
+    todo = np.flatnonzero(~found)
+    if not todo.size:
+        return True
+    ext = hi[todo] - lo[todo] + 1
+    shape = tuple(int(e) for e in ext.max(axis=0))
+    size = math.prod(shape)
+    block = max(1, _CHUNK_FLOATS // (p * d))
+    for start in range(0, todo.size * size, block):
+        idx = np.arange(start, min(start + block, todo.size * size))
+        rows = idx // size
+        offsets = np.stack(np.unravel_index(idx % size, shape), axis=1)
+        keep = (offsets < ext[rows]).all(axis=1) & ~found[todo[rows]]
+        owner = todo[rows[keep]]
+        found[owner[fits(owner, lo[owner] + offsets[keep])]] = True
+    return bool(found.all())
+
+
 def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> CertificateReport:
     """Recheck every stage and final invariant of an embedding result.
 
@@ -98,6 +158,8 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         raise InputError(f"result has radii_depth {r.radii_depth}, but its "
                          f"{len(r.stages)} stages schedule balls at depth {depth}")
     planes = enumerate_hyperplanes(n, len(r.stages))
+    # images[x, y] = |f(y) - f(x)|, for the v-mapping and injectivity checks
+    images = np.linalg.norm(r.f[None] - r.f[:, None], axis=2)
     checks: list[CertificateCheck] = []
 
     def add(name: str, passed: bool, margin: float, location: str) -> None:
@@ -142,8 +204,11 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
             add("order", order_of(st.cover_u) <= n, float(n - order_of(st.cover_u)), loc)
         else:
             add("order", False, -1.0, loc)
-        cover_v, met = _stage_covers(space, balls, st.pair_code, st.f, st.delta)
-        ok = is_point_star_refinement(st.cover_u, met)
+        inner, outer = st.pair_code
+        cover_v = np.vstack(
+            (ball_cozero(space, balls[outer]), complement_cozero(space, balls[inner]))
+        )
+        ok = _stars_in_met_cover(st.cover_u, cover_v, st.f, st.delta)
         add("star-refinement", ok, 0.0 if ok else -1.0, loc)
 
         picks = _stage_vertices(st.cover_u)
@@ -189,16 +254,14 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
             clearance - st.eta_prime, loc)
 
         # small image balls pull back into one member of the stage pair cover
-        vm_margin, vm_loc = math.inf, loc
-        supports = cover_v.supports()
-        for x in range(space.size):
-            pre = np.linalg.norm(r.f - r.f[x], axis=1) < st.eta / 4.0
-            inside = supports[:, pre].all(axis=1)
-            if not (pre.any() and inside.any()):
-                vm_margin, vm_loc = 0.0, f"{loc}, point {x}"
-                break
-            vm_margin = min(vm_margin, float(cover_v.matrix[inside][:, pre].min(axis=1).max()))
-        add("v-mapping", vm_loc == loc, vm_margin, vm_loc)
+        pre = images < st.eta / 4.0  # row x: the points imaged near f(x)
+        inside = ~(pre[:, None, :] & ~(cover_v > 0.0)).any(axis=2)
+        bad = np.flatnonzero(~(pre.any(axis=1) & inside.any(axis=1)))
+        if bad.size:
+            add("v-mapping", False, 0.0, f"{loc}, point {int(bad[0])}")
+        else:
+            low = np.where(pre[:, None, :], cover_v, np.inf).min(axis=2)
+            add("v-mapping", True, float(np.where(inside, low, -np.inf).max(axis=1).min()), loc)
         prev = st
 
     ok = bool(np.array_equal(r.stages[-1].f_next, r.f))
@@ -222,11 +285,10 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
             float(eqs[eq_worst]), f"{loc}, point {eq_worst}")
 
     if space.size > 1:
-        diffs = np.linalg.norm(r.f[:, None, :] - r.f[None, :, :], axis=2)
         iu = np.triu_indices(space.size, k=1)
-        flat = int(diffs[iu].argmin())
+        flat = int(images[iu].argmin())
         x, y = int(iu[0][flat]), int(iu[1][flat])
-        margin = float(diffs[iu].min())
+        margin = float(images[iu].min())
         stored_ok = r.injectivity_margin == margin
         add("injectivity", margin > 0.0 and stored_ok, margin, f"points ({x},{y})")
     else:

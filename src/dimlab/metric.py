@@ -192,7 +192,8 @@ class SampledSpace:
         return float(self.dist.max())
 
     def check_point(self, i: int) -> int:
-        if not isinstance(i, (int, np.integer)) or not 0 <= int(i) < self.size:
+        # bool subclasses int, but is no point index (nor a Ball centre)
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < self.size:
             raise InputError(f"unknown point identifier: {i!r}")
         return int(i)
 

@@ -1,11 +1,14 @@
-"""The batched lattice cover, span distances, hyperplane measures, ball pairs and triangle check
-against references.
+"""The batched lattice cover, span distances, hyperplane measures, ball pairs, triangle check
+and the verifier's star and v-mapping checks against references.
 
 The references below walk lattice cells, subset pairs and ball pairs one
 at a time, exactly as the definitions read, and check the triangle
 inequality over the full matrix. The library's batched routes must give
 the same bytes: same member order, same cozero values, same distances,
-same pair list, same schedule depth, same verdict and message. ``eta`` and
+same pair list, same schedule depth, same verdict and message. The
+verifier's lattice-free star check gives the verdict of the builder's
+route (the met stage cover, then the point-star test), and its batched
+v-mapping check the margin and location of the per-point loop. ``eta`` and
 ``eta_prime`` measure the widest pairs first; against the full scan of
 every pair they give the same messages and the same values, up to exact
 ties between a pair and its widest superset.
@@ -26,9 +29,15 @@ from dimlab import (
     SampledSpace,
     pair_schedule,
 )
-from dimlab import embedding, metric
-from dimlab.metric import DISTANCE_TOL, enumerate_balls, strictly_included
-from dimlab.covers import dedupe_by_support
+from dimlab import embedding, harness, metric, nobeling_embed, verify_result
+from dimlab.metric import (
+    DISTANCE_TOL,
+    ball_cozero,
+    complement_cozero,
+    enumerate_balls,
+    strictly_included,
+)
+from dimlab.covers import dedupe_by_support, is_point_star_refinement, meet
 from dimlab.embedding import (
     HULL_TOL,
     SCAN_GUARD,
@@ -37,14 +46,17 @@ from dimlab.embedding import (
     _lattice_cells,
     _plane_groups,
     _span_distances,
+    _stage_covers,
     _subsets,
     ball_preimage_cover,
     enumerate_hyperplanes,
     eta,
     eta_prime,
+    result_from_json_dict,
+    result_to_json_dict,
     stage_pairs,
 )
-from conftest import line_space, square_space
+from conftest import grid_square_space, line_space, square_space
 
 
 def reference_ball_preimage_cover(f, delta):
@@ -717,3 +729,187 @@ class TestTriangleCheck:
     def test_one_and_two_points(self):
         assert assert_same_triangle_verdict(np.zeros((1, 1))) is None
         assert assert_same_triangle_verdict(np.array([[0.0, 3.0], [3.0, 0.0]])) is None
+
+
+# ---------------------------------------------------------------------------
+# the verifier's star-refinement and v-mapping checks
+
+
+def reference_star_verdict(space, balls, st):
+    """The builder's route: the met stage cover, then the point-star test.
+
+    A met cover that cannot be built (a grid too fine to index, a sample
+    point no grid ball reaches, an empty meet) certifies nothing: False.
+    """
+    try:
+        met = _stage_covers(space, balls, st.pair_code, st.f, st.delta)[1]
+    except (CertificateError, InputError):
+        return False
+    return is_point_star_refinement(st.cover_u, met)
+
+
+def reference_v_mapping(r, space, balls, st):
+    """(passed, margin, location) of the per-point v-mapping loop."""
+    inner, outer = st.pair_code
+    cover_v = Cover((ball_cozero(space, balls[outer]), complement_cozero(space, balls[inner])))
+    loc = f"stage {st.t}"
+    vm_margin, vm_loc = math.inf, loc
+    supports = cover_v.supports()
+    for x in range(space.size):
+        pre = np.linalg.norm(r.f - r.f[x], axis=1) < st.eta / 4.0
+        inside = supports[:, pre].all(axis=1)
+        if not (pre.any() and inside.any()):
+            vm_margin, vm_loc = 0.0, f"{loc}, point {x}"
+            break
+        vm_margin = min(vm_margin, float(cover_v.matrix[inside][:, pre].min(axis=1).max()))
+    return vm_loc == loc, vm_margin, vm_loc
+
+
+def assert_checks_match_references(r, space, n):
+    report = verify_result(r, space, n)
+    balls = pair_schedule(space, len(r.stages))[0]
+    star = [c for c in report.checks if c.name == "star-refinement"]
+    vmap = [c for c in report.checks if c.name == "v-mapping"]
+    assert len(star) == len(vmap) == len(r.stages)
+    for st, s_check, v_check in zip(r.stages, star, vmap):
+        assert s_check.passed == reference_star_verdict(space, balls, st), st.t
+        assert (s_check.margin, s_check.location) == (
+            (0.0 if s_check.passed else -1.0), f"stage {st.t}")
+        assert (v_check.passed, v_check.margin, v_check.location) == reference_v_mapping(
+            r, space, balls, st)
+    return report
+
+
+GOLDEN_RUNS = [("line8", 1, 4, 0), ("line8", 1, 16, 0), ("line8", 1, 16, 3), ("grid4x3", 2, 2, 0)]
+
+
+@pytest.fixture(scope="module")
+def golden_runs():
+    runs = []
+    for name, n, T, seed in GOLDEN_RUNS:
+        space = line_space(8) if name == "line8" else grid_square_space(4, 3)
+        runs.append((space, n, nobeling_embed(space, n=n, T=T, seed=seed)))
+    return runs
+
+
+def tampered(r, kind, t, rng):
+    """r with one seeded change of the given kind to stage t."""
+    doc = result_to_json_dict(r)
+    st = doc["stages"][t]
+    if kind == "delta-shrunk":
+        st["delta"] *= float(rng.uniform(0.05, 0.5))
+    elif kind == "image-moved":
+        y = int(rng.integers(len(st["f"])))
+        step = rng.normal(size=len(st["f"][y]))
+        st["f"][y] = (np.array(st["f"][y]) + 1.5 * st["delta"] * step / np.linalg.norm(step)).tolist()
+    elif kind == "members-reversed":
+        st["cover_u"]["members"].reverse()
+    elif kind == "points-reversed":
+        p = len(r.f)
+        for member in st["cover_u"]["members"]:
+            member["values"] = {str(p - 1 - int(x)): v for x, v in member["values"].items()}
+    elif kind == "pair-swapped":
+        st["pair_code"] = st["pair_code"][::-1]
+    elif kind == "eta-inflated":
+        st["eta"] *= float(10.0 ** rng.uniform(0.3, 4.0))
+    return result_from_json_dict(doc)
+
+
+TAMPERS = ["delta-shrunk", "image-moved", "members-reversed", "points-reversed",
+           "pair-swapped", "eta-inflated"]
+
+
+def random_star_case(rng, d):
+    """A random cover, ball-pair rows, images in the cube and scale over p points."""
+    p = int(rng.integers(2, 10))
+    delta = float(10.0 ** rng.uniform(-2.5, math.log10(0.4)))
+    f = random_images(rng, p, d, delta, clustered=rng.uniform() < 0.7)
+    k = int(rng.integers(1, p + 1))
+    sup = rng.uniform(size=(k, p)) < rng.uniform(0.1, 0.5)
+    sup[np.arange(k), rng.integers(0, p, k)] = True
+    cover_u = Cover(np.where(sup, rng.uniform(0.1, 1.0, (k, p)), 0.0))
+    cover_v = np.where(rng.uniform(size=(2, p)) < 0.85, rng.uniform(0.1, 1.0, (2, p)), 0.0)
+    return cover_u, cover_v, f, delta
+
+
+def reference_met_star(cover_u, cover_v, f, delta):
+    try:
+        w = ball_preimage_cover(line_space(f.shape[0]), f, delta)
+        return is_point_star_refinement(cover_u, meet(Cover(cover_v), w))
+    except (CertificateError, InputError):
+        return False
+
+
+class TestStarRefinementCheck:
+    def test_golden_runs(self, golden_runs):
+        for space, n, r in golden_runs:
+            assert assert_checks_match_references(r, space, n).overall
+
+    @pytest.mark.parametrize("kind", TAMPERS)
+    def test_seeded_tampers(self, golden_runs, kind):
+        # stage 0, where the stars of the line runs have two points, and one
+        # later stage of each line run
+        rng = np.random.default_rng(1300 + TAMPERS.index(kind))
+        verdicts = set()
+        for space, n, r in golden_runs[0], golden_runs[2]:
+            for t in 0, int(rng.integers(1, len(r.stages))):
+                report = assert_checks_match_references(tampered(r, kind, t, rng), space, n)
+                assert not report.overall
+                verdicts.add(next(c.passed for c in report.checks
+                                  if (c.name, c.location) == ("star-refinement", f"stage {t}")))
+        # member order and eta do not enter the star check; a swapped pair
+        # leaves the points between the two balls in no V member
+        if kind in ("members-reversed", "eta-inflated"):
+            assert verdicts == {True}
+        elif kind == "pair-swapped":
+            assert verdicts == {False}
+
+    def test_only_the_grid_half_fails(self, golden_runs):
+        # the stars still lie in V members; at a third of the scale no grid
+        # ball holds both images of a two-point star
+        space, n, r = golden_runs[0]
+        doc = result_to_json_dict(r)
+        doc["stages"][0]["delta"] /= 3.0
+        bad = result_from_json_dict(doc)
+        st = bad.stages[0]
+        balls = pair_schedule(space, len(bad.stages))[0]
+        inner, outer = st.pair_code
+        v = np.vstack((ball_cozero(space, balls[outer]), complement_cozero(space, balls[inner])))
+        sup = st.cover_u.supports()
+        for x in range(space.size):
+            star = sup[sup[:, x]].any(axis=0)
+            assert any(not (star & ~(row > 0.0)).any() for row in v)
+        report = assert_checks_match_references(bad, space, n)
+        failed = {(c.name, c.location) for c in report.failures()}
+        assert ("star-refinement", "stage 0") in failed
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_covers(self, d):
+        rng = np.random.default_rng(1310 + d)
+        verdicts = []
+        for _ in range(60):
+            case = random_star_case(rng, d)
+            verdicts.append(harness._stars_in_met_cover(*case))
+            assert verdicts[-1] == reference_met_star(*case)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_small_blocks(self, monkeypatch, chunk):
+        # one cell per block, and blocks that end inside a star's box
+        monkeypatch.setattr(harness, "_CHUNK_FLOATS", chunk)
+        rng = np.random.default_rng(1320)
+        for _ in range(20):
+            case = random_star_case(rng, 2)
+            assert harness._stars_in_met_cover(*case) == reference_met_star(*case)
+
+    def test_cell_off_the_middle(self):
+        # the grid point nearest the middle of the star's image box, (3, 3)/5,
+        # is 0.319 from image 1; the cell (3, 2)/5 is within 0.3 of all three
+        f = np.array([[0.75, 0.55], [0.33, 0.43], [0.75, 0.6]])
+        assert np.linalg.norm(f[1] - [0.6, 0.6]) > 0.3
+        assert (np.linalg.norm(f - [0.6, 0.4], axis=1) < 0.3).all()
+        cover_u, cover_v = Cover(np.ones((1, 3))), np.ones((2, 3))
+        assert harness._stars_in_met_cover(cover_u, cover_v, f, 0.3)
+        assert reference_met_star(cover_u, cover_v, f, 0.3)
+        assert not harness._stars_in_met_cover(cover_u, cover_v, f, 0.25)
+        assert not reference_met_star(cover_u, cover_v, f, 0.25)

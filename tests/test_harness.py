@@ -156,6 +156,31 @@ class TestVerifyResult:
         assert ("pair-schedule", "stage 1") in failed
         assert ("star-refinement", "stage 1") in failed
 
+    @pytest.mark.parametrize("delta", [1e-300, 1e-310], ids=["grid-past-2^62", "grid-past-float"])
+    def test_reports_grid_too_fine(self, line_run, delta):
+        """A scale whose grid cannot be indexed fails the star check; nothing raises."""
+        space, r = line_run
+
+        def mutate(doc):
+            doc["stages"][0]["delta"] = delta
+
+        report = verify_result(tampered(r, mutate), space, 1)
+        star = [(c.passed, c.margin, c.location) for c in report.checks
+                if c.name == "star-refinement"]
+        assert star[0] == (False, -1.0, "stage 0")
+        assert all(passed for passed, _, _ in star[1:])
+
+    def test_reports_image_outside_cube(self, line_run):
+        """A stage image no grid ball reaches is a failed check, not an error."""
+        space, r = line_run
+
+        def mutate(doc):
+            doc["stages"][2]["f"][3] = [1.5, 0.5, 0.5]
+
+        report = verify_result(tampered(r, mutate), space, 1)
+        failed = {(c.name, c.location) for c in report.failures()}
+        assert {("in-cube", "stage 2"), ("star-refinement", "stage 2")} <= failed
+
     @pytest.mark.parametrize("code", [[999, 0], [-1, 0]], ids=["past-the-end", "negative"])
     def test_rejects_pair_code_outside_enumeration(self, line_run, code):
         space, r = line_run

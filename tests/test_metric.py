@@ -162,6 +162,16 @@ class TestBalls:
         with pytest.raises(InputError, match="ball center must be a point index"):
             Ball(center=center, radius=1.0)
 
+    @pytest.mark.parametrize("point", [True, False, 1.0, np.float64(1.0)],
+                             ids=["true", "false", "float", "numpy-float"])
+    def test_point_id_must_be_an_integer(self, point):
+        s = line_space(3)
+        with pytest.raises(InputError, match="unknown point identifier"):
+            s.check_point(point)
+        with pytest.raises(InputError, match="unknown point identifier"):
+            s.distances_from(point)
+        assert s.check_point(np.int64(1)) == 1
+
     def test_ball_accepts_numpy_index_center(self):
         b = Ball(center=np.int64(2), radius=1.0)
         assert b.center == 2 and type(b.center) is int
