@@ -37,13 +37,14 @@ All operations are pure: inputs are immutable and outputs are fresh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CertificateError, InputError
 from .metric import _as_readonly, _float_array
 
 
@@ -204,14 +205,10 @@ def closed_shrinking(c: Cover) -> ShrinkResult:
 def star(s: Iterable[int] | frozenset[int], c: Cover) -> frozenset[int]:
     """Union of the members of ``c`` that meet the point set ``s``."""
     pts = sorted({int(i) for i in s})
-    sup = c.supports()
     if pts and (min(pts) < 0 or max(pts) >= c.sample_size):
         raise InputError(f"unknown point identifier in star argument: {pts!r}")
-    if not pts:
-        return frozenset()
+    sup = c.supports()
     meets = sup[:, pts].any(axis=1)
-    if not meets.any():
-        return frozenset()
     return frozenset(int(x) for x in np.nonzero(sup[meets].any(axis=0))[0])
 
 
@@ -243,7 +240,6 @@ def star_refinement(c: Cover) -> tuple[Cover, tuple[int, ...]]:
     the complement choice sorting before U_i. The witness maps each output
     member to its l; the star of that member is contained in U_l.
     """
-    _require_covering(c)
     shrink = closed_shrinking(c)
     g = c.matrix
     gp = shrink.open_shrink.matrix
@@ -284,16 +280,27 @@ def star_refinement(c: Cover) -> tuple[Cover, tuple[int, ...]]:
 
 def is_point_star_refinement(v: Cover, u: Cover) -> bool:
     """Whether the star of every point of ``v`` lies in one member of ``u``."""
-    us = u.supports()
-    for x in range(v.sample_size):
-        st = star([x], v)
-        if not st:
-            continue  # a point no member touches has an empty, vacuous star
-        pts = sorted(st)
-        inside = us[:, pts].all(axis=1)
-        if not inside.any():
-            return False
-    return True
+    if v.sample_size != u.sample_size:
+        raise InputError("covers live over different samples")
+    return _stars_within(_point_stars(v), u.supports())
+
+
+def _point_stars(c: Cover) -> np.ndarray:
+    """The distinct nonempty point stars of ``c``, as boolean (stars, p) rows.
+
+    Row x of sup^T sup is positive on the star of x, the union of the members
+    containing x; a point in no member has an empty, vacuous star.
+    """
+    sup = c.supports().astype(float)
+    stars = sup.T @ sup > 0.0
+    stars = stars[stars.any(axis=1)]
+    return stars[_first_rows(np.packbits(stars, axis=1))]
+
+
+def _stars_within(stars: np.ndarray, members: np.ndarray) -> bool:
+    """Whether every boolean row of ``stars`` lies inside some boolean row of ``members``."""
+    outside = stars.astype(float) @ (~members).T.astype(float)
+    return bool((outside == 0.0).any(axis=1).all())
 
 
 def drop_empty_members(c: Cover) -> Cover:
@@ -328,3 +335,45 @@ def _first_rows(a: np.ndarray) -> np.ndarray:
     start = np.ones(len(a), dtype=bool)
     start[1:] = (runs[1:] != runs[:-1]).any(axis=1)
     return order[start]
+
+
+def _grid_steps(d: int, radius: float) -> int:
+    """Steps per axis m = max(1, ceil(sqrt(d) / radius)) of the grid {0..m}^d / m.
+
+    Cells are int64 arrays, so a grid finer than 2^62 steps per axis (or a
+    NaN radius) is a :class:`CertificateError`.
+    """
+    steps = math.sqrt(d) / radius
+    if not steps <= 2**62:
+        raise CertificateError(f"grid of {steps:.3g} steps per axis is too fine to index")
+    return max(1, math.ceil(steps))
+
+
+def _grid_boxes(f: np.ndarray, radius: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 corners (lo, hi) of each row's box floor((f - radius) m) .. ceil((f + radius) m).
+
+    Clamped to 0..m, the box holds every grid cell c with |f - c / m| <= radius;
+    it is empty where lo > hi on some axis.
+    """
+    # clipped into int64 range first: a bound beyond it is beyond 0..m anyway
+    edge = 2.0**63 - 1024.0
+    lo = np.clip(np.floor((f - radius) * m), -1.0, edge).astype(np.int64)
+    hi = np.clip(np.ceil((f + radius) * m), -1.0, edge).astype(np.int64)
+    return np.maximum(lo, 0), np.minimum(hi, m)
+
+
+def _box_cells(lo: np.ndarray, hi: np.ndarray, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(box index, cell) rows of every cell of the boxes lo..hi; empty boxes have none.
+
+    Box b gives lo[b] + offset for each offset < hi[b] - lo[b] + 1, in
+    lexicographic order, boxes in turn. Offsets come from one grid as large
+    as the widest box, and a block holds at most ``cap`` (box, offset) pairs:
+    whole boxes against the whole grid, or one box against part of a larger grid.
+    """
+    ext = hi - lo + 1
+    grid = np.indices(ext.max(axis=0, initial=0)).reshape(lo.shape[1], -1).T
+    boxes, part = max(1, cap // max(1, len(grid))), max(1, min(len(grid), cap))
+    for b in range(0, len(lo), boxes):
+        for g in range(0, len(grid), part):
+            inside = (grid[g : g + part] < ext[b : b + boxes, None]).all(axis=2)
+            yield np.nonzero(inside)[0] + b, (lo[b : b + boxes, None] + grid[g : g + part])[inside]

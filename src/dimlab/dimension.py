@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .covers import Cover, _cover_matrix, closed_shrinking
+from .covers import Cover, _cover_matrix, _require_covering, closed_shrinking
 from .errors import CertificateError, InputError
 from .metric import SampledSpace
 
@@ -125,12 +125,10 @@ def _raise_first(message: str, *checks: tuple[str, np.ndarray]) -> None:
 Oracle = Callable[[SampledSpace, DisjointPairFamily], InessentialWitness]
 
 
-def separator_oracle(
-    space: SampledSpace, pairs: DisjointPairFamily, tol: float = BOUNDARY_TOL
-) -> InessentialWitness:
+def separator_oracle(space: SampledSpace, pairs: DisjointPairFamily) -> InessentialWitness:
     """Nearest-set separator: U_i = {d(x, A_i) < d(x, B_i)}, V_i the reverse.
 
-    Ties go to U_i with value ``tol``; the distance to an empty set is
+    Ties go to U_i with value ``BOUNDARY_TOL``; the distance to an empty set is
     +infinity, so an empty A_i yields U_i empty and V_i the whole sample.
     Every finite metric sample admits this witness for any number of pairs.
     """
@@ -144,20 +142,18 @@ def separator_oracle(
         less = da < db
         greater = da > db
         u[i, less] = np.minimum(1.0, db[less] - da[less])
-        u[i, ~less & ~greater] = tol
+        u[i, ~less & ~greater] = BOUNDARY_TOL
         v[i, greater] = np.minimum(1.0, da[greater] - db[greater])
     witness = InessentialWitness(u, v)
     witness._validate_masks(*masks)
     return witness
 
 
-def inessential_witness_from_map(
-    g: np.ndarray, pairs: DisjointPairFamily, tol: float = BOUNDARY_TOL
-) -> InessentialWitness:
+def inessential_witness_from_map(g: np.ndarray, pairs: DisjointPairFamily) -> InessentialWitness:
     """Witness read off a map g into the boundary of the (n+1)-cube.
 
     ``g`` is one row per sample point and one column per pair. Required,
-    up to ``tol``: every row touches {0, 1} in some coordinate, column i
+    up to ``BOUNDARY_TOL``: every row touches {0, 1} in some coordinate, column i
     vanishes on A_i and equals 1 on B_i. The witness pairs are the ramps
 
         U_i = max(0, 1/2 - g_i),   V_i = max(0, g_i - 1/2).
@@ -168,17 +164,19 @@ def inessential_witness_from_map(
     p, width = g.shape
     if width != len(pairs):
         raise InputError(f"boundary map has {width} coordinates, family has {len(pairs)}")
-    if (g < -tol).any() or (g > 1.0 + tol).any():
-        x, i = np.argwhere((g < -tol) | (g > 1.0 + tol))[0]
+    outside = (g < -BOUNDARY_TOL) | (g > 1.0 + BOUNDARY_TOL)
+    if outside.any():
+        x, i = np.argwhere(outside)[0]
         raise InputError(f"map value outside the cube at point {x}, coordinate {i}")
-    on_boundary = (np.abs(g) <= tol) | (np.abs(1.0 - g) <= tol)
+    on_boundary = (np.abs(g) <= BOUNDARY_TOL) | (np.abs(1.0 - g) <= BOUNDARY_TOL)
     if not on_boundary.any(axis=1).all():
         x = int(np.nonzero(~on_boundary.any(axis=1))[0][0])
         raise InputError(f"point {x} does not land on the cube boundary")
     a, b = _pair_masks(pairs, p)
     _raise_first(
         "map is not {what} at point {x}, coordinate {i}",
-        ("0 on A", a & (np.abs(g.T) > tol)), ("1 on B", b & (np.abs(1.0 - g.T) > tol)),
+        ("0 on A", a & (np.abs(g.T) > BOUNDARY_TOL)),
+        ("1 on B", b & (np.abs(1.0 - g.T) > BOUNDARY_TOL)),
     )
     clipped = np.clip(g.T, 0.0, 1.0)
     witness = InessentialWitness(np.maximum(0.0, 0.5 - clipped), np.maximum(0.0, clipped - 0.5))
@@ -213,9 +211,6 @@ def shrink_to_empty_intersection(
     k = cover.size
     if k < 2:
         raise InputError("need at least two members to shrink an intersection away")
-    bad = cover.uncovered_point()
-    if bad is not None:
-        raise InputError(f"cover does not cover the sample: point {bad} uncovered")
     g = cover.matrix
     shrink = closed_shrinking(cover)
     comp_f = np.maximum(0.0, 0.5 - shrink.tilde)
@@ -259,9 +254,7 @@ def reduce_order(
     """
     if not (isinstance(n, int) and n >= 0):
         raise InputError("target order must be an integer >= 0")
-    bad = cover.uncovered_point()
-    if bad is not None:
-        raise InputError(f"cover does not cover the sample: point {bad} uncovered")
+    _require_covering(cover)
     s = cover.size
     if s < n + 2:
         return cover

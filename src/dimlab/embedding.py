@@ -36,7 +36,11 @@ import numpy as np
 
 from .covers import (
     Cover,
+    _box_cells,
     _first_rows,
+    _grid_boxes,
+    _grid_steps,
+    _require_covering,
     dedupe_by_support,
     drop_empty_members,
     is_point_star_refinement,
@@ -153,8 +157,8 @@ class Hyperplane:
         x = np.asarray(x, dtype=float)
         return x[..., list(self.coords)] - np.array([float(v) for v in self.values])
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool | np.ndarray:
-        return self.equation_violation(x) <= tol
+    def contains(self, x: np.ndarray) -> bool | np.ndarray:
+        return self.equation_violation(x) <= 0.0
 
     def distance_to_point(self, x: np.ndarray) -> float | np.ndarray:
         """Euclidean distance; only the fixed coordinates contribute."""
@@ -346,12 +350,9 @@ def kappa_map(cozeros: Cover, vertices: np.ndarray | Sequence[np.ndarray]) -> Ka
     z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
     if z.ndim != 2 or z.shape[0] != cozeros.size:
         raise InputError("need one vertex per cover member")
+    _require_covering(cozeros)
     u = cozeros.matrix
-    denom = u.sum(axis=0)
-    if (denom <= 0.0).any():
-        x = int(np.nonzero(denom <= 0.0)[0][0])
-        raise InputError(f"cover does not cover the sample: point {x} uncovered")
-    weights = (u / denom).T
+    weights = (u / u.sum(axis=0)).T
     return KappaMap(values=weights @ z, weights=weights)
 
 
@@ -592,52 +593,15 @@ def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[i
 def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:
     """Integer cells of the grid {0..m}^d near the rows of f, sorted.
 
-    Row x contributes the box floor((f_x - radius) m) .. ceil((f_x + radius) m)
-    per axis, clamped to 0..m; the result is the union of the boxes as a
-    (cells, d) integer array in lexicographic row order. Grid point c sits
-    at c / m.
-
-    All boxes are built at once: each row's corner plus one grid of offsets
-    as large as the widest box on every axis, masked to the row's own box.
-    Rows go in blocks of at most ``_CHUNK_FLOATS`` cell coordinates.
+    The union of the rows' boxes from :func:`~dimlab.covers._grid_boxes`, as
+    a (cells, d) integer array in lexicographic row order; grid point c sits
+    at c / m. Boxes are listed in blocks of ``_CHUNK_FLOATS`` cell coordinates.
     """
     f = np.asarray(f, dtype=float)
-    if m > 2**62:
-        raise CertificateError(f"grid of {m} steps per axis is too fine to index")
     d = f.shape[1]
-    # clipped into int64 range first: a bound beyond it is beyond 0..m anyway
-    edge = 2.0**63 - 1024.0
-    lo = np.clip(np.floor((f - radius) * m), -1.0, edge).astype(np.int64)
-    hi = np.clip(np.ceil((f + radius) * m), -1.0, edge).astype(np.int64)
-    lo, hi = np.maximum(lo, 0), np.minimum(hi, m)
-    keep = (lo <= hi).all(axis=1)
-    if not keep.any():
-        return np.zeros((0, d), dtype=np.int64)
-    lo, ext = lo[keep], (hi - lo + 1)[keep]
-    offsets = np.indices(ext.max(axis=0)).reshape(d, -1).T
-    block = max(1, _CHUNK_FLOATS // offsets.size)
-    boxes = []
-    for start in range(0, len(lo), block):
-        rows = slice(start, start + block)
-        inside = (offsets < ext[rows, None]).all(axis=2)
-        boxes.append((lo[rows, None] + offsets)[inside])
-    cells = np.concatenate(boxes)
+    boxes = _box_cells(*_grid_boxes(f, radius, m), max(1, _CHUNK_FLOATS // d))
+    cells = np.concatenate([np.zeros((0, d), dtype=np.int64)] + [c for _, c in boxes])
     return cells[_first_rows(cells)]
-
-
-def _lattice_blocks(
-    f: np.ndarray, radius: float, m: int, chunk: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(cells, grid points cells / m, their distances to each row of f) per block.
-
-    The cells are :func:`_lattice_cells`, in blocks of max(1, chunk // (p d)).
-    """
-    p, d = f.shape
-    cells = _lattice_cells(f, radius, m)
-    block = max(1, chunk // (p * d))
-    for start in range(0, len(cells), block):
-        g = cells[start : start + block] / m
-        yield cells[start : start + block], g, np.linalg.norm(f[None] - g[:, None], axis=2)
 
 
 def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cover:
@@ -660,9 +624,13 @@ def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cov
     values are exactly those of walking the cells one by one.
     """
     f = np.asarray(f, dtype=float)
-    m = max(1, math.ceil(math.sqrt(f.shape[1]) / delta))
+    p, d = f.shape
+    m = _grid_steps(d, delta)
+    cells = _lattice_cells(f, delta, m)
+    block = max(1, _CHUNK_FLOATS // (p * d))
     members = []
-    for _, _, dist in _lattice_blocks(f, delta, m, _CHUNK_FLOATS):
+    for start in range(0, len(cells), block):
+        dist = np.linalg.norm(f[None] - (cells[start : start + block] / m)[:, None], axis=2)
         vals = np.maximum(0.0, (delta - dist) / delta)
         packed = np.packbits(vals > 0.0, axis=1)
         first = np.sort(_first_rows(packed))
@@ -766,15 +734,14 @@ def _stage_covers(
     """The stage's ball-pair cover V and its meet with the delta-ball preimage cover.
 
     V = {outer ball, complement of the closed inner ball} covers the sample only
-    if the inner ball is strictly inside the outer one; on a miss the builder
-    raises and the verifier reports the checks that fail.
+    if the inner ball is strictly inside the outer one; :func:`embedding_stage` checks.
     """
     inner, outer = pair
     cover_v = Cover(
         (ball_cozero(space, balls[outer]), complement_cozero(space, balls[inner]))
     )
     cover_w = ball_preimage_cover(space, f, delta)
-    return cover_v, dedupe_by_support(drop_empty_members(meet(cover_v, cover_w)))
+    return cover_v, dedupe_by_support(meet(cover_v, cover_w))
 
 
 def embedding_stage(
@@ -807,8 +774,7 @@ def embedding_stage(
         raise CertificateError(f"stage {t}: ball pair cover misses point {bad}")
 
     reduced = drop_empty_members(reduce_order(space, met, n, oracle))
-    starred, _ = star_refinement(reduced)
-    starred = dedupe_by_support(drop_empty_members(starred))
+    starred = dedupe_by_support(star_refinement(reduced)[0])
     cover_u = drop_empty_members(reduce_order(space, starred, n, oracle))
     if order_of(cover_u) > n:
         raise CertificateError(f"stage {t}: cover order exceeds {n}")

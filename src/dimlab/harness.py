@@ -13,9 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covers import Cover, _first_rows, order_of
+from .covers import (
+    Cover,
+    _box_cells,
+    _grid_boxes,
+    _grid_steps,
+    _point_stars,
+    _stars_within,
+    order_of,
+)
 from .embedding import (
     CUBE_TOL,
+    DELTA0,
     HULL_TOL,
     RANK_TOL,
     EmbeddingResult,
@@ -28,7 +37,7 @@ from .embedding import (
     _stage_vertices,
     _subset_sigmas,
 )
-from .errors import GeneralPositionError, InputError
+from .errors import CertificateError, GeneralPositionError, InputError
 from .metric import _CHUNK_FLOATS, SampledSpace, ball_cozero, complement_cozero
 
 
@@ -80,32 +89,24 @@ def _stars_in_met_cover(cover_u: Cover, cover_v: np.ndarray, f: np.ndarray, delt
     cover by preimages of the delta-balls around the grid points c / m,
     c in {0..m}^d, m = max(1, ceil(sqrt(d) / delta)). A star S lies in a
     member of the meet when it lies in one V member and some grid point g
-    has |f(y) - g| < delta for every y in S, which is where the ramps
+    has |f(y) - g| < delta for every y in S, where the ramps
     max(0, (delta - |f(y) - g|) / delta) are positive. Such a g lies in the
-    box floor((f_y - delta) m) .. ceil((f_y + delta) m), clamped to 0..m,
-    of every y in S, so only the intersection of those boxes is measured,
-    for the distinct nonempty stars together: first the one cell nearest
-    the middle of f(S)'s bounding box, then, for the stars it leaves open,
-    every cell, in blocks of at most ``_CHUNK_FLOATS`` floats. A grid
-    finer than 2^62 steps per axis fails.
+    grid box of every y in S, so only the intersection of those boxes is
+    measured, for the distinct nonempty stars together: first its middle
+    cell, then, for the stars that leaves open, every cell, in blocks of at
+    most ``_CHUNK_FLOATS`` floats. A grid finer than 2^62 steps per axis fails.
     """
-    sup = cover_u.supports().astype(float)
-    stars = sup.T @ sup > 0.0
-    stars = stars[stars.any(axis=1)]
-    stars = stars[_first_rows(np.packbits(stars, axis=1))]
-    if not (~(stars[:, None, :] & ~(cover_v > 0.0)).any(axis=2)).any(axis=1).all():
+    stars = _point_stars(cover_u)
+    if not _stars_within(stars, cover_v > 0.0):
         return False
     p, d = f.shape
-    if not math.sqrt(d) / delta <= 2**62:
-        return False  # also a NaN delta
-    m = max(1, math.ceil(math.sqrt(d) / delta))
-    # clipped into int64 range first: a bound beyond it is beyond 0..m anyway
-    edge = 2.0**63 - 1024.0
-    lo = np.maximum(np.clip(np.floor((f - delta) * m), -1.0, edge).astype(np.int64), 0)
-    hi = np.minimum(np.clip(np.ceil((f + delta) * m), -1.0, edge).astype(np.int64), m)
-    member = stars[:, :, None]
-    lo = np.where(member, lo, 0).max(axis=1)
-    hi = np.where(member, hi, m).min(axis=1)
+    try:
+        m = _grid_steps(d, delta)
+    except CertificateError:
+        return False
+    lo, hi = _grid_boxes(f, delta, m)
+    lo = np.where(stars[:, :, None], lo, 0).max(axis=1)
+    hi = np.where(stars[:, :, None], hi, m).min(axis=1)
     if (lo > hi).any():
         return False
 
@@ -113,24 +114,12 @@ def _stars_in_met_cover(cover_u: Cover, cover_v: np.ndarray, f: np.ndarray, delt
         near = np.linalg.norm(f[None] - (cells / m)[:, None], axis=2) < delta
         return (near | ~stars[owner]).all(axis=1)
 
-    # the grid point nearest the middle of f(S)'s bounding box settles most stars
-    mid = (np.where(member, f, np.inf).min(axis=1) + np.where(member, f, -np.inf).max(axis=1)) / 2
-    first = np.clip(np.clip(np.rint(mid * m), -1.0, edge).astype(np.int64), lo, hi)
-    found = fits(np.arange(len(stars)), first)
+    # the middle cell settles most stars; lo + hi can pass int64 near m = 2^62
+    found = fits(np.arange(len(stars)), lo + (hi - lo) // 2)
     todo = np.flatnonzero(~found)
-    if not todo.size:
-        return True
-    ext = hi[todo] - lo[todo] + 1
-    shape = tuple(int(e) for e in ext.max(axis=0))
-    size = math.prod(shape)
-    block = max(1, _CHUNK_FLOATS // (p * d))
-    for start in range(0, todo.size * size, block):
-        idx = np.arange(start, min(start + block, todo.size * size))
-        rows = idx // size
-        offsets = np.stack(np.unravel_index(idx % size, shape), axis=1)
-        keep = (offsets < ext[rows]).all(axis=1) & ~found[todo[rows]]
-        owner = todo[rows[keep]]
-        found[owner[fits(owner, lo[owner] + offsets[keep])]] = True
+    for rows, cells in _box_cells(lo[todo], hi[todo], max(1, _CHUNK_FLOATS // (p * d))):
+        owner = todo[rows]
+        found[owner[fits(owner, cells)]] = True
     return bool(found.all())
 
 
@@ -244,6 +233,8 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
 
         want = min(st.delta, st.eta / 8.0, st.eta_prime / 4.0) / 3.0
         ok = st.delta_next == want and st.delta_next <= st.delta / 3.0
+        if st.t == 0:
+            ok = ok and st.delta == r.delta0 == DELTA0
         add("delta-schedule", ok, st.delta / 3.0 - st.delta_next, loc)
 
         contraction = float(np.linalg.norm(st.f_next - st.f, axis=1).max())

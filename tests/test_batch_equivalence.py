@@ -6,8 +6,9 @@ at a time, exactly as the definitions read, and check the triangle
 inequality over the full matrix. The library's batched routes must give
 the same bytes: same member order, same cozero values, same distances,
 same pair list, same schedule depth, same verdict and message. The
-verifier's lattice-free star check gives the verdict of the builder's
-route (the met stage cover, then the point-star test), and its batched
+point-star test gives the verdict of the per-point loop. The verifier's
+lattice-free star check gives the verdict of the builder's route (the met
+stage cover, then the point-star test), and its batched
 v-mapping check the margin and location of the per-point loop. ``eta`` and
 ``eta_prime`` measure the widest pairs first; against the full scan of
 every pair they give the same messages and the same values, up to exact
@@ -37,7 +38,7 @@ from dimlab.metric import (
     enumerate_balls,
     strictly_included,
 )
-from dimlab.covers import dedupe_by_support, is_point_star_refinement, meet
+from dimlab.covers import dedupe_by_support, is_point_star_refinement, meet, star
 from dimlab.embedding import (
     HULL_TOL,
     SCAN_GUARD,
@@ -903,13 +904,71 @@ class TestStarRefinementCheck:
             assert harness._stars_in_met_cover(*case) == reference_met_star(*case)
 
     def test_cell_off_the_middle(self):
-        # the grid point nearest the middle of the star's image box, (3, 3)/5,
-        # is 0.319 from image 1; the cell (3, 2)/5 is within 0.3 of all three
-        f = np.array([[0.75, 0.55], [0.33, 0.43], [0.75, 0.6]])
-        assert np.linalg.norm(f[1] - [0.6, 0.6]) > 0.3
-        assert (np.linalg.norm(f - [0.6, 0.4], axis=1) < 0.3).all()
+        # the middle cell of the star's box, (3, 1)/5, is 0.322 from image 2;
+        # the cell (4, 2)/5 is within 0.3 of all three
+        f = np.array([[0.85, 0.13], [0.52, 0.4], [0.79, 0.46]])
+        assert np.linalg.norm(f[2] - [0.6, 0.2]) > 0.3
+        assert (np.linalg.norm(f - [0.8, 0.4], axis=1) < 0.3).all()
         cover_u, cover_v = Cover(np.ones((1, 3))), np.ones((2, 3))
         assert harness._stars_in_met_cover(cover_u, cover_v, f, 0.3)
         assert reference_met_star(cover_u, cover_v, f, 0.3)
         assert not harness._stars_in_met_cover(cover_u, cover_v, f, 0.25)
         assert not reference_met_star(cover_u, cover_v, f, 0.25)
+
+
+def reference_is_point_star_refinement(v, u):
+    """The star of each point of v in turn, tested against every member of u."""
+    us = u.supports()
+    for x in range(v.sample_size):
+        st = star([x], v)
+        if not st:
+            continue  # a point no member touches has an empty, vacuous star
+        if not us[:, sorted(st)].all(axis=1).any():
+            return False
+    return True
+
+
+def random_point_star_case(rng):
+    """Two random families over one sample; some points may lie in no member of v."""
+    p = int(rng.integers(1, 12))
+    v = np.where(rng.uniform(size=(int(rng.integers(1, 6)), p)) < rng.uniform(0.1, 0.6),
+                 rng.uniform(0.1, 1.0, (1, p)), 0.0)
+    u = np.where(rng.uniform(size=(int(rng.integers(1, 6)), p)) < rng.uniform(0.3, 0.95),
+                 rng.uniform(0.1, 1.0, (1, p)), 0.0)
+    return Cover(v), Cover(u)
+
+
+class TestPointStarRefinement:
+    """The batched point-star test against the per-point loop."""
+
+    def test_random_covers(self):
+        rng = np.random.default_rng(1400)
+        verdicts = []
+        for _ in range(400):
+            v, u = random_point_star_case(rng)
+            verdicts.append(is_point_star_refinement(v, u))
+            assert verdicts[-1] == reference_is_point_star_refinement(v, u)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("v, u, want", [
+        # point 2 lies in no member of v: its star is vacuous
+        ([[1, 1, 0]], [[1, 1, 0]], True),
+        ([[1, 0, 0], [0, 1, 0]], [[1, 0, 1], [0, 1, 1]], True),
+        ([[1, 1, 0], [0, 1, 1]], [[1, 1, 0], [0, 1, 1]], False),
+        ([[1, 1, 1]], [[1, 1, 1]], True),
+        ([[1, 1, 1]], [[1, 1, 0], [0, 1, 1]], False),
+        ([[0, 0, 0]], [[1, 0, 0]], True),
+    ], ids=["untouched-point", "disjoint", "chained", "one-member", "one-member-split", "empty"])
+    def test_edge_cases(self, v, u, want):
+        v, u = Cover(np.array(v, dtype=float)), Cover(np.array(u, dtype=float))
+        assert is_point_star_refinement(v, u) == reference_is_point_star_refinement(v, u) == want
+
+    def test_golden_met_covers(self, golden_runs):
+        for space, _, r in golden_runs:
+            balls = pair_schedule(space, len(r.stages))[0]
+            for st in r.stages:
+                met = _stage_covers(space, balls, st.pair_code, st.f, st.delta)[1]
+                assert is_point_star_refinement(st.cover_u, met)
+                assert reference_is_point_star_refinement(st.cover_u, met)
+                for v, u in (met, st.cover_u), (st.cover_u, Cover(met.matrix[:1])):
+                    assert is_point_star_refinement(v, u) == reference_is_point_star_refinement(v, u)

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimlab import Cover, InputError, closed_shrinking, meet, order_of, star_refinement
+from dimlab import (
+    Cover,
+    InputError,
+    closed_shrinking,
+    meet,
+    order_of,
+    reduce_order,
+    separator_oracle,
+    star_refinement,
+)
 from dimlab.covers import (
     dedupe_by_support,
     drop_empty_members,
@@ -13,6 +22,8 @@ from dimlab.covers import (
     star,
     star_of_member,
 )
+from dimlab.dimension import shrink_to_empty_intersection
+from dimlab.embedding import kappa_map
 from conftest import (
     brute_force_order,
     line_space,
@@ -173,6 +184,23 @@ class TestStarRefinement:
         c = random_ball_cover(s, 3, rng)
         v, _ = star_refinement(c)
         assert v.is_covering()
+
+    def test_point_star_refinement_needs_one_sample(self):
+        v, u = small_cover(np.ones((1, 3))), small_cover(np.ones((1, 5)))
+        for a, b in (v, u), (u, v):
+            with pytest.raises(InputError, match="^covers live over different samples$"):
+                is_point_star_refinement(a, b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: reduce_order(line_space(3), c, 0, separator_oracle),
+    lambda c: shrink_to_empty_intersection(line_space(3), c, separator_oracle),
+    lambda c: kappa_map(c, np.full((2, 1), 0.5)),
+], ids=["reduce_order", "shrink_to_empty_intersection", "kappa_map"])
+def test_uncovered_point_message(call):
+    with pytest.raises(InputError) as err:
+        call(small_cover([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]]))
+    assert str(err.value) == "cover does not cover the sample: point 1 uncovered"
 
 
 class TestOrderAndHygiene:

@@ -109,6 +109,18 @@ class TestVerifyResult:
         locs = [c.location for c in report.failures()]
         assert any("stage 1" in loc for loc in locs)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["stages"][0].update(delta=doc["stages"][0]["delta"] * 0.5),
+        lambda doc: doc["stages"][0].update(delta=doc["stages"][0]["delta"] * 0.9),
+        lambda doc: doc.update(delta0=123.0),
+    ], ids=["stage-0-delta-halved", "stage-0-delta-shrunk", "delta0-forged"])
+    def test_detects_stage_zero_scale_off_delta0(self, line_run, mutate):
+        """Stage 0 must start at the stored delta0, and that must be DELTA0."""
+        space, r = line_run
+        report = verify_result(tampered(r, mutate), space, 1)
+        assert not report.overall
+        assert ("delta-schedule", "stage 0") in {(c.name, c.location) for c in report.failures()}
+
     def test_detects_moved_vertex(self, line_run):
         """A vertex pulled away from its member image breaks proximity."""
         space, r = line_run
