@@ -4,8 +4,10 @@ The central fact used here: if every family of n+1 disjoint closed pairs
 (A_i, B_i) admits disjoint open (U_i, V_i) with A_i in U_i, B_i in V_i and
 the union of all U_i, V_i covering, then any covering family of n+2 cozero
 sets can be shrunk to one with empty total intersection, and any covering
-family at all can be shrunk to one of order at most n by sweeping all
-(n+2)-element index subsets.
+family at all can be shrunk to one of order at most n by shrinking, one at
+a time, the least (n+2)-element index subset whose members share a point.
+Pairs travel as boolean (pairs, p) masks and a witness is validated once,
+by its consumer :func:`shrink_to_empty_intersection`.
 
 Witness suppliers ("oracles") are callables (space, pairs) -> witness. Two
 are provided: :func:`separator_oracle`, which splits each pair by nearest
@@ -17,33 +19,41 @@ map into the boundary of the (n+1)-cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Callable
 
 import numpy as np
 
-from .covers import Cover, _cover_matrix, _require_covering, closed_shrinking
+from .covers import Cover, _cover_matrix, _first_rows, _require_covering, closed_shrinking
 from .errors import CertificateError, InputError
 from .metric import SampledSpace
 
 BOUNDARY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisjointPairFamily:
-    """Indexed disjoint pairs (A_i, B_i) of closed point sets."""
+    """Indexed disjoint pairs (A_i, B_i) of closed point sets.
 
-    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    ``a`` and ``b`` are read-only boolean (pairs, p) masks: row i of ``a``
+    marks A_i and row i of ``b`` marks B_i. Construction checks that both
+    have one 2-d shape and that A_i and B_i are disjoint for each i.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        pairs = tuple((frozenset(a), frozenset(b)) for a, b in self.pairs)
-        for i, (a, b) in enumerate(pairs):
-            if a & b:
-                raise InputError(f"pair {i} is not disjoint: {sorted(a & b)} shared")
-        object.__setattr__(self, "pairs", pairs)
+        a, b = np.asarray(self.a), np.asarray(self.b)
+        if a.dtype != bool or b.dtype != bool or a.ndim != 2 or a.shape != b.shape:
+            raise InputError("pair masks must be two boolean arrays of one 2-d shape")
+        _raise_first("pair {i} {what} point {x}", ("is not disjoint at", a & b))
+        for name, mask in (("a", a), ("b", b)):
+            mask = mask.copy()
+            mask.setflags(write=False)
+            object.__setattr__(self, name, mask)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.a.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,19 +74,18 @@ class InessentialWitness:
         object.__setattr__(self, "u", _cover_matrix(self.u))
         object.__setattr__(self, "v", _cover_matrix(self.v))
 
-    def validate(self, pairs: DisjointPairFamily, sample_size: int) -> None:
-        self._validate_masks(*_pair_masks(pairs, sample_size))
-
-    def _validate_masks(self, a: np.ndarray, b: np.ndarray) -> None:
-        """:meth:`validate` against the (pairs, p) masks of the A_i and of the B_i."""
-        if self.u.shape != a.shape or self.v.shape != a.shape:
+    def validate(self, pairs: DisjointPairFamily) -> None:
+        if self.u.shape != pairs.a.shape or self.v.shape != pairs.a.shape:
             raise InputError(
-                f"witness values have shapes {self.u.shape} and {self.v.shape}, not {a.shape}"
+                f"witness values have shapes {self.u.shape} and {self.v.shape}, "
+                f"not {pairs.a.shape}"
             )
         u_sup, v_sup = self.u > 0.0, self.v > 0.0
         _raise_first(
             "witness pair {i} {what} point {x}",
-            ("overlaps at", u_sup & v_sup), ("misses A", a & ~u_sup), ("misses B", b & ~v_sup),
+            ("overlaps at", u_sup & v_sup),
+            ("misses A", pairs.a & ~u_sup),
+            ("misses B", pairs.b & ~v_sup),
         )
         union = (u_sup | v_sup).any(axis=0)
         if not union.all():
@@ -84,27 +93,9 @@ class InessentialWitness:
             raise InputError(f"witness does not cover the sample: point {x}")
 
 
-def _pair_masks(pairs: DisjointPairFamily, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (pairs, p) matrices of the A_i and of the B_i.
-
-    Raises for the least pair naming a point id outside 0..p-1, with its
-    least such id; indexing alone would wrap a negative id around.
-    """
-    a = np.zeros((len(pairs), p), dtype=bool)
-    b = np.zeros((len(pairs), p), dtype=bool)
-    for i, (ai, bi) in enumerate(pairs.pairs):
-        try:
-            ids = np.fromiter(chain(ai, bi), np.intp, len(ai) + len(bi))
-            # read as unsigned, a negative id is at least p too
-            stray = ids.size and ids.view(np.uintp).max() >= p
-        except OverflowError:
-            stray = True
-        if stray:
-            point = min(x for x in chain(ai, bi) if not 0 <= x < p)
-            raise InputError(f"pair {i} names point {point} outside 0..{p - 1}")
-        a[i, ids[: len(ai)]] = True
-        b[i, ids[len(ai) :]] = True
-    return a, b
+def _require_width(pairs: DisjointPairFamily, p: int) -> None:
+    if pairs.a.shape[1] != p:
+        raise InputError(f"pair masks have width {pairs.a.shape[1]}, sample has {p} points")
 
 
 def _raise_first(message: str, *checks: tuple[str, np.ndarray]) -> None:
@@ -133,20 +124,18 @@ def separator_oracle(space: SampledSpace, pairs: DisjointPairFamily) -> Inessent
     Every finite metric sample admits this witness for any number of pairs.
     """
     p = space.size
-    masks = _pair_masks(pairs, p)
+    _require_width(pairs, p)
     u = np.zeros((len(pairs), p))
     v = np.zeros((len(pairs), p))
-    for i, (a, b) in enumerate(pairs.pairs):
-        da = space.dist[:, sorted(a)].min(axis=1) if a else np.full(p, np.inf)
-        db = space.dist[:, sorted(b)].min(axis=1) if b else np.full(p, np.inf)
+    for i, (a, b) in enumerate(zip(pairs.a, pairs.b)):
+        da = space.dist[:, a].min(axis=1, initial=np.inf)
+        db = space.dist[:, b].min(axis=1, initial=np.inf)
         less = da < db
         greater = da > db
         u[i, less] = np.minimum(1.0, db[less] - da[less])
         u[i, ~less & ~greater] = BOUNDARY_TOL
         v[i, greater] = np.minimum(1.0, da[greater] - db[greater])
-    witness = InessentialWitness(u, v)
-    witness._validate_masks(*masks)
-    return witness
+    return InessentialWitness(u, v)
 
 
 def inessential_witness_from_map(g: np.ndarray, pairs: DisjointPairFamily) -> InessentialWitness:
@@ -156,7 +145,11 @@ def inessential_witness_from_map(g: np.ndarray, pairs: DisjointPairFamily) -> In
     up to ``BOUNDARY_TOL``: every row touches {0, 1} in some coordinate, column i
     vanishes on A_i and equals 1 on B_i. The witness pairs are the ramps
 
-        U_i = max(0, 1/2 - g_i),   V_i = max(0, g_i - 1/2).
+        U_i = max(0, 1/2 - g_i),   V_i = max(0, g_i - 1/2),
+
+    valid once g is: U_i > 0 exactly where g_i < 1/2 (so on A_i) and V_i > 0
+    exactly where g_i > 1/2 (so on B_i), and every point lies in the U_i or
+    V_i of a coordinate where it touches {0, 1}.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2:
@@ -164,6 +157,7 @@ def inessential_witness_from_map(g: np.ndarray, pairs: DisjointPairFamily) -> In
     p, width = g.shape
     if width != len(pairs):
         raise InputError(f"boundary map has {width} coordinates, family has {len(pairs)}")
+    _require_width(pairs, p)
     outside = (g < -BOUNDARY_TOL) | (g > 1.0 + BOUNDARY_TOL)
     if outside.any():
         x, i = np.argwhere(outside)[0]
@@ -172,16 +166,13 @@ def inessential_witness_from_map(g: np.ndarray, pairs: DisjointPairFamily) -> In
     if not on_boundary.any(axis=1).all():
         x = int(np.nonzero(~on_boundary.any(axis=1))[0][0])
         raise InputError(f"point {x} does not land on the cube boundary")
-    a, b = _pair_masks(pairs, p)
     _raise_first(
         "map is not {what} at point {x}, coordinate {i}",
-        ("0 on A", a & (np.abs(g.T) > BOUNDARY_TOL)),
-        ("1 on B", b & (np.abs(1.0 - g.T) > BOUNDARY_TOL)),
+        ("0 on A", pairs.a & (np.abs(g.T) > BOUNDARY_TOL)),
+        ("1 on B", pairs.b & (np.abs(1.0 - g.T) > BOUNDARY_TOL)),
     )
     clipped = np.clip(g.T, 0.0, 1.0)
-    witness = InessentialWitness(np.maximum(0.0, 0.5 - clipped), np.maximum(0.0, clipped - 0.5))
-    witness._validate_masks(a, b)
-    return witness
+    return InessentialWitness(np.maximum(0.0, 0.5 - clipped), np.maximum(0.0, clipped - 0.5))
 
 
 def map_oracle(g: np.ndarray) -> Oracle:
@@ -199,8 +190,8 @@ def shrink_to_empty_intersection(
     """Shrink an (n+2)-member covering family to empty total intersection.
 
     The closed shrinking supplies disjoint closed pairs (F_i, complement of
-    U_i) for i < n+1; the oracle separates them with opens (U'_i, V'_i).
-    The output members are
+    U_i) for i < n+1; the oracle separates them with opens (U'_i, V'_i),
+    and this is the one place a witness is validated. The output members are
 
         W_i = U'_i * U_i (i < n+1),
         W_last = U_last * (V_0 + ... + V_n),
@@ -214,13 +205,9 @@ def shrink_to_empty_intersection(
     g = cover.matrix
     shrink = closed_shrinking(cover)
     comp_f = np.maximum(0.0, 0.5 - shrink.tilde)
-    closed = shrink.closed_shrink
-    outside = ~cover.supports()
-    pairs = DisjointPairFamily(
-        tuple((closed[i], frozenset(np.flatnonzero(outside[i]).tolist())) for i in range(k - 1))
-    )
+    pairs = DisjointPairFamily(shrink.tilde[:-1] >= 0.5, ~cover.supports()[:-1])
     witness = oracle(space, pairs)
-    witness.validate(pairs, cover.sample_size)
+    witness.validate(pairs)
 
     last = np.minimum(g[k - 1], np.max(np.minimum(witness.v, comp_f[:-1]), axis=0))
     out = Cover(np.vstack([np.minimum(witness.u, g[:-1]), last]))
@@ -243,42 +230,39 @@ def reduce_order(
 ) -> Cover:
     """Shrink a covering family to order at most n.
 
-    Sweeps the (n+2)-element index subsets D_e in lexicographic order. For
-    each, the members indexed by D_e are shrunk to empty intersection (the
-    remaining members are lumped into the last D_e member so that the
+    While some point lies in more than n+1 members, take the
+    lexicographically least (n+2)-element index subset D of members that
+    share a point: the first n+2 members of each crowded point, least over
+    the points. The members indexed by D are shrunk to empty intersection
+    (the remaining members are lumped into the last D member so that the
     auxiliary family covers, then the shrunk members are intersected back),
-    and the whole cover is replaced by its open shrinking. Subsets whose
-    members already fail to intersect are skipped; every step only shrinks
-    members, so earlier empty intersections persist and the final cover has
-    order at most n.
+    and the whole cover is replaced by its open shrinking. Every step only
+    shrinks members, so a subset without a common point never gains one
+    and D never returns: the passes shrink exactly the subsets a
+    lexicographic sweep of all (n+2)-subsets would, in the same order.
     """
-    if not (isinstance(n, int) and n >= 0):
-        raise InputError("target order must be an integer >= 0")
+    if type(n) is not int or n < 0:
+        raise InputError(f"n must be an integer >= 0, got {n!r}")
     _require_covering(cover)
-    s = cover.size
-    if s < n + 2:
-        return cover
     g = cover.matrix.copy()
-    for subset in combinations(range(s), n + 2):
-        live = (g[list(subset)] > 0.0).all(axis=0)
-        if not live.any():
-            continue
-        rest = [j for j in range(s) if j not in subset]
-        aux = g[list(subset)]
-        if rest:
-            aux[-1] = np.maximum(aux[-1], np.max(g[rest], axis=0))
-        shrunk = shrink_to_empty_intersection(space, Cover(aux), oracle)
-        for m, d in enumerate(subset[:-1]):
-            g[d] = shrunk.matrix[m]
-        g[subset[-1]] = np.minimum(shrunk.matrix[-1], g[subset[-1]])
+    while True:
+        sup = g > 0.0
+        crowded = sup[:, sup.sum(axis=0) > n + 1]
+        if not crowded.size:
+            break
+        first = crowded & (np.cumsum(crowded, axis=0) <= n + 2)
+        subsets = np.nonzero(first.T)[1].reshape(-1, n + 2)
+        subset = subsets[_first_rows(subsets)[0]]
+        aux, rest = g[subset], np.delete(g, subset, axis=0)
+        if len(rest):
+            aux[-1] = np.maximum(aux[-1], rest.max(axis=0))
+        shrunk = shrink_to_empty_intersection(space, Cover(aux), oracle).matrix
+        g[subset[:-1]] = shrunk[:-1]
+        g[subset[-1]] = np.minimum(shrunk[-1], g[subset[-1]])
         # interleave: keep the open shrinking of the whole updated family
         g = closed_shrinking(Cover(g)).open_shrink.matrix.copy()
     out = Cover(g)
     bad = out.uncovered_point()
     if bad is not None:
         raise CertificateError(f"order reduction lost covering at point {bad}")
-    counts = out.supports().sum(axis=0)
-    if counts.max() > n + 1:
-        x = int(counts.argmax())
-        raise CertificateError(f"order reduction left point {x} in {int(counts[x])} members")
     return out

@@ -551,43 +551,31 @@ def _depth_pairs(space: SampledSpace, radii: list[float]) -> tuple[np.ndarray, n
     return k * p + i, outer_depth * p + j
 
 
-def _pair_list(depths: list, size: int, T: int | None = None) -> list[tuple[int, int]]:
-    # one int object per ball index, where tolist() would make one per entry
-    ids = np.arange(size, dtype=object)
-    inner, outer = (np.concatenate(a)[:T] for a in zip(*depths))
-    return list(zip(ids[inner], ids[outer]))
-
-
-def stage_pairs(space: SampledSpace, radii_depth: int) -> list[tuple[int, int]]:
-    """Strict-inclusion pairs (inner, outer) of ``enumerate_balls(space, radii_depth)``.
+def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[int, int]], int]:
+    """Balls, first T strict-inclusion pairs, and the depth that sufficed.
 
     Ball q lies strictly inside ball m when d(c_q, c_m) < r_m - r_q, the
     float comparison :func:`strictly_included` makes. Ball k*p + i (centre
     i, radius R_k halving with k) can only lie inside a ball k'*p + j with
     k' < k, so one boolean mask per depth k, indexed (i, k', j), holds the
     pairs of its inner balls, and ``nonzero`` reads them out by inner, then
-    outer index. A deeper enumeration's list extends a shallower one's, so
-    the t-th pair does not depend on the depth. Equal ball indices in the
-    list are one int object.
-    """
-    radii = _ball_radii(space, radii_depth)
-    depths = [_depth_pairs(space, radii[: k + 1]) for k in range(1, radii_depth + 1)]
-    return _pair_list(depths, len(radii) * space.size)
+    outer index. A deeper list extends a shallower one, so the t-th pair
+    does not depend on the depth. Equal ball indices in the list are one
+    int object.
 
-
-def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[int, int]], int]:
-    """Balls, first T strict-inclusion pairs, and the depth that sufficed.
-
-    The depth is the least whose :func:`stage_pairs` list holds T pairs
-    (1 when T <= 0), the balls are its :func:`enumerate_balls` list and the
-    pairs the first T of that list, sliced as a list is for negative T.
+    The depth is the least whose list holds T pairs (1 when T <= 0), the
+    balls are its :func:`enumerate_balls` list and the pairs the first T of
+    that list, sliced as a list is for negative T.
     """
     depths, count = [], 0
     while not depths or count < T:
         depths.append(_depth_pairs(space, _ball_radii(space, len(depths) + 1)))
         count += len(depths[-1][0])
     balls = enumerate_balls(space, len(depths))
-    return balls, _pair_list(depths, len(balls), T), len(depths)
+    # one int object per ball index, where tolist() would make one per entry
+    ids = np.arange(len(balls), dtype=object)
+    inner, outer = (np.concatenate(a)[:T] for a in zip(*depths))
+    return balls, list(zip(ids[inner], ids[outer])), len(depths)
 
 
 def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:
@@ -881,6 +869,10 @@ def nobeling_embed(
     above eta'_t/2) and worst single-equation clearance, plus the least
     pairwise image distance (required positive; None for one sample point).
     """
+    for name, value in (("n", n), ("T", T), ("seed", seed)):
+        # a bool or numpy integer would reach the result and fail to round-trip
+        if type(value) is not int:
+            raise InputError(f"{name} must be an integer, got {value!r}")
     if T < 1:
         raise InputError("need at least one stage")
     if space.size < 1:

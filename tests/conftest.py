@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dimlab import Ball, Cover, SampledSpace, ball_cozero
+from dimlab.dimension import DisjointPairFamily
 
 
 def line_space(k: int, mesh: float | None = None) -> SampledSpace:
@@ -64,6 +65,16 @@ def random_value_cover(space: SampledSpace, k: int, rng: np.random.Generator) ->
     for x in np.nonzero(hole)[0]:
         g[rng.integers(0, k), x] = rng.uniform(0.5, 1.0)
     return Cover(g)
+
+
+def pair_family(pairs, p: int) -> DisjointPairFamily:
+    """The family of (A_i, B_i) point-id sets as masks over a p-point sample."""
+    a = np.zeros((len(pairs), p), dtype=bool)
+    b = np.zeros((len(pairs), p), dtype=bool)
+    for i, (ai, bi) in enumerate(pairs):
+        a[i, list(ai)] = True
+        b[i, list(bi)] = True
+    return DisjointPairFamily(a, b)
 
 
 def brute_force_order(c: Cover) -> int:

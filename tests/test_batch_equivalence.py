@@ -12,7 +12,10 @@ stage cover, then the point-star test), and its batched
 v-mapping check the margin and location of the per-point loop. ``eta`` and
 ``eta_prime`` measure the widest pairs first; against the full scan of
 every pair they give the same messages and the same values, up to exact
-ties between a pair and its widest superset.
+ties between a pair and its widest superset. Order reduction, which
+shrinks the least (n+2)-subset of members sharing a point pass after
+pass, gives the bytes and the shrink count of the lexicographic sweep of
+every (n+2)-subset.
 """
 
 import math
@@ -29,8 +32,10 @@ from dimlab import (
     InputError,
     SampledSpace,
     pair_schedule,
+    reduce_order,
+    separator_oracle,
 )
-from dimlab import embedding, harness, metric, nobeling_embed, verify_result
+from dimlab import dimension, embedding, harness, metric, nobeling_embed, verify_result
 from dimlab.metric import (
     DISTANCE_TOL,
     ball_cozero,
@@ -38,7 +43,13 @@ from dimlab.metric import (
     enumerate_balls,
     strictly_included,
 )
-from dimlab.covers import dedupe_by_support, is_point_star_refinement, meet, star
+from dimlab.covers import (
+    closed_shrinking,
+    dedupe_by_support,
+    is_point_star_refinement,
+    meet,
+    star,
+)
 from dimlab.embedding import (
     HULL_TOL,
     SCAN_GUARD,
@@ -55,9 +66,14 @@ from dimlab.embedding import (
     eta_prime,
     result_from_json_dict,
     result_to_json_dict,
-    stage_pairs,
 )
-from conftest import grid_square_space, line_space, square_space
+from conftest import (
+    grid_square_space,
+    line_space,
+    random_ball_cover,
+    random_value_cover,
+    square_space,
+)
 
 
 def reference_ball_preimage_cover(f, delta):
@@ -188,6 +204,29 @@ def reference_pair_schedule(space, T):
         if len(pairs) >= T:
             return balls, pairs[:T], depth
         depth += 1
+
+
+def reference_reduce_order(space, cover, n, oracle):
+    """Sweep every (n+2)-subset of members in lexicographic order, shrinking
+    each whose members still share a point."""
+    s = cover.size
+    if s < n + 2:
+        return cover
+    g = cover.matrix.copy()
+    for subset in combinations(range(s), n + 2):
+        live = (g[list(subset)] > 0.0).all(axis=0)
+        if not live.any():
+            continue
+        rest = [j for j in range(s) if j not in subset]
+        aux = g[list(subset)]
+        if rest:
+            aux[-1] = np.maximum(aux[-1], np.max(g[rest], axis=0))
+        shrunk = dimension.shrink_to_empty_intersection(space, Cover(aux), oracle)
+        for m, d in enumerate(subset[:-1]):
+            g[d] = shrunk.matrix[m]
+        g[subset[-1]] = np.minimum(shrunk.matrix[-1], g[subset[-1]])
+        g = closed_shrinking(Cover(g)).open_shrink.matrix.copy()
+    return Cover(g)
 
 
 def reference_triangle_message(d):
@@ -556,7 +595,7 @@ class TestHyperplaneRowBytes:
 def assert_same_pairs(space, depth):
     balls = enumerate_balls(space, depth)
     want = reference_stage_pairs(space, balls)
-    got = stage_pairs(space, depth)
+    got = pair_schedule(space, len(want))[1]
     assert got == want
     assert all(type(i) is int for pair in got for i in pair)
     return got
@@ -603,7 +642,7 @@ class TestStagePairsList:
         # ints above 256 are not cached by the interpreter: each index must
         # still be a single object however many pairs it appears in
         space = square_space(np.random.default_rng(430), count=160)
-        got = stage_pairs(space, 1)
+        got = pair_schedule(space, len(reference_stage_pairs(space, enumerate_balls(space, 1))))[1]
         seen = {}
         for i in (i for pair in got for i in pair):
             assert seen.setdefault(i, i) is i
@@ -615,7 +654,7 @@ def assert_same_schedule(space, T):
     want_balls, want_pairs, want_depth = reference_pair_schedule(space, T)
     assert (depth, pairs) == (want_depth, want_pairs)
     assert [(b.center, b.radius) for b in balls] == [(b.center, b.radius) for b in want_balls]
-    assert pairs == stage_pairs(space, depth)[:T]
+    assert pairs == pair_schedule(space, len(reference_stage_pairs(space, balls)))[1][:T]
     assert all(type(i) is int for pair in pairs for i in pair)
     return depth
 
@@ -972,3 +1011,34 @@ class TestPointStarRefinement:
                 assert reference_is_point_star_refinement(st.cover_u, met)
                 for v, u in (met, st.cover_u), (st.cover_u, Cover(met.matrix[:1])):
                     assert is_point_star_refinement(v, u) == reference_is_point_star_refinement(v, u)
+
+
+class TestReduceOrderSweep:
+    """Shrinking the least (n+2)-subset that shares a point, pass after pass,
+    shrinks the subsets of the lexicographic sweep in the sweep's order."""
+
+    @pytest.mark.parametrize("make", [random_ball_cover, random_value_cover], ids=["ball", "value"])
+    def test_same_bytes_and_shrinks_as_the_sweep(self, make, monkeypatch):
+        calls = []
+        shrink = dimension.shrink_to_empty_intersection
+
+        def counted(*args):
+            calls.append(args)
+            return shrink(*args)
+
+        monkeypatch.setattr(dimension, "shrink_to_empty_intersection", counted)
+        rng = np.random.default_rng(990)
+        small = shrinking = 0
+        for _ in range(150):
+            n, k = int(rng.integers(0, 3)), int(rng.integers(1, 8))
+            space = square_space(rng, int(rng.integers(8, 20)))
+            cover = make(space, k, rng)
+            want = reference_reduce_order(space, cover, n, separator_oracle)
+            want_calls, calls[:] = len(calls), []
+            got = reduce_order(space, cover, n, separator_oracle)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert len(calls) == want_calls
+            calls.clear()
+            small += k < n + 2
+            shrinking += want_calls > 0
+        assert small >= 10 and shrinking >= 50

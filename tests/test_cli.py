@@ -108,6 +108,18 @@ def test_reduce_order_map_oracle_not_zero_on_a_exits_2(workdir, capsys):
     assert capsys.readouterr().err == "input error: map is not 0 on A at point 0, coordinate 0\n"
 
 
+def test_reduce_order_short_map_exits_2(workdir, capsys):
+    tmp, _, _ = workdir
+    # three rows for a four-point sample: the pair masks are one point wider
+    (tmp / "g.json").write_text(json.dumps({"g": [[0.0], [0.0], [1.0]]}))
+    code = cli_main(
+        ["cover", "reduce-order", "--space", str(tmp / "space.json"), "--cover",
+         str(tmp / "cover.json"), "--n", "0", "--oracle", f"map:{tmp / 'g.json'}"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "input error: pair masks have width 4, sample has 3 points\n"
+
+
 def test_reduce_order_unknown_oracle(workdir, capsys):
     tmp, _, _ = workdir
     code = cli_main(

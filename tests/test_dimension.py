@@ -15,17 +15,43 @@ from dimlab.dimension import (
     map_oracle,
     shrink_to_empty_intersection,
 )
-from conftest import line_space, random_ball_cover, random_value_cover, refines, square_space
+from conftest import (
+    line_space,
+    pair_family,
+    random_ball_cover,
+    random_value_cover,
+    refines,
+    square_space,
+)
 
 
 class TestDisjointPairFamily:
     def test_rejects_overlap(self):
-        with pytest.raises(InputError, match="pair 0"):
-            DisjointPairFamily(((frozenset({0, 1}), frozenset({1, 2})),))
+        with pytest.raises(InputError, match="^pair 1 is not disjoint at point 1$"):
+            pair_family([({0}, {2}), ({0, 1}, {1, 2})], 3)
 
     def test_accepts_empty_sides(self):
-        fam = DisjointPairFamily(((frozenset(), frozenset({0})),))
+        fam = pair_family([(set(), {0})], 1)
         assert len(fam) == 1
+
+    def test_masks_are_read_only_copies(self):
+        a, b = np.array([[True, False]]), np.array([[False, True]])
+        fam = DisjointPairFamily(a, b)
+        a[0, 1] = True
+        assert fam.a.tolist() == [[True, False]]
+        assert not fam.a.flags.writeable and not fam.b.flags.writeable
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(np.zeros((1, 3), bool), np.zeros((1, 4), bool)),
+         (np.zeros((1, 3), bool), np.zeros((2, 3), bool)),
+         (np.zeros(3, bool), np.zeros(3, bool)),
+         (np.zeros((1, 3), int), np.zeros((1, 3), bool))],
+        ids=["widths", "heights", "one-d", "not-boolean"],
+    )
+    def test_rejects_masks_of_other_shapes_or_types(self, a, b):
+        with pytest.raises(InputError, match="two boolean arrays of one 2-d shape"):
+            DisjointPairFamily(a, b)
 
 
 class TestSeparatorOracle:
@@ -36,7 +62,7 @@ class TestSeparatorOracle:
         goes to U at the tolerance value. U values are min(1, dB - dA).
         """
         s = line_space(3)
-        fam = DisjointPairFamily(((frozenset({0}), frozenset({2})),))
+        fam = pair_family([({0}, {2})], 3)
         w = separator_oracle(s, fam)
         assert w.u.shape == w.v.shape == (1, 3)
         assert w.u[0, 0] == 1.0
@@ -47,7 +73,7 @@ class TestSeparatorOracle:
 
     def test_empty_side_gives_whole_sample(self):
         s = line_space(3)
-        fam = DisjointPairFamily(((frozenset(), frozenset({1})),))
+        fam = pair_family([(set(), {1})], 3)
         w = separator_oracle(s, fam)
         assert not (w.u[0] > 0.0).any()
         assert (w.v[0] > 0.0).all()
@@ -57,18 +83,16 @@ class TestSeparatorOracle:
         pairs = []
         for _ in range(3):
             pts = rng.permutation(15)
-            pairs.append((frozenset(int(x) for x in pts[:3]), frozenset(int(x) for x in pts[3:6])))
-        fam = DisjointPairFamily(tuple(pairs))
+            pairs.append((pts[:3], pts[3:6]))
+        fam = pair_family(pairs, s.size)
         w = separator_oracle(s, fam)
-        w.validate(fam, s.size)  # raises on any invariant breach
+        w.validate(fam)  # raises on any invariant breach
 
 
 class TestWitnessValidate:
     """Each invariant breach names the least failing pair and its least point."""
 
-    FAMILY = DisjointPairFamily(
-        ((frozenset({0}), frozenset({3})), (frozenset({1, 2}), frozenset({0, 3})))
-    )
+    FAMILY = pair_family([({0}, {3}), ({1, 2}, {0, 3})], 4)
 
     @pytest.mark.parametrize(
         "u, v, message",
@@ -88,23 +112,23 @@ class TestWitnessValidate:
     def test_names_pair_and_least_point(self, u, v, message):
         w = InessentialWitness(np.array(u, dtype=float), np.array(v, dtype=float))
         if message is None:
-            w.validate(self.FAMILY, 4)
+            w.validate(self.FAMILY)
             return
         with pytest.raises(InputError, match=f"^{message}$"):
-            w.validate(self.FAMILY, 4)
+            w.validate(self.FAMILY)
 
     def test_rejects_uncovered_point_and_wrong_shapes(self):
-        fam = DisjointPairFamily(((frozenset({0}), frozenset({2})),))
+        fam = pair_family([({0}, {2})], 3)
         w = InessentialWitness(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]]))
         with pytest.raises(InputError, match="does not cover the sample: point 1"):
-            w.validate(fam, 3)
+            w.validate(fam)
         with pytest.raises(InputError, match=r"shapes \(1, 3\) and \(1, 3\), not \(2, 3\)"):
-            w.validate(DisjointPairFamily(fam.pairs * 2), 3)
+            w.validate(pair_family([({0}, {2})] * 2, 3))
         with pytest.raises(InputError, match=r"shapes \(1, 3\) and \(1, 3\), not \(1, 4\)"):
-            w.validate(fam, 4)
+            w.validate(pair_family([({0}, {2})], 4))
         w = InessentialWitness(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]] * 2))
         with pytest.raises(InputError, match=r"shapes \(1, 3\) and \(2, 3\), not \(1, 3\)"):
-            w.validate(fam, 3)
+            w.validate(fam)
 
     @pytest.mark.parametrize(
         "u, message",
@@ -118,51 +142,37 @@ class TestWitnessValidate:
             InessentialWitness(u, [[0.0, 1.0]])
 
 
-class TestPointIdRange:
-    """Point ids outside 0..p-1 are named, neither wrapped nor left to IndexError."""
+class TestMaskWidth:
+    """Pair masks narrower or wider than the sample are refused on every route."""
 
-    @pytest.mark.parametrize("side", ["A", "B"])
-    @pytest.mark.parametrize("bad", [-1, 7])
-    def test_every_route_names_pair_and_id(self, bad, side):
-        # pair 2's id 12 and pair 1's id 9 are not the least stray ones
-        a, b = ({bad}, {0}) if side == "A" else ({0}, {bad, 1, 9})
-        fam = DisjointPairFamily(
-            ((frozenset({0}), frozenset({2})), (frozenset(a), frozenset(b)),
-             (frozenset({12}), frozenset({1})))
-        )
-        message = rf"^pair 1 names point {bad} outside 0\.\.3$"
-        g = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_every_route_rejects_width_mismatch(self, width):
+        fam = pair_family([({0}, {2}), ({1}, set())], width)
+        message = rf"^pair masks have width {width}, sample has 4 points$"
+        g = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(InputError, match=message):
             separator_oracle(line_space(4), fam)
         with pytest.raises(InputError, match=message):
             inessential_witness_from_map(g, fam)
         with pytest.raises(InputError, match=message):
             map_oracle(g)(line_space(4), fam)
-        w = InessentialWitness(np.ones((3, 4)), np.zeros((3, 4)))
-        with pytest.raises(InputError, match=message):
-            w.validate(fam, 4)
-
-    @pytest.mark.parametrize("bad", [2**70, -(2**70)])
-    def test_ids_beyond_machine_integers(self, bad):
-        fam = DisjointPairFamily(((frozenset({0}), frozenset({2, bad})),))
-        message = rf"^pair 0 names point {bad} outside 0\.\.3$"
-        with pytest.raises(InputError, match=message):
-            separator_oracle(line_space(4), fam)
-        with pytest.raises(InputError, match=message):
-            InessentialWitness(np.ones((1, 4)), np.zeros((1, 4))).validate(fam, 4)
+        w = InessentialWitness(np.ones((2, 4)), np.zeros((2, 4)))
+        with pytest.raises(InputError, match=rf"shapes \(2, 4\) and \(2, 4\), not \(2, {width}\)"):
+            w.validate(fam)
 
 
 class TestWitnessFromMap:
     def test_frozen_ramp_values(self):
         # two points, one pair; g sends point 0 to 0 and point 1 to 1
-        fam = DisjointPairFamily(((frozenset({0}), frozenset({1})),))
+        fam = pair_family([({0}, {1})], 2)
         g = np.array([[0.0], [1.0]])
         w = inessential_witness_from_map(g, fam)
         assert w.u.tolist() == [[0.5, 0.0]]
         assert w.v.tolist() == [[0.0, 0.5]]
+        w.validate(fam)
 
     def test_rejects_interior_point(self):
-        fam = DisjointPairFamily(((frozenset({0}), frozenset({1})),))
+        fam = pair_family([({0}, {1})], 2)
         g = np.array([[0.0], [0.4]])  # point 1 never touches the boundary
         with pytest.raises(InputError, match="point 1"):
             inessential_witness_from_map(g, fam)
@@ -174,19 +184,17 @@ class TestWitnessFromMap:
         ids=["a-side", "b-side"],
     )
     def test_names_least_point_of_first_failing_coordinate(self, g, message):
-        fam = DisjointPairFamily(
-            ((frozenset({0}), frozenset({1, 2})), (frozenset({0, 3, 2}), frozenset()))
-        )
+        fam = pair_family([({0}, {1, 2}), ({0, 3, 2}, set())], 4)
         with pytest.raises(InputError, match=message):
             inessential_witness_from_map(np.array(g), fam)
 
     def test_rejects_wrong_width(self):
-        fam = DisjointPairFamily(((frozenset({0}), frozenset({1})),))
+        fam = pair_family([({0}, {1})], 2)
         with pytest.raises(InputError, match="coordinates"):
             inessential_witness_from_map(np.zeros((2, 3)), fam)
 
     def test_map_oracle_wraps(self):
-        fam = DisjointPairFamily(((frozenset({0}), frozenset({1})),))
+        fam = pair_family([({0}, {1})], 2)
         g = np.array([[0.0], [1.0]])
         oracle = map_oracle(g)
         w = oracle(line_space(2), fam)
@@ -255,6 +263,12 @@ class TestReduceOrder:
         usup = c.supports()
         for i in range(c.size):
             assert not (rsup[i] & ~usup[i]).any()
+
+    @pytest.mark.parametrize("n", [True, 1.0, np.int64(1), -1], ids=["bool", "float", "int64", "negative"])
+    def test_rejects_n_that_is_not_a_nonnegative_int(self, n):
+        c = Cover.from_matrix(np.ones((3, 4)))
+        with pytest.raises(InputError, match="^n must be an integer >= 0, got"):
+            reduce_order(line_space(4), c, n, separator_oracle)
 
     def test_small_cover_returned_unchanged(self):
         s = line_space(4)

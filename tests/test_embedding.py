@@ -1,6 +1,7 @@
 """Hyperplane enumeration, general position, kappa maps, separation, stages."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,7 +29,6 @@ from dimlab.embedding import (
     general_position,
     initial_map,
     kappa_map,
-    stage_pairs,
     stern_brocot_rationals,
 )
 from dimlab.metric import enumerate_balls, strictly_included
@@ -363,6 +363,12 @@ class TestEtaPrime:
             eta_prime(z, h, 1)
 
 
+def inclusion_count(space, depth):
+    """Number of strict-inclusion pairs among ``enumerate_balls(space, depth)``."""
+    balls = enumerate_balls(space, depth)
+    return sum(strictly_included(q, m, space) for q in balls for m in balls)
+
+
 class TestStagePairs:
     def test_frozen_four_point_line(self):
         """Hand check: depth-1 balls on 4 points of [0,1] (diameter 1).
@@ -373,7 +379,8 @@ class TestStagePairs:
         closer than 1/2 qualify, in production order of the small ball.
         """
         s = line_space(4)
-        got = stage_pairs(s, 1)
+        got = pair_schedule(s, 10)[1]
+        assert pair_schedule(s, 11)[2] == 2
         assert got == [
             (4, 0), (4, 1),
             (5, 0), (5, 1), (5, 2),
@@ -383,14 +390,16 @@ class TestStagePairs:
 
     def test_prefix_stable_in_depth(self):
         s = line_space(5)
-        shallow = stage_pairs(s, 1)
-        deep = stage_pairs(s, 3)
+        shallow = pair_schedule(s, inclusion_count(s, 1))[1]
+        balls, deep, depth = pair_schedule(s, inclusion_count(s, 3))
+        assert depth == 3
         assert deep[: len(shallow)] == shallow
 
     def test_pairs_are_strict_inclusions(self):
         s = line_space(6)
-        balls = enumerate_balls(s, 2)
-        for q, m in stage_pairs(s, 2):
+        balls, pairs, depth = pair_schedule(s, inclusion_count(s, 2))
+        assert depth == 2
+        for q, m in pairs:
             assert strictly_included(balls[q], balls[m], s)
 
     def test_pair_schedule_reaches_demand(self):
@@ -535,6 +544,19 @@ class TestNobelingEmbed:
             nobeling_embed(s, n=1, T=0, seed=0)
         with pytest.raises(InputError):
             nobeling_embed(s, n=-1, T=1, seed=0)
+
+    @pytest.mark.parametrize("value", [True, np.int64(1), 1.0], ids=["bool", "int64", "float"])
+    @pytest.mark.parametrize("name", ["n", "T", "seed"])
+    def test_rejects_integer_arguments_of_other_types(self, name, value):
+        """A bool or numpy integer would be written to the result, which the
+        reader then refuses or the writer cannot encode; no stage runs."""
+
+        def oracle(space, pairs):
+            raise AssertionError("a stage ran")
+
+        args = {"n": 1, "T": 1, "seed": 0, name: value}
+        with pytest.raises(InputError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            nobeling_embed(line_space(4), oracle=oracle, **args)
 
 
 class TestResultSerialization:

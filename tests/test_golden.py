@@ -32,7 +32,6 @@ from dimlab import (
     star_refinement,
     verify_result,
 )
-from dimlab.embedding import stage_pairs
 from conftest import (
     grid_square_space,
     line_space,
@@ -132,8 +131,8 @@ def test_pair_schedule_pinned():
     assert hashlib.sha256(repr(schedule).encode()).hexdigest() == (
         "39bab3c77f67127520affd0b42ec5de9d83d0298b1dea0094731cc676450097d"
     )
-    pairs = stage_pairs(space, schedule[2])
-    assert len(pairs) == 45362
+    pairs = pair_schedule(space, 45362)[1]
+    assert len(pairs) == 45362 and pair_schedule(space, 45363)[2] == 2
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
         "39afcee10bf6629bab14f743c4b84daabfeee62e1522c03be39f6c3453df3a0c"
     )
