@@ -143,11 +143,14 @@ class TestWitnessValidate:
 
 
 class TestMaskWidth:
-    """Pair masks narrower or wider than the sample are refused on every route."""
+    """Pair masks narrower or wider than the sample are refused on every route,
+    whichever side of a pair marks the masks' last point."""
 
+    @pytest.mark.parametrize("side", ["A", "B"])
     @pytest.mark.parametrize("width", [3, 5])
-    def test_every_route_rejects_width_mismatch(self, width):
-        fam = pair_family([({0}, {2}), ({1}, set())], width)
+    def test_every_route_rejects_width_mismatch(self, width, side):
+        last = ({width - 1}, set()) if side == "A" else (set(), {width - 1})
+        fam = pair_family([({0}, {1}), last], width)
         message = rf"^pair masks have width {width}, sample has 4 points$"
         g = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(InputError, match=message):
