@@ -27,10 +27,14 @@ star refinement
 
     where the complement of F_i is realized exactly as the cozero set of
     max(0, 1/2 - gt_i). The meet of the open shrinking (W_l) with all the
-    V_i is a cover whose member W_l * ... has star contained in U_l.
+    V_i is a cover whose member W_l * ... has star contained in U_l. It is
+    taken as k meet steps, (W_l) met with V_0, then V_1, ..., so its members
+    come in order of (l, choice vector), the complement of F_i before U_i.
 
 meet
-    Pairwise pointwise minima of two covers, empty members dropped.
+    Pairwise pointwise minima of two covers, empty members dropped, in
+    a-major order; the one pairwise-minimum step of ``meet`` and of the
+    star refinement.
 
 All operations are pure: inputs are immutable and outputs are fresh.
 """
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -88,9 +91,6 @@ class Cover:
             return None
         return int(np.nonzero(~covered)[0][0])
 
-    def is_covering(self) -> bool:
-        return self.uncovered_point() is None
-
     def to_json_dict(self) -> dict:
         """Each member as the sparse object {point index: value} of its nonzero values."""
         return {
@@ -115,6 +115,10 @@ class Cover:
                     i = int(key)
                 except (TypeError, ValueError) as exc:
                     raise InputError(f"bad point index {key!r} in cover values") from exc
+                # only the keys to_json_dict writes: int() reads "01", "1_0", " 2"
+                # and "+3" as 1, 10, 2 and 3, so two keys could name one point
+                if key != str(i):
+                    raise InputError(f"bad point index {key!r} in cover values")
                 if not 0 <= i < sample_size:
                     raise InputError(f"unknown point identifier: {i}")
                 try:
@@ -222,60 +226,37 @@ def meet(a: Cover, b: Cover) -> Cover:
     """Pairwise pointwise-minimum cover, nonempty members only, a-major order."""
     if a.sample_size != b.sample_size:
         raise InputError("covers live over different samples")
-    low = np.minimum(a.matrix[:, None, :], b.matrix[None, :, :]).reshape(-1, a.sample_size)
-    nonempty = (low > 0.0).any(axis=1)
-    if not nonempty.any():
+    rows, _ = _meet_rows(a.matrix, b.matrix)
+    if not len(rows):
         raise InputError("meet produced no nonempty member; inputs do not overlap")
-    return Cover(low[nonempty])
+    return Cover(rows)
+
+
+def _meet_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonempty pairwise row minima of ``a`` and ``b``, a-major, and the row of ``a`` of each."""
+    low = np.minimum(a[:, None, :], b[None, :, :]).reshape(-1, a.shape[1])
+    nonempty = np.flatnonzero((low > 0.0).any(axis=1))
+    return low[nonempty], nonempty // len(b)
 
 
 def star_refinement(c: Cover) -> tuple[Cover, tuple[int, ...]]:
     """A cover refining ``c`` whose member stars land in single members of ``c``.
 
-    The construction follows the shrinking route described in the module
-    docstring. Only nonempty members are materialized: a member is the meet
-    of one open-shrinking member W_l with one choice, per index i, of either
-    U_i or the complement of F_i, and the nonempty choices are found by
-    scanning sample points. Members are ordered by (l, choice vector) with
-    the complement choice sorting before U_i. The witness maps each output
-    member to its l; the star of that member is contained in U_l.
+    The construction is the meet described in the module docstring, taken
+    in k steps: the open shrinking (W_l) met with V_0, then with V_1, and so
+    on, each step keeping only nonempty members. Members are ordered by
+    (l, choice vector) with the complement of F_i before U_i. The witness
+    maps each output member to its l; the star of that member is contained
+    in U_l.
     """
     shrink = closed_shrinking(c)
-    g = c.matrix
-    gp = shrink.open_shrink.matrix
-    gt = shrink.tilde
-    k, p = g.shape
-    comp = np.maximum(0.0, 0.5 - gt)  # exact complement of F_i on the sample
-
-    signatures: set[tuple[int, tuple[int, ...]]] = set()
-    for x in range(p):
-        ls = np.nonzero(gp[:, x] > 0.0)[0]
-        if ls.size == 0:
-            # cannot happen on covering input: the open shrinking covers
-            raise InputError(f"open shrinking misses point {x}")
-        options = []
-        for i in range(k):
-            opts = []
-            if comp[i, x] > 0.0:
-                opts.append(0)
-            if g[i, x] > 0.0:
-                opts.append(1)
-            options.append(opts)
-        for l in ls:
-            for choice in product(*options):
-                signatures.add((int(l), choice))
-
-    members = []
-    witness = []
-    for l, choice in sorted(signatures):
-        stack = [gp[l]]
-        for i, pick in enumerate(choice):
-            stack.append(g[i] if pick == 1 else comp[i])
-        member = np.min(np.vstack(stack), axis=0)
-        if (member > 0.0).any():
-            members.append(member)
-            witness.append(l)
-    return Cover(members), tuple(witness)
+    rows = shrink.open_shrink.matrix
+    witness = np.arange(c.size)
+    comp = np.maximum(0.0, 0.5 - shrink.tilde)  # exact complement of F_i on the sample
+    for i in range(c.size):
+        rows, a_index = _meet_rows(rows, np.stack([comp[i], c.matrix[i]]))
+        witness = witness[a_index]
+    return Cover(rows), tuple(witness.tolist())
 
 
 def is_point_star_refinement(v: Cover, u: Cover) -> bool:

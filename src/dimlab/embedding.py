@@ -180,8 +180,11 @@ class Hyperplane:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Hyperplane":
         try:
-            coords = tuple(int(c) for c in obj["coords"])
-            values = tuple(Fraction(int(p), int(q)) for p, q in obj["values"])
+            coords = tuple(_int(c, "hyperplane coord") for c in obj["coords"])
+            values = tuple(
+                Fraction(_int(p, "hyperplane numerator"), _int(q, "hyperplane denominator"))
+                for p, q in obj["values"]
+            )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a hyperplane document: {exc}") from exc
         return cls(coords, values)
@@ -686,10 +689,6 @@ class EmbeddingResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "f", _as_readonly(np.asarray(self.f, dtype=float)))
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.stages)
 
 
 def _require_in_cube(points: np.ndarray, what: str) -> None:

@@ -15,7 +15,6 @@ at a sample point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -161,14 +160,6 @@ class SampledSpace:
         if points is not None:
             return cls.from_points(points, mesh)
         return cls.from_distance_matrix(matrix, mesh)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SampledSpace":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"space document is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(obj)
 
     def to_json_dict(self) -> dict:
         if self.coords is not None:

@@ -15,7 +15,8 @@ every pair they give the same messages and the same values, up to exact
 ties between a pair and its widest superset. Order reduction, which
 shrinks the least (n+2)-subset of members sharing a point pass after
 pass, gives the bytes and the shrink count of the lexicographic sweep of
-every (n+2)-subset.
+every (n+2)-subset. The star refinement, taken as k meet steps, gives the
+members, member order and witness of the per-point signature enumeration.
 """
 
 import math
@@ -48,7 +49,9 @@ from dimlab.covers import (
     dedupe_by_support,
     is_point_star_refinement,
     meet,
+    order_of,
     star,
+    star_refinement,
 )
 from dimlab.embedding import (
     HULL_TOL,
@@ -227,6 +230,47 @@ def reference_reduce_order(space, cover, n, oracle):
         g[subset[-1]] = np.minimum(shrunk.matrix[-1], g[subset[-1]])
         g = closed_shrinking(Cover(g)).open_shrink.matrix.copy()
     return Cover(g)
+
+
+def reference_star_refinement(c):
+    """Enumerate, point by point, the signatures (l, choice) of the meet members
+    containing each point, and build each member from its signature."""
+    shrink = closed_shrinking(c)
+    g = c.matrix
+    gp = shrink.open_shrink.matrix
+    gt = shrink.tilde
+    k, p = g.shape
+    comp = np.maximum(0.0, 0.5 - gt)  # exact complement of F_i on the sample
+
+    signatures: set[tuple[int, tuple[int, ...]]] = set()
+    for x in range(p):
+        ls = np.nonzero(gp[:, x] > 0.0)[0]
+        if ls.size == 0:
+            # cannot happen on covering input: the open shrinking covers
+            raise InputError(f"open shrinking misses point {x}")
+        options = []
+        for i in range(k):
+            opts = []
+            if comp[i, x] > 0.0:
+                opts.append(0)
+            if g[i, x] > 0.0:
+                opts.append(1)
+            options.append(opts)
+        for l in ls:
+            for choice in product(*options):
+                signatures.add((int(l), choice))
+
+    members = []
+    witness = []
+    for l, choice in sorted(signatures):
+        stack = [gp[l]]
+        for i, pick in enumerate(choice):
+            stack.append(g[i] if pick == 1 else comp[i])
+        member = np.min(np.vstack(stack), axis=0)
+        if (member > 0.0).any():
+            members.append(member)
+            witness.append(l)
+    return Cover(members), tuple(witness)
 
 
 def reference_triangle_message(d):
@@ -1042,3 +1086,50 @@ class TestReduceOrderSweep:
             small += k < n + 2
             shrinking += want_calls > 0
         assert small >= 10 and shrinking >= 50
+
+
+def assert_same_star_refinement(cover):
+    got, got_witness = star_refinement(cover)
+    want, want_witness = reference_star_refinement(cover)
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got_witness == want_witness
+    return got
+
+
+class TestStarRefinementMeet:
+    """The star refinement as k meet steps gives the members, member order and
+    witness of the per-point signature enumeration."""
+
+    @pytest.mark.parametrize("make, k_max", [(random_value_cover, 5), (random_ball_cover, 6)],
+                             ids=["value", "ball"])
+    def test_seeded_square_covers(self, make, k_max):
+        orders = []
+        for seed in range(2000, 2060):
+            rng = np.random.default_rng(seed)
+            space = square_space(rng, count=20)
+            cover = make(space, int(rng.integers(1, k_max + 1)), rng)
+            orders.append(order_of(assert_same_star_refinement(cover)))
+        assert min(orders) == 0 and max(orders) >= 15
+
+    @pytest.mark.parametrize("seed", [2015, 2031])
+    def test_criterion_2_order_15(self, seed):
+        # the criterion-2 instances whose refinements reach order 15
+        rng = np.random.default_rng(seed)
+        space = square_space(rng, count=20)
+        cover = random_value_cover(space, int(rng.integers(1, 6)), rng)
+        assert order_of(assert_same_star_refinement(cover)) == 15
+
+    @pytest.mark.parametrize("T", [4, 16])
+    def test_stage_covers_on_the_line(self, monkeypatch, T):
+        reduced = []
+
+        def recording(c):
+            reduced.append(c)
+            return star_refinement(c)
+
+        monkeypatch.setattr(embedding, "star_refinement", recording)
+        nobeling_embed(line_space(8), n=1, T=T, seed=0)
+        assert len(reduced) == T
+        for c in reduced:
+            assert_same_star_refinement(c)

@@ -92,7 +92,7 @@ def test_reduce_order_map_oracle(workdir, capsys):
     )
     assert code == 0
     out = Cover.from_json_dict(json.loads(capsys.readouterr().out), space.size)
-    assert out.is_covering()
+    assert out.uncovered_point() is None
     assert brute_force_order(out) == 0
 
 

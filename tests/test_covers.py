@@ -1,5 +1,7 @@
 """Cover calculus: shrinking, stars, meets, star refinement, order."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,14 @@ class TestCoverValues:
                                    {"values": {"1": 1.0, "3": 1.0}}]}
         back = Cover.from_json_dict(doc, 4)
         assert np.array_equal(back.matrix, c.matrix) and not back.matrix.flags.writeable
+
+    @pytest.mark.parametrize("key", ["01", "1_0", " 2", "+3", "2 ", "x", "-0"])
+    def test_json_point_key_is_canonical(self, key):
+        # int() reads these as points; "01" and "1" would name one point
+        doc = {"members": [{"values": {"1": 0.5, key: 1.0}}]}
+        message = f"^bad point index {re.escape(repr(key))} in cover values$"
+        with pytest.raises(InputError, match=message):
+            Cover.from_json_dict(doc, 12)
 
     @pytest.mark.parametrize(
         "make, message",
@@ -183,7 +193,7 @@ class TestStarRefinement:
         s = square_space(rng, 10)
         c = random_ball_cover(s, 3, rng)
         v, _ = star_refinement(c)
-        assert v.is_covering()
+        assert v.uncovered_point() is None
 
     def test_point_star_refinement_needs_one_sample(self):
         v, u = small_cover(np.ones((1, 3))), small_cover(np.ones((1, 5)))
@@ -274,7 +284,7 @@ def test_star_refinement_property(seed):
     s = square_space(rng, 10)
     c = random_value_cover(s, int(rng.integers(2, 5)), rng)
     v, assignment = star_refinement(c)
-    assert v.is_covering()
+    assert v.uncovered_point() is None
     usup = c.supports()
     for j in range(v.size):
         assert star_of_member(j, v) <= frozenset(np.nonzero(usup[assignment[j]])[0])

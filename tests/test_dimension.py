@@ -211,7 +211,7 @@ class TestShrinkToEmptyIntersection:
             c = random_ball_cover(s, int(rng.integers(2, 5)), rng)
             shrunk = shrink_to_empty_intersection(s, c, separator_oracle)
             sup = shrunk.supports()
-            assert shrunk.is_covering()
+            assert shrunk.uncovered_point() is None
             # total intersection of all members is now empty
             assert not sup.all(axis=0).any()
             # index-wise shrinking of the input
@@ -232,7 +232,7 @@ class TestShrinkToEmptyIntersection:
         )
         shrunk = shrink_to_empty_intersection(s, c, separator_oracle)
         sup = shrunk.supports()
-        assert shrunk.is_covering()
+        assert shrunk.uncovered_point() is None
         assert not (sup[0] & sup[1]).any()
 
 
@@ -252,7 +252,7 @@ class TestReduceOrder:
             s = square_space(rng, 12)
             c = random_ball_cover(s, int(rng.integers(n + 2, 7)), rng)
             reduced = reduce_order(s, c, n, separator_oracle)
-            assert reduced.is_covering()
+            assert reduced.uncovered_point() is None
             assert order_of(reduced) <= n
             assert brute_force_max_multiplicity_ok(reduced, n)
             assert refines(reduced, c)
@@ -290,6 +290,6 @@ def test_reduce_order_property(seed, n):
     s = square_space(rng, 10)
     c = random_value_cover(s, int(rng.integers(n + 2, 6)), rng)
     reduced = reduce_order(s, c, n, separator_oracle)
-    assert reduced.is_covering()
+    assert reduced.uncovered_point() is None
     assert order_of(reduced) <= n
     assert refines(reduced, c)

@@ -415,7 +415,7 @@ class TestBallPreimageCover:
         f = initial_map(s, 1)
         delta = 0.25
         c = ball_preimage_cover(s, f, delta)
-        assert c.is_covering()
+        assert c.uncovered_point() is None
         for row in c.supports():
             sup = np.flatnonzero(row)
             for i in sup:
@@ -499,7 +499,7 @@ class TestNobelingEmbed:
     def test_line_run_certificates(self):
         s = line_space(8)
         r = nobeling_embed(s, n=1, T=4, seed=0)
-        assert r.stage_count == 4
+        assert len(r.stages) == 4
         assert r.injectivity_margin is not None and r.injectivity_margin > 0.0
         # chain: stage t+1 starts where stage t ended
         for a, b in zip(r.stages, r.stages[1:]):
@@ -521,7 +521,7 @@ class TestNobelingEmbed:
         s = SampledSpace.from_points([[0.25]], mesh=0.5)
         r = nobeling_embed(s, n=1, T=2, seed=0)
         assert r.injectivity_margin is None
-        assert r.stage_count == 2
+        assert len(r.stages) == 2
 
     def test_square_grid_example(self):
         # 12-point planar sample, no dimension reduction claimed: n = 2

@@ -232,6 +232,23 @@ class TestVerifyResult:
         with pytest.raises(InputError, match=f"{field} must be an integer"):
             tampered(line_run[1], mutate)
 
+    @pytest.mark.parametrize("where", ["stage", "avoided"])
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("coords", [0.5, 1.5], "coord"), ("coords", [True, 1], "coord"),
+         ("values", [[0.25, 1], [0.25, 1]], "numerator"),
+         ("values", [[0, 1.0], [0, 1]], "denominator")],
+        ids=["coords-float", "coords-bool", "numerator-float", "denominator-float"],
+    )
+    def test_rejects_non_integer_hyperplane(self, line_run, where, field, value, message):
+        """int() would truncate 0.5, 1.5 and 0.25 to the scheduled plane, which verifies."""
+
+        def mutate(doc):
+            (doc["stages"] if where == "stage" else doc["avoided"])[0]["hyperplane"][field] = value
+
+        with pytest.raises(InputError, match=f"hyperplane {message} must be an integer"):
+            tampered(line_run[1], mutate)
+
     @pytest.mark.parametrize("t", [999, 4, -1])
     def test_rejects_stage_index_outside_stages(self, line_run, t):
         space, r = line_run

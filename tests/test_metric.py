@@ -91,7 +91,7 @@ class TestSampledSpace:
     def test_json_round_trip_points(self):
         s = line_space(4)
         doc = s.to_json_dict()
-        back = SampledSpace.from_json(json.dumps(doc))
+        back = SampledSpace.from_json_dict(json.loads(json.dumps(doc)))
         assert np.array_equal(back.dist, s.dist)
         assert np.array_equal(back.coords, s.coords)
         assert back.mesh == s.mesh

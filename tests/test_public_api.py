@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import dimlab
+from dimlab.embedding import EmbeddingResult
 from dimlab.harness import verify_nobeling_membership
 from dimlab.nerve import SimplicialComplex, export_complex
 
@@ -87,3 +88,6 @@ def test_deleted_fields_and_parameters_are_gone():
     assert "realization" not in SimplicialComplex.__dataclass_fields__
     assert list(inspect.signature(export_complex).parameters) == ["complex"]
     assert list(inspect.signature(verify_nobeling_membership).parameters) == ["r"]
+    assert not hasattr(dimlab.Cover, "is_covering")
+    assert not hasattr(EmbeddingResult, "stage_count")
+    assert not hasattr(dimlab.SampledSpace, "from_json")
