@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import CertificateError, InputError
-from .metric import _as_readonly, _float_array
+from .metric import _as_readonly, _float, _float_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +122,8 @@ class Cover:
                 if not 0 <= i < sample_size:
                     raise InputError(f"unknown point identifier: {i}")
                 try:
-                    row[i] = float(value)
-                except (TypeError, ValueError) as exc:
+                    row[i] = _float(value, "cover value")
+                except ValueError as exc:
                     raise InputError(f"bad value {value!r} at point {i} in cover values") from exc
         return cls(g)
 

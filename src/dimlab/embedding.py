@@ -56,7 +56,9 @@ from .metric import (
     SampledSpace,
     _as_readonly,
     _ball_radii,
+    _float,
     _float_array,
+    _int,
     _reject_json_constant,
     ball_cozero,
     complement_cozero,
@@ -587,12 +589,26 @@ def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:
     The union of the rows' boxes from :func:`~dimlab.covers._grid_boxes`, as
     a (cells, d) integer array in lexicographic row order; grid point c sits
     at c / m. Boxes are listed in blocks of ``_CHUNK_FLOATS`` cell coordinates.
+
+    When (m+1)^d < 2^62 a cell is the one int64 key sum c_i (m+1)^(d-1-i),
+    whose order is the cells' row order: the keys are sorted, equal
+    neighbours dropped and the rest decoded. Larger grids take the stable
+    lexsort of the rows, :func:`~dimlab.covers._first_rows`.
     """
     f = np.asarray(f, dtype=float)
     d = f.shape[1]
-    boxes = _box_cells(*_grid_boxes(f, radius, m), max(1, _CHUNK_FLOATS // d))
-    cells = np.concatenate([np.zeros((0, d), dtype=np.int64)] + [c for _, c in boxes])
-    return cells[_first_rows(cells)]
+    blocks = (c for _, c in _box_cells(*_grid_boxes(f, radius, m), max(1, _CHUNK_FLOATS // d)))
+    base = m + 1
+    if base**d >= 2**62:
+        cells = np.concatenate([np.zeros((0, d), dtype=np.int64), *blocks])
+        return cells[_first_rows(cells)]
+    weights = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [c @ weights for c in blocks]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+    cells = np.empty((len(keys), d), dtype=np.int64)
+    for axis in range(d - 1, -1, -1):
+        keys, cells[:, axis] = np.divmod(keys, base)
+    return cells
 
 
 def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cover:
@@ -935,8 +951,8 @@ def _num(x: float | None) -> float | None:
     return float(x)
 
 
-def _denum(x) -> float | None:
-    return math.inf if x is None else float(x)
+def _denum(x, name: str) -> float:
+    return math.inf if x is None else _float(x, name)
 
 
 def stage_to_json_dict(st: StageState) -> dict:
@@ -957,13 +973,6 @@ def stage_to_json_dict(st: StageState) -> dict:
     }
 
 
-def _int(value, name: str) -> int:
-    # int() would take 1.5 or true as 1; booleans are not integers here
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _pair_code(value) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2 or any(type(v) is not int for v in value):
         raise ValueError(f"pair_code must be two integers, got {value!r}")
@@ -974,18 +983,18 @@ def stage_from_json_dict(doc: dict, sample_size: int) -> StageState:
     try:
         return StageState(
             t=_int(doc["t"], "t"),
-            delta=float(doc["delta"]),
+            delta=_float(doc["delta"], "delta"),
             f=np.array(doc["f"], dtype=float),
             pair_code=_pair_code(doc["pair_code"]),
             hyperplane=Hyperplane.from_json_dict(doc["hyperplane"]),
             cover_u=Cover.from_json_dict(doc["cover_u"], sample_size),
             vertices=np.array(doc["vertices"], dtype=float),
             anchors=np.array(doc["anchors"], dtype=float),
-            eta=_denum(doc["eta"]),
-            eta_prime=_denum(doc["eta_prime"]),
+            eta=_denum(doc["eta"], "eta"),
+            eta_prime=_denum(doc["eta_prime"], "eta_prime"),
             f_next=np.array(doc["f_next"], dtype=float),
-            delta_next=float(doc["delta_next"]),
-            contraction=float(doc["contraction"]),
+            delta_next=_float(doc["delta_next"], "delta_next"),
+            contraction=_float(doc["contraction"], "contraction"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"not a stage document: {exc}") from exc
@@ -1019,16 +1028,16 @@ def result_from_json_dict(doc: dict) -> EmbeddingResult:
         avoided = tuple(
             AvoidedHyperplane(
                 Hyperplane.from_json_dict(av["hyperplane"]),
-                _denum(av["eta_prime"]),
-                float(av["distance_margin"]),
-                float(av["equation_margin"]),
+                _denum(av["eta_prime"], "eta_prime"),
+                _float(av["distance_margin"], "distance_margin"),
+                _float(av["equation_margin"], "equation_margin"),
             )
             for av in doc["avoided"]
         )
         return EmbeddingResult(
             n=_int(doc["n"], "n"),
             seed=_int(doc["seed"], "seed"),
-            delta0=float(doc["delta0"]),
+            delta0=_float(doc["delta0"], "delta0"),
             radii_depth=_int(doc["radii_depth"], "radii_depth"),
             f=f,
             stages=stages,
@@ -1036,7 +1045,7 @@ def result_from_json_dict(doc: dict) -> EmbeddingResult:
             injectivity_margin=(
                 None
                 if doc["injectivity_margin"] is None
-                else float(doc["injectivity_margin"])
+                else _float(doc["injectivity_margin"], "injectivity_margin")
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -44,6 +44,23 @@ def _reject_json_constant(name: str):
     raise InputError(f"non-finite number {name} in JSON input")
 
 
+def _int(value, name: str) -> int:
+    # int() would take 1.5 or true as 1; booleans are not integers here
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value, name: str) -> float:
+    # float() would take "1.0" or true; a number is an int or a float, not a bool
+    try:
+        if type(value) is int or isinstance(value, float):
+            return float(value)
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _check_triangles(d: np.ndarray) -> None:
     """Raise on the first (i, k), row-major, with min_j d(i,j) + d(j,k) < d(i,k) - tol.
 

@@ -3,14 +3,19 @@
 Random instances are built from seeded numpy generators so every test run
 sees the same data. Covers built here are covering by construction: each
 sample point is assigned an owner ball whose radius is padded past the
-owner's farthest assigned point.
+owner's farthest assigned point. The complex reader and the face test
+below are brute-force helpers that only the tests call.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from dimlab import Ball, Cover, SampledSpace, ball_cozero
+from dimlab import Ball, Cover, InputError, SampledSpace, ball_cozero
 from dimlab.dimension import DisjointPairFamily
+from dimlab.metric import _reject_json_constant
+from dimlab.nerve import SimplicialComplex
 
 
 def line_space(k: int, mesh: float | None = None) -> SampledSpace:
@@ -92,6 +97,34 @@ def refines(v: Cover, u: Cover) -> bool:
 def active_members(c: Cover, x: int) -> list[int]:
     """Indices of the members positive at sample point x, in increasing order."""
     return [i for i in range(c.size) if c.matrix[i, x] > 0.0]
+
+
+def has_face(k: SimplicialComplex, indices) -> bool:
+    """Whether the nonempty vertex set ``indices`` is a face of the complex k."""
+    face = frozenset(indices)
+    return bool(face) and any(face <= f for f in k.facets)
+
+
+def import_complex(data: bytes) -> SimplicialComplex:
+    """Parse a complex document; its faces may repeat but must be downward closed.
+
+    The document holds exactly the keys ``vertices`` and ``simplices``; any
+    other key, such as coordinates, is an :class:`InputError`.
+    """
+    try:
+        doc = json.loads(data.decode("utf-8"), parse_constant=_reject_json_constant)
+        extra = sorted(set(doc) - {"vertices", "simplices"}) if isinstance(doc, dict) else []
+        if extra:
+            raise ValueError(f"unknown keys {extra}; a complex holds vertices and simplices")
+        count, faces = doc["vertices"], frozenset(map(frozenset, doc["simplices"]))
+        if type(count) is not int or any(type(v) is not int for s in faces for v in s):
+            raise TypeError("the vertex count and every face vertex must be integers")
+    except (UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"not a complex document: {exc}") from exc
+    out = SimplicialComplex(count, faces)
+    if faces != out.simplices:
+        raise InputError("complex document's faces are not downward closed")
+    return out
 
 
 def segment_distance(p1, p2, q1, q2) -> float:

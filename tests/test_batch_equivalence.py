@@ -17,8 +17,11 @@ shrinks the least (n+2)-subset of members sharing a point pass after
 pass, gives the bytes and the shrink count of the lexicographic sweep of
 every (n+2)-subset. The star refinement, taken as k meet steps, gives the
 members, member order and witness of the per-point signature enumeration.
+The nerve, enumerated and printed as integer bit masks, gives the facets,
+face order and export bytes of the tuple-set enumeration and ``json.dumps``.
 """
 
+import json
 import math
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -27,11 +30,14 @@ import numpy as np
 import pytest
 
 from dimlab import (
+    Ball,
     CertificateError,
     Cover,
     GeneralPositionError,
     InputError,
     SampledSpace,
+    export_complex,
+    nerve_of,
     pair_schedule,
     reduce_order,
     separator_oracle,
@@ -53,6 +59,7 @@ from dimlab.covers import (
     star,
     star_refinement,
 )
+from dimlab.nerve import SimplicialComplex
 from dimlab.embedding import (
     HULL_TOL,
     SCAN_GUARD,
@@ -273,6 +280,28 @@ def reference_star_refinement(c):
     return Cover(members), tuple(witness)
 
 
+def reference_sorted_faces(k):
+    """Per size, the sorted union of the facets' r-subsets as tuples."""
+    facets = [sorted(f) for f in k.facets]
+    faces = []
+    for r in range(1, k.dim + 2):  # per size, the union of the facets' r-subsets
+        faces += map(list, sorted(set().union(*(combinations(f, r) for f in facets))))
+    return faces
+
+
+def reference_export_complex(k):
+    doc = {"vertices": k.vertex_count, "simplices": reference_sorted_faces(k)}
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def reference_nerve_of(cover):
+    """One active set per sample point, collected into a set."""
+    if cover.size == 0:
+        raise InputError("nerve of an empty family is not defined")
+    active = {frozenset(np.flatnonzero(col).tolist()) for col in cover.supports().T}
+    return SimplicialComplex(cover.size, frozenset(active - {frozenset()}))
+
+
 def reference_triangle_message(d):
     """Full-matrix check in row blocks: the message for the first violation, or None."""
     d = np.asarray(d, dtype=float)
@@ -396,6 +425,21 @@ class TestLatticeCells:
         assert got.tobytes() == _lattice_cells(f[[0, 2]], 0.1, 10).tobytes()
         empty = _lattice_cells(f[[1, 3]], 0.1, 10)
         assert empty.shape == (0, 2) and empty.dtype == np.int64
+
+    @pytest.mark.parametrize("radius", [0.05, 1e-7], ids=["int64-key", "lexsort"])
+    def test_key_and_lexsort_branches(self, monkeypatch, radius):
+        # at d=3, (m+1)^3 is below 2^62 at radius 0.05 and above 2^63 at 1e-7;
+        # small blocks, and a row whose box is empty, alone and among the others
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 40)
+        m = max(1, math.ceil(math.sqrt(3) / radius))
+        assert ((m + 1) ** 3 < 2**62) == (radius == 0.05)
+        rng = np.random.default_rng(720)
+        f = np.vstack([random_images(rng, 6, 3, radius), [[2.0, 0.5, 0.5]]])
+        got = _lattice_cells(f, radius, m)
+        assert got.dtype == np.int64
+        assert got.tobytes() == reference_lattice_cells(f, radius, m).tobytes()
+        empty = _lattice_cells(f[-1:], radius, m)
+        assert empty.shape == (0, 3) and empty.dtype == np.int64
 
     @pytest.mark.parametrize("chunk", [1, 40, 300])
     def test_row_blocks(self, monkeypatch, chunk):
@@ -1133,3 +1177,93 @@ class TestStarRefinementMeet:
         assert len(reduced) == T
         for c in reduced:
             assert_same_star_refinement(c)
+
+
+def assert_same_nerve(cover):
+    got, want = nerve_of(cover), reference_nerve_of(cover)
+    assert got.vertex_count == want.vertex_count
+    assert got.facets == want.facets
+    assert_same_faces(got)
+    return got
+
+
+def assert_same_faces(k):
+    assert k.sorted_faces() == reference_sorted_faces(k)
+    assert export_complex(k) == reference_export_complex(k)
+
+
+def cover_calculus_pass():
+    """Every cover one pass of the benchmark's cover-calculus workload takes the nerve of.
+
+    The first four instances of each shape in the acceptance generators'
+    seed streams (ball covers with 1..6 members from seed 1000, value covers
+    with 1..5 from seed 2000, seed 2003 skipped), each with its ball-pair
+    cover and target order: the open shrinking, the star refinement (value
+    covers), the reduced cover and its meet with the ball pair.
+    """
+    for make, first, bound in ((random_ball_cover, 1000, 7), (random_value_cover, 2000, 6)):
+        for k in range(1, bound):
+            found, seed = 0, first
+            while found < 4:
+                rng = np.random.default_rng(seed)
+                space = square_space(rng, count=20)
+                if int(rng.integers(1, bound)) == k and seed != 2003:
+                    found += 1
+                    cover = make(space, k, rng)
+                    center = int(rng.integers(0, 20))
+                    outer = float(rng.uniform(0.3, 0.9))
+                    inner = outer * float(rng.uniform(0.3, 0.8))
+                    n = int(rng.integers(0, 2))
+                    pair = Cover((ball_cozero(space, Ball(center=center, radius=outer)),
+                                  complement_cozero(space, Ball(center=center, radius=inner))))
+                    yield seed, closed_shrinking(cover).open_shrink
+                    if make is random_value_cover:
+                        yield seed, star_refinement(cover)[0]
+                    reduced = reduce_order(space, cover, n, separator_oracle)
+                    yield seed, reduced
+                    yield seed, meet(pair, reduced)
+                seed += 1
+
+
+def random_complex(rng, vertex_count):
+    """A few facets of 1..9 random vertices, one of them holding the last vertex."""
+    facets = []
+    for _ in range(int(rng.integers(1, 6))):
+        size = int(rng.integers(1, min(9, vertex_count) + 1))
+        facets.append(frozenset(rng.choice(vertex_count, size=size, replace=False).tolist()))
+    facets.append(frozenset({vertex_count - 1}))
+    return SimplicialComplex(vertex_count, frozenset(facets))
+
+
+class TestNerveMasks:
+    """The mask enumeration and byte writer give the facets, face order and
+    bytes of the tuple sets and ``json.dumps``."""
+
+    def test_cover_calculus_pass(self):
+        orders = {}
+        for seed, cover in cover_calculus_pass():
+            orders[seed] = max(orders.get(seed, -1), assert_same_nerve(cover).dim)
+        assert len(orders) == 44
+        assert orders[2015] == orders[2031] == 15
+
+    @pytest.mark.parametrize(
+        "vertex_count", [1, 10, 11, 15, 16, 17, 63, 64, 65] + list(range(99, 131)))
+    def test_random_complexes(self, vertex_count):
+        # crossing the 16-vertex blocks and the one-, two- and three-digit labels
+        rng = np.random.default_rng(7100 + vertex_count)
+        for _ in range(3):
+            assert_same_faces(random_complex(rng, vertex_count))
+
+    @pytest.mark.parametrize("vertex_count", [0, 5])
+    def test_empty_complex(self, vertex_count):
+        k = SimplicialComplex(vertex_count, frozenset())
+        assert k.sorted_faces() == []
+        assert k.simplices == frozenset()
+        assert export_complex(k) == reference_export_complex(k)
+
+    def test_point_in_no_member(self):
+        # point 1 lies in no member; point 3 only in member 2
+        cover = Cover([[1.0, 0.0, 0.5, 0.0], [0.2, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        assert cover.uncovered_point() == 1
+        k = assert_same_nerve(cover)
+        assert k.facets == {frozenset({0, 1}), frozenset({2})}

@@ -364,8 +364,9 @@ def test_reduce_order_ragged_map_exits_2(workdir, capsys):
         ({"members": [{"values": [1.0, 1.0, 1.0, 1.0]}]},
          "cover values must be an object of point index: value"),
         ({"members": [{"values": {"0": "x"}}]}, "bad value 'x' at point 0 in cover values"),
+        ({"members": [{"values": {"0": True}}]}, "bad value True at point 0 in cover values"),
     ],
-    ids=["members-number", "values-list", "string-value"],
+    ids=["members-number", "values-list", "string-value", "bool-value"],
 )
 def test_malformed_cover_exits_2(workdir, capsys, doc, message):
     tmp, _, _ = workdir

@@ -73,6 +73,15 @@ class TestCoverValues:
         with pytest.raises(InputError, match=message):
             Cover.from_json_dict(doc, 12)
 
+    @pytest.mark.parametrize("value", [True, "1.0", None, [1.0], 10**400],
+                             ids=["bool", "string", "null", "list", "huge-int"])
+    def test_json_value_is_a_number(self, value):
+        # float() reads true and "1.0" as 1.0, and cannot hold 10^400
+        doc = {"members": [{"values": {"0": 1.0, "1": value}}]}
+        message = f"^bad value {re.escape(repr(value))} at point 1 in cover values$"
+        with pytest.raises(InputError, match=message):
+            Cover.from_json_dict(doc, 4)
+
     @pytest.mark.parametrize(
         "make, message",
         [(lambda: Cover(()), "at least one member"),

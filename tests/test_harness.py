@@ -232,6 +232,23 @@ class TestVerifyResult:
         with pytest.raises(InputError, match=f"{field} must be an integer"):
             tampered(line_run[1], mutate)
 
+    @pytest.mark.parametrize("value", ["repr", True, 10**400], ids=["string", "bool", "huge-int"])
+    @pytest.mark.parametrize(
+        "where,field",
+        [("stage", "delta"), ("stage", "delta_next"), ("stage", "contraction"), ("stage", "eta"),
+         ("stage", "eta_prime"), ("avoided", "eta_prime"), ("avoided", "distance_margin"),
+         ("avoided", "equation_margin"), ("result", "delta0"), ("result", "injectivity_margin")],
+    )
+    def test_rejects_non_number_field(self, line_run, where, field, value):
+        """float() would read the string "0.05" and true as numbers, and the result verified."""
+
+        def mutate(doc):
+            at = {"stage": doc["stages"][0], "avoided": doc["avoided"][0], "result": doc}[where]
+            at[field] = repr(at[field]) if value == "repr" else value
+
+        with pytest.raises(InputError, match=f"{field} must be a number, got "):
+            tampered(line_run[1], mutate)
+
     @pytest.mark.parametrize("where", ["stage", "avoided"])
     @pytest.mark.parametrize(
         "field,value,message",

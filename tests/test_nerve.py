@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimlab import Cover, InputError, export_complex, nerve_of, order_of
-from dimlab.nerve import SimplicialComplex, import_complex
-from conftest import random_value_cover, square_space
+from dimlab.nerve import SimplicialComplex
+from conftest import has_face, import_complex, random_value_cover, square_space
 
 UNKNOWN_COORDS = ("not a complex document: unknown keys ['coords']; "
                   "a complex holds vertices and simplices")
@@ -27,6 +27,14 @@ class TestSimplicialComplex:
                 vertex_count=1,
                 facets=frozenset({frozenset({0}), frozenset({1})}),
             )
+
+    @pytest.mark.parametrize("count", [True, 2.0, np.int64(2), -1],
+                             ids=["bool", "float", "int64", "negative"])
+    def test_rejects_vertex_count_other_than_a_nonnegative_int(self, count):
+        # json.dumps wrote a bool count as true and refused an int64 one
+        message = f"^vertex count must be a nonnegative integer, got {re.escape(repr(count))}$"
+        with pytest.raises(InputError, match=message):
+            SimplicialComplex(vertex_count=count, facets=frozenset({frozenset({0})}))
 
     def test_rejects_empty_face(self):
         with pytest.raises(InputError):
@@ -46,10 +54,10 @@ class TestSimplicialComplex:
         )
         assert k.facets == {frozenset({0, 1}), frozenset({2})}
         assert k.dim == 1
-        assert k.has_face([0, 1])
-        assert k.has_face([1])
-        assert not k.has_face([1, 2])
-        assert not k.has_face([])
+        assert has_face(k, [0, 1])
+        assert has_face(k, [1])
+        assert not has_face(k, [1, 2])
+        assert not has_face(k, [])
         assert k.sorted_faces() == [[0], [1], [2], [0, 1]]
 
     def test_generating_faces_close_downward(self):
@@ -80,7 +88,7 @@ class TestNerveOf:
         c = cover_of([[1.0, 1.0], [1.0, 0.5], [0.5, 1.0]])
         k = nerve_of(c)
         # point 0 and point 1 both meet all three members
-        assert k.has_face([0, 1, 2])
+        assert has_face(k, [0, 1, 2])
         assert k.dim == 2
 
     def test_empty_member_is_isolated(self):

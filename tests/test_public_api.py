@@ -91,3 +91,5 @@ def test_deleted_fields_and_parameters_are_gone():
     assert not hasattr(dimlab.Cover, "is_covering")
     assert not hasattr(EmbeddingResult, "stage_count")
     assert not hasattr(dimlab.SampledSpace, "from_json")
+    assert not hasattr(dimlab.nerve, "import_complex")
+    assert not hasattr(SimplicialComplex, "has_face")
