@@ -9,7 +9,6 @@ output is deterministic for a fixed seed; the seed of ``genpos`` and
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -17,14 +16,15 @@ from . import __version__
 from .covers import Cover, closed_shrinking, meet, order_of, star_of_member
 from .dimension import map_oracle, reduce_order, separator_oracle
 from .embedding import (
+    RANK_TOL,
     general_position,
     nobeling_embed,
-    result_from_json_bytes,
+    result_from_json_dict,
     result_to_json_bytes,
 )
 from .errors import CertificateError, DimlabError, InputError
 from .harness import verify_result
-from .metric import SampledSpace, _float_array, _reject_json_constant
+from .metric import SampledSpace, _json_array, _read_json, _write_json
 from .nerve import export_complex, nerve_of
 
 
@@ -38,14 +38,13 @@ def _seed(args: argparse.Namespace) -> int:
         raise InputError(f"DIMLAB_SEED must be an integer, not {raw!r}") from None
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path, "rb") as fh:
-            return json.loads(fh.read().decode("utf-8"), parse_constant=_reject_json_constant)
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    return _read_json(data, f"{path} is not valid JSON")
 
 
 def _load_space(path: str) -> SampledSpace:
@@ -62,10 +61,6 @@ def _emit(data: bytes, out: str | None) -> None:
     else:
         with open(out, "wb") as fh:
             fh.write(data)
-
-
-def _dump(doc) -> bytes:
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", type=int, default=None, help="seed (default: DIMLAB_SEED or 0)")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=RANK_TOL)
     p.add_argument("--out")
 
     p = sub.add_parser("embed", help="run the staged embedding")
@@ -137,7 +132,7 @@ def _resolve_oracle(name: str):
         doc = _load_json(name[len("map:"):])
         if not isinstance(doc, dict) or "g" not in doc:
             raise InputError("map oracle file must contain a g matrix")
-        return map_oracle(_float_array(doc["g"], "map oracle g"))
+        return map_oracle(_json_array(doc["g"], "map oracle g"))
     raise InputError(f"unknown oracle {name!r}; use separator or map:G.json")
 
 
@@ -151,19 +146,19 @@ def _run(args: argparse.Namespace) -> int:
                 "open_shrink": res.open_shrink.to_json_dict(),
                 "closed_shrink": [sorted(s) for s in res.closed_shrink],
             }
-            _emit(_dump(doc), args.out)
+            _emit(_write_json(doc), args.out)
         elif args.cover_command == "star":
             if not 0 <= args.member < cov.size:
                 raise InputError(f"member {args.member} outside 0..{cov.size - 1}")
-            sys.stdout.write(_dump(sorted(star_of_member(args.member, cov))).decode() + "\n")
+            _emit(_write_json(sorted(star_of_member(args.member, cov))), None)
         elif args.cover_command == "meet":
             other = _load_cover(args.other, space)
-            _emit(_dump(meet(cov, other).to_json_dict()), args.out)
+            _emit(_write_json(meet(cov, other).to_json_dict()), args.out)
         elif args.cover_command == "order":
             sys.stdout.write(f"{order_of(cov)}\n")
         elif args.cover_command == "reduce-order":
             out = reduce_order(space, cov, args.n, _resolve_oracle(args.oracle))
-            _emit(_dump(out.to_json_dict()), args.out)
+            _emit(_write_json(out.to_json_dict()), args.out)
         return 0
     if args.command == "nerve":
         space = _load_space(args.space)
@@ -174,8 +169,9 @@ def _run(args: argparse.Namespace) -> int:
         doc = _load_json(args.targets)
         if not isinstance(doc, dict) or "targets" not in doc:
             raise InputError("targets file must contain a targets list")
-        placed = general_position(doc["targets"], args.eps, seed=_seed(args), tol=args.tolerance)
-        _emit(_dump({"points": [[float(v) for v in row] for row in placed]}), args.out)
+        targets = _json_array(doc["targets"], "targets")
+        placed = general_position(targets, args.eps, seed=_seed(args), tol=args.tolerance)
+        _emit(_write_json({"points": placed.tolist()}), args.out)
         return 0
     if args.command == "embed":
         space = _load_space(args.space)
@@ -184,10 +180,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
     if args.command == "verify":
         space = _load_space(args.space)
-        with open(args.result, "rb") as fh:
-            result = result_from_json_bytes(fh.read())
-        report = verify_result(result, space, args.n)
-        sys.stdout.write(_dump(report.to_json_dict()).decode("utf-8") + "\n")
+        report = verify_result(result_from_json_dict(_load_json(args.result)), space, args.n)
+        _emit(_write_json(report.to_json_dict()), None)
         return 0 if report.overall else 1
     raise InputError(f"unknown command {args.command!r}")
 

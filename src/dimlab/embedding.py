@@ -25,7 +25,6 @@ image balls have preimages inside single members of the stage-1 covers.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,8 +57,12 @@ from .metric import (
     _ball_radii,
     _float,
     _float_array,
+    _float_or_null,
     _int,
-    _reject_json_constant,
+    _json_array,
+    _null_if_inf,
+    _read_json,
+    _write_json,
     ball_cozero,
     complement_cozero,
     enumerate_balls,
@@ -942,32 +945,20 @@ def nobeling_embed(
 # ---------------------------------------------------------------------------
 # serialization
 
-# +inf has no standard JSON form; optional-infinite fields travel as null.
-
-
-def _num(x: float | None) -> float | None:
-    if x is None or math.isinf(x):
-        return None
-    return float(x)
-
-
-def _denum(x, name: str) -> float:
-    return math.inf if x is None else _float(x, name)
-
 
 def stage_to_json_dict(st: StageState) -> dict:
     return {
         "t": st.t,
         "delta": st.delta,
-        "f": [[float(v) for v in row] for row in st.f],
+        "f": st.f.tolist(),
         "pair_code": list(st.pair_code),
         "hyperplane": st.hyperplane.to_json_dict(),
         "cover_u": st.cover_u.to_json_dict(),
-        "vertices": [[float(v) for v in row] for row in st.vertices],
-        "anchors": [[float(v) for v in row] for row in st.anchors],
-        "eta": _num(st.eta),
-        "eta_prime": _num(st.eta_prime),
-        "f_next": [[float(v) for v in row] for row in st.f_next],
+        "vertices": st.vertices.tolist(),
+        "anchors": st.anchors.tolist(),
+        "eta": _null_if_inf(st.eta),
+        "eta_prime": st.eta_prime,
+        "f_next": st.f_next.tolist(),
         "delta_next": st.delta_next,
         "contraction": st.contraction,
     }
@@ -984,15 +975,15 @@ def stage_from_json_dict(doc: dict, sample_size: int) -> StageState:
         return StageState(
             t=_int(doc["t"], "t"),
             delta=_float(doc["delta"], "delta"),
-            f=np.array(doc["f"], dtype=float),
+            f=_json_array(doc["f"], "f"),
             pair_code=_pair_code(doc["pair_code"]),
             hyperplane=Hyperplane.from_json_dict(doc["hyperplane"]),
             cover_u=Cover.from_json_dict(doc["cover_u"], sample_size),
-            vertices=np.array(doc["vertices"], dtype=float),
-            anchors=np.array(doc["anchors"], dtype=float),
-            eta=_denum(doc["eta"], "eta"),
-            eta_prime=_denum(doc["eta_prime"], "eta_prime"),
-            f_next=np.array(doc["f_next"], dtype=float),
+            vertices=_json_array(doc["vertices"], "vertices"),
+            anchors=_json_array(doc["anchors"], "anchors"),
+            eta=_float_or_null(doc["eta"], "eta", math.inf),
+            eta_prime=_float(doc["eta_prime"], "eta_prime"),
+            f_next=_json_array(doc["f_next"], "f_next"),
             delta_next=_float(doc["delta_next"], "delta_next"),
             contraction=_float(doc["contraction"], "contraction"),
         )
@@ -1006,29 +997,29 @@ def result_to_json_dict(r: EmbeddingResult) -> dict:
         "seed": r.seed,
         "delta0": r.delta0,
         "radii_depth": r.radii_depth,
-        "f": [[float(v) for v in row] for row in r.f],
+        "f": r.f.tolist(),
         "stages": [stage_to_json_dict(st) for st in r.stages],
         "avoided": [
             {
                 "hyperplane": av.hyperplane.to_json_dict(),
-                "eta_prime": _num(av.eta_prime),
+                "eta_prime": av.eta_prime,
                 "distance_margin": av.distance_margin,
                 "equation_margin": av.equation_margin,
             }
             for av in r.avoided
         ],
-        "injectivity_margin": _num(r.injectivity_margin),
+        "injectivity_margin": _null_if_inf(r.injectivity_margin),
     }
 
 
 def result_from_json_dict(doc: dict) -> EmbeddingResult:
     try:
-        f = np.array(doc["f"], dtype=float)
+        f = _json_array(doc["f"], "f")
         stages = tuple(stage_from_json_dict(sd, f.shape[0]) for sd in doc["stages"])
         avoided = tuple(
             AvoidedHyperplane(
                 Hyperplane.from_json_dict(av["hyperplane"]),
-                _denum(av["eta_prime"], "eta_prime"),
+                _float(av["eta_prime"], "eta_prime"),
                 _float(av["distance_margin"], "distance_margin"),
                 _float(av["equation_margin"], "equation_margin"),
             )
@@ -1042,25 +1033,15 @@ def result_from_json_dict(doc: dict) -> EmbeddingResult:
             f=f,
             stages=stages,
             avoided=avoided,
-            injectivity_margin=(
-                None
-                if doc["injectivity_margin"] is None
-                else _float(doc["injectivity_margin"], "injectivity_margin")
-            ),
+            injectivity_margin=_float_or_null(doc["injectivity_margin"], "injectivity_margin", None),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"not a result document: {exc}") from exc
 
 
 def result_to_json_bytes(r: EmbeddingResult) -> bytes:
-    return json.dumps(result_to_json_dict(r), separators=(",", ":"), allow_nan=False).encode(
-        "utf-8"
-    )
+    return _write_json(result_to_json_dict(r))
 
 
 def result_from_json_bytes(data: bytes) -> EmbeddingResult:
-    try:
-        doc = json.loads(data.decode("utf-8"), parse_constant=_reject_json_constant)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"not a result document: {exc}") from exc
-    return result_from_json_dict(doc)
+    return result_from_json_dict(_read_json(data, "not a result document"))

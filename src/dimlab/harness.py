@@ -9,7 +9,7 @@ reproduce it in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .embedding import (
     _subset_sigmas,
 )
 from .errors import CertificateError, GeneralPositionError, InputError
-from .metric import _CHUNK_FLOATS, SampledSpace, ball_cozero, complement_cozero
+from .metric import _CHUNK_FLOATS, SampledSpace, _null_if_inf, ball_cozero, complement_cozero
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,9 @@ class CertificateReport:
         return [c for c in self.checks if not c.passed]
 
     def to_json_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "margin": None if math.isinf(c.margin) else c.margin,
-                    "location": c.location,
-                }
-                for c in self.checks
-            ],
-        }
+        # a check's keys are its fields, in field order
+        checks = [{**asdict(c), "margin": _null_if_inf(c.margin)} for c in self.checks]
+        return {"overall": self.overall, "checks": checks}
 
 
 def _cube_excess(points: np.ndarray) -> float:
@@ -186,10 +177,10 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         )
         add("in-cube", excess <= CUBE_TOL, CUBE_TOL - excess, loc)
 
-        bad = st.cover_u.uncovered_point()
-        add("covering", bad is None, 0.0 if bad is None else -1.0,
-            loc if bad is None else f"{loc}, point {bad}")
-        if bad is None:
+        uncovered = st.cover_u.uncovered_point()
+        add("covering", uncovered is None, 0.0 if uncovered is None else -1.0,
+            loc if uncovered is None else f"{loc}, point {uncovered}")
+        if uncovered is None:
             add("order", order_of(st.cover_u) <= n, float(n - order_of(st.cover_u)), loc)
         else:
             add("order", False, -1.0, loc)
@@ -214,13 +205,17 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         add("general-position", sigma > RANK_TOL, sigma - RANK_TOL,
             f"{loc}, subset {subset}" if sigma <= RANK_TOL else loc)
 
-        kap = kappa_map(st.cover_u, st.vertices)
-        kdiff = float(np.abs(kap.values - st.f_next).max())
-        add("kappa-values", kdiff <= CUBE_TOL, CUBE_TOL - kdiff, loc)
-        wsum = float(np.abs(kap.weights.sum(axis=1) - 1.0).max())
-        wneg = float((-kap.weights).max())
-        add("kappa-weights", wsum <= 1e-12 and wneg <= 0.0,
-            1e-12 - max(wsum, wneg), loc)
+        if uncovered is None:  # kappa is defined only on a covering
+            kap = kappa_map(st.cover_u, st.vertices)
+            kdiff = float(np.abs(kap.values - st.f_next).max())
+            add("kappa-values", kdiff <= CUBE_TOL, CUBE_TOL - kdiff, loc)
+            wsum = float(np.abs(kap.weights.sum(axis=1) - 1.0).max())
+            wneg = float((-kap.weights).max())
+            add("kappa-weights", wsum <= 1e-12 and wneg <= 0.0,
+                1e-12 - max(wsum, wneg), loc)
+        else:
+            add("kappa-values", False, -1.0, loc)
+            add("kappa-weights", False, -1.0, loc)
 
         try:
             eta_re = eta(st.vertices, n)
@@ -262,7 +257,7 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         raise InputError("result must record one avoided hyperplane per stage")
     for st, av in zip(r.stages, r.avoided):
         loc = f"stage {st.t}"
-        ok = av.hyperplane == st.hyperplane
+        ok = av.hyperplane == st.hyperplane and av.eta_prime == st.eta_prime
         add("avoided-schedule", ok, 0.0 if ok else -1.0, loc)
         dists = av.hyperplane.distance_to_point(r.f)
         worst = int(dists.argmin())

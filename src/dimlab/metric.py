@@ -10,11 +10,14 @@ come with two canonical cozero vectors, one for the ball itself and one for
 the complement of its formal closure.
 
 Points are identified by their index in the sample, and a ball is centred
-at a sample point.
+at a sample point. JSON bytes are decoded only by ``_read_json`` and encoded
+by ``_write_json`` (``nerve.export_complex`` spells the same canonical bytes
+itself); a document's float fields and array leaves obey ``_is_number``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,16 +35,29 @@ _CHUNK_FLOATS = 1 << 20
 
 
 def _float_array(value, what: str) -> np.ndarray:
-    # ragged rows and non-numbers make numpy raise ValueError or TypeError
+    # ragged rows, non-numbers and ints past the float range make numpy raise
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be a rectangular array of numbers") from exc
 
 
 def _reject_json_constant(name: str):
     # json.loads reads NaN and +-Infinity; no document written here holds them
     raise InputError(f"non-finite number {name} in JSON input")
+
+
+def _read_json(data: bytes, what: str):
+    """The JSON document in ``data``; bad UTF-8 or JSON is an InputError "{what}: ..."."""
+    try:
+        return json.loads(data.decode("utf-8"), parse_constant=_reject_json_constant)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{what}: {exc}") from exc
+
+
+def _write_json(doc) -> bytes:
+    """The canonical bytes of a document: compact separators, finite numbers only."""
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def _int(value, name: str) -> int:
@@ -51,14 +67,40 @@ def _int(value, name: str) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    return type(value) is int or isinstance(value, float)
+
+
 def _float(value, name: str) -> float:
     # float() would take "1.0" or true; a number is an int or a float, not a bool
     try:
-        if type(value) is int or isinstance(value, float):
+        if _is_number(value):
             return float(value)
     except OverflowError:  # an int past the float range
         pass
     raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _json_array(value, what: str) -> np.ndarray:
+    """A document array as floats; numpy would also read "0.5", true and null."""
+    todo = [value]
+    while todo:
+        leaf = todo.pop()
+        if type(leaf) is list:
+            todo.extend(leaf)
+        elif not _is_number(leaf):
+            raise InputError(f"{what} must be a rectangular array of numbers")
+    return _float_array(value, what)
+
+
+def _null_if_inf(x: float | None) -> float | None:
+    # +-inf has no JSON number; a field that can hold it, or None, travels as null
+    return None if x is None or math.isinf(x) else x
+
+
+def _float_or_null(value, name: str, null: float | None) -> float | None:
+    """A field written by ``_null_if_inf``, with null read as ``null``."""
+    return null if value is None else _float(value, name)
 
 
 def _check_triangles(d: np.ndarray) -> None:
@@ -139,7 +181,7 @@ class SampledSpace:
             raise InputError(f"distinct points must have positive distance (points {i}, {j})")
         _check_triangles(d)
         mesh = self.mesh
-        if not ((type(mesh) is int or isinstance(mesh, float)) and math.isfinite(mesh) and mesh > 0):
+        if not (_is_number(mesh) and math.isfinite(mesh) and mesh > 0):
             raise InputError("mesh must be a positive real")
         object.__setattr__(self, "dist", _as_readonly(d))
         if self.coords is not None:
@@ -175,21 +217,8 @@ class SampledSpace:
             raise InputError("space document must carry a mesh")
         mesh = obj["mesh"]
         if points is not None:
-            return cls.from_points(points, mesh)
-        return cls.from_distance_matrix(matrix, mesh)
-
-    def to_json_dict(self) -> dict:
-        if self.coords is not None:
-            return {
-                "points": [[float(v) for v in row] for row in self.coords],
-                "distance_matrix": None,
-                "mesh": self.mesh,
-            }
-        return {
-            "points": None,
-            "distance_matrix": [[float(v) for v in row] for row in self.dist],
-            "mesh": self.mesh,
-        }
+            return cls.from_points(_json_array(points, "points"), mesh)
+        return cls.from_distance_matrix(_json_array(matrix, "distance matrix"), mesh)
 
     @property
     def size(self) -> int:

@@ -3,8 +3,8 @@
 Random instances are built from seeded numpy generators so every test run
 sees the same data. Covers built here are covering by construction: each
 sample point is assigned an owner ball whose radius is padded past the
-owner's farthest assigned point. The complex reader and the face test
-below are brute-force helpers that only the tests call.
+owner's farthest assigned point. The space writer, the complex reader and
+the face test below are helpers that only the tests call.
 """
 
 import json
@@ -22,6 +22,13 @@ def line_space(k: int, mesh: float | None = None) -> SampledSpace:
     """k evenly spaced points on [0, 1]."""
     pts = np.linspace(0.0, 1.0, k)[:, None]
     return SampledSpace.from_points(pts, mesh=mesh if mesh is not None else 1.0 / max(k - 1, 1))
+
+
+def space_json_dict(space: SampledSpace) -> dict:
+    """The space document that ``SampledSpace.from_json_dict`` reads back to ``space``."""
+    if space.coords is not None:
+        return {"points": space.coords.tolist(), "distance_matrix": None, "mesh": space.mesh}
+    return {"points": None, "distance_matrix": space.dist.tolist(), "mesh": space.mesh}
 
 
 def square_space(rng: np.random.Generator, count: int = 20) -> SampledSpace:

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from dimlab import Cover, order_of, result_from_json_bytes, verify_result
+from dimlab import Cover, SampledSpace, order_of, result_from_json_bytes, verify_result
 from dimlab.cli import cli_main
 
-from conftest import brute_force_order, line_space
+from conftest import brute_force_order, line_space, space_json_dict
 
 
 @pytest.fixture
@@ -18,7 +18,7 @@ def workdir(tmp_path):
     cover = Cover(np.array([[1.0, 1.0, 0.6, 0.0], [0.0, 0.6, 1.0, 1.0]]))
     space_path = tmp_path / "space.json"
     cover_path = tmp_path / "cover.json"
-    space_path.write_text(json.dumps(space.to_json_dict()))
+    space_path.write_text(json.dumps(space_json_dict(space)))
     cover_path.write_text(json.dumps(cover.to_json_dict()))
     return tmp_path, space, cover
 
@@ -270,7 +270,7 @@ def test_verify_rejects_bad_integer_field(workdir, capsys, where, field, value, 
 def test_embed_merge_exits_1(tmp_path, capsys):
     # six points with spacing below the stage-0 merge threshold collapse
     space = line_space(6)
-    (tmp_path / "space.json").write_text(json.dumps(space.to_json_dict()))
+    (tmp_path / "space.json").write_text(json.dumps(space_json_dict(space)))
     code = cli_main(
         ["embed", "--space", str(tmp_path / "space.json"), "--n", "1", "--stages", "2"]
     )
@@ -343,6 +343,67 @@ def test_nan_literal_exits_2(workdir, capsys, command, field):
     capsys.readouterr()
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == "input error: non-finite number NaN in JSON input\n"
+
+
+@pytest.mark.parametrize("leaf", ["string", "bool"])
+@pytest.mark.parametrize(
+    "field, what",
+    [("points", "points"), ("distance_matrix", "distance matrix"), ("targets", "targets"),
+     ("g", "map oracle g"), ("f", "f"), ("stage-f", "f"), ("vertices", "vertices"),
+     ("anchors", "anchors"), ("f_next", "f_next")],
+)
+def test_array_leaf_must_be_a_number(workdir, capsys, field, what, leaf):
+    """numpy reads "0.5" and true as numbers; a document array holds JSON numbers only."""
+    tmp, space, _ = workdir
+    path = tmp / "doc.json"
+    space_args = ["--space", str(tmp / "space.json")]
+    if field in ("points", "distance_matrix"):
+        if field == "distance_matrix":
+            space = SampledSpace.from_distance_matrix(space.dist, space.mesh)
+        doc = space_json_dict(space)
+        rows = doc[field]
+        argv = ["embed", "--space", str(path), "--n", "0", "--stages", "2"]
+    elif field == "targets":
+        doc = {"targets": [[0.2, 0.2], [0.7, 0.2], [0.45, 0.2]]}
+        rows = doc["targets"]
+        argv = ["genpos", "--targets", str(path), "--eps", "0.01"]
+    elif field == "g":
+        doc = {"g": [[0.0], [0.0], [1.0], [1.0]]}
+        rows = doc["g"]
+        argv = ["cover", "reduce-order", *space_args, "--cover", str(tmp / "cover.json"),
+                "--n", "0", "--oracle", f"map:{path}"]
+    else:
+        embed = ["embed", *space_args, "--n", "0", "--stages", "2", "--out", str(path)]
+        assert cli_main(embed) == 0
+        doc = json.loads(path.read_text())
+        rows = doc["f"] if field == "f" else doc["stages"][1][field.removeprefix("stage-")]
+        argv = ["verify", "--result", str(path), *space_args, "--n", "0"]
+    rows[0][-1] = repr(rows[0][-1]) if leaf == "string" else True
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    message = f"{what} must be a rectangular array of numbers"
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_verify_reports_uncovered_point(tmp_path, capsys):
+    """A cover missing a point fails covering and both kappa checks (exit 1); nothing raises."""
+    space = line_space(8)
+    (tmp_path / "space.json").write_text(json.dumps(space_json_dict(space)))
+    path = tmp_path / "result.json"
+    args = ["--space", str(tmp_path / "space.json"), "--n", "1"]
+    assert cli_main(["embed", *args, "--stages", "4", "--seed", "0", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    for member in doc["stages"][0]["cover_u"]["members"]:
+        member["values"].pop("7", None)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["verify", "--result", str(path), *args]) == 1
+    failed = [(c["name"], c["margin"], c["location"])
+              for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert ("covering", -1.0, "stage 0, point 7") in failed
+    assert ("kappa-values", -1.0, "stage 0") in failed
+    assert ("kappa-weights", -1.0, "stage 0") in failed
 
 
 def test_reduce_order_ragged_map_exits_2(workdir, capsys):

@@ -168,6 +168,18 @@ class TestVerifyResult:
         assert ("pair-schedule", "stage 1") in failed
         assert ("star-refinement", "stage 1") in failed
 
+    def test_detects_forged_avoided_eta_prime(self, line_run):
+        """avoided[t].eta_prime is a stored copy of the stage's; it must match it."""
+        space, r = line_run
+
+        def mutate(doc):
+            doc["avoided"][0]["eta_prime"] = 123.0
+
+        report = verify_result(tampered(r, mutate), space, 1)
+        assert [(c.name, c.location) for c in report.failures()] == [
+            ("avoided-schedule", "stage 0")
+        ]
+
     @pytest.mark.parametrize("delta", [1e-300, 1e-310], ids=["grid-past-2^62", "grid-past-float"])
     def test_reports_grid_too_fine(self, line_run, delta):
         """A scale whose grid cannot be indexed fails the star check; nothing raises."""
@@ -247,6 +259,16 @@ class TestVerifyResult:
             at[field] = repr(at[field]) if value == "repr" else value
 
         with pytest.raises(InputError, match=f"{field} must be a number, got "):
+            tampered(line_run[1], mutate)
+
+    @pytest.mark.parametrize("where", ["stage", "avoided"])
+    def test_rejects_null_eta_prime(self, line_run, where):
+        """eta' is always finite, so no writer puts null there; only a stage's eta may be null."""
+
+        def mutate(doc):
+            (doc["stages"] if where == "stage" else doc["avoided"])[0]["eta_prime"] = None
+
+        with pytest.raises(InputError, match="eta_prime must be a number, got None"):
             tampered(line_run[1], mutate)
 
     @pytest.mark.parametrize("where", ["stage", "avoided"])

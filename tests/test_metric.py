@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dimlab import Ball, Cover, InputError, SampledSpace, ball_cozero, complement_cozero
 from dimlab.metric import enumerate_balls, strictly_included
 from dimlab import metric
-from conftest import line_space
+from conftest import line_space, space_json_dict
 
 
 class TestSampledSpace:
@@ -90,7 +90,7 @@ class TestSampledSpace:
 
     def test_json_round_trip_points(self):
         s = line_space(4)
-        doc = s.to_json_dict()
+        doc = space_json_dict(s)
         back = SampledSpace.from_json_dict(json.loads(json.dumps(doc)))
         assert np.array_equal(back.dist, s.dist)
         assert np.array_equal(back.coords, s.coords)
@@ -98,7 +98,7 @@ class TestSampledSpace:
 
     def test_json_round_trip_matrix(self):
         s = SampledSpace.from_distance_matrix([[0.0, 2.0], [2.0, 0.0]], mesh=2.0)
-        back = SampledSpace.from_json_dict(s.to_json_dict())
+        back = SampledSpace.from_json_dict(space_json_dict(s))
         assert np.array_equal(back.dist, s.dist)
         assert back.coords is None
 

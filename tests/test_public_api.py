@@ -91,5 +91,6 @@ def test_deleted_fields_and_parameters_are_gone():
     assert not hasattr(dimlab.Cover, "is_covering")
     assert not hasattr(EmbeddingResult, "stage_count")
     assert not hasattr(dimlab.SampledSpace, "from_json")
+    assert not hasattr(dimlab.SampledSpace, "to_json_dict")
     assert not hasattr(dimlab.nerve, "import_complex")
     assert not hasattr(SimplicialComplex, "has_face")
