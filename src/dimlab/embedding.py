@@ -61,6 +61,7 @@ from .metric import (
     _int,
     _json_array,
     _null_if_inf,
+    _only_keys,
     _read_json,
     _write_json,
     ball_cozero,
@@ -970,7 +971,15 @@ def _pair_code(value) -> tuple[int, int]:
     return value[0], value[1]
 
 
+_STAGE_KEYS = frozenset({"t", "delta", "f", "pair_code", "hyperplane", "cover_u", "vertices",
+                         "anchors", "eta", "eta_prime", "f_next", "delta_next", "contraction"})
+_AVOIDED_KEYS = frozenset({"hyperplane", "eta_prime", "distance_margin", "equation_margin"})
+_RESULT_KEYS = frozenset({"n", "seed", "delta0", "radii_depth", "f", "stages", "avoided",
+                          "injectivity_margin"})
+
+
 def stage_from_json_dict(doc: dict, sample_size: int) -> StageState:
+    _only_keys(doc, _STAGE_KEYS, "not a stage document")
     try:
         return StageState(
             t=_int(doc["t"], "t"),
@@ -1012,19 +1021,36 @@ def result_to_json_dict(r: EmbeddingResult) -> dict:
     }
 
 
+def _avoided_from_json_dict(doc: dict) -> AvoidedHyperplane:
+    _only_keys(doc, _AVOIDED_KEYS, "not an avoided-plane document")
+    try:
+        return AvoidedHyperplane(
+            Hyperplane.from_json_dict(doc["hyperplane"]),
+            _float(doc["eta_prime"], "eta_prime"),
+            _float(doc["distance_margin"], "distance_margin"),
+            _float(doc["equation_margin"], "equation_margin"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"not an avoided-plane document: {exc}") from exc
+
+
+def _read_entries(docs: list, what: str, read, *args) -> tuple:
+    """``read(doc, *args)`` for each entry, an InputError named "{what} {i}: ..."."""
+    out = []
+    for i, doc in enumerate(docs):
+        try:
+            out.append(read(doc, *args))
+        except InputError as exc:
+            raise InputError(f"{what} {i}: {exc}") from exc
+    return tuple(out)
+
+
 def result_from_json_dict(doc: dict) -> EmbeddingResult:
+    _only_keys(doc, _RESULT_KEYS, "not a result document")
     try:
         f = _json_array(doc["f"], "f")
-        stages = tuple(stage_from_json_dict(sd, f.shape[0]) for sd in doc["stages"])
-        avoided = tuple(
-            AvoidedHyperplane(
-                Hyperplane.from_json_dict(av["hyperplane"]),
-                _float(av["eta_prime"], "eta_prime"),
-                _float(av["distance_margin"], "distance_margin"),
-                _float(av["equation_margin"], "equation_margin"),
-            )
-            for av in doc["avoided"]
-        )
+        stages = _read_entries(doc["stages"], "stage", stage_from_json_dict, f.shape[0])
+        avoided = _read_entries(doc["avoided"], "avoided", _avoided_from_json_dict)
         return EmbeddingResult(
             n=_int(doc["n"], "n"),
             seed=_int(doc["seed"], "seed"),

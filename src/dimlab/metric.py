@@ -60,6 +60,16 @@ def _write_json(doc) -> bytes:
     return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
+def _only_keys(doc, keys: frozenset[str], what: str) -> None:
+    """Refuse a document that is no object or holds a key its reader does not
+    read; a misspelt key would otherwise read as absent."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what}: expected a JSON object, got {type(doc).__name__}")
+    extra = sorted(set(doc) - keys)
+    if extra:
+        raise InputError(f"{what}: unknown keys {extra}")
+
+
 def _int(value, name: str) -> int:
     # int() would take 1.5 or true as 1; booleans are not integers here
     if type(value) is not int:
@@ -207,8 +217,7 @@ class SampledSpace:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SampledSpace":
-        if not isinstance(obj, dict):
-            raise InputError("space document must be a JSON object")
+        _only_keys(obj, frozenset({"points", "distance_matrix", "mesh"}), "not a space document")
         points = obj.get("points")
         matrix = obj.get("distance_matrix")
         if (points is None) == (matrix is None):

@@ -5,25 +5,24 @@ members share a sample point, so its dimension is the order of the cover.
 A complex is kept as its facets (maximal faces), so it is downward closed
 by construction; the full face list is enumerated only for export.
 
-A face is enumerated as an integer bit mask with vertex v at bit V-1-v of a
-V-vertex complex, so that among faces of one size the lexicographic order
-of the vertex lists is descending mask order. Every nonempty submask of
-every facet goes into one set, and the set is bucketed by bit count and
-each bucket sorted descending. The export writes the canonical JSON itself,
-each face's text joined from the texts of its 16-vertex blocks, spelled
-once per block value and call.
+A face is enumerated as text: each vertex spelled once as a mark for its
+digit count followed by its digits, and a face the join of its vertices'
+spellings. Per size, every facet's subsets of that size come out of
+``itertools.combinations`` as one sorted run of texts; one sort merges the
+runs and ``dict.fromkeys`` drops repeats, so no Python code runs per face.
+The export joins the texts and turns each mark into a comma, which spells
+the canonical JSON without building a list per face.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .covers import Cover, _first_rows
 from .errors import InputError
-
-_BLOCK = 16  # vertices per block of a face mask; a block's text is spelled once per call
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,52 +59,27 @@ class SimplicialComplex:
         """Dimension: largest facet size minus one; -1 when empty."""
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def _face_masks(self) -> list[list[int]]:
-        """Every nonempty face as a mask; list r-1 holds size r in lexicographic order."""
-        top = self.vertex_count - 1
-        faces: set[int] = set()
-        for f in self.facets:
-            full = sum(1 << (top - int(v)) for v in f)
-            sub = full
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & full
-        sizes: list[list[int]] = [[] for _ in range(self.dim + 1)]
-        for face in faces:
-            sizes[face.bit_count() - 1].append(face)
-        for faces_of_size in sizes:
-            faces_of_size.sort(reverse=True)
-        return sizes
-
-    def _spelled(self, spell, empty):
-        """Each face, sorted by (size, lexicographic), as ``empty`` plus the
-        ``spell(first, chunk)`` of each nonempty block in vertex order.
-
-        The block of vertices first..first+15 is the 16-bit ``chunk`` whose
-        bit 15-i is vertex first+i; each distinct block is spelled once.
-        """
-        pad = -self.vertex_count % _BLOCK
-        width = self.vertex_count + pad
-        blocks = [(width - _BLOCK - first, first, {}) for first in range(0, width, _BLOCK)]
-        low = (1 << _BLOCK) - 1
-        out = []
-        for faces in self._face_masks():
-            for face in faces:
-                face <<= pad
-                spelled = empty
-                for shift, first, cache in blocks:
-                    chunk = face >> shift & low
-                    if chunk:
-                        piece = cache.get(chunk)
-                        if piece is None:
-                            piece = cache[chunk] = spell(first, chunk)
-                        spelled += piece
-                out.append(spelled)
-        return out
+    def _faces_text(self, sep: str) -> str:
+        """Every nonempty face, sorted by (size, lexicographic), joined by ``sep``;
+        a face reads ",v0,v1,..."."""
+        spelled = {v: _marked(v) for f in self.facets for v in f}
+        facets = [[spelled[v] for v in sorted(f)] for f in self.facets]
+        texts: list[str] = []
+        for r in range(1, self.dim + 2):
+            faces: list[str] = []
+            for pieces in facets:  # each facet gives one sorted run
+                faces += map("".join, combinations(pieces, r))
+            faces.sort()
+            texts += dict.fromkeys(faces)
+        text = sep.join(texts)
+        for mark in {piece[0] for piece in spelled.values()}:
+            text = text.replace(mark, ",")
+        return text
 
     def sorted_faces(self) -> list[list[int]]:
         """Every nonempty face, sorted by (size, lexicographic)."""
-        return list(map(list, self._spelled(_block_vertices, ())))
+        text = self._faces_text("]")
+        return [list(map(int, face[1:].split(","))) for face in text.split("]")] if text else []
 
     @property
     def simplices(self) -> frozenset[frozenset[int]]:
@@ -113,19 +87,17 @@ class SimplicialComplex:
         return frozenset(frozenset(s) for s in self.sorted_faces())
 
 
-def _block_vertices(first: int, chunk: int) -> tuple[int, ...]:
-    vertices = []
-    while chunk:  # highest bit first: vertices ascend
-        top = chunk.bit_length()
-        vertices.append(first + _BLOCK - top)
-        chunk ^= 1 << (top - 1)
-    return tuple(vertices)
+def _marked(v: int) -> str:
+    """Vertex v as a mark for its digit count, then its digits.
 
-
-def _block_text(first: int, chunk: int) -> str:
-    # every vertex with its leading comma; the face's first comma is dropped
-    vertices = _block_vertices(first, chunk)
-    return ",%d" * len(vertices) % vertices
+    Marks ascend with the count, so among faces of one size the string order
+    of the joined texts is the lexicographic order of the vertex lists. A
+    mark is a control character, or past 31 digits a private-use one, so it
+    is none of the digits, brackets and commas it is replaced among.
+    """
+    digits = str(v)
+    width = len(digits)
+    return chr(width if width < 32 else 0xE000 + width) + digits
 
 
 def nerve_of(cover: Cover) -> SimplicialComplex:
@@ -152,7 +124,6 @@ def export_complex(complex: SimplicialComplex) -> bytes:
     Faces are sorted by (size, lexicographic). The bytes are those of
     ``json.dumps`` with separators ``(",", ":")``.
     """
-    texts = complex._spelled(_block_text, "")
-    # a text is ",v0,v1,...", so "[," occurs only where a face starts
-    faces = ("[" + "],[".join(texts) + "]").replace("[,", "[") if texts else ""
+    # a face is ",v0,v1,...", so "[," occurs only where a face starts
+    faces = ("[" + complex._faces_text("],[") + "]").replace("[,", "[") if complex.facets else ""
     return f'{{"vertices":{complex.vertex_count},"simplices":[{faces}]}}'.encode()

@@ -1188,7 +1188,9 @@ def assert_same_nerve(cover):
 
 
 def assert_same_faces(k):
-    assert k.sorted_faces() == reference_sorted_faces(k)
+    faces = reference_sorted_faces(k)
+    assert k.sorted_faces() == faces
+    assert k.simplices == frozenset(map(frozenset, faces))
     assert export_complex(k) == reference_export_complex(k)
 
 
@@ -1247,12 +1249,23 @@ class TestNerveMasks:
         assert orders[2015] == orders[2031] == 15
 
     @pytest.mark.parametrize(
-        "vertex_count", [1, 10, 11, 15, 16, 17, 63, 64, 65] + list(range(99, 131)))
+        "vertex_count",
+        [1, 10, 11, 15, 16, 17, 63, 64, 65] + list(range(99, 131)) + [999, 1000, 1001]
+        + [9999, 10000, 10001])
     def test_random_complexes(self, vertex_count):
-        # crossing the 16-vertex blocks and the one-, two- and three-digit labels
+        # crossing the one- to five-digit labels, so faces mix digit-count marks
         rng = np.random.default_rng(7100 + vertex_count)
         for _ in range(3):
             assert_same_faces(random_complex(rng, vertex_count))
+
+    @pytest.mark.parametrize("facets", [
+        [{0, 9, 10, 999_999}, {5, 99_999, 100_000}],
+        [{3, 10**30, 10**31, 10**43, 10**47}, {10**30 - 1, 10**31, 10**47 + 5}],
+    ], ids=["million", "past-31-digits"])
+    def test_sparse_complex(self, facets):
+        # few facets on a huge vertex range; past 31 digits the marks leave ASCII
+        k = SimplicialComplex(max(map(max, facets)) + 1, frozenset(map(frozenset, facets)))
+        assert_same_faces(k)
 
     @pytest.mark.parametrize("vertex_count", [0, 5])
     def test_empty_complex(self, vertex_count):

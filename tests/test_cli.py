@@ -295,8 +295,10 @@ def test_malformed_json_exits_2(tmp_path, capsys):
          "points must be a rectangular array of numbers"),
         ({"points": [[0.0], [1.0]], "distance_matrix": None, "mesh": True},
          "mesh must be a positive real"),
+        ({"points": [[0.0], [1.0]], "distance_matrix": None, "mesh": 1.0, "mesh_typo": 1},
+         "not a space document: unknown keys ['mesh_typo']"),
     ],
-    ids=["ragged-matrix", "string-point", "bool-mesh"],
+    ids=["ragged-matrix", "string-point", "bool-mesh", "unknown-key"],
 )
 def test_embed_malformed_space_exits_2(tmp_path, capsys, doc, message):
     (tmp_path / "space.json").write_text(json.dumps(doc))
@@ -377,12 +379,34 @@ def test_array_leaf_must_be_a_number(workdir, capsys, field, what, leaf):
         assert cli_main(embed) == 0
         doc = json.loads(path.read_text())
         rows = doc["f"] if field == "f" else doc["stages"][1][field.removeprefix("stage-")]
+        what = what if field == "f" else f"stage 1: {what}"
         argv = ["verify", "--result", str(path), *space_args, "--n", "0"]
     rows[0][-1] = repr(rows[0][-1]) if leaf == "string" else True
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli_main(argv) == 2
     message = f"{what} must be a rectangular array of numbers"
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [("result", "not a result document: unknown keys ['format_versoin']"),
+     ("stage", "stage 0: not a stage document: unknown keys ['format_versoin']"),
+     ("avoided", "avoided 0: not an avoided-plane document: unknown keys ['format_versoin']")],
+)
+def test_verify_refuses_unknown_key(workdir, capsys, where, message):
+    """A misspelt key would otherwise read as absent, and the result would verify."""
+    tmp, _, _ = workdir
+    path = tmp / "result.json"
+    args = ["--space", str(tmp / "space.json"), "--n", "0"]
+    assert cli_main(["embed", *args, "--stages", "2", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    {"result": doc, "stage": doc["stages"][0], "avoided": doc["avoided"][0]}[where][
+        "format_versoin"] = 2
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["verify", "--result", str(path), *args]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 

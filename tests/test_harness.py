@@ -271,6 +271,43 @@ class TestVerifyResult:
         with pytest.raises(InputError, match="eta_prime must be a number, got None"):
             tampered(line_run[1], mutate)
 
+    @pytest.mark.parametrize(
+        "where,index,field,message",
+        [("stage", 0, "f_next", "stage 0: f_next must be a rectangular array of numbers"),
+         ("stage", 2, "delta", "stage 2: not a stage document: delta must be a number, got '"),
+         ("avoided", 0, "eta_prime",
+          "avoided 0: not an avoided-plane document: eta_prime must be a number, got '"),
+         ("avoided", 1, "hyperplane", "avoided 1: not a hyperplane document: 'values'")],
+    )
+    def test_parse_error_names_its_entry(self, line_run, where, index, field, message):
+        """Errors in a stage or avoided-plane entry carry its index."""
+
+        def mutate(doc):
+            entry = (doc["stages"] if where == "stage" else doc["avoided"])[index]
+            if field == "f_next":
+                entry[field][0][0] = repr(entry[field][0][0])
+            elif field == "hyperplane":
+                del entry[field]["values"]
+            else:
+                entry[field] = repr(entry[field])
+
+        with pytest.raises(InputError) as info:
+            tampered(line_run[1], mutate)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("where", ["result", "stage", "avoided"])
+    def test_rejects_entry_that_is_not_an_object(self, line_run, where):
+        what = {"result": "not a result document", "stage": "stage 1: not a stage document",
+                "avoided": "avoided 0: not an avoided-plane document"}[where]
+        doc = json.loads(json.dumps(result_to_json_dict(line_run[1])))
+        if where == "stage":
+            doc["stages"][1] = [1]
+        elif where == "avoided":
+            doc["avoided"][0] = [1]
+        with pytest.raises(InputError) as info:
+            result_from_json_dict([doc] if where == "result" else doc)
+        assert str(info.value) == f"{what}: expected a JSON object, got list"
+
     @pytest.mark.parametrize("where", ["stage", "avoided"])
     @pytest.mark.parametrize(
         "field,value,message",

@@ -110,6 +110,16 @@ class TestSampledSpace:
                 {"points": [[0.0]], "distance_matrix": [[0.0]], "mesh": 1.0}
             )
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"points": [[0.0]], "distance_matrix": None, "mesh": 1.0, "mesh_typo": 1},
+         "not a space document: unknown keys ['mesh_typo']"),
+        ([[0.0]], "not a space document: expected a JSON object, got list"),
+    ], ids=["unknown-key", "not-an-object"])
+    def test_json_refuses_unknown_keys(self, doc, message):
+        with pytest.raises(InputError) as info:
+            SampledSpace.from_json_dict(doc)
+        assert str(info.value) == message
+
     def test_distances_from_vector_center(self):
         # a center is a point index; an ambient vector is not one
         s = line_space(3)  # points 0, 0.5, 1
