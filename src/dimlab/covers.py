@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import CertificateError, InputError
-from .metric import _as_readonly, _float, _float_array
+from .metric import _as_readonly, _float, _float_array, _only_keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +104,12 @@ class Cover:
     def from_json_dict(cls, obj: dict, sample_size: int) -> "Cover":
         if not isinstance(obj, dict) or not isinstance(obj.get("members"), list):
             raise InputError("cover document must be an object with a members list")
+        _only_keys(obj, frozenset({"members"}), "not a cover document")
         g = np.zeros((len(obj["members"]), sample_size))
         for row, entry in zip(g, obj["members"]):
             if not isinstance(entry, dict) or "values" not in entry:
                 raise InputError("each cover member must be an object with values")
+            _only_keys(entry, frozenset({"values"}), "not a cover member")
             if not isinstance(entry["values"], dict):
                 raise InputError("cover values must be an object of point index: value")
             for key, value in entry["values"].items():

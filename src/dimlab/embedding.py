@@ -185,6 +185,7 @@ class Hyperplane:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Hyperplane":
+        _only_keys(obj, frozenset({"coords", "values"}), "not a hyperplane document")
         try:
             coords = tuple(_int(c, "hyperplane coord") for c in obj["coords"])
             values = tuple(
@@ -615,40 +616,148 @@ def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:
     return cells
 
 
+def _grid_values(f: np.ndarray, cells: np.ndarray, m: int, delta: float) -> np.ndarray:
+    """max(0, (delta - |f - c / m|) / delta) of image rows f at grid cells c.
+
+    The lattice cover's one float expression: f and cells broadcast against
+    each other and the norm runs over the last axis, whatever the other axes.
+    """
+    return np.maximum(0.0, (delta - np.linalg.norm(f - cells / m, axis=-1)) / delta)
+
+
+def _walked_members(f: np.ndarray, delta: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cell, member) pairs of the walk of every lattice cell near the rows of f.
+
+    The cells are measured in blocks of about 2^20 floats; within a block only
+    the first cell of each nonempty support is kept, so a support may repeat
+    across blocks. Cells come in lexicographic order.
+    """
+    p, d = f.shape
+    cells = _lattice_cells(f, delta, m)
+    block = max(1, _CHUNK_FLOATS // (p * d))
+    kept, members = [np.zeros((0, d), dtype=np.int64)], [np.zeros((0, p))]
+    for start in range(0, len(cells), block):
+        part = cells[start : start + block]
+        vals = _grid_values(f[None], part[:, None], m, delta)
+        packed = np.packbits(vals > 0.0, axis=1)
+        first = np.sort(_first_rows(packed))
+        first = first[packed[first].any(axis=1)]
+        kept.append(part[first])
+        members.append(np.minimum(1.0, vals[first]))
+    return np.concatenate(kept), np.concatenate(members)
+
+
+def _first_cells(f: np.ndarray, delta: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's lexicographically first box cell with a positive grid value.
+
+    One axis at a time: the least c_i whose prefix passes when the later
+    axes take their float-nearest box cells. Returns the mask of rows that
+    have such a cell, their cells and their member values.
+    """
+    lo, hi = _grid_boxes(f, delta, m)
+    rows = np.arange(len(f))
+    # choices[r, i] lists the cells of row r's box on axis i, padded past hi
+    choices = lo[:, :, None] + np.arange(int((hi - lo).max(initial=0)) + 1)
+    inside = choices <= hi[:, :, None]
+    diff = f[:, :, None] - choices / m
+    cell = lo + np.where(inside, diff * diff, np.inf).argmin(axis=2)
+    found = (lo <= hi).all(axis=1)
+    for axis in range(f.shape[1]):
+        trial = np.repeat(cell[:, None], choices.shape[2], axis=1)
+        trial[:, :, axis] = choices[:, axis]
+        vals = _grid_values(f[:, None], trial, m, delta)
+        passes = (vals > 0.0) & inside[:, axis]
+        found &= passes.any(axis=1)
+        pick = passes.argmax(axis=1)
+        cell[:, axis] = choices[rows, axis, pick]
+    return found, cell[found], np.minimum(1.0, vals[rows, pick][found])
+
+
+def _isolated(f: np.ndarray, delta: float, m: int) -> np.ndarray:
+    """Rows whose float distance to every other row exceeds 2 delta + d s 2^-40.
+
+    s = 1 + delta + max |f|. No row is isolated unless m d s <= 2^48, the
+    premise of :func:`ball_preimage_cover`'s argument. Distances are taken
+    in blocks of about 2^20 floats.
+    """
+    p, d = f.shape
+    scale = 1.0 + delta + np.abs(f).max(initial=0.0)
+    alone = np.zeros(p, dtype=bool)
+    if not m * d * scale <= 2.0**48:
+        return alone
+    rows = max(1, _CHUNK_FLOATS // (p * d))
+    for start in range(0, p, rows):
+        gap = np.linalg.norm(f[start : start + rows, None] - f[None], axis=2)
+        np.fill_diagonal(gap[:, start:], np.inf)
+        alone[start : start + rows] = gap.min(axis=1) > 2.0 * delta + d * scale * 2.0**-40
+    return alone
+
+
 def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cover:
     """Cover of the sample by preimages of delta-balls around grid points.
 
     The grid is the uniform lattice with m+1 points per axis where
     m = ceil(sqrt(d)/delta), so its spacing is at most delta/sqrt(d) and
-    every image point has a lattice point within delta/2. Only lattice
-    points within delta of some image are enumerated (there are at most
-    (2 sqrt(d) + 3)^d per image point); members are the cozero ramps
-    max(0, (delta - |f(x) - g|)/delta), taken in lexicographic cell order
-    and deduplicated by support (the first cell of each support is kept).
+    every image point has a lattice point within delta/2. Each image row's
+    box (:func:`~dimlab.covers._grid_boxes`, at most (2 sqrt(d) + 3)^d cells)
+    holds its lattice points within delta. The members are the cozero ramps
+    max(0, (delta - |f(x) - g|)/delta) of the box cells, taken in
+    lexicographic cell order and deduplicated by support (the first cell of
+    each support is kept): the walk of every cell, one by one.
 
-    The cells are measured in blocks: one broadcast norm gives the
-    distances from every image point to a block of grid points, with the
-    block capped at about 2^20 floats so memory does not grow with the
-    cell count. Supports are packed into bytes to find each block's first
-    cell of each support; a member is built only for those, and
-    :func:`dedupe_by_support` keeps the first across blocks. Order and
-    values are exactly those of walking the cells one by one.
+    The images come in two groups, and each gives the walk's members:
+
+    - Crowded rows, those within 2 delta + margin of another row, are walked
+      (:func:`_walked_members`): one broadcast norm per block of cells, one
+      packed-support pass per block for its first cell of each support.
+    - An isolated row x has the single support {x}; its member comes from
+      the first cell of its box that passes the float test
+      |f(x) - c/m| < delta, found by :func:`_first_cells` one axis at a time
+      for all isolated rows at once, with no cell list.
+
+    Members of both groups are merged in cell order. Why this gives the
+    walk's bytes, with s = 1 + delta + max |f| and u = 2^-53, when
+    m d s <= 2^48 (otherwise every row is walked, non-finite images too):
+
+    (a) Same float test. Every test runs :func:`_grid_values`, the walk's
+        expression, reduced over the last axis as in the walk. Each rounded
+        operation in it is monotone in each per-axis square, so some
+        completion of a prefix passes exactly when the completion by the
+        least square on every later axis of the box does; the greedy search
+        therefore finds the lexicographically first passing cell of the box.
+    (b) The box holds every candidate. A cell outside an image's box is, on
+        some axis, farther than delta + (1 - 3 u s m)/m from it (the box
+        edges carry the rounding of (f -+ delta) m). Every float distance
+        here is within 16 d u s <= 1/(2m) of the real one: no such cell
+        passes for that image.
+    (c) No shared cells. The margin d s 2^-40 exceeds three such errors, so
+        a cell that passes for an isolated image is more than delta from
+        every other image, in floats too. Each cell's support is thus one
+        isolated image or a set of crowded ones, and by (b) the crowded
+        rows' boxes hold every cell of the latter: the walk over the crowded
+        rows alone finds the same supports at the same first cells.
+
+    A sample point that no member covers, or a cover with no member at all,
+    raises the walk's :class:`CertificateError`.
     """
     f = np.asarray(f, dtype=float)
     p, d = f.shape
     m = _grid_steps(d, delta)
-    cells = _lattice_cells(f, delta, m)
-    block = max(1, _CHUNK_FLOATS // (p * d))
-    members = []
-    for start in range(0, len(cells), block):
-        dist = np.linalg.norm(f[None] - (cells[start : start + block] / m)[:, None], axis=2)
-        vals = np.maximum(0.0, (delta - dist) / delta)
-        packed = np.packbits(vals > 0.0, axis=1)
-        first = np.sort(_first_rows(packed))
-        members.append(np.minimum(1.0, vals[first[packed[first].any(axis=1)]]))
-    if not sum(map(len, members)):
+    alone = _isolated(f, delta, m)
+    crowded, lone = np.flatnonzero(~alone), np.flatnonzero(alone)
+    cells, members = np.zeros((0, d), dtype=np.int64), np.zeros((0, p))
+    if len(crowded):
+        cells, vals = _walked_members(f[crowded], delta, m)
+        members = np.zeros((len(cells), p))
+        members[:, crowded] = vals
+    if len(lone):
+        found, lone_cells, vals = _first_cells(f[lone], delta, m)
+        rows = np.zeros((len(lone_cells), p))
+        rows[np.arange(len(lone_cells)), lone[found]] = vals
+        cells, members = np.concatenate([cells, lone_cells]), np.concatenate([members, rows])
+    if not len(members):
         raise CertificateError("no grid ball meets the image; grid construction failed")
-    cover = dedupe_by_support(Cover(np.concatenate(members)))
+    cover = dedupe_by_support(Cover(members[np.lexsort(cells.T[::-1])]))
     bad = cover.uncovered_point()
     if bad is not None:
         raise CertificateError(f"grid-ball preimages miss sample point {bad}")

@@ -6,6 +6,9 @@ at a time, exactly as the definitions read, and check the triangle
 inequality over the full matrix. The library's batched routes must give
 the same bytes: same member order, same cozero values, same distances,
 same pair list, same schedule depth, same verdict and message. The
+lattice cover walks only the cells of crowded images and finds an
+isolated image's first cell by a per-axis search; its bytes are the
+walk's either way. The
 point-star test gives the verdict of the per-point loop. The verifier's
 lattice-free star check gives the verdict of the builder's route (the met
 stage cover, then the point-star test), and its batched
@@ -396,6 +399,88 @@ class TestBallPreimageCoverBytes:
         with pytest.raises(CertificateError) as got:
             ball_preimage_cover(line_space(1), f, 0.1)
         assert str(got.value) == str(want.value)
+
+
+class TestIsolatedImages:
+    """Images farther than 2 delta (plus a rounding margin) from every other
+    image take the per-axis search for their first cell; the rest are walked.
+    Either way the cover is the walk's, byte for byte."""
+
+    def test_isolated_and_crowded_in_one_call(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            delta = float(rng.uniform(0.02, 0.07))
+            # three images within sqrt(3) delta of one another, one at least
+            # 0.15 from them on every axis
+            near = rng.uniform(0.1, 0.4, (1, 3)) + rng.uniform(-delta / 2, delta / 2, (3, 3))
+            f = np.concatenate([near, rng.uniform(0.6, 0.9, (1, 3))])
+            f[rng.permutation(4)] = f.copy()
+            alone = embedding._isolated(f, delta, math.ceil(math.sqrt(3) / delta))
+            assert alone.sum() == 1
+            assert_same_cover(f, delta)
+
+    @pytest.mark.parametrize("gap,alone", [(0.0, False), (1e-14, False), (2.0**-30, True)],
+                             ids=["exactly-2delta", "within-margin", "beyond-margin"])
+    def test_images_about_2delta_apart(self, gap, alone):
+        # delta and the images are binary fractions, so the gap is exact
+        delta = 0.125
+        for d in (1, 3):
+            f = np.full((2, d), 0.5)
+            f[0, 0] = 0.25 - gap
+            assert embedding._isolated(f, delta, math.ceil(math.sqrt(d) / delta)).tolist() == [alone] * 2
+            assert_same_cover(f, delta)
+
+    @pytest.mark.parametrize("image", [[1.09] * 3, [1.15] * 3, [1.105, 0.5, 0.5]],
+                             ids=["corner", "empty-box", "one-axis"])
+    def test_isolated_image_outside_cube(self, image):
+        # delta 0.1, m 18. At 0.9 delta beyond each face the box is not empty
+        # but its nearest cell, the corner, is sqrt(3) 0.9 delta away; at 1.5
+        # delta the box is empty. At 1.05 delta beyond one face only the
+        # cell 19 / 18, outside the grid, would be within delta.
+        delta = 0.1
+        f = np.array([[0.5, 0.5, 0.5], image])
+        with pytest.raises(CertificateError) as want:
+            reference_ball_preimage_cover(f, delta)
+        with pytest.raises(CertificateError) as got:
+            ball_preimage_cover(line_space(2), f, delta)
+        assert str(got.value) == str(want.value) == "grid-ball preimages miss sample point 1"
+
+    def test_isolated_images_on_cube_faces(self):
+        delta = 0.07
+        f = np.array([[0.0, 0.37, 1.0], [1.0, 1.0, 0.52], [0.61, 0.0, 0.0], [0.3, 1.0, 0.0]])
+        assert embedding._isolated(f, delta, math.ceil(math.sqrt(3) / delta)).all()
+        assert_same_cover(f, delta)
+        assert_same_cover(np.array([[0.0], [1.0]]), delta)
+
+    def test_isolated_images_d5(self):
+        rng = np.random.default_rng(55)
+        for p in (1, 3):
+            delta = float(rng.uniform(0.05, 0.2))
+            f = random_images(rng, p, 5, delta)
+            assert embedding._isolated(f, delta, math.ceil(math.sqrt(5) / delta)).all()
+            assert_same_cover(f, delta)
+
+    @pytest.mark.parametrize("delta,alone", [(1e-12, True), (1e-15, False)])
+    def test_grid_past_2_48_is_walked(self, delta, alone):
+        # past m d s = 2^48 the float distances no longer surely resolve a
+        # cell against the box edges, so every image is walked
+        f = np.array([[0.25], [0.75]])
+        assert embedding._isolated(f, delta, math.ceil(1 / delta)).tolist() == [alone] * 2
+        assert_same_cover(f, delta)
+
+    def test_all_isolated_lists_no_cells(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walked the lattice")
+
+        monkeypatch.setattr(embedding, "_lattice_cells", refuse)
+        rng = np.random.default_rng(9)
+        for d in (1, 2, 3):
+            for _ in range(10):
+                delta = float(10.0 ** rng.uniform(-3.0, -1.5))
+                # images spread over a grid of spacing 0.1 > 2 delta, a few on the faces
+                f = rng.permutation(np.indices((11,) * d).reshape(d, -1).T)[:8] / 10.0
+                f = np.clip(f + rng.uniform(-0.01, 0.01, f.shape), 0.0, 1.0)
+                assert_same_cover(f, delta)
 
 
 class TestLatticeCells:

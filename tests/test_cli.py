@@ -393,7 +393,9 @@ def test_array_leaf_must_be_a_number(workdir, capsys, field, what, leaf):
     "where, message",
     [("result", "not a result document: unknown keys ['format_versoin']"),
      ("stage", "stage 0: not a stage document: unknown keys ['format_versoin']"),
-     ("avoided", "avoided 0: not an avoided-plane document: unknown keys ['format_versoin']")],
+     ("avoided", "avoided 0: not an avoided-plane document: unknown keys ['format_versoin']"),
+     ("hyperplane", "stage 0: not a hyperplane document: unknown keys ['format_versoin']"),
+     ("cover_u", "stage 0: not a cover document: unknown keys ['format_versoin']")],
 )
 def test_verify_refuses_unknown_key(workdir, capsys, where, message):
     """A misspelt key would otherwise read as absent, and the result would verify."""
@@ -402,7 +404,8 @@ def test_verify_refuses_unknown_key(workdir, capsys, where, message):
     args = ["--space", str(tmp / "space.json"), "--n", "0"]
     assert cli_main(["embed", *args, "--stages", "2", "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
-    {"result": doc, "stage": doc["stages"][0], "avoided": doc["avoided"][0]}[where][
+    {"result": doc, "stage": doc["stages"][0], "avoided": doc["avoided"][0],
+     "hyperplane": doc["stages"][0]["hyperplane"], "cover_u": doc["stages"][0]["cover_u"]}[where][
         "format_versoin"] = 2
     path.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -450,8 +453,10 @@ def test_reduce_order_ragged_map_exits_2(workdir, capsys):
          "cover values must be an object of point index: value"),
         ({"members": [{"values": {"0": "x"}}]}, "bad value 'x' at point 0 in cover values"),
         ({"members": [{"values": {"0": True}}]}, "bad value True at point 0 in cover values"),
+        ({"members": [{"values": {"0": 1.0}, "valeus": {"1": 1.0}}]},
+         "not a cover member: unknown keys ['valeus']"),
     ],
-    ids=["members-number", "values-list", "string-value", "bool-value"],
+    ids=["members-number", "values-list", "string-value", "bool-value", "unknown-member-key"],
 )
 def test_malformed_cover_exits_2(workdir, capsys, doc, message):
     tmp, _, _ = workdir

@@ -83,6 +83,19 @@ class TestCoverValues:
             Cover.from_json_dict(doc, 4)
 
     @pytest.mark.parametrize(
+        "doc, message",
+        [({"members": [{"values": {"0": 1.0, "1": 1.0}, "valeus": {"2": 1.0}}], "extra": 1},
+          "not a cover document: unknown keys ['extra']"),
+         ({"members": [{"values": {"0": 1.0, "1": 1.0}, "valeus": {"2": 1.0}}]},
+          "not a cover member: unknown keys ['valeus']")],
+        ids=["document", "member"],
+    )
+    def test_json_refuses_unknown_keys(self, doc, message):
+        # a misspelt key would otherwise read as absent
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Cover.from_json_dict(doc, 3)
+
+    @pytest.mark.parametrize(
         "make, message",
         [(lambda: Cover(()), "at least one member"),
          (lambda: Cover.from_matrix(np.zeros((2, 0))), "nonempty sample"),

@@ -97,6 +97,12 @@ class TestHyperplane:
         h = Hyperplane((0, 2), (F(2, 5), F(1)))
         assert Hyperplane.from_json_dict(h.to_json_dict()) == h
 
+    def test_json_refuses_unknown_keys(self):
+        # a misspelt key would otherwise read as absent
+        doc = {"coords": [0, 1], "values": [[1, 2], [1, 3]], "cords": [2]}
+        with pytest.raises(InputError, match=r"^not a hyperplane document: unknown keys \['cords'\]$"):
+            Hyperplane.from_json_dict(doc)
+
 
 class TestEnumerateHyperplanes:
     def test_n0_frozen_values(self):

@@ -57,13 +57,22 @@ GOLDEN = [
         "33852c3376061123667bfa9b34a90322e1af38aef162582b6f48779241eb0a74",
     ),
     (
+        "line6", 3, 3, 0,
+        "6f4647b2973cfabba5f1497ca81c8e1f88e57db2cdca449ef353f9152c020302",
+        "c097ee6c18a7c1bd77fb5346e600ed4c424231e249052d29f31d665cbf047735",
+    ),
+    (
         "grid4x3", 2, 2, 0,
         "a3ecc45c4dd4569a9a295ff2ea882f286dbf310bc42d96b9783e6ad3c0bd1c89",
         "6a2d08c4080127cf132d608894f9e378e5ccf7988728456802ff321c5ba1dc43",
     ),
 ]
 
-SPACES = {"line8": lambda: line_space(8), "grid4x3": lambda: grid_square_space(4, 3)}
+SPACES = {
+    "line8": lambda: line_space(8),
+    "line6": lambda: line_space(6),
+    "grid4x3": lambda: grid_square_space(4, 3),
+}
 
 
 @pytest.mark.parametrize(
