@@ -240,18 +240,47 @@ def _value_tuples(
 # general position
 
 
-def _subset_sigmas(points: np.ndarray, max_size: int) -> Iterator[tuple[list, np.ndarray]]:
-    """Each size 2..max_size in turn: its subsets, lexicographic, and their least sigmas.
+def _least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...] | None]:
+    """Least sigma over the maximal subsets of the rows, and the first at or under ``tol``.
 
-    A subset's sigma is the least singular value of its differences from its
-    first point; one batched SVD per size, computed only when reached.
+    A subset S = {s_0 < ... < s_m} has the m x d difference matrix D_S with
+    rows p_j - p_{s_0}, and its sigma is D_S's least singular value. Only
+    subsets of size min(k, d+1) are measured, in lexicographic order from
+    the cached :func:`_subsets`; the first of them with sigma <= ``tol`` is
+    returned as a tuple of ints, or None. With fewer than two rows there is
+    no difference to measure: (inf, None).
+
+    Every smaller subset S of size >= 2 lies in a maximal S', and its sigma
+    is at least that of S': for least elements b >= b' of S and S',
+    D_S = E D_{S'}, where E's row for j is e_j - e_b (with e_{b'} := 0), so
+    E E^T is I (b = b') or I + 11^T (b > b'). For unit x, |E^T x| >= 1 and
+    D_{S'} has at most d rows, so |D_S^T x| = |D_{S'}^T E^T x| >= sigma(S').
+    The least sigma over all subsets is thus reached at a maximal one, and
+    a set has a subset at or under ``tol`` exactly when a maximal one does
+    (a set is affinely independent exactly when its maximal subsets are).
+    In floats each maximal subset's sigma has the bytes a scan of every
+    size computes for it, and a smaller subset's computed sigma can fall
+    below its superset's only within the SVD's backward error, far below
+    ``RANK_TOL``.
+
+    The differences are built and decomposed in blocks of at most
+    ``_CHUNK_FLOATS`` floats (at least one subset per block); LAPACK runs
+    per matrix, so the values do not depend on the block size.
     """
-    k = len(points)
-    for s in range(2, min(k, max_size) + 1):
-        subs = list(combinations(range(k), s))
-        base = points[[c[0] for c in subs]]
-        rest = points[np.array(subs)[:, 1:]]
-        yield subs, np.linalg.svd(rest - base[:, None, :], compute_uv=False).min(axis=1)
+    k, d = points.shape
+    size = min(k, d + 1)
+    least, first = math.inf, None
+    if size < 2:
+        return least, first
+    subsets = _subsets(k, size)
+    rows = max(1, _CHUNK_FLOATS // ((size - 1) * d))
+    for start in range(0, len(subsets), rows):
+        idx = subsets[start : start + rows]
+        sigma = np.linalg.svd(points[idx[:, 1:]] - points[idx[:, :1]], compute_uv=False).min(axis=1)
+        least = min(least, float(sigma.min()))
+        if first is None and (sigma <= tol).any():
+            first = tuple(int(i) for i in idx[int(np.argmax(sigma <= tol))])
+    return least, first
 
 
 def general_position(
@@ -265,8 +294,12 @@ def general_position(
 ) -> np.ndarray:
     """Move each target at most eps so no m+2 outputs sit in an m-flat.
 
-    Affine independence is required of every subset of size up to d+1
-    (singular values above ``tol``, which must be finite and nonnegative).
+    Affine independence is required of every maximal subset, of size
+    min(k, d+1): the least singular value of its differences from its
+    first point must exceed ``tol``, which must be finite and nonnegative.
+    That covers every smaller subset too, because deleting points never
+    lowers the least singular value (:func:`_least_sigma` gives the
+    argument).
     A target with a constraint hyperplane must lie within eps of it; its
     fixed coordinates are set to the plane's values and never perturbed,
     so the output stays exactly on the hyperplane. If ``box`` is given,
@@ -275,7 +308,8 @@ def general_position(
     later rounds redraw uniform perturbations of Euclidean size <= eps/2
     (on the free coordinates only, for a constrained point) from a
     generator seeded by ``seed``, so results are reproducible. Exhausting
-    the round budget raises and names the last violating subset.
+    the round budget raises and names the last round's lexicographically
+    first violating maximal subset.
     """
     pts = _float_array(targets, "targets")
     if pts.ndim != 2:
@@ -327,11 +361,8 @@ def general_position(
         shift = np.linalg.norm(candidate - pts, axis=1)
         if round_no > 0 and (shift >= eps).any():
             continue
-        for subs, sigma in _subset_sigmas(candidate, d + 1):
-            if (sigma <= tol).any():
-                violation = subs[int(np.argmax(sigma <= tol))]
-                break
-        else:
+        _, violation = _least_sigma(candidate, tol)
+        if violation is None:
             return candidate
     raise GeneralPositionError(
         f"no general-position perturbation found in {rounds} rounds; "
@@ -738,7 +769,8 @@ def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cov
         rows alone finds the same supports at the same first cells.
 
     A sample point that no member covers, or a cover with no member at all,
-    raises the walk's :class:`CertificateError`.
+    raises the walk's :class:`CertificateError`; on a miss with delta below
+    the spacing of floats at max |f|, the message names that float floor.
     """
     f = np.asarray(f, dtype=float)
     p, d = f.shape
@@ -760,7 +792,11 @@ def ball_preimage_cover(space: SampledSpace, f: np.ndarray, delta: float) -> Cov
     cover = dedupe_by_support(Cover(members[np.lexsort(cells.T[::-1])]))
     bad = cover.uncovered_point()
     if bad is not None:
-        raise CertificateError(f"grid-ball preimages miss sample point {bad}")
+        msg = f"grid-ball preimages miss sample point {bad}"
+        ulp = float(np.spacing(np.abs(f).max()))
+        if delta < ulp:
+            msg += f": delta {delta:.2g} is below the float resolution of the map (ulp {ulp:.2g})"
+        raise CertificateError(msg)
     return cover
 
 

@@ -34,8 +34,8 @@ from .embedding import (
     eta_prime,
     kappa_map,
     pair_schedule,
+    _least_sigma,
     _stage_vertices,
-    _subset_sigmas,
 )
 from .errors import CertificateError, GeneralPositionError, InputError
 from .metric import _CHUNK_FLOATS, SampledSpace, _null_if_inf, ball_cozero, complement_cozero
@@ -197,13 +197,9 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         anchor_err = float(st.hyperplane.equation_violation(st.anchors).max())
         add("anchors-on-plane", anchor_err == 0.0, -anchor_err, loc)
 
-        sigma, subset = math.inf, ()  # least over all sizes; the first subset on ties
-        for subs, sig in _subset_sigmas(np.vstack([st.vertices, st.anchors]), d + 1):
-            i = int(sig.argmin())
-            if sig[i] < sigma:
-                sigma, subset = float(sig[i]), subs[i]
-        add("general-position", sigma > RANK_TOL, sigma - RANK_TOL,
-            f"{loc}, subset {subset}" if sigma <= RANK_TOL else loc)
+        sigma, subset = _least_sigma(np.vstack([st.vertices, st.anchors]), RANK_TOL)
+        add("general-position", subset is None, sigma - RANK_TOL,
+            loc if subset is None else f"{loc}, subset {subset}")
 
         if uncovered is None:  # kappa is defined only on a covering
             kap = kappa_map(st.cover_u, st.vertices)

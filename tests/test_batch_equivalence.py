@@ -15,10 +15,13 @@ stage cover, then the point-star test), and its batched
 v-mapping check the margin and location of the per-point loop. ``eta`` and
 ``eta_prime`` measure the widest pairs first; against the full scan of
 every pair they give the same messages and the same values, up to exact
-ties between a pair and its widest superset. Order reduction, which
-shrinks the least (n+2)-subset of members sharing a point pass after
-pass, gives the bytes and the shrink count of the lexicographic sweep of
-every (n+2)-subset. The star refinement, taken as k meet steps, gives the
+ties between a pair and its widest superset. General position measures
+only the maximal subsets; against the scan of every subset size it gives
+the same verdict and the same least singular value up to rounding, and
+names the first maximal subset at or under the tolerance. Order
+reduction, which shrinks the least (n+2)-subset of members sharing a
+point pass after pass, gives the bytes and the shrink count of the
+lexicographic sweep of every (n+2)-subset. The star refinement, taken as k meet steps, gives the
 members, member order and witness of the per-point signature enumeration.
 The nerve, enumerated and printed as integer bit masks, gives the facets,
 face order and export bytes of the tuple-set enumeration and ``json.dumps``.
@@ -65,10 +68,12 @@ from dimlab.covers import (
 from dimlab.nerve import SimplicialComplex
 from dimlab.embedding import (
     HULL_TOL,
+    RANK_TOL,
     SCAN_GUARD,
     Hyperplane,
     _disjoint_pairs,
     _lattice_cells,
+    _least_sigma,
     _plane_groups,
     _span_distances,
     _stage_covers,
@@ -77,6 +82,7 @@ from dimlab.embedding import (
     enumerate_hyperplanes,
     eta,
     eta_prime,
+    general_position,
     result_from_json_dict,
     result_to_json_dict,
 )
@@ -740,6 +746,148 @@ class TestWidestFirst:
                     rows[0, 0] = 5
         with pytest.raises(ValueError):
             _subsets(6, 2)[0, 0] = 5
+
+
+def all_sizes_sigma(points):
+    """The least sigma over every subset of size 2..d+1, one batched SVD per size."""
+    k, d = points.shape
+    least = math.inf
+    for size in range(2, min(k, d + 1) + 1):
+        subs = list(combinations(range(k), size))
+        base = points[[c[0] for c in subs]]
+        rest = points[np.array(subs)[:, 1:]]
+        least = min(least, float(np.linalg.svd(rest - base[:, None, :], compute_uv=False).min()))
+    return least
+
+
+def subset_sigma(points, subset):
+    """Least singular value of the subset's differences from its first point."""
+    base, *rest = subset
+    return float(np.linalg.svd(points[rest] - points[base], compute_uv=False).min())
+
+
+def assert_same_verdict(points, tols=(RANK_TOL,)):
+    """_least_sigma against the all-sizes scan: verdicts, least sigma, first named subset."""
+    want = all_sizes_sigma(points)
+    k, d = points.shape
+    for tol in tols:
+        least, first = _least_sigma(points, tol)
+        assert want <= least <= want + 1e-12
+        assert (least > tol) == (want > tol) == (first is None)
+        if first is not None:
+            assert all(type(i) is int for i in first)
+            maximal = list(combinations(range(k), min(k, d + 1)))
+            assert first in maximal and subset_sigma(points, first) <= tol
+            assert all(subset_sigma(points, c) > tol for c in maximal[: maximal.index(first)])
+    return _least_sigma(points, tols[0])
+
+
+def planted(rng, d, k, kind, at):
+    """k uniform points in d dimensions with one dependent subset on the indices ``at``."""
+    pts = rng.uniform(0.0, 1.0, (k, d))
+    if kind == "coincident":
+        i, j = at
+        pts[j] = pts[i]
+    elif kind == "collinear":
+        i, j, l = at
+        pts[l] = pts[i] + rng.uniform(0.2, 0.8) * (pts[j] - pts[i])
+    else:  # a point 1e-10 off the plane of three others
+        i, j, l, m = at
+        normal = np.linalg.svd(pts[[j, l]] - pts[i])[2][-1]
+        a, b = rng.uniform(0.2, 0.4, 2)
+        pts[m] = pts[i] + a * (pts[j] - pts[i]) + b * (pts[l] - pts[i]) + 1e-10 * normal
+    return pts
+
+
+KIND_SIZES = {"coincident": 2, "collinear": 3, "off-plane": 4}
+
+
+class TestMaximalSubsets:
+    """General position measures the maximal subsets only; the all-sizes scan is the reference."""
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_random_sets(self, d):
+        rng = np.random.default_rng(700 + d)
+        for k in range(11):
+            for _ in range(4):
+                pts = rng.uniform(0.0, 1.0, (k, d))
+                want = all_sizes_sigma(pts)
+                tols = (RANK_TOL,) if math.isinf(want) else (RANK_TOL, want / 2, 2 * want)
+                assert_same_verdict(pts, tols)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("kind", sorted(KIND_SIZES))
+    def test_near_degenerate_sets(self, d, kind):
+        # the dependent subset sits on random indices of a larger set; the
+        # first maximal subset holding it is the one named
+        rng = np.random.default_rng(720 + d)
+        for k in range(d + 2, 11):
+            for _ in range(3):
+                at = tuple(sorted(rng.choice(k, KIND_SIZES[kind], replace=False).tolist()))
+                pts = planted(rng, d, k, kind, at)
+                _, first = assert_same_verdict(pts)
+                holding = [c for c in combinations(range(k), d + 1) if set(at) <= set(c)]
+                assert first == holding[0]
+
+    @pytest.mark.parametrize(
+        "d, kind", [(d, kind) for d in (3, 5) for kind in sorted(KIND_SIZES) if KIND_SIZES[kind] <= d]
+    )
+    def test_base_change(self, d, kind):
+        # the dependent subset, smaller than d+1, takes the top indices, so
+        # every maximal superset has a lower least element: its differences
+        # are taken from another base point
+        rng = np.random.default_rng(740 + d)
+        for k in (d + 2, 9, 10):
+            at = tuple(range(k - KIND_SIZES[kind], k))
+            pts = planted(rng, d, k, kind, at)
+            supersets = [c for c in combinations(range(k), d + 1) if set(at) <= set(c)]
+            assert all(c[0] < at[0] for c in supersets)
+            _, first = assert_same_verdict(pts)
+            assert first == supersets[0]
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_few_points(self, d):
+        # k = 0 and 1 have nothing to measure; up to d+1 points the one
+        # maximal subset is the whole set
+        rng = np.random.default_rng(760 + d)
+        for k in range(d + 2):
+            pts = rng.uniform(0.0, 1.0, (k, d))
+            least, first = assert_same_verdict(pts)
+            if k < 2:
+                assert (least, first) == (math.inf, None)
+                continue
+            assert least == subset_sigma(pts, range(k)) and first is None
+            pts[k - 1] = pts[k - 2]
+            assert assert_same_verdict(pts)[1] == tuple(range(k))
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_subset_sigma_is_at_least_its_supersets(self, d):
+        # S drops the least element of S' and maybe more, so their bases differ
+        rng = np.random.default_rng(780 + d)
+        for _ in range(200):
+            pts = rng.uniform(0.0, 1.0, (10, d))
+            outer = sorted(rng.choice(10, int(rng.integers(3, d + 2)), replace=False).tolist())
+            inner = sorted(rng.choice(outer[1:], int(rng.integers(2, len(outer))), replace=False)
+                           .tolist())
+            assert subset_sigma(pts, inner) >= subset_sigma(pts, outer) - 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 9, 50])
+    def test_small_blocks(self, monkeypatch, golden_runs, chunk):
+        # blocks of one subset, of a few and of many give the same sigma, the
+        # same named subset, the same placement and the same report
+        rng = np.random.default_rng(800)
+        cases = [planted(rng, 3, 9, "collinear", (5, 7, 8)), rng.uniform(0.0, 1.0, (10, 5))]
+        targets = rng.uniform(0.0, 1.0, (7, 3))
+        space, n, r = golden_runs[1]
+        want = ([_least_sigma(p, RANK_TOL) for p in cases],
+                general_position(targets, eps=0.01, seed=3).tobytes(),
+                verify_result(r, space, n).to_json_dict())
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
+        got = ([_least_sigma(p, RANK_TOL) for p in cases],
+               general_position(targets, eps=0.01, seed=3).tobytes(),
+               verify_result(r, space, n).to_json_dict())
+        assert got == want
+        assert want[0][0][1] == (0, 5, 7, 8)
 
 
 class TestHyperplaneRowBytes:

@@ -222,9 +222,10 @@ class TestGeneralPosition:
             general_position(targets, eps=0.05, constraints=[line] * 3, seed=1)
 
     def test_names_first_dependent_subset(self):
-        # round 0 only: the coincident pair (0, 1) is the first subset of size 2
+        # round 0 only: the coincident pair (0, 1) makes its maximal superset
+        # (0, 1, 2), the first subset of size d+1 = 3, dependent
         targets = [[0.2, 0.2], [0.2, 0.2], [0.8, 0.6]]
-        with pytest.raises(GeneralPositionError, match=r"last violating subset: \(0, 1\)$"):
+        with pytest.raises(GeneralPositionError, match=r"last violating subset: \(0, 1, 2\)$"):
             general_position(targets, eps=0.1, rounds=1)
 
     def test_deterministic_under_seed(self):
@@ -543,6 +544,18 @@ class TestNobelingEmbed:
         s = SampledSpace.from_points(pts, mesh=1.5)
         with pytest.raises(CertificateError, match="merges sample points"):
             nobeling_embed(s, n=1, T=2, seed=0)
+
+    def test_float_floor_is_named(self):
+        """Past T=27 the stage scale drops below the spacing of floats near
+        1/2, no grid cell passes for point 4, and the message says why. A
+        scale below that spacing alone does not fail: stage 26 passes."""
+        last = nobeling_embed(line_space(8), n=1, T=27, seed=0).stages[-1]
+        assert last.delta < np.spacing(np.abs(last.f).max())
+        with pytest.raises(CertificateError, match=(
+            r"^grid-ball preimages miss sample point 4: delta 2\.7e-17 is below "
+            r"the float resolution of the map \(ulp 1\.1e-16\)$"
+        )):
+            nobeling_embed(line_space(8), n=1, T=28, seed=0)
 
     def test_rejects_bad_arguments(self):
         s = line_space(4)
