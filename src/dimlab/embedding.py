@@ -28,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -75,6 +75,10 @@ HULL_TOL = 1e-9
 # see _widest_first
 SCAN_GUARD = 1e-6
 CUBE_TOL = 1e-12
+# K u: the unit roundoff u = 2^-53 times a safety factor K = 1e4 on the
+# backward-error constants of Gram-Schmidt and the SVD; the error unit of
+# the filters that decide which systems the exact code decomposes
+_FILTER_EPS = 1e4 * 2.0**-53
 DELTA0 = 0.25
 
 
@@ -240,15 +244,33 @@ def _value_tuples(
 # general position
 
 
+def _gram_schmidt(q: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt, in place, on N stacks of w vectors: the (w, N) squared R_ii.
+
+    ``q`` is (w, d, N), with vector i of stack j in ``q[i, :, j]``, so every
+    step works on contiguous rows of N values. Entry (i, j) is the squared
+    length of vector i after the earlier vectors' directions are projected
+    out of it. A zero length gives NaN in the later entries, so callers
+    treat non-finite values as undecided.
+    """
+    sq = np.empty((q.shape[0], q.shape[2]))
+    for i, qi in enumerate(q):
+        sq[i] = (qi * qi).sum(axis=0)
+        later = q[i + 1 :]
+        if len(later):
+            later -= (later * qi).sum(axis=1)[:, None] / sq[i] * qi
+    return sq
+
+
 def _least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...] | None]:
     """Least sigma over the maximal subsets of the rows, and the first at or under ``tol``.
 
     A subset S = {s_0 < ... < s_m} has the m x d difference matrix D_S with
     rows p_j - p_{s_0}, and its sigma is D_S's least singular value. Only
-    subsets of size min(k, d+1) are measured, in lexicographic order from
-    the cached :func:`_subsets`; the first of them with sigma <= ``tol`` is
-    returned as a tuple of ints, or None. With fewer than two rows there is
-    no difference to measure: (inf, None).
+    subsets of size min(k, d+1) are measured, in lexicographic order; the
+    first of them with sigma <= ``tol`` is returned as a tuple of ints, or
+    None. With fewer than two rows there is no difference to measure:
+    (inf, None).
 
     Every smaller subset S of size >= 2 lies in a maximal S', and its sigma
     is at least that of S': for least elements b >= b' of S and S',
@@ -263,24 +285,58 @@ def _least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...]
     below its superset's only within the SVD's backward error, far below
     ``RANK_TOL``.
 
-    The differences are built and decomposed in blocks of at most
-    ``_CHUNK_FLOATS`` floats (at least one subset per block); LAPACK runs
-    per matrix, so the values do not depend on the block size.
+    Only the subsets that can set the result are decomposed. Gram-Schmidt
+    on D's rows gives lengths l_ii with prod l_ii = prod sigma_i, so
+    sigma lies between prod l_ii / |D|_F^(m-1) and min l_ii. Both ends
+    are widened by K u kappa relative, with kappa = |D|_F^m / prod l_ii >=
+    cond(D), for the Gram-Schmidt error, and by K u |D|_F absolute for the
+    SVD's (Weyl); K u is ``_FILTER_EPS``. A subset is decomposed unless its
+    lower end exceeds both ``tol`` and the least upper end or decomposed
+    sigma so far; a non-finite end never excludes it. The least computed
+    sigma is no more than any subset's upper end, and a subset whose sigma
+    is at or under ``tol`` has its lower end there too, so both are
+    decomposed: the least decomposed sigma is the least sigma, and the
+    first decomposed subset at or under ``tol`` is the first subset there.
+    LAPACK runs per matrix, so a decomposed subset's sigma has the bytes
+    it has when every subset is decomposed.
+
+    The subsets are taken from ``combinations`` in blocks of at most
+    ``_CHUNK_FLOATS`` difference floats (at least one subset per block),
+    so neither the indices nor the differences of all subsets are held at
+    once; the values do not depend on the block size.
     """
     k, d = points.shape
     size = min(k, d + 1)
     least, first = math.inf, None
     if size < 2:
         return least, first
-    subsets = _subsets(k, size)
+    subsets = combinations(range(k), size)
     rows = max(1, _CHUNK_FLOATS // ((size - 1) * d))
-    for start in range(0, len(subsets), rows):
-        idx = subsets[start : start + rows]
-        sigma = np.linalg.svd(points[idx[:, 1:]] - points[idx[:, :1]], compute_uv=False).min(axis=1)
+    bound = math.inf  # the least upper end or decomposed sigma so far
+    while True:
+        idx = np.fromiter(chain.from_iterable(islice(subsets, rows)), dtype=np.intp)
+        if not len(idx):
+            return least, first
+        idx = idx.reshape(-1, size)
+        diffs = points[idx[:, 1:]] - points[idx[:, :1]]
+        with np.errstate(all="ignore"):
+            norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
+            lengths = np.sqrt(_gram_schmidt(diffs.transpose(1, 2, 0).copy()))
+            det = lengths.prod(axis=0)
+            rel = _FILTER_EPS * norm ** (size - 1) / det
+            slack = _FILTER_EPS * norm
+            low = det / norm ** (size - 2) * (1.0 - rel) - slack
+            high = np.fmin.reduce(lengths, axis=0) * (1.0 + rel) + slack
+        bound = float(np.fmin(bound, np.fmin.reduce(high)))
+        keep = ~(low > max(tol, bound))
+        if not keep.any():
+            continue
+        idx = idx[keep]
+        sigma = np.linalg.svd(diffs[keep], compute_uv=False).min(axis=1)
         least = min(least, float(sigma.min()))
+        bound = float(np.fmin(bound, least))
         if first is None and (sigma <= tol).any():
             first = tuple(int(i) for i in idx[int(np.argmax(sigma <= tol))])
-    return least, first
 
 
 def general_position(
@@ -442,6 +498,28 @@ def _group_row(groups: Sequence[tuple[np.ndarray, np.ndarray]], i: int) -> tuple
     raise IndexError(i)
 
 
+def _span_systems(
+    vertices: np.ndarray, groups: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The padded least-squares systems (M, r) of :func:`_span_distances`, one row per pair."""
+    d = vertices.shape[1]
+    widths = [ia.shape[1] + ib.shape[1] - 2 for ia, ib in groups]
+    total = sum(len(ia) for ia, _ in groups)
+    m = np.zeros((total, d, max(widths)))
+    r = np.empty((total, d))
+    at = 0
+    for (ia, ib), width in zip(groups, widths):
+        rows = slice(at, at + len(ia))
+        pa = vertices[ia]
+        pb = vertices[ib]
+        ka = ia.shape[1] - 1
+        m[rows, :, :ka] = (pa[:, 1:] - pa[:, :1]).transpose(0, 2, 1)
+        m[rows, :, ka:width] = (pb[:, 1:] - pb[:, :1]).transpose(0, 2, 1)
+        r[rows] = pb[:, 0] - pa[:, 0]
+        at += len(ia)
+    return m, r
+
+
 def _span_distances(
     vertices: np.ndarray, groups: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
@@ -462,24 +540,10 @@ def _span_distances(
     those of building each system on its own, so the distances are the
     same bytes. The pseudo-inverse is taken matrix by matrix, so a pair's
     distance depends only on its own system and the padded width: passing
-    only the widest groups (see :func:`_widest_first`) gives their
-    distances the bytes they have in the call with every group.
+    only some rows of the widest groups (see :func:`_widest_first`) gives
+    their distances the bytes they have in the call with every group.
     """
-    d = vertices.shape[1]
-    widths = [ia.shape[1] + ib.shape[1] - 2 for ia, ib in groups]
-    total = sum(len(ia) for ia, _ in groups)
-    m = np.zeros((total, d, max(widths)))
-    r = np.empty((total, d))
-    at = 0
-    for (ia, ib), width in zip(groups, widths):
-        rows = slice(at, at + len(ia))
-        pa = vertices[ia]
-        pb = vertices[ib]
-        ka = ia.shape[1] - 1
-        m[rows, :, :ka] = (pa[:, 1:] - pa[:, :1]).transpose(0, 2, 1)
-        m[rows, :, ka:width] = (pb[:, 1:] - pb[:, :1]).transpose(0, 2, 1)
-        r[rows] = pb[:, 0] - pa[:, 0]
-        at += len(ia)
+    m, r = _span_systems(vertices, groups)
     proj = np.einsum("nij,nj->ni", m @ np.linalg.pinv(m), r)
     sq = np.einsum("ni,ni->n", r, r) - np.einsum("ni,ni->n", proj, r)
     return np.sqrt(np.maximum(sq, 0.0))
@@ -509,27 +573,56 @@ def _plane_groups(
 
 def _widest_first(
     vertices: np.ndarray, groups: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, Sequence[tuple[np.ndarray, np.ndarray]]]:
-    """Span distances of the widest groups if their least clears SCAN_GUARD, else of all.
+) -> tuple[float, tuple | None]:
+    """The least span distance, and the pair that sets it when it is at or under HULL_TOL.
 
-    Returns the distances with the groups they were measured over. A span
-    only grows with its subset, so every pair lies inside a no farther pair
-    of a widest group (|A| + |B| largest). The float form cancels, though:
-    near zero a smaller pair can come out lower than its widest superset,
-    even under HULL_TOL, so at or below ``SCAN_GUARD`` every group is
-    measured and the values, verdicts and messages are the full scan's.
-    Above it the verdict is the full scan's, and so is the value unless a
-    smaller pair exactly ties its widest superset: the superset's rounding
-    is returned, which can differ from the full scan's minimum by the
-    cancellation error (up to about 1e-4 relative just above the guard).
+    A span only grows with its subset, so every pair lies inside a no
+    farther pair of a widest group (|A| + |B| largest). The float form
+    cancels, though: near zero a smaller pair can come out lower than its
+    widest superset, even under HULL_TOL. So when the widest groups' least
+    clears ``SCAN_GUARD`` it is returned, and otherwise every group is
+    measured and the value and the pair (as index tuples, or None above
+    HULL_TOL) are the full scan's. Above the guard the verdict is the full
+    scan's, and so is the value unless a smaller pair exactly ties its
+    widest superset: the superset's rounding is returned, which can differ
+    from the full scan's minimum by the cancellation error (up to about
+    1e-4 relative just above the guard).
+
+    Of the widest groups, only the rows that can set the least are solved
+    through ``pinv``. Modified Gram-Schmidt on [M r] gives the lengths R_ii
+    of M's columns and the residual a, with a^2 an estimate of the squared
+    distance; kappa = |M|_F^w / prod R_ii bounds cond(M) (w columns). Both
+    a^2 and the pinv form are backward stable, each within a small multiple
+    of u kappa |r|^2 of the exact value (Higham, ch. 19-20), so
+    e = K u kappa |r|^2 (K u is ``_FILTER_EPS``) bounds their difference,
+    and row j is solved unless a_j^2 - e_j > a_i^2 + e_i for some row i:
+    then its computed distance exceeds row i's. A row with a non-finite
+    estimate or bound is always solved. The least solved distance is thus
+    the least of the widest groups, to the byte (see
+    :func:`_span_distances`). The full scan below the guard is not
+    filtered, so every message comes from it.
     """
     width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
     widest = [g for g in groups if g[0].shape[1] + g[1].shape[1] == width]
-    if len(widest) < len(groups):
-        dists = _span_distances(vertices, widest)
-        if dists.min() > SCAN_GUARD:
-            return dists, widest
-    return _span_distances(vertices, groups), groups
+    m, r = _span_systems(vertices, widest)
+    w = m.shape[2]
+    with np.errstate(all="ignore"):
+        sq = _gram_schmidt(np.concatenate([m.T, r.T[None]]))
+        kappa = np.sqrt(np.einsum("nij,nij->n", m, m) ** w / sq[:w].prod(axis=0))
+        err = _FILTER_EPS * kappa * np.einsum("ni,ni->n", r, r)
+        keep = ~(sq[w] - err > np.fmin.reduce(sq[w] + err))
+    kept, at = [], 0
+    for ia, ib in widest:
+        rows = keep[at : at + len(ia)]
+        at += len(ia)
+        if rows.any():
+            kept.append((ia[rows], ib[rows]))
+    least = float(_span_distances(vertices, kept).min())
+    if least > SCAN_GUARD:
+        return least, None
+    dists = _span_distances(vertices, groups)
+    worst = int(dists.argmin())
+    return float(dists[worst]), _group_row(groups, worst) if dists[worst] <= HULL_TOL else None
 
 
 def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
@@ -540,20 +633,20 @@ def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
     threshold therefore reports a violation. Returns +inf when no disjoint
     pair exists (fewer than two vertices). The maximal pairs are measured
     first and decide the value when it clears ``SCAN_GUARD``; otherwise
-    every pair is (see :func:`_widest_first`).
+    every pair is. Of the maximal pairs only those whose Gram-Schmidt
+    estimate, within its error bound, can reach the least are solved
+    exactly, which gives the least of them to the byte (see
+    :func:`_widest_first`).
     """
     z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
     groups = _disjoint_pairs(z.shape[0], n)
     if not groups:
         return math.inf
-    dists, groups = _widest_first(z, groups)
-    worst = int(dists.argmin())
-    if dists[worst] <= HULL_TOL:
-        sa, sb = _group_row(groups, worst)
-        raise GeneralPositionError(
-            f"spans of {sa} and {sb} meet (distance {dists[worst]:.3g})"
-        )
-    return float(dists.min())
+    least, pair = _widest_first(z, groups)
+    if pair is not None:
+        sa, sb = pair
+        raise GeneralPositionError(f"spans of {sa} and {sb} meet (distance {least:.3g})")
+    return least
 
 
 def eta_prime(
@@ -562,22 +655,21 @@ def eta_prime(
     """Least distance from spans of <= n+1 vertices to the hyperplane.
 
     The spans of min(n+1, s) vertices are measured first and decide the
-    value when it clears ``SCAN_GUARD``; otherwise every subset's is (see
-    :func:`_widest_first`).
+    value when it clears ``SCAN_GUARD``; otherwise every subset's is. Of
+    the widest spans only those whose Gram-Schmidt estimate, within its
+    error bound, can reach the least are solved exactly, which gives the
+    least of them to the byte (see :func:`_widest_first`).
     """
     z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
     if z.shape[1] != plane.ambient_dim:
         raise InputError("vertices and hyperplane disagree on ambient dimension")
-    z, groups = _plane_groups(z, plane, n)
-    dists, groups = _widest_first(z, groups)
-    worst = int(dists.argmin())
-    if dists[worst] <= HULL_TOL:
-        subset, _ = _group_row(groups, worst)
+    least, pair = _widest_first(*_plane_groups(z, plane, n))
+    if pair is not None:
+        subset, _ = pair
         raise GeneralPositionError(
-            f"span of {subset} touches the hyperplane "
-            f"(distance {dists[worst]:.3g})"
+            f"span of {subset} touches the hyperplane (distance {least:.3g})"
         )
-    return float(dists.min())
+    return least
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,12 @@ from .errors import InputError
 # comparisons elsewhere are exact on the computed float values.
 DISTANCE_TOL = 1e-9
 
-# Floats per broadcast block in the triangle check and the lattice cover (8 MiB).
+# Floats per broadcast block in the lattice cover, general position and the
+# verifier's star check (8 MiB).
 _CHUNK_FLOATS = 1 << 20
+# Sums per block of the triangle check (512 KiB), a size that stays in a
+# 2 MiB L2 cache: the check streams each block through add and min once.
+_TRIANGLE_FLOATS = 1 << 16
 
 
 def _float_array(value, what: str) -> np.ndarray:
@@ -119,11 +123,11 @@ def _check_triangles(d: np.ndarray) -> None:
     ``d`` must already be known symmetric; see :class:`SampledSpace`.
     """
     p = d.shape[0]
-    buf = np.empty(max(p * p, min(_CHUNK_FLOATS, p**3)))
+    buf = np.empty(max(p * p, min(_TRIANGLE_FLOATS, p**3)))
     start = 0
     while start < p:
         cols = p - start
-        rows = max(1, min(cols, _CHUNK_FLOATS // (p * cols)))
+        rows = max(1, min(cols, _TRIANGLE_FLOATS // (p * cols)))
         block = d[start : start + rows]
         if rows == p:
             # the whole matrix in one block: sums[i, j, k] = d(i, j) + d(j, k),
@@ -160,13 +164,15 @@ class SampledSpace:
     triangle inequality up to ``DISTANCE_TOL``; the sample is nonempty and
     ``mesh`` is a positive real (an ``int`` or a ``float``, not a ``bool``).
 
-    The triangle check runs in row blocks of at most ``_CHUNK_FLOATS`` float
-    sums, held in one reused buffer (one row of p^2 sums when p^2 exceeds
-    it). Symmetry makes the slack of (i, k) equal that of (k, i) bit for
-    bit, so a block starting at row s sums only the columns k >= s: about
-    p^3/2 sums for p points once p^3 is well above ``_CHUNK_FLOATS``, and
-    p^3 in the single block below it. The first violation in row-major
-    order has k > i, so the pair it names is the one a full check names.
+    The triangle check runs in row blocks of at most ``_TRIANGLE_FLOATS``
+    (2^16) float sums, held in one reused 512 KiB buffer (one row of p^2
+    sums when p^2 exceeds it), so a block stays in cache between its add
+    and its min. Symmetry makes the slack of (i, k) equal that of (k, i)
+    bit for bit, so a block starting at row s sums only the columns k >= s:
+    about p^3/2 sums for p points once p^3 is well above
+    ``_TRIANGLE_FLOATS``, and p^3 in the single block below it (p <= 40).
+    The first violation in row-major order has k > i, so the pair it names
+    is the one a full check names.
     """
 
     dist: np.ndarray

@@ -18,7 +18,10 @@ every pair they give the same messages and the same values, up to exact
 ties between a pair and its widest superset. General position measures
 only the maximal subsets; against the scan of every subset size it gives
 the same verdict and the same least singular value up to rounding, and
-names the first maximal subset at or under the tolerance. Order
+names the first maximal subset at or under the tolerance. Both decompose
+only the systems that an error-bounded Gram-Schmidt estimate cannot rule
+out; against decomposing every system they give the same values, named
+subsets and messages, byte for byte. Order
 reduction, which shrinks the least (n+2)-subset of members sharing a
 point pass after pass, gives the bytes and the shrink count of the
 lexicographic sweep of every (n+2)-subset. The star refinement, taken as k meet steps, gives the
@@ -72,6 +75,7 @@ from dimlab.embedding import (
     SCAN_GUARD,
     Hyperplane,
     _disjoint_pairs,
+    _group_row,
     _lattice_cells,
     _least_sigma,
     _plane_groups,
@@ -890,6 +894,273 @@ class TestMaximalSubsets:
         assert want[0][0][1] == (0, 5, 7, 8)
 
 
+def reference_widest_first(vertices, groups):
+    """The unfiltered scan: every widest-group row through _span_distances, then every group."""
+    width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
+    widest = [g for g in groups if g[0].shape[1] + g[1].shape[1] == width]
+    least = float(_span_distances(vertices, widest).min())
+    if least > SCAN_GUARD:
+        return least, None
+    dists = _span_distances(vertices, groups)
+    worst = int(dists.argmin())
+    return float(dists[worst]), _group_row(groups, worst) if dists[worst] <= HULL_TOL else None
+
+
+def reference_eta(z, n):
+    groups = _disjoint_pairs(len(z), n)
+    if not groups:
+        return math.inf
+    least, pair = reference_widest_first(z, groups)
+    if pair is not None:
+        raise GeneralPositionError(f"spans of {pair[0]} and {pair[1]} meet (distance {least:.3g})")
+    return least
+
+
+def reference_eta_prime(z, plane, n):
+    least, pair = reference_widest_first(*_plane_groups(z, plane, n))
+    if pair is not None:
+        raise GeneralPositionError(
+            f"span of {pair[0]} touches the hyperplane (distance {least:.3g})")
+    return least
+
+
+def reference_least_sigma(points, tol):
+    """One SVD of every maximal subset: the least sigma and the first subset at or under tol."""
+    k, d = points.shape
+    size = min(k, d + 1)
+    if size < 2:
+        return math.inf, None
+    subs = np.array(list(combinations(range(k), size)))
+    sigma = np.linalg.svd(points[subs[:, 1:]] - points[subs[:, :1]], compute_uv=False).min(axis=1)
+    under = np.flatnonzero(sigma <= tol)
+    return float(sigma.min()), tuple(int(i) for i in subs[under[0]]) if len(under) else None
+
+
+def outcome(run):
+    """The bytes of a returned float, or the message of a GeneralPositionError."""
+    try:
+        return np.float64(run()).tobytes()
+    except GeneralPositionError as exc:
+        return str(exc)
+
+
+def sigma_outcome(least_sigma, points, tol):
+    """The bytes of the least sigma and the subset named."""
+    least, first = least_sigma(points, tol)
+    return np.float64(least).tobytes(), first
+
+
+def assert_filtered_scans(z, n, plane, tols=()):
+    """eta, eta_prime and _least_sigma give the unfiltered scans' bytes and messages on z."""
+    assert outcome(lambda: eta(z, n)) == outcome(lambda: reference_eta(z, n))
+    assert outcome(lambda: eta_prime(z, plane, n)) == outcome(
+        lambda: reference_eta_prime(z, plane, n))
+    least = reference_least_sigma(z, RANK_TOL)[0]
+    for tol in (RANK_TOL, *tols, least / 2, least, 2 * least):
+        if math.isfinite(tol):
+            assert sigma_outcome(_least_sigma, z, tol) == sigma_outcome(
+                reference_least_sigma, z, tol)
+
+
+def spans_at(rng, n, gap, angle=None):
+    """Two (n+1)-point spans in d = 2n+1, ``gap`` apart.
+
+    With ``angle`` the spans' first directions differ by that angle;
+    otherwise the spans are orthogonal.
+    """
+    d = 2 * n + 1
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0].T  # orthonormal rows
+    base = rng.uniform(0.3, 0.7, d)
+    dirs_a = q[:n]
+    if angle is None:
+        dirs_b = q[n : 2 * n]
+    else:
+        dirs_b = np.vstack([math.cos(angle) * q[0] + math.sin(angle) * q[n], q[n + 1 : 2 * n]])
+    lengths = rng.uniform(0.2, 0.4, (2, n, 1))
+    a = np.vstack([base, base + lengths[0] * dirs_a])
+    b = np.vstack([base + gap * q[-1], base + gap * q[-1] + lengths[1] * dirs_b])
+    b += rng.uniform(-0.1, 0.1) * (b[1] - b[0])
+    return np.vstack([a, b])
+
+
+class TestFilteredScans:
+    """eta, eta_prime and general position decompose only the systems that can set their result.
+
+    The references decompose every system: the minimum of _span_distances over
+    every widest-group row (every group below SCAN_GUARD), and one SVD of every
+    maximal subset. Values, named subsets and messages must be the same bytes.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_sets(self, n):
+        rng = np.random.default_rng(820 + n)
+        planes = enumerate_hyperplanes(n, 40)
+        for s in range(1, 2 * n + 5):
+            for _ in range(6 if n < 3 else 2):
+                z = rng.uniform(0.0, 1.0, (s, 2 * n + 1))
+                assert_filtered_scans(z, n, planes[int(rng.integers(len(planes)))])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("angle", [1e-9, 1e-7, 1e-5, 1e-3])
+    def test_near_parallel_spans(self, n, angle):
+        rng = np.random.default_rng(840 + n)
+        plane = enumerate_hyperplanes(n, 20)[-1]
+        for _ in range(4):
+            z = spans_at(rng, n, rng.uniform(0.05, 0.2), angle)
+            z = np.vstack([z, rng.uniform(0.0, 1.0, (int(rng.integers(0, 3)), 2 * n + 1))])
+            assert_filtered_scans(z[rng.permutation(len(z))], n, plane)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_spans_meeting_near_the_tolerances(self, n):
+        # gaps on both sides of HULL_TOL (1e-9) and SCAN_GUARD (1e-6), and a
+        # vertex as far from the plane, so both messages and both routes run
+        rng = np.random.default_rng(860 + n)
+        plane = Hyperplane(tuple(range(n + 1)), (F(1, 2),) * (n + 1))
+        raised = 0
+        for gap in (1e-12, 1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8, 1e-7, 5e-7, 1e-6, 2e-6, 1e-5):
+            for extra in (0, 2):
+                z = spans_at(rng, n, gap)
+                z = np.vstack([z, rng.uniform(0.0, 1.0, (extra, 2 * n + 1))])
+                z[-1, list(plane.coords)] = 0.5 + gap / math.sqrt(n + 1)
+                assert_filtered_scans(z, n, plane)
+                raised += isinstance(outcome(lambda: eta(z, n)), str)
+                raised += isinstance(outcome(lambda: eta_prime(z, plane, n)), str)
+        assert raised >= 10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_coincident_and_collinear_points(self, n):
+        rng = np.random.default_rng(880 + n)
+        planes = enumerate_hyperplanes(n, 20)
+        for s in range(3, 2 * n + 5):
+            for kind in ("coincident", "collinear"):
+                z = rng.uniform(0.0, 1.0, (s, 2 * n + 1))
+                i, j, l = rng.choice(s, 3, replace=False)
+                if kind == "coincident":
+                    z[j] = z[i]
+                else:
+                    z[l] = z[i] + rng.uniform(0.2, 0.8) * (z[j] - z[i])
+                assert_filtered_scans(z, n, planes[int(rng.integers(len(planes)))])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("offset, scale", [(1e3, 1.0), (0.0, 1e-6), (1e3, 1e-6)])
+    def test_offset_and_scaled_vertices(self, n, offset, scale):
+        rng = np.random.default_rng(900 + n)
+        planes = enumerate_hyperplanes(n, 20)
+        for s in range(2, 2 * n + 5):
+            z = offset + scale * rng.uniform(0.0, 1.0, (s, 2 * n + 1))
+            assert_filtered_scans(z, n, planes[int(rng.integers(len(planes)))])
+            near = offset + scale * spans_at(rng, n, 1e-4, 1e-6)
+            assert_filtered_scans(near, n, planes[0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_ties(self, n):
+        # cube corners and dyadic grid points: many systems with the same
+        # value, some meeting exactly, and subsets exactly at the tolerance
+        rng = np.random.default_rng(920 + n)
+        d = 2 * n + 1
+        corners = np.array(list(product([0.0, 1.0], repeat=d)))
+        planes = enumerate_hyperplanes(n, 20)
+        for _ in range(8):
+            pick = rng.choice(len(corners), int(rng.integers(2, 2 * n + 5)), replace=False)
+            assert_filtered_scans(corners[pick], n, planes[int(rng.integers(len(planes)))])
+            grid = np.round(rng.uniform(0.0, 1.0, (int(rng.integers(2, 2 * n + 5)), d)) * 4) / 4
+            assert_filtered_scans(grid, n, planes[int(rng.integers(len(planes)))])
+        # a regular simplex's edges: every maximal subset has one sigma
+        tie = np.vstack([np.zeros(d), np.eye(d)])
+        assert_filtered_scans(tie, n, planes[0], tols=(reference_least_sigma(tie, 0.0)[0],))
+
+    def test_every_call_of_the_corpus(self, monkeypatch):
+        # the inputs of every eta, eta_prime and general-position call made
+        # while embedding the generic corpus, the failing runs included
+        calls = []
+
+        def recording(name, real):
+            def run(*args):
+                calls.append((name, args))
+                return real(*args)
+            return run
+
+        for name in ("eta", "eta_prime", "_least_sigma"):
+            monkeypatch.setattr(embedding, name, recording(name, getattr(embedding, name)))
+        th = 2 * np.pi * np.arange(12) / 12
+        circle = np.column_stack([0.5 + 0.5 * np.cos(th), 0.5 + 0.5 * np.sin(th)])
+        squares = [np.random.default_rng(s).uniform(0, 1, (10, 2)) for s in range(8)]
+        corpus = [(SampledSpace.from_points(x, mesh=0.3), 1, 4) for x in squares]
+        corpus += [(SampledSpace.from_points(circle, mesh=0.3), 1, 4), (line_space(8), 1, 16),
+                   (line_space(8), 1, 24), (line_space(10), 1, 6), (line_space(10), 1, 9),
+                   (line_space(16), 1, 8), (grid_square_space(3, 3), 2, 2)]
+        failed = 0
+        for space, n, T in corpus:
+            for seed in (0, 1):
+                try:
+                    nobeling_embed(space, n=n, T=T, seed=seed)
+                except (CertificateError, GeneralPositionError):
+                    failed += 1
+        monkeypatch.undo()
+        references = {"eta": (eta, reference_eta),
+                      "eta_prime": (eta_prime, reference_eta_prime)}
+        for name, args in calls:
+            if name in references:
+                run, reference = references[name]
+                assert outcome(lambda: run(*args)) == outcome(lambda: reference(*args))
+            else:
+                assert sigma_outcome(_least_sigma, *args) == sigma_outcome(
+                    reference_least_sigma, *args)
+        assert {name for name, _ in calls} == {"eta", "eta_prime", "_least_sigma"}
+        assert 10 <= failed < 30
+
+    @pytest.mark.parametrize("chunk", [1, 9, 50])
+    def test_small_blocks(self, monkeypatch, chunk):
+        # the bound carried from block to block never drops a subset that
+        # sets the result; in the last case points 0-2 are 1e-5 off a line
+        # and points 6-8 are on one, so under the loose tolerance the first
+        # subset named is not the one with the least sigma
+        rng = np.random.default_rng(940)
+        two = planted(rng, 3, 9, "collinear", (6, 7, 8))
+        two[2] = two[0] + 0.5 * (two[1] - two[0]) + 1e-5
+        cases = [rng.uniform(0.0, 1.0, (9, 3)), planted(rng, 3, 9, "collinear", (2, 5, 8)),
+                 planted(rng, 5, 9, "off-plane", (0, 3, 4, 8)), spans_at(rng, 1, 1e-8, 1e-7), two]
+        tols = (RANK_TOL, 1e-3)
+        want = [sigma_outcome(reference_least_sigma, p, tol) for p in cases for tol in tols]
+        least, first = reference_least_sigma(cases[-1], 1e-3)
+        assert first[:3] == (0, 1, 2) and least < 1e-9
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
+            assert [sigma_outcome(_least_sigma, p, tol) for p in cases for tol in tols] == want
+
+    def test_no_cached_indices(self):
+        # 735,471 maximal subsets of 24 points in d = 7, taken in blocks:
+        # nothing is added to the _subsets cache
+        pts = np.random.default_rng(960).uniform(0.0, 1.0, (24, 7))
+        before = _subsets.cache_info()
+        least, first = _least_sigma(pts, RANK_TOL)
+        assert _subsets.cache_info() == before
+        assert first is None and RANK_TOL < least < 1e-3
+
+    def test_few_systems_reach_lapack(self, monkeypatch):
+        # the 8-point line at n = 1, T = 16: each stage has 210 eta systems
+        # (8 vertices) and 210 maximal subsets (with the 2 anchors)
+        r = nobeling_embed(line_space(8), n=1, T=16, seed=0)
+        rows = {"pinv": 0, "svd": 0}
+
+        def counting(name, real):
+            def run(a, *args, **kwargs):
+                rows[name] += len(a)
+                return real(a, *args, **kwargs)
+            return run
+
+        for name in rows:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for st in r.stages:
+            assert len(_disjoint_pairs(len(st.vertices), 1)[-1][0]) == 210
+            eta(st.vertices, 1)
+            _least_sigma(np.vstack([st.vertices, st.anchors]), RANK_TOL)
+        assert len(r.stages) == 16
+        assert 16 <= rows["pinv"] <= 0.02 * 16 * 210
+        assert 16 <= rows["svd"] <= 0.25 * 16 * 210
+
+
 class TestHyperplaneRowBytes:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_rows_match_per_point_reference(self, n):
@@ -1038,13 +1309,13 @@ def assert_same_triangle_verdict(d):
 
 
 class TestTriangleCheck:
-    # blocks of one row, of a few rows, of one row beyond _CHUNK_FLOATS,
+    # blocks of one row, of a few rows, of one row beyond _TRIANGLE_FLOATS,
     # and the whole matrix in one block
     CHUNKS = [1, 50, 400, 1 << 20]
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_seeded_metrics_pass(self, monkeypatch, chunk):
-        monkeypatch.setattr(metric, "_CHUNK_FLOATS", chunk)
+        monkeypatch.setattr(metric, "_TRIANGLE_FLOATS", chunk)
         rng = np.random.default_rng(500)
         for count in (1, 2, 3, 8, 21):
             assert assert_same_triangle_verdict(euclidean_matrix(rng, count)) is None
@@ -1054,7 +1325,7 @@ class TestTriangleCheck:
         # stretched and shrunk entries at random places, one to three at a
         # time: the first violation then sits above and below the diagonal
         # of the changed entries and anywhere in the row blocks
-        monkeypatch.setattr(metric, "_CHUNK_FLOATS", chunk)
+        monkeypatch.setattr(metric, "_TRIANGLE_FLOATS", chunk)
         rng = np.random.default_rng(510)
         found = 0
         for _ in range(60):
@@ -1070,7 +1341,7 @@ class TestTriangleCheck:
     def test_violation_at_block_boundaries(self, monkeypatch, chunk):
         # five points on a line; each single stretched pair names itself,
         # with rows split at every block edge the chunk size makes
-        monkeypatch.setattr(metric, "_CHUNK_FLOATS", chunk)
+        monkeypatch.setattr(metric, "_TRIANGLE_FLOATS", chunk)
         line = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
         for i, k in combinations(range(5), 2):
             if k - i < 2:

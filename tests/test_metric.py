@@ -43,7 +43,7 @@ class TestSampledSpace:
         message = "triangle inequality violated at points 2, 4"
         with pytest.raises(InputError, match=message):
             SampledSpace.from_distance_matrix(d, mesh=1.0)
-        monkeypatch.setattr(metric, "_CHUNK_FLOATS", 2 * d.size)
+        monkeypatch.setattr(metric, "_TRIANGLE_FLOATS", 2 * d.size)
         with pytest.raises(InputError, match=message):
             SampledSpace.from_distance_matrix(d, mesh=1.0)
 
