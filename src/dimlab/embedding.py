@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -262,15 +262,44 @@ def _gram_schmidt(q: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _filtered_least(blocks: Iterable[tuple], tol: float) -> tuple[float, np.ndarray | None]:
+    """The least computed value over blocks of systems, and the first label at or under ``tol``.
+
+    A block is (labels, low, high, solve): a label row per system, ends
+    low <= v <= high of each system's computed value v (NaN where unknown,
+    and a NaN or -inf low end where v can be NaN), and ``solve``, which
+    computes the masked rows' values with the bytes a full solve gives
+    them. A system is solved unless its low end exceeds both ``tol`` and
+    the bound, the least high end or solved value so far. The bound is
+    never below the least value v*, whose system has low <= v*, and a value
+    <= ``tol`` has its low end there too: the least and the first label are
+    the full scan's, to the byte. A NaN value counts as at or under ``tol``
+    and makes the least NaN, so it never reads as a pass.
+    """
+    least, first, bound = math.inf, None, math.inf
+    for labels, low, high, solve in blocks:
+        bound = float(np.fmin(bound, np.fmin.reduce(high)))
+        keep = ~(low > max(tol, bound))
+        if not keep.any():
+            continue
+        values = solve(keep)
+        least = float(np.minimum(least, values.min()))
+        bound = float(np.fmin(bound, least))
+        hit = ~(values > tol)
+        if first is None and hit.any():
+            first = labels[keep][int(np.argmax(hit))]
+    return least, first
+
+
 def _least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...] | None]:
     """Least sigma over the maximal subsets of the rows, and the first at or under ``tol``.
 
     A subset S = {s_0 < ... < s_m} has the m x d difference matrix D_S with
     rows p_j - p_{s_0}, and its sigma is D_S's least singular value. Only
     subsets of size min(k, d+1) are measured, in lexicographic order; the
-    first of them with sigma <= ``tol`` is returned as a tuple of ints, or
-    None. With fewer than two rows there is no difference to measure:
-    (inf, None).
+    first of them with sigma <= ``tol`` (or NaN) is returned as a tuple of
+    ints, or None. With fewer than two rows there is no difference to
+    measure: (inf, None).
 
     Every smaller subset S of size >= 2 lies in a maximal S', and its sigma
     is at least that of S': for least elements b >= b' of S and S',
@@ -285,58 +314,37 @@ def _least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...]
     below its superset's only within the SVD's backward error, far below
     ``RANK_TOL``.
 
-    Only the subsets that can set the result are decomposed. Gram-Schmidt
-    on D's rows gives lengths l_ii with prod l_ii = prod sigma_i, so
-    sigma lies between prod l_ii / |D|_F^(m-1) and min l_ii. Both ends
-    are widened by K u kappa relative, with kappa = |D|_F^m / prod l_ii >=
-    cond(D), for the Gram-Schmidt error, and by K u |D|_F absolute for the
-    SVD's (Weyl); K u is ``_FILTER_EPS``. A subset is decomposed unless its
-    lower end exceeds both ``tol`` and the least upper end or decomposed
-    sigma so far; a non-finite end never excludes it. The least computed
-    sigma is no more than any subset's upper end, and a subset whose sigma
-    is at or under ``tol`` has its lower end there too, so both are
-    decomposed: the least decomposed sigma is the least sigma, and the
-    first decomposed subset at or under ``tol`` is the first subset there.
-    LAPACK runs per matrix, so a decomposed subset's sigma has the bytes
-    it has when every subset is decomposed.
-
-    The subsets are taken from ``combinations`` in blocks of at most
-    ``_CHUNK_FLOATS`` difference floats (at least one subset per block),
-    so neither the indices nor the differences of all subsets are held at
-    once; the values do not depend on the block size.
+    The filter (:func:`_filtered_least`) takes the Gram-Schmidt lengths
+    l_ii of D's rows: prod l_ii = prod sigma_i, so sigma lies between
+    prod l_ii / |D|_F^(m-1) and min l_ii, widened by K u kappa relative
+    (kappa = |D|_F^m / prod l_ii >= cond(D)) and K u |D|_F absolute (Weyl);
+    K u is ``_FILTER_EPS``. Subsets come from ``combinations`` in blocks of
+    at most ``_CHUNK_FLOATS`` difference floats (at least one per block).
     """
     k, d = points.shape
     size = min(k, d + 1)
-    least, first = math.inf, None
     if size < 2:
-        return least, first
-    subsets = combinations(range(k), size)
-    rows = max(1, _CHUNK_FLOATS // ((size - 1) * d))
-    bound = math.inf  # the least upper end or decomposed sigma so far
-    while True:
-        idx = np.fromiter(chain.from_iterable(islice(subsets, rows)), dtype=np.intp)
-        if not len(idx):
-            return least, first
-        idx = idx.reshape(-1, size)
-        diffs = points[idx[:, 1:]] - points[idx[:, :1]]
-        with np.errstate(all="ignore"):
-            norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
-            lengths = np.sqrt(_gram_schmidt(diffs.transpose(1, 2, 0).copy()))
-            det = lengths.prod(axis=0)
-            rel = _FILTER_EPS * norm ** (size - 1) / det
-            slack = _FILTER_EPS * norm
-            low = det / norm ** (size - 2) * (1.0 - rel) - slack
-            high = np.fmin.reduce(lengths, axis=0) * (1.0 + rel) + slack
-        bound = float(np.fmin(bound, np.fmin.reduce(high)))
-        keep = ~(low > max(tol, bound))
-        if not keep.any():
-            continue
-        idx = idx[keep]
-        sigma = np.linalg.svd(diffs[keep], compute_uv=False).min(axis=1)
-        least = min(least, float(sigma.min()))
-        bound = float(np.fmin(bound, least))
-        if first is None and (sigma <= tol).any():
-            first = tuple(int(i) for i in idx[int(np.argmax(sigma <= tol))])
+        return math.inf, None
+
+    def blocks() -> Iterator[tuple]:
+        subsets = combinations(range(k), size)
+        rows = max(1, _CHUNK_FLOATS // ((size - 1) * d))
+        while len(idx := np.fromiter(chain.from_iterable(islice(subsets, rows)), dtype=np.intp)):
+            idx = idx.reshape(-1, size)
+            with np.errstate(all="ignore"):
+                diffs = points[idx[:, 1:]] - points[idx[:, :1]]
+                norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
+                lengths = np.sqrt(_gram_schmidt(diffs.transpose(1, 2, 0).copy()))
+                det = lengths.prod(axis=0)
+                rel = _FILTER_EPS * norm ** (size - 1) / det
+                slack = _FILTER_EPS * norm
+                low = det / norm ** (size - 2) * (1.0 - rel) - slack
+                high = np.fmin.reduce(lengths, axis=0) * (1.0 + rel) + slack
+            yield idx, low, high, lambda keep: np.linalg.svd(
+                diffs[keep], compute_uv=False).min(axis=1)
+
+    least, first = _filtered_least(blocks(), tol)
+    return least, None if first is None else tuple(first.tolist())
 
 
 def general_position(
@@ -520,33 +528,27 @@ def _span_systems(
     return m, r
 
 
-def _span_distances(
-    vertices: np.ndarray, groups: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """Batched hull-to-hull distances.
-
-    ``groups`` holds nonempty index arrays (A rows, B rows) of equal
-    subset sizes (``eta_prime`` makes the B rows a hyperplane's spanning
-    points, see :func:`_plane_groups`). Every (A, B) pair is reduced to
-    one least-squares system; systems are padded with zero columns to a
-    common width and solved through batched pseudo-inverses:
-    dist^2 = |r|^2 - r^T M (M^T M)^+ M^T r with M the stacked edge
-    directions (those of A, then those of B) and r the base-point
-    difference.
-
-    The padded arrays are filled one group at a time by fancy indexing, so
-    the cost in Python is per size pair, not per subset pair. Pair order,
-    column order, zero padding and the single batched pseudo-inverse are
-    those of building each system on its own, so the distances are the
-    same bytes. The pseudo-inverse is taken matrix by matrix, so a pair's
-    distance depends only on its own system and the padded width: passing
-    only some rows of the widest groups (see :func:`_widest_first`) gives
-    their distances the bytes they have in the call with every group.
-    """
-    m, r = _span_systems(vertices, groups)
+def _solve_spans(m: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sqrt(|r|^2 - r^T M M^+ r) per stacked system (M, r); pinv runs matrix by matrix,
+    so a row's bytes depend only on its own system and the padded width."""
     proj = np.einsum("nij,nj->ni", m @ np.linalg.pinv(m), r)
     sq = np.einsum("ni,ni->n", r, r) - np.einsum("ni,ni->n", proj, r)
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _span_distances(
+    vertices: np.ndarray, groups: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """Batched hull-to-hull distances, one per (A, B) pair of ``groups``.
+
+    ``groups`` holds nonempty index arrays (A rows, B rows) of equal subset
+    sizes (for ``eta_prime`` the B rows are a hyperplane's spanning points,
+    see :func:`_plane_groups`). Each pair is one least-squares system: M the
+    edge directions of A then of B, r the base-point difference, padded
+    with zero columns to a common width; dist^2 = |r|^2 - r^T M M^+ r. The
+    distances have the bytes of solving each system on its own.
+    """
+    return _solve_spans(*_span_systems(vertices, groups))
 
 
 def _plane_groups(
@@ -586,43 +588,44 @@ def _widest_first(
     scan's, and so is the value unless a smaller pair exactly ties its
     widest superset: the superset's rounding is returned, which can differ
     from the full scan's minimum by the cancellation error (up to about
-    1e-4 relative just above the guard).
+    1e-4 relative just above the guard). A NaN distance counts as under
+    HULL_TOL.
 
-    Of the widest groups, only the rows that can set the least are solved
-    through ``pinv``. Modified Gram-Schmidt on [M r] gives the lengths R_ii
-    of M's columns and the residual a, with a^2 an estimate of the squared
-    distance; kappa = |M|_F^w / prod R_ii bounds cond(M) (w columns). Both
-    a^2 and the pinv form are backward stable, each within a small multiple
-    of u kappa |r|^2 of the exact value (Higham, ch. 19-20), so
-    e = K u kappa |r|^2 (K u is ``_FILTER_EPS``) bounds their difference,
-    and row j is solved unless a_j^2 - e_j > a_i^2 + e_i for some row i:
-    then its computed distance exceeds row i's. A row with a non-finite
-    estimate or bound is always solved. The least solved distance is thus
-    the least of the widest groups, to the byte (see
-    :func:`_span_distances`). The full scan below the guard is not
-    filtered, so every message comes from it.
+    The widest systems are built once, in blocks of at most
+    ``_CHUNK_FLOATS`` floats, and :func:`_filtered_least` solves those its
+    bounds leave open from the same arrays. Modified Gram-Schmidt on [M r]
+    gives M's column lengths R_ii and the residual a. With
+    kappa = |M|_F^w / prod R_ii >= cond(M) (w columns), a^2 and the pinv
+    form each lie within a small multiple of u kappa |r|^2 of the exact
+    value (Higham, ch. 19-20), so the distance lies between
+    sqrt(max(a^2 - e, 0)) and sqrt(a^2 + e), e = K u kappa |r|^2 (K u is
+    ``_FILTER_EPS``). The full scan below the guard is not filtered, so
+    every message comes from it.
     """
     width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
-    widest = [g for g in groups if g[0].shape[1] + g[1].shape[1] == width]
-    m, r = _span_systems(vertices, widest)
-    w = m.shape[2]
-    with np.errstate(all="ignore"):
-        sq = _gram_schmidt(np.concatenate([m.T, r.T[None]]))
-        kappa = np.sqrt(np.einsum("nij,nij->n", m, m) ** w / sq[:w].prod(axis=0))
-        err = _FILTER_EPS * kappa * np.einsum("ni,ni->n", r, r)
-        keep = ~(sq[w] - err > np.fmin.reduce(sq[w] + err))
-    kept, at = [], 0
-    for ia, ib in widest:
-        rows = keep[at : at + len(ia)]
-        at += len(ia)
-        if rows.any():
-            kept.append((ia[rows], ib[rows]))
-    least = float(_span_distances(vertices, kept).min())
+    rows = max(1, _CHUNK_FLOATS // (vertices.shape[1] * (width - 1)))  # M and r floats
+
+    def blocks() -> Iterator[tuple]:
+        for ia, ib in (g for g in groups if g[0].shape[1] + g[1].shape[1] == width):
+            for at in range(0, len(ia), rows):
+                ia_block = ia[at : at + rows]
+                m, r = _span_systems(vertices, [(ia_block, ib[at : at + rows])])
+                w = m.shape[2]
+                with np.errstate(all="ignore"):
+                    sq = _gram_schmidt(np.concatenate([m.T, r.T[None]]))
+                    kappa = np.sqrt(np.einsum("nij,nij->n", m, m) ** w / sq[:w].prod(axis=0))
+                    err = _FILTER_EPS * kappa * np.einsum("ni,ni->n", r, r)
+                    low = np.sqrt(np.maximum(sq[w] - err, 0.0))
+                    high = np.sqrt(sq[w] + err)
+                yield ia_block, low, high, lambda keep: _solve_spans(m[keep], r[keep])
+
+    # no tolerance: the guard below decides, so only the least is needed
+    least, _ = _filtered_least(blocks(), -math.inf)
     if least > SCAN_GUARD:
         return least, None
     dists = _span_distances(vertices, groups)
     worst = int(dists.argmin())
-    return float(dists[worst]), _group_row(groups, worst) if dists[worst] <= HULL_TOL else None
+    return float(dists[worst]), None if dists[worst] > HULL_TOL else _group_row(groups, worst)
 
 
 def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
@@ -633,10 +636,7 @@ def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
     threshold therefore reports a violation. Returns +inf when no disjoint
     pair exists (fewer than two vertices). The maximal pairs are measured
     first and decide the value when it clears ``SCAN_GUARD``; otherwise
-    every pair is. Of the maximal pairs only those whose Gram-Schmidt
-    estimate, within its error bound, can reach the least are solved
-    exactly, which gives the least of them to the byte (see
-    :func:`_widest_first`).
+    every pair is (see :func:`_widest_first`).
     """
     z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
     groups = _disjoint_pairs(z.shape[0], n)
@@ -644,8 +644,7 @@ def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
         return math.inf
     least, pair = _widest_first(z, groups)
     if pair is not None:
-        sa, sb = pair
-        raise GeneralPositionError(f"spans of {sa} and {sb} meet (distance {least:.3g})")
+        raise GeneralPositionError(f"spans of {pair[0]} and {pair[1]} meet (distance {least:.3g})")
     return least
 
 
@@ -655,20 +654,16 @@ def eta_prime(
     """Least distance from spans of <= n+1 vertices to the hyperplane.
 
     The spans of min(n+1, s) vertices are measured first and decide the
-    value when it clears ``SCAN_GUARD``; otherwise every subset's is. Of
-    the widest spans only those whose Gram-Schmidt estimate, within its
-    error bound, can reach the least are solved exactly, which gives the
-    least of them to the byte (see :func:`_widest_first`).
+    value when it clears ``SCAN_GUARD``; otherwise every subset's is (see
+    :func:`_widest_first`).
     """
     z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
     if z.shape[1] != plane.ambient_dim:
         raise InputError("vertices and hyperplane disagree on ambient dimension")
     least, pair = _widest_first(*_plane_groups(z, plane, n))
     if pair is not None:
-        subset, _ = pair
         raise GeneralPositionError(
-            f"span of {subset} touches the hyperplane (distance {least:.3g})"
-        )
+            f"span of {pair[0]} touches the hyperplane (distance {least:.3g})")
     return least
 
 

@@ -143,7 +143,9 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
     checks: list[CertificateCheck] = []
 
     def add(name: str, passed: bool, margin: float, location: str) -> None:
-        checks.append(CertificateCheck(name, bool(passed), float(margin), location))
+        # a margin that cannot be measured (NaN) counts as violated without bound
+        margin = -math.inf if math.isnan(margin) else float(margin)
+        checks.append(CertificateCheck(name, bool(passed), margin, location))
 
     prev: StageState | None = None
     for st in r.stages:
@@ -216,8 +218,9 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         try:
             eta_re = eta(st.vertices, n)
             etap_re = eta_prime(st.vertices, st.hyperplane, n)
-            add("eta", eta_re == st.eta, -abs(eta_re - st.eta), loc)
-            add("eta-prime", etap_re == st.eta_prime, -abs(etap_re - st.eta_prime), loc)
+            # equal values, infinite ones too, are -0.0 apart
+            for name, got, want in (("eta", eta_re, st.eta), ("eta-prime", etap_re, st.eta_prime)):
+                add(name, got == want, -0.0 if got == want else -abs(got - want), loc)
         except GeneralPositionError:
             add("eta", False, -1.0, loc)
             add("eta-prime", False, -1.0, loc)

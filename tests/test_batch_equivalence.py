@@ -79,7 +79,9 @@ from dimlab.embedding import (
     _lattice_cells,
     _least_sigma,
     _plane_groups,
+    _solve_spans,
     _span_distances,
+    _span_systems,
     _stage_covers,
     _subsets,
     ball_preimage_cover,
@@ -731,16 +733,20 @@ class TestWidestFirst:
         zp, groups = _plane_groups(z, plane, 1)
         widest = float(_span_distances(zp, groups[-1:]).min())
         assert HULL_TOL < widest <= SCAN_GUARD
+        m, r = _span_systems(zp, groups)
         calls = []
 
-        def recording(vertices, groups):
-            calls.append([len(ia) for ia, _ in groups])
-            return _span_distances(vertices, groups)
+        def recording(mc, rc):
+            calls.append((mc.copy(), rc.copy()))
+            return _solve_spans(mc, rc)
 
-        monkeypatch.setattr(embedding, "_span_distances", recording)
+        monkeypatch.setattr(embedding, "_solve_spans", recording)
         assert eta_prime(z, plane, 1) == full_scan_eta_prime(z, plane, 1)[0]
-        # the widest group (0, 1) alone, then both groups of the full scan
-        assert calls == [[1], [2, 1]]
+        # the widest system (0, 1) alone, then all three systems of the full
+        # scan, each at the full scan's width
+        assert len(calls) == 2
+        assert [c[0].tobytes() for c in calls] == [m[2:].tobytes(), m.tobytes()]
+        assert [c[1].tobytes() for c in calls] == [r[2:].tobytes(), r.tobytes()]
 
     def test_cached_groups_are_read_only(self):
         assert _disjoint_pairs(6, 1) is _disjoint_pairs(6, 1)
@@ -1111,10 +1117,12 @@ class TestFilteredScans:
 
     @pytest.mark.parametrize("chunk", [1, 9, 50])
     def test_small_blocks(self, monkeypatch, chunk):
-        # the bound carried from block to block never drops a subset that
-        # sets the result; in the last case points 0-2 are 1e-5 off a line
-        # and points 6-8 are on one, so under the loose tolerance the first
-        # subset named is not the one with the least sigma
+        # the bound carried from block to block never drops a system that
+        # sets the result. Sigma: in the last case points 0-2 are 1e-5 off a
+        # line and points 6-8 are on one, so under the loose tolerance the
+        # first subset named is not the one with the least sigma. Spans:
+        # random sets (two widest groups at s = 5, n = 3), spans on both
+        # sides of SCAN_GUARD and HULL_TOL, and a vertex on the plane
         rng = np.random.default_rng(940)
         two = planted(rng, 3, 9, "collinear", (6, 7, 8))
         two[2] = two[0] + 0.5 * (two[1] - two[0]) + 1e-5
@@ -1124,10 +1132,84 @@ class TestFilteredScans:
         want = [sigma_outcome(reference_least_sigma, p, tol) for p in cases for tol in tols]
         least, first = reference_least_sigma(cases[-1], 1e-3)
         assert first[:3] == (0, 1, 2) and least < 1e-9
+        rng = np.random.default_rng(980)
+        span_cases = []
+        for n in (1, 2, 3):
+            planes = enumerate_hyperplanes(n, 20)
+            for s in (2, 3, 5, 2 * n + 3):
+                span_cases.append((rng.uniform(0.0, 1.0, (s, 2 * n + 1)), n,
+                                   planes[int(rng.integers(len(planes)))]))
+        for n, gap in ((1, 1e-10), (1, 1e-7), (2, 5e-7), (2, 1e-5)):
+            z = np.vstack([spans_at(rng, n, gap), rng.uniform(0.0, 1.0, (2, 2 * n + 1))])
+            plane = Hyperplane(tuple(range(n + 1)), (F(1, 2),) * (n + 1))
+            z[-1, list(plane.coords)] = 0.5
+            span_cases.append((z, n, plane))
+        want_spans = [(outcome(lambda: reference_eta(z, n)),
+                       outcome(lambda: reference_eta_prime(z, plane, n)))
+                      for z, n, plane in span_cases]
+        assert sum(isinstance(o, str) for pair in want_spans for o in pair) >= 3
         for patched in (False, True):
             if patched:
                 monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
             assert [sigma_outcome(_least_sigma, p, tol) for p in cases for tol in tols] == want
+            assert [(outcome(lambda: eta(z, n)), outcome(lambda: eta_prime(z, plane, n)))
+                    for z, n, plane in span_cases] == want_spans
+
+    @pytest.mark.parametrize("chunk", [1, 9, 50])
+    def test_widest_systems_built_once_in_blocks(self, monkeypatch, chunk):
+        # above SCAN_GUARD each widest system is built exactly once, in
+        # order, and a block holds at most chunk floats unless it is one row
+        rng = np.random.default_rng(990)
+        built = []
+
+        def recording(vertices, groups):
+            built.append([(ia.copy(), ib.copy()) for ia, ib in groups])
+            return _span_systems(vertices, groups)
+
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
+        monkeypatch.setattr(embedding, "_span_systems", recording)
+        for n in (1, 2, 3):
+            plane = enumerate_hyperplanes(n, 20)[-1]
+            for s in (3, 5, 2 * n + 3):
+                z = rng.uniform(0.0, 1.0, (s, 2 * n + 1))
+                for run, (zp, groups) in ((lambda: eta(z, n), (z, _disjoint_pairs(s, n))),
+                                          (lambda: eta_prime(z, plane, n),
+                                           _plane_groups(z, plane, n))):
+                    built.clear()
+                    assert run() > SCAN_GUARD
+                    width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
+                    widest = [g for g in groups if g[0].shape[1] + g[1].shape[1] == width]
+                    for call in built:
+                        assert len(call) == 1
+                        rows = len(call[0][0])
+                        assert rows == 1 or rows * zp.shape[1] * (width - 1) <= chunk
+                    got = [(a.tolist(), b.tolist()) for call in built for a, b in zip(*call[0])]
+                    assert got == [(a.tolist(), b.tolist()) for g in widest for a, b in zip(*g)]
+
+    def test_nan_values_fail(self):
+        # differences past the float range give NaN sigmas and distances:
+        # each counts as at or under the tolerance, never as a pass
+        targets = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+        least, first = _least_sigma(targets, RANK_TOL)
+        assert math.isnan(least) and first == (0, 1, 2)
+        with pytest.raises(GeneralPositionError, match=r"subset: \(0, 1, 2\)"):
+            general_position(targets, eps=0.01)
+        blocks = [(np.array([[0], [1]]), np.zeros(2), np.ones(2), lambda keep: np.array([0.5, 0.7])),
+                  (np.array([[2], [3]]), np.full(2, np.nan), np.full(2, np.nan),
+                   lambda keep: np.array([np.nan, 0.1]))]
+        least, first = embedding._filtered_least(iter(blocks), 0.2)
+        assert math.isnan(least) and first.tolist() == [2]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_distances_fail(self):
+        # +-1e308 vertices overflow every system holding both: the full scan
+        # names the first NaN pair, as it names a meeting one
+        z = np.array([[1e308] * 3, [-1e308] * 3, [0.2, 0.5, 0.9], [0.7, 0.1, 0.3]])
+        with pytest.raises(GeneralPositionError, match=r"spans of \(0,\) and \(1,\) meet \(distance nan\)"):
+            eta(z, 1)
+        plane = enumerate_hyperplanes(1, 4)[0]
+        with pytest.raises(GeneralPositionError, match=r"distance nan"):
+            eta_prime(z, plane, 1)
 
     def test_no_cached_indices(self):
         # 735,471 maximal subsets of 24 points in d = 7, taken in blocks:

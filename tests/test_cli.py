@@ -538,3 +538,46 @@ def test_bad_env_seed_exits_2(workdir, capsys, monkeypatch):
     assert cli_main(argv) == 2
     assert "DIMLAB_SEED must be an integer" in capsys.readouterr().err
     assert cli_main(argv + ["--seed", "7"]) == 0
+
+
+def test_one_point_embed_verifies(tmp_path, capsys):
+    """One point has no disjoint spans: eta is inf when built and when rechecked, -0.0 apart."""
+    (tmp_path / "space.json").write_text(json.dumps({"points": [[0.0]], "mesh": 0.5}))
+    args = ["--space", str(tmp_path / "space.json"), "--n", "1"]
+    path = tmp_path / "result.json"
+    assert cli_main(["embed", *args, "--stages", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["verify", "--result", str(path), *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["overall"] is True
+    [margin] = [c["margin"] for c in report["checks"] if c["name"] == "eta"]
+    assert margin == 0.0 and math.copysign(1.0, margin) == -1.0
+
+
+def test_genpos_overflowing_targets_exit_1(tmp_path, capsys):
+    """Differences past the float range make sigma NaN, which fails general position."""
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps({"targets": [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]}))
+    assert cli_main(["genpos", "--targets", str(path), "--eps", "0.01"]) == 1
+    assert "last violating subset: (0, 1, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
+def test_verify_reports_overflowing_vertices(tmp_path, capsys):
+    """Stage-1 vertices at +-1e308 fail general position and both etas; no margin is NaN."""
+    (tmp_path / "space.json").write_text(json.dumps(space_json_dict(line_space(4))))
+    args = ["--space", str(tmp_path / "space.json"), "--n", "1"]
+    path = tmp_path / "result.json"
+    assert cli_main(["embed", *args, "--stages", "2", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    vertices = doc["stages"][1]["vertices"]
+    vertices[0], vertices[1] = [1e308] * 3, [-1e308] * 3
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["verify", "--result", str(path), *args]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = {(c["name"], c["location"].split(",")[0]): c["margin"]
+              for c in checks if not c["passed"]}
+    assert failed[("eta", "stage 1")] == failed[("eta-prime", "stage 1")] == -1.0
+    assert failed[("general-position", "stage 1")] is None  # -inf: NaN sigma
+    assert all(c["margin"] is None or math.isfinite(c["margin"]) for c in checks)
