@@ -28,8 +28,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, product
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, chain, combinations, islice, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -253,46 +253,100 @@ def _gram_schmidt(q: np.ndarray) -> np.ndarray:
     out of it. A zero length gives NaN in the later entries, so callers
     treat non-finite values as undecided.
     """
+    # np.add.reduce is what ndarray.sum runs, without its Python wrapper
     sq = np.empty((q.shape[0], q.shape[2]))
     for i, qi in enumerate(q):
-        sq[i] = (qi * qi).sum(axis=0)
+        np.add.reduce(qi * qi, axis=0, out=sq[i])
         later = q[i + 1 :]
         if len(later):
-            later -= (later * qi).sum(axis=1)[:, None] / sq[i] * qi
+            later -= np.add.reduce(later * qi, axis=1)[:, None] / sq[i] * qi
     return sq
 
 
-def _filtered_least(blocks: Iterable[tuple], tol: float) -> tuple[float, np.ndarray | None]:
-    """The least computed value over blocks of systems, and the first label at or under ``tol``.
+def _filtered_least(
+    blocks: Iterable[tuple], tol: float, jobs: int
+) -> tuple[list[float], list[np.ndarray | None]]:
+    """Per job, the least computed value over blocks of systems, and the first label at or under ``tol``.
 
-    A block is (labels, low, high, solve): a label row per system, ends
-    low <= v <= high of each system's computed value v (NaN where unknown,
-    and a NaN or -inf low end where v can be NaN), and ``solve``, which
-    computes the masked rows' values with the bytes a full solve gives
-    them. A system is solved unless its low end exceeds both ``tol`` and
-    the bound, the least high end or solved value so far. The bound is
-    never below the least value v*, whose system has low <= v*, and a value
-    <= ``tol`` has its low end there too: the least and the first label are
-    the full scan's, to the byte. A NaN value counts as at or under ``tol``
-    and makes the least NaN, so it never reads as a pass.
+    A block is (pieces, labels, low, high, solve): pieces are (job, start,
+    stop) row ranges, one per job that has rows in the block; a label row
+    per system; ends low <= v <= high of each system's computed value v
+    (NaN where unknown, and a NaN or -inf low end where v can be NaN); and
+    ``solve``, which computes the masked rows' values, in row order, with
+    the bytes a full solve gives them. A job's systems arrive in its label
+    order, and blocks may hold several jobs. Each job has its own bound, the
+    least high end or solved value of its systems so far, and a system is
+    solved unless its low end exceeds both ``tol`` and its job's bound. The
+    bound is never below the job's least value v*, whose system has
+    low <= v*, and a value <= ``tol`` has its low end there too: each job's
+    least and first label are the full scan's, to the byte. A NaN value
+    counts as at or under ``tol`` and makes its job's least NaN, so it
+    never reads as a pass.
     """
-    least, first, bound = math.inf, None, math.inf
-    for labels, low, high, solve in blocks:
-        bound = float(np.fmin(bound, np.fmin.reduce(high)))
-        keep = ~(low > max(tol, bound))
+    least, bound = [math.inf] * jobs, [math.inf] * jobs
+    first: list[np.ndarray | None] = [None] * jobs
+    for pieces, labels, low, high, solve in blocks:
+        keep = np.empty(len(low), dtype=bool)
+        for j, lo, hi in pieces:
+            top = float(np.fmin.reduce(high[lo:hi]))
+            if top < bound[j]:  # a NaN top leaves the bound, as np.fmin would
+                bound[j] = top
+            keep[lo:hi] = ~(low[lo:hi] > max(tol, bound[j]))
         if not keep.any():
             continue
         values = solve(keep)
-        least = float(np.minimum(least, values.min()))
-        bound = float(np.fmin(bound, least))
-        hit = ~(values > tol)
-        if first is None and hit.any():
-            first = labels[keep][int(np.argmax(hit))]
+        at = 0
+        for j, lo, hi in pieces:
+            kept = keep[lo:hi]
+            count = int(np.count_nonzero(kept))
+            if not count:
+                continue
+            own = values[at : at + count]
+            at += count
+            least[j] = float(np.minimum(least[j], own.min()))
+            bound[j] = float(np.fmin(bound[j], least[j]))
+            hit = ~(own > tol)
+            if first[j] is None and hit.any():
+                first[j] = labels[lo:hi][kept][int(np.argmax(hit))]
     return least, first
 
 
-def _least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...] | None]:
-    """Least sigma over the maximal subsets of the rows, and the first at or under ``tol``.
+def _job_blocks(parts: Iterable[tuple[int, Callable]], rows: int) -> Iterator[tuple]:
+    """Blocks of at most ``rows`` rows, streamed across the jobs' row sources in order.
+
+    A part is (job, take), where take(k) gives the job's next rows, k of
+    them unless its rows run out, as a tuple of equally long arrays. A block
+    is (pieces, columns): pieces are (job, start, stop) row ranges, and
+    column i joins the pieces' arrays i. A block ends only when it is full
+    or the last part is spent, so blocks cross job boundaries.
+    """
+    parts = iter(parts)
+    part = next(parts, None)
+    while part is not None:
+        pieces, arrays, count = [], [], 0
+        while part is not None and count < rows:
+            job, take = part
+            got = take(rows - count)
+            size = len(got[0])
+            if size < rows - count:
+                part = next(parts, None)
+            if size:
+                pieces.append((job, count, count + size))
+                arrays.append(got)
+                count += size
+        if pieces:
+            yield pieces, [_stack(column) for column in zip(*arrays)]
+
+
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays joined along the first axis; a lone array is not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _least_sigmas(
+    jobs: Sequence[np.ndarray], tol: float
+) -> list[tuple[float, tuple[int, ...] | None]]:
+    """Least sigma over the maximal subsets of each job's rows, and the first at or under ``tol``.
 
     A subset S = {s_0 < ... < s_m} has the m x d difference matrix D_S with
     rows p_j - p_{s_0}, and its sigma is D_S's least singular value. Only
@@ -318,33 +372,56 @@ def _least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...]
     l_ii of D's rows: prod l_ii = prod sigma_i, so sigma lies between
     prod l_ii / |D|_F^(m-1) and min l_ii, widened by K u kappa relative
     (kappa = |D|_F^m / prod l_ii >= cond(D)) and K u |D|_F absolute (Weyl);
-    K u is ``_FILTER_EPS``. Subsets come from ``combinations`` in blocks of
-    at most ``_CHUNK_FLOATS`` difference floats (at least one per block).
+    K u is ``_FILTER_EPS``. Jobs whose matrices D have one shape share one
+    scan: their rows are stacked, and each job's subsets come from
+    ``combinations`` into blocks of at most ``_CHUNK_FLOATS`` difference
+    floats (at least one subset per block) that run on across jobs. Every
+    decomposed D is the matrix, of the same shape, that a scan of its job
+    alone decomposes, so each job's result has that scan's bytes.
     """
-    k, d = points.shape
-    size = min(k, d + 1)
-    if size < 2:
-        return math.inf, None
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for j, points in enumerate(jobs):
+        size = min(points.shape[0], points.shape[1] + 1)
+        if size >= 2:
+            shapes.setdefault((size, points.shape[1]), []).append(j)
+
+    def subsets_of(k: int, size: int, start: int) -> Callable:
+        # the job's next subsets, and the same rows of the stacked points
+        subsets = combinations(range(k), size)
+
+        def take(rows: int) -> tuple[np.ndarray, np.ndarray]:
+            sub = np.fromiter(chain.from_iterable(islice(subsets, rows)), dtype=np.intp)
+            sub = sub.reshape(-1, size)
+            return sub, sub + start if start else sub
+
+        return take
 
     def blocks() -> Iterator[tuple]:
-        subsets = combinations(range(k), size)
-        rows = max(1, _CHUNK_FLOATS // ((size - 1) * d))
-        while len(idx := np.fromiter(chain.from_iterable(islice(subsets, rows)), dtype=np.intp)):
-            idx = idx.reshape(-1, size)
-            with np.errstate(all="ignore"):
-                diffs = points[idx[:, 1:]] - points[idx[:, :1]]
-                norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
-                lengths = np.sqrt(_gram_schmidt(diffs.transpose(1, 2, 0).copy()))
-                det = lengths.prod(axis=0)
-                rel = _FILTER_EPS * norm ** (size - 1) / det
-                slack = _FILTER_EPS * norm
-                low = det / norm ** (size - 2) * (1.0 - rel) - slack
-                high = np.fmin.reduce(lengths, axis=0) * (1.0 + rel) + slack
-            yield idx, low, high, lambda keep: np.linalg.svd(
-                diffs[keep], compute_uv=False).min(axis=1)
+        for (size, d), members in shapes.items():
+            points = _stack([jobs[j] for j in members])
+            starts = accumulate((len(jobs[j]) for j in members), initial=0)
+            parts = [(j, subsets_of(len(jobs[j]), size, at)) for j, at in zip(members, starts)]
+            for pieces, (labels, idx) in _job_blocks(
+                    parts, max(1, _CHUNK_FLOATS // ((size - 1) * d))):
+                with np.errstate(all="ignore"):
+                    diffs = points[idx[:, 1:]] - points[idx[:, :1]]
+                    norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
+                    lengths = np.sqrt(_gram_schmidt(diffs.transpose(1, 2, 0).copy()))
+                    det = lengths.prod(axis=0)
+                    rel = _FILTER_EPS * norm ** (size - 1) / det
+                    slack = _FILTER_EPS * norm
+                    low = det / norm ** (size - 2) * (1.0 - rel) - slack
+                    high = np.fmin.reduce(lengths, axis=0) * (1.0 + rel) + slack
+                yield pieces, labels, low, high, lambda keep: np.linalg.svd(
+                    diffs[keep], compute_uv=False).min(axis=1)
 
-    least, first = _filtered_least(blocks(), tol)
-    return least, None if first is None else tuple(first.tolist())
+    least, first = _filtered_least(blocks(), tol, len(jobs))
+    return [(v, None if f is None else tuple(f.tolist())) for v, f in zip(least, first)]
+
+
+def _least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...] | None]:
+    """:func:`_least_sigmas` of one set of points."""
+    return _least_sigmas([points], tol)[0]
 
 
 def general_position(
@@ -553,7 +630,7 @@ def _span_distances(
 
 def _plane_groups(
     vertices: np.ndarray, plane: Hyperplane, n: int
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """The vertices with the plane appended, and the groups measuring spans against it.
 
     The plane's spanning points, its base point and the base point plus
@@ -562,39 +639,46 @@ def _plane_groups(
     are unit vectors and the base point is 1/2 on the free axes, so the
     appended edges are the basis rows exactly.
     """
-    s = vertices.shape[0]
     base = plane.base_point()
     span = np.vstack([base, base + plane.basis()])
-    ib = np.arange(s, s + len(span))
-    groups = []
-    for k in range(1, min(n + 1, s) + 1):
-        ia = _subsets(s, k)
-        groups.append((ia, np.broadcast_to(ib, (len(ia), len(ib)))))
-    return np.vstack([vertices, span]), groups
+    return np.vstack([vertices, span]), _plane_pairs(vertices.shape[0], n, len(span))
+
+
+@functools.lru_cache(maxsize=32)
+def _plane_pairs(s: int, n: int, span: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The groups of :func:`_plane_groups` for s vertices and ``span`` plane points; read-only."""
+    ib = np.arange(s, s + span)
+    return tuple((ia, np.broadcast_to(ib, (len(ia), span)))
+                 for ia in (_subsets(s, k) for k in range(1, min(n + 1, s) + 1)))
 
 
 def _widest_first(
-    vertices: np.ndarray, groups: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[float, tuple | None]:
-    """The least span distance, and the pair that sets it when it is at or under HULL_TOL.
+    jobs: Sequence[tuple[np.ndarray, Sequence[tuple[np.ndarray, np.ndarray]]]]
+) -> list[tuple[float, tuple | None]]:
+    """Per (vertices, groups) job: the least span distance, and the pair that sets it when it is
+    at or under HULL_TOL; (inf, None) for a job with no groups.
 
     A span only grows with its subset, so every pair lies inside a no
     farther pair of a widest group (|A| + |B| largest). The float form
     cancels, though: near zero a smaller pair can come out lower than its
     widest superset, even under HULL_TOL. So when the widest groups' least
-    clears ``SCAN_GUARD`` it is returned, and otherwise every group is
-    measured and the value and the pair (as index tuples, or None above
-    HULL_TOL) are the full scan's. Above the guard the verdict is the full
-    scan's, and so is the value unless a smaller pair exactly ties its
+    clears ``SCAN_GUARD`` it is returned, and otherwise every group of that
+    job is measured and the value and the pair (as index tuples, or None
+    above HULL_TOL) are the full scan's. Above the guard the verdict is the
+    full scan's, and so is the value unless a smaller pair exactly ties its
     widest superset: the superset's rounding is returned, which can differ
     from the full scan's minimum by the cancellation error (up to about
     1e-4 relative just above the guard). A NaN distance counts as under
     HULL_TOL.
 
-    The widest systems are built once, in blocks of at most
-    ``_CHUNK_FLOATS`` floats, and :func:`_filtered_least` solves those its
-    bounds leave open from the same arrays. Modified Gram-Schmidt on [M r]
-    gives M's column lengths R_ii and the residual a. With
+    The widest groups of every job are scanned together: the jobs'
+    vertices are stacked, and groups of one (|A|, |B|) shape, so of one
+    width, share blocks of at most ``_CHUNK_FLOATS`` floats that run on
+    across jobs. Each system is built once, and is the matrix, at the same
+    width, that a scan of its job alone builds, so each job's result has
+    that scan's bytes. :func:`_filtered_least` solves the systems its
+    bounds leave open from the same arrays. Modified Gram-Schmidt on
+    [M r] gives M's column lengths R_ii and the residual a. With
     kappa = |M|_F^w / prod R_ii >= cond(M) (w columns), a^2 and the pinv
     form each lie within a small multiple of u kappa |r|^2 of the exact
     value (Higham, ch. 19-20), so the distance lies between
@@ -602,14 +686,34 @@ def _widest_first(
     ``_FILTER_EPS``). The full scan below the guard is not filtered, so
     every message comes from it.
     """
-    width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
-    rows = max(1, _CHUNK_FLOATS // (vertices.shape[1] * (width - 1)))  # M and r floats
+    shapes: dict[tuple[int, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    for j, (_, groups) in enumerate(jobs):
+        if groups:
+            width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
+            for ia, ib in groups:
+                if ia.shape[1] + ib.shape[1] == width:
+                    shapes.setdefault((ia.shape[1], ib.shape[1]), []).append((j, ia, ib))
+    start = list(accumulate((len(vertices) for vertices, _ in jobs), initial=0))
+    stacked = _stack([vertices for vertices, _ in jobs])
+
+    def rows_of(ia: np.ndarray, ib: np.ndarray, start: int) -> Callable:
+        # the job's next pairs, as rows of the stacked vertices
+        at = 0
+
+        def take(k: int) -> tuple[np.ndarray, np.ndarray]:
+            nonlocal at
+            at += k
+            pair = ia[at - k : at], ib[at - k : at]
+            return (pair[0] + start, pair[1] + start) if start else pair
+
+        return take
 
     def blocks() -> Iterator[tuple]:
-        for ia, ib in (g for g in groups if g[0].shape[1] + g[1].shape[1] == width):
-            for at in range(0, len(ia), rows):
-                ia_block = ia[at : at + rows]
-                m, r = _span_systems(vertices, [(ia_block, ib[at : at + rows])])
+        for (a, b), parts in shapes.items():
+            rows = max(1, _CHUNK_FLOATS // (stacked.shape[1] * (a + b - 1)))  # M and r floats
+            for pieces, (ia, ib) in _job_blocks(
+                    [(j, rows_of(ia, ib, start[j])) for j, ia, ib in parts], rows):
+                m, r = _span_systems(stacked, [(ia, ib)])
                 w = m.shape[2]
                 with np.errstate(all="ignore"):
                     sq = _gram_schmidt(np.concatenate([m.T, r.T[None]]))
@@ -617,15 +721,42 @@ def _widest_first(
                     err = _FILTER_EPS * kappa * np.einsum("ni,ni->n", r, r)
                     low = np.sqrt(np.maximum(sq[w] - err, 0.0))
                     high = np.sqrt(sq[w] + err)
-                yield ia_block, low, high, lambda keep: _solve_spans(m[keep], r[keep])
+                yield pieces, ia, low, high, lambda keep: _solve_spans(m[keep], r[keep])
 
     # no tolerance: the guard below decides, so only the least is needed
-    least, _ = _filtered_least(blocks(), -math.inf)
-    if least > SCAN_GUARD:
-        return least, None
-    dists = _span_distances(vertices, groups)
-    worst = int(dists.argmin())
-    return float(dists[worst]), None if dists[worst] > HULL_TOL else _group_row(groups, worst)
+    least, _ = _filtered_least(blocks(), -math.inf, len(jobs))
+    out: list[tuple[float, tuple | None]] = []
+    for (vertices, groups), value in zip(jobs, least):
+        if value > SCAN_GUARD:
+            out.append((value, None))
+            continue
+        dists = _span_distances(vertices, groups)
+        worst = int(dists.argmin())
+        out.append((float(dists[worst]),
+                    None if dists[worst] > HULL_TOL else _group_row(groups, worst)))
+    return out
+
+
+def _span_job(
+    vertices: np.ndarray | Sequence[np.ndarray], n: int, plane: Hyperplane | None = None
+) -> tuple[np.ndarray, Sequence[tuple[np.ndarray, np.ndarray]]]:
+    """The (vertices, groups) job of :func:`_widest_first` that ``eta`` (no plane) or
+    ``eta_prime`` (the plane) measures."""
+    z = np.array(vertices, dtype=float)
+    if plane is None:
+        return z, _disjoint_pairs(z.shape[0], n)
+    if z.shape[1] != plane.ambient_dim:
+        raise InputError("vertices and hyperplane disagree on ambient dimension")
+    return _plane_groups(z, plane, n)
+
+
+def _separation(least: float, pair: tuple | None, plane: Hyperplane | None) -> float:
+    """A span job's least distance, or the error that names its meeting or touching pair."""
+    if pair is None:
+        return least
+    if plane is None:
+        raise GeneralPositionError(f"spans of {pair[0]} and {pair[1]} meet (distance {least:.3g})")
+    raise GeneralPositionError(f"span of {pair[0]} touches the hyperplane (distance {least:.3g})")
 
 
 def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
@@ -638,14 +769,7 @@ def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
     first and decide the value when it clears ``SCAN_GUARD``; otherwise
     every pair is (see :func:`_widest_first`).
     """
-    z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
-    groups = _disjoint_pairs(z.shape[0], n)
-    if not groups:
-        return math.inf
-    least, pair = _widest_first(z, groups)
-    if pair is not None:
-        raise GeneralPositionError(f"spans of {pair[0]} and {pair[1]} meet (distance {least:.3g})")
-    return least
+    return _separation(*_widest_first([_span_job(vertices, n)])[0], None)
 
 
 def eta_prime(
@@ -657,14 +781,7 @@ def eta_prime(
     value when it clears ``SCAN_GUARD``; otherwise every subset's is (see
     :func:`_widest_first`).
     """
-    z = np.array([np.asarray(v, dtype=float) for v in vertices], dtype=float)
-    if z.shape[1] != plane.ambient_dim:
-        raise InputError("vertices and hyperplane disagree on ambient dimension")
-    least, pair = _widest_first(*_plane_groups(z, plane, n))
-    if pair is not None:
-        raise GeneralPositionError(
-            f"span of {pair[0]} touches the hyperplane (distance {least:.3g})")
-    return least
+    return _separation(*_widest_first([_span_job(vertices, n, plane)])[0], plane)
 
 
 # ---------------------------------------------------------------------------

@@ -86,17 +86,19 @@ def _is_number(value) -> bool:
 
 
 def _float(value, name: str) -> float:
-    # float() would take "1.0" or true; a number is an int or a float, not a bool
+    # float() would take "1.0" or true; a number is an int or a float, not a bool,
+    # and json reads a float past the float range, such as 1e309, as +-inf
     try:
-        if _is_number(value):
-            return float(value)
+        if _is_number(value) and not math.isinf(out := float(value)):
+            return out
     except OverflowError:  # an int past the float range
         pass
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _json_array(value, what: str) -> np.ndarray:
-    """A document array as floats; numpy would also read "0.5", true and null."""
+    """A document array as floats; numpy would also read "0.5", true and null,
+    and json reads a float past the float range, such as 1e309, as +-inf."""
     todo = [value]
     while todo:
         leaf = todo.pop()
@@ -104,7 +106,10 @@ def _json_array(value, what: str) -> np.ndarray:
             todo.extend(leaf)
         elif not _is_number(leaf):
             raise InputError(f"{what} must be a rectangular array of numbers")
-    return _float_array(value, what)
+    out = _float_array(value, what)
+    if not np.isfinite(out).all():
+        raise InputError(f"{what} must be a rectangular array of numbers")
+    return out
 
 
 def _null_if_inf(x: float | None) -> float | None:

@@ -21,8 +21,12 @@ the same verdict and the same least singular value up to rounding, and
 names the first maximal subset at or under the tolerance. Both decompose
 only the systems that an error-bounded Gram-Schmidt estimate cannot rule
 out; against decomposing every system they give the same values, named
-subsets and messages, byte for byte. Order
-reduction, which shrinks the least (n+2)-subset of members sharing a
+subsets and messages, byte for byte. The verifier runs one sigma scan
+over every stage and one span scan over every stage's eta and eta' jobs,
+with blocks that run on across stages; its report has the bytes of the
+per-stage loop that called ``_least_sigma``, ``eta`` and ``eta_prime``
+one stage at a time, on valid and tampered results and at any block size.
+Order reduction, which shrinks the least (n+2)-subset of members sharing a
 point pass after pass, gives the bytes and the shrink count of the
 lexicographic sweep of every (n+2)-subset. The star refinement, taken as k meet steps, gives the
 members, member order and witness of the per-point signature enumeration.
@@ -968,6 +972,29 @@ def assert_filtered_scans(z, n, plane, tols=()):
                 reference_least_sigma, z, tol)
 
 
+def embed_corpus():
+    """(space, n, result or None when it fails) for the generic corpus, seeds 0 and 1.
+
+    Uniform 10-point squares, the 12-point circle, the 8-, 10- and 16-point
+    lines and the 3x3 grid, the failing runs included.
+    """
+    th = 2 * np.pi * np.arange(12) / 12
+    circle = np.column_stack([0.5 + 0.5 * np.cos(th), 0.5 + 0.5 * np.sin(th)])
+    squares = [np.random.default_rng(s).uniform(0, 1, (10, 2)) for s in range(8)]
+    corpus = [(SampledSpace.from_points(x, mesh=0.3), 1, 4) for x in squares]
+    corpus += [(SampledSpace.from_points(circle, mesh=0.3), 1, 4), (line_space(8), 1, 16),
+               (line_space(8), 1, 24), (line_space(10), 1, 6), (line_space(10), 1, 9),
+               (line_space(16), 1, 8), (grid_square_space(3, 3), 2, 2)]
+    runs = []
+    for space, n, T in corpus:
+        for seed in (0, 1):
+            try:
+                runs.append((space, n, nobeling_embed(space, n=n, T=T, seed=seed)))
+            except (CertificateError, GeneralPositionError):
+                runs.append((space, n, None))
+    return runs
+
+
 def spans_at(rng, n, gap, angle=None):
     """Two (n+1)-point spans in d = 2n+1, ``gap`` apart.
 
@@ -1088,20 +1115,7 @@ class TestFilteredScans:
 
         for name in ("eta", "eta_prime", "_least_sigma"):
             monkeypatch.setattr(embedding, name, recording(name, getattr(embedding, name)))
-        th = 2 * np.pi * np.arange(12) / 12
-        circle = np.column_stack([0.5 + 0.5 * np.cos(th), 0.5 + 0.5 * np.sin(th)])
-        squares = [np.random.default_rng(s).uniform(0, 1, (10, 2)) for s in range(8)]
-        corpus = [(SampledSpace.from_points(x, mesh=0.3), 1, 4) for x in squares]
-        corpus += [(SampledSpace.from_points(circle, mesh=0.3), 1, 4), (line_space(8), 1, 16),
-                   (line_space(8), 1, 24), (line_space(10), 1, 6), (line_space(10), 1, 9),
-                   (line_space(16), 1, 8), (grid_square_space(3, 3), 2, 2)]
-        failed = 0
-        for space, n, T in corpus:
-            for seed in (0, 1):
-                try:
-                    nobeling_embed(space, n=n, T=T, seed=seed)
-                except (CertificateError, GeneralPositionError):
-                    failed += 1
+        failed = sum(r is None for _, _, r in embed_corpus())
         monkeypatch.undo()
         references = {"eta": (eta, reference_eta),
                       "eta_prime": (eta_prime, reference_eta_prime)}
@@ -1194,11 +1208,20 @@ class TestFilteredScans:
         assert math.isnan(least) and first == (0, 1, 2)
         with pytest.raises(GeneralPositionError, match=r"subset: \(0, 1, 2\)"):
             general_position(targets, eps=0.01)
-        blocks = [(np.array([[0], [1]]), np.zeros(2), np.ones(2), lambda keep: np.array([0.5, 0.7])),
-                  (np.array([[2], [3]]), np.full(2, np.nan), np.full(2, np.nan),
+        one = [(0, 0, 2)]
+        blocks = [(one, np.array([[0], [1]]), np.zeros(2), np.ones(2),
+                   lambda keep: np.array([0.5, 0.7])),
+                  (one, np.array([[2], [3]]), np.full(2, np.nan), np.full(2, np.nan),
                    lambda keep: np.array([np.nan, 0.1]))]
-        least, first = embedding._filtered_least(iter(blocks), 0.2)
-        assert math.isnan(least) and first.tolist() == [2]
+        least, first = embedding._filtered_least(iter(blocks), 0.2, 1)
+        assert math.isnan(least[0]) and first[0].tolist() == [2]
+        # in a block two jobs share, one job's NaN leaves the other's least
+        # and first label alone
+        mixed = [([(0, 0, 1), (1, 1, 4)], np.array([[0], [1], [2], [3]]), np.zeros(4), np.ones(4),
+                  lambda keep: np.array([np.nan, 0.3, 0.1, 0.05]))]
+        least, first = embedding._filtered_least(iter(mixed), 0.2, 2)
+        assert math.isnan(least[0]) and least[1] == 0.05
+        assert first[0].tolist() == [0] and first[1].tolist() == [2]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_distances_fail(self):
@@ -1241,6 +1264,169 @@ class TestFilteredScans:
         assert len(r.stages) == 16
         assert 16 <= rows["pinv"] <= 0.02 * 16 * 210
         assert 16 <= rows["svd"] <= 0.25 * 16 * 210
+
+
+def report_bytes(r, space, n):
+    return metric._write_json(verify_result(r, space, n).to_json_dict())
+
+
+def per_stage_report(r, space, n, least_sigma=_least_sigma, eta_of=eta, eta_prime_of=eta_prime):
+    """The bytes of verify_result's report with its scans run one stage at a time.
+
+    Each stage's sigma is ``least_sigma`` of its vertices and anchors, and
+    its spans are ``eta_of`` and ``eta_prime_of`` of its vertices, as the
+    verifier's stage loop called them before its scans were batched: a
+    GeneralPositionError from either fails both span checks.
+    """
+
+    def spans(jobs):
+        out = []
+        for vertices, plane in jobs:
+            try:
+                out.append((eta_of(vertices, n) if plane is None
+                            else eta_prime_of(vertices, plane, n), None))
+            except GeneralPositionError as exc:
+                out.append((math.nan, str(exc)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_least_sigmas", lambda jobs, tol: [least_sigma(p, tol) for p in jobs])
+        mp.setattr(harness, "_span_job", lambda vertices, n, plane=None: (vertices, plane))
+        mp.setattr(harness, "_widest_first", spans)
+        return report_bytes(r, space, n)
+
+
+def assert_per_stage(r, space, n, unfiltered=True):
+    """verify_result's report is the per-stage loop's, byte for byte; with ``unfiltered`` also
+    that of the loop over the references that decompose every system (which, unlike the
+    library, let a NaN value pass)."""
+    got = report_bytes(r, space, n)
+    assert got == per_stage_report(r, space, n)
+    if unfiltered:
+        assert got == per_stage_report(r, space, n, reference_least_sigma, reference_eta,
+                                       reference_eta_prime)
+    return json.loads(got)
+
+
+def stage_tampered(r, tampers, rng):
+    """r with stage vertices changed: {t: "meet" | "guard" | "overflow" | s vertices kept}."""
+    doc = result_to_json_dict(r)
+    for t, kind in tampers.items():
+        st = doc["stages"][t]
+        v = st["vertices"]
+        if kind == "meet":  # two vertices coincide: spans meet, distance 0
+            v[1] = list(v[0])
+        elif kind == "guard":  # two vertices 1e-7 apart, between HULL_TOL and SCAN_GUARD
+            step = rng.normal(size=len(v[0]))
+            step *= 1e-7 / np.linalg.norm(step) * np.sign(0.5 - v[0][0]) * np.sign(step[0])
+            v[1] = (np.array(v[0]) + step).tolist()
+        elif kind == "overflow":  # differences past the float range: NaN sigmas and distances
+            v[0], v[1] = [1e308] * len(v[0]), [-1e308] * len(v[0])
+        else:  # keep the first s members and vertices: other subset shapes and widths
+            st["cover_u"]["members"] = st["cover_u"]["members"][:kind]
+            st["vertices"] = v[:kind]
+    return result_from_json_dict(doc)
+
+
+STAGE_TAMPERS = [{3: "meet"}, {5: "guard"}, {9: "overflow"}, {2: 3, 7: 2, 11: 1},
+                 {2: 3, 3: "meet", 5: "guard", 7: 2, 9: "overflow", 11: 1}]
+
+
+class TestBatchedVerifier:
+    """verify_result scans sigma once over every stage and the spans once over the 2T eta and
+    eta' jobs; its report has the bytes of the per-stage loop."""
+
+    def test_golden_and_corpus_runs(self, golden_runs):
+        runs = [run for run in embed_corpus() if run[2] is not None]
+        assert len(runs) >= 6
+        for space, n, r in golden_runs + runs:
+            assert_per_stage(r, space, n)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
+    @pytest.mark.parametrize("chunk", [None, 1, 9, 50])
+    @pytest.mark.parametrize("tampers", STAGE_TAMPERS, ids=lambda t: "-".join(map(str, t.items())))
+    def test_tampered_stages(self, monkeypatch, golden_runs, chunk, tampers):
+        # blocks of one system, of a few that run across stage boundaries,
+        # and of everything; the guard band sends only its own eta job to
+        # the full scan
+        space, n, r = golden_runs[1]
+        assert len(r.stages) == 16
+        r = stage_tampered(r, tampers, np.random.default_rng(1000))
+        if chunk is not None:
+            monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
+        full, blocks = [], []
+        real_full, real_blocks = embedding._span_distances, embedding._job_blocks
+
+        def full_scan(vertices, groups):
+            full.append(vertices.copy())
+            return real_full(vertices, groups)
+
+        def job_blocks(parts, rows):
+            for pieces, columns in real_blocks(parts, rows):
+                blocks.append({j for j, _, _ in pieces})
+                yield pieces, columns
+
+        monkeypatch.setattr(embedding, "_span_distances", full_scan)
+        monkeypatch.setattr(embedding, "_job_blocks", job_blocks)
+        report = json.loads(report_bytes(r, space, n))
+        # each full scan's vertices start with its stage's vertices
+        reached = [next(t for t, st in enumerate(r.stages)
+                        if v[: len(st.vertices)].tobytes() == st.vertices.tobytes()) for v in full]
+        assert reached == sorted(reached)
+        assert set(reached) == {t for t, kind in tampers.items()
+                                if kind in ("meet", "guard", "overflow")}
+        assert all(reached.count(t) == 1 for t, kind in tampers.items() if kind == "guard")
+        assert any(len(jobs) > 1 for jobs in blocks) == (chunk in (None, 50))
+        monkeypatch.setattr(embedding, "_span_distances", real_full)
+        monkeypatch.setattr(embedding, "_job_blocks", real_blocks)
+        assert assert_per_stage(r, space, n, "overflow" not in tampers.values()) == report
+        checks = {(c["name"], c["location"].split(",")[0]): c for c in report["checks"]}
+        for t, kind in tampers.items():
+            eta_check = checks[("eta", f"stage {t}")]
+            if kind in ("meet", "overflow"):
+                assert eta_check["margin"] == checks[("eta-prime", f"stage {t}")]["margin"] == -1.0
+                assert not checks[("general-position", f"stage {t}")]["passed"]
+            elif kind == "guard":  # measured by the full scan, and not the stored value
+                assert -1.0 < eta_check["margin"] < 0.0
+
+    @pytest.mark.parametrize("coords", [[0], [0, 1, 3]])
+    def test_first_malformed_stage_raises(self, golden_runs, coords):
+        # every stage is validated before any check runs, in stage order, so
+        # the first malformed stage is named, as the per-stage loop named it;
+        # a plane of 5 dimensions in a 3-dimensional result (coords [0, 1,
+        # 3]) is bad input too, where the per-stage loop raised IndexError
+        space, n, r = golden_runs[0]
+        doc = result_to_json_dict(r)
+        doc["stages"][1]["hyperplane"] = {"coords": coords, "values": [[1, 2]] * len(coords)}
+        doc["stages"][3]["pair_code"] = [0, 10**6]
+        with pytest.raises(InputError, match="vertices and hyperplane disagree on ambient dimension"):
+            verify_result(result_from_json_dict(doc), space, n)
+        doc["stages"][0]["anchors"] = doc["stages"][0]["anchors"][:1]
+        with pytest.raises(InputError, match=r"stage 0: anchors has shape \(1, 3\)"):
+            verify_result(result_from_json_dict(doc), space, n)
+
+    def test_lapack_calls_do_not_grow_with_stages(self, monkeypatch):
+        # one SVD batch for sigma and one pinv batch for the spans, whatever
+        # T; the per-stage loop made at least one of each per stage
+        space = line_space(8)
+        calls = {"svd": 0, "pinv": 0}
+
+        def counting(name, real):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return run
+
+        results = [nobeling_embed(space, n=1, T=T, seed=0) for T in (4, 16)]
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        counts = []
+        for r in results:
+            calls.update(svd=0, pinv=0)
+            assert verify_result(r, space, 1).overall
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] and 1 <= calls["svd"] <= 2 and 1 <= calls["pinv"] <= 2
+        assert calls["svd"] + calls["pinv"] <= 4
 
 
 class TestHyperplaneRowBytes:

@@ -581,3 +581,37 @@ def test_verify_reports_overflowing_vertices(tmp_path, capsys):
     assert failed[("eta", "stage 1")] == failed[("eta-prime", "stage 1")] == -1.0
     assert failed[("general-position", "stage 1")] is None  # -inf: NaN sigma
     assert all(c["margin"] is None or math.isfinite(c["margin"]) for c in checks)
+
+
+def test_genpos_refuses_numbers_past_float_range(tmp_path, capsys):
+    """json reads 1e309 as inf, and inf - inf is NaN: the number is bad input, not a crash."""
+    path = tmp_path / "targets.json"
+    path.write_text('{"targets": [[1e309, 0], [1e309, 1], [0, 1]]}')
+    assert cli_main(["genpos", "--targets", str(path), "--eps", "0.01"]) == 2
+    assert capsys.readouterr().err == "input error: targets must be a rectangular array of numbers\n"
+    path.write_text('{"targets": [[-1e309, 0], [0.5, 1], [0, 1]]}')
+    assert cli_main(["genpos", "--targets", str(path), "--eps", "0.01"]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("vertices", "stage 1: vertices must be a rectangular array of numbers"),
+     ("delta", "stage 1: not a stage document: delta must be a number, got inf")],
+)
+def test_verify_refuses_numbers_past_float_range(tmp_path, capsys, field, message):
+    """A 1e309 in a result reads as inf, which no writer puts there (inf travels as null)."""
+    (tmp_path / "space.json").write_text(json.dumps(space_json_dict(line_space(4))))
+    args = ["--space", str(tmp_path / "space.json"), "--n", "1"]
+    path = tmp_path / "result.json"
+    assert cli_main(["embed", *args, "--stages", "2", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    if field == "vertices":
+        doc["stages"][1]["vertices"][0][0] = 12345.5
+    else:
+        doc["stages"][1]["delta"] = 12345.5
+    text = json.dumps(doc)
+    assert text.count("12345.5") == 1
+    path.write_text(text.replace("12345.5", "1e309"))
+    capsys.readouterr()
+    assert cli_main(["verify", "--result", str(path), *args]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
