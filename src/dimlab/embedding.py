@@ -28,8 +28,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, islice, product
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, combinations, islice, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -213,16 +213,14 @@ def enumerate_hyperplanes(n: int, T: int) -> list[Hyperplane]:
         raise InputError("need at least one hyperplane")
     if n < 0:
         raise InputError("n must be nonnegative")
-    coord_sets = list(combinations(range(2 * n + 1), n + 1))
     out: list[Hyperplane] = []
     max_den = 1
     while len(out) < T:
         ranked = stern_brocot_rationals(max_den)
         fresh = [v for v in ranked if v.denominator == max_den]
         if fresh:
-            for coords in coord_sets:
-                width = len(coords)
-                for tup in _value_tuples(ranked, fresh, width):
+            for coords in combinations(range(2 * n + 1), n + 1):
+                for tup in _value_tuples(ranked, fresh, n + 1):
                     out.append(Hyperplane(coords, tup))
                     if len(out) == T:
                         return out
@@ -268,13 +266,13 @@ def _filtered_least(
 ) -> tuple[list[float], list[np.ndarray | None]]:
     """Per job, the least computed value over blocks of systems, and the first label at or under ``tol``.
 
-    A block is (pieces, labels, low, high, solve): pieces are (job, start,
-    stop) row ranges, one per job that has rows in the block; a label row
-    per system; ends low <= v <= high of each system's computed value v
-    (NaN where unknown, and a NaN or -inf low end where v can be NaN); and
-    ``solve``, which computes the masked rows' values, in row order, with
-    the bytes a full solve gives them. A job's systems arrive in its label
-    order, and blocks may hold several jobs. Each job has its own bound, the
+    A block is (rows, labels, low, high, solve): the block's job ids, one
+    label row per system column, (jobs, systems) arrays of the ends
+    low <= v <= high of each system's computed value v (NaN where unknown,
+    and a NaN or -inf low end where v can be NaN), and ``solve``, which
+    computes the values of the systems that a mask in row-major (job,
+    system) order picks, with the bytes a full solve gives them. A job's
+    systems arrive in its label order. Each job has its own bound, the
     least high end or solved value of its systems so far, and a system is
     solved unless its low end exceeds both ``tol`` and its job's bound. The
     bound is never below the job's least value v*, whose system has
@@ -283,64 +281,31 @@ def _filtered_least(
     counts as at or under ``tol`` and makes its job's least NaN, so it
     never reads as a pass.
     """
-    least, bound = [math.inf] * jobs, [math.inf] * jobs
+    least, bound = np.full((2, jobs), math.inf)
     first: list[np.ndarray | None] = [None] * jobs
-    for pieces, labels, low, high, solve in blocks:
-        keep = np.empty(len(low), dtype=bool)
-        for j, lo, hi in pieces:
-            top = float(np.fmin.reduce(high[lo:hi]))
-            if top < bound[j]:  # a NaN top leaves the bound, as np.fmin would
-                bound[j] = top
-            keep[lo:hi] = ~(low[lo:hi] > max(tol, bound[j]))
-        if not keep.any():
-            continue
-        values = solve(keep)
-        at = 0
-        for j, lo, hi in pieces:
-            kept = keep[lo:hi]
-            count = int(np.count_nonzero(kept))
-            if not count:
-                continue
-            own = values[at : at + count]
-            at += count
-            least[j] = float(np.minimum(least[j], own.min()))
-            bound[j] = float(np.fmin(bound[j], least[j]))
-            hit = ~(own > tol)
-            if first[j] is None and hit.any():
-                first[j] = labels[lo:hi][kept][int(np.argmax(hit))]
-    return least, first
+    for rows, labels, low, high, solve in blocks:
+        # a NaN high end leaves the bound, which is never NaN
+        top = np.fmin(bound[rows], np.fmin.reduce(high, axis=1))
+        keep = ~(low > np.maximum(top, tol)[:, None])
+        if keep.any():
+            values = np.full(keep.shape, math.inf)
+            values[keep] = solve(keep.ravel())
+            least[rows] = own = np.minimum(least[rows], values.min(axis=1))
+            top = np.fmin(top, own)
+            # a job's least first turns NaN or <= tol in the block of its first
+            # hit; a system left out has low > tol, so its inf entry is no hit
+            for i in np.flatnonzero(~(own > tol)):
+                if first[rows[i]] is None:
+                    first[rows[i]] = labels[int(np.argmax(~(values[i] > tol)))]
+        bound[rows] = top
+    return least.tolist(), first
 
 
-def _job_blocks(parts: Iterable[tuple[int, Callable]], rows: int) -> Iterator[tuple]:
-    """Blocks of at most ``rows`` rows, streamed across the jobs' row sources in order.
-
-    A part is (job, take), where take(k) gives the job's next rows, k of
-    them unless its rows run out, as a tuple of equally long arrays. A block
-    is (pieces, columns): pieces are (job, start, stop) row ranges, and
-    column i joins the pieces' arrays i. A block ends only when it is full
-    or the last part is spent, so blocks cross job boundaries.
-    """
-    parts = iter(parts)
-    part = next(parts, None)
-    while part is not None:
-        pieces, arrays, count = [], [], 0
-        while part is not None and count < rows:
-            job, take = part
-            got = take(rows - count)
-            size = len(got[0])
-            if size < rows - count:
-                part = next(parts, None)
-            if size:
-                pieces.append((job, count, count + size))
-                arrays.append(got)
-                count += size
-        if pieces:
-            yield pieces, [_stack(column) for column in zip(*arrays)]
-
-
-def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The arrays joined along the first axis; a lone array is not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _grid_block(jobs: int, systems: int, floats: int) -> tuple[int, int]:
+    """Jobs and systems per block of a (jobs x systems) grid of ``floats`` floats per system:
+    at most ``_CHUNK_FLOATS`` floats, or one system."""
+    across = min(jobs, max(1, _CHUNK_FLOATS // floats))
+    return across, min(systems, max(1, _CHUNK_FLOATS // (floats * across)))
 
 
 def _least_sigmas(
@@ -372,48 +337,44 @@ def _least_sigmas(
     l_ii of D's rows: prod l_ii = prod sigma_i, so sigma lies between
     prod l_ii / |D|_F^(m-1) and min l_ii, widened by K u kappa relative
     (kappa = |D|_F^m / prod l_ii >= cond(D)) and K u |D|_F absolute (Weyl);
-    K u is ``_FILTER_EPS``. Jobs whose matrices D have one shape share one
-    scan: their rows are stacked, and each job's subsets come from
-    ``combinations`` into blocks of at most ``_CHUNK_FLOATS`` difference
-    floats (at least one subset per block) that run on across jobs. Every
-    decomposed D is the matrix, of the same shape, that a scan of its job
-    alone decomposes, so each job's result has that scan's bytes.
+    K u is ``_FILTER_EPS``. Jobs of one point shape (k, d) share the subsets
+    of ``combinations(range(k), size)`` and form one grid: their points are
+    concatenated, and job j reads each subset shifted by its row offset k j.
+    The subsets are taken in slices, and each (job slice x subset slice)
+    block holds at most ``_CHUNK_FLOATS`` difference floats, or one subset.
+    Every decomposed D is the matrix that a scan of its job alone
+    decomposes, so each job's result has that scan's bytes.
     """
-    shapes: dict[tuple[int, int], list[int]] = {}
+    grids: dict[tuple[int, int], list[int]] = {}
     for j, points in enumerate(jobs):
-        size = min(points.shape[0], points.shape[1] + 1)
-        if size >= 2:
-            shapes.setdefault((size, points.shape[1]), []).append(j)
-
-    def subsets_of(k: int, size: int, start: int) -> Callable:
-        # the job's next subsets, and the same rows of the stacked points
-        subsets = combinations(range(k), size)
-
-        def take(rows: int) -> tuple[np.ndarray, np.ndarray]:
-            sub = np.fromiter(chain.from_iterable(islice(subsets, rows)), dtype=np.intp)
-            sub = sub.reshape(-1, size)
-            return sub, sub + start if start else sub
-
-        return take
+        if min(points.shape[0], points.shape[1] + 1) >= 2:
+            grids.setdefault(points.shape, []).append(j)
 
     def blocks() -> Iterator[tuple]:
-        for (size, d), members in shapes.items():
-            points = _stack([jobs[j] for j in members])
-            starts = accumulate((len(jobs[j]) for j in members), initial=0)
-            parts = [(j, subsets_of(len(jobs[j]), size, at)) for j, at in zip(members, starts)]
-            for pieces, (labels, idx) in _job_blocks(
-                    parts, max(1, _CHUNK_FLOATS // ((size - 1) * d))):
-                with np.errstate(all="ignore"):
-                    diffs = points[idx[:, 1:]] - points[idx[:, :1]]
-                    norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
-                    lengths = np.sqrt(_gram_schmidt(diffs.transpose(1, 2, 0).copy()))
-                    det = lengths.prod(axis=0)
-                    rel = _FILTER_EPS * norm ** (size - 1) / det
-                    slack = _FILTER_EPS * norm
-                    low = det / norm ** (size - 2) * (1.0 - rel) - slack
-                    high = np.fmin.reduce(lengths, axis=0) * (1.0 + rel) + slack
-                yield pieces, labels, low, high, lambda keep: np.linalg.svd(
-                    diffs[keep], compute_uv=False).min(axis=1)
+        for (k, d), members in grids.items():
+            size, members = min(k, d + 1), np.array(members)
+            points = np.concatenate([jobs[j] for j in members])
+            offsets = k * np.arange(len(members))[:, None, None]
+            count = math.comb(k, size)
+            across, down = _grid_block(len(members), count, (size - 1) * d)
+            subsets = combinations(range(k), size)
+            for _ in range(0, count, down):
+                sub = np.fromiter(chain.from_iterable(islice(subsets, down)), dtype=np.intp)
+                sub = sub.reshape(-1, size)
+                for at in range(0, len(members), across):
+                    idx = (sub + offsets[at : at + across]).reshape(-1, size)
+                    with np.errstate(all="ignore"):
+                        diffs = points[idx[:, 1:]] - points[idx[:, :1]]
+                        norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
+                        lengths = np.sqrt(_gram_schmidt(diffs.transpose(1, 2, 0).copy()))
+                        det = lengths.prod(axis=0)
+                        rel = _FILTER_EPS * norm ** (size - 1) / det
+                        slack = _FILTER_EPS * norm
+                        low = det / norm ** (size - 2) * (1.0 - rel) - slack
+                        high = np.fmin.reduce(lengths, axis=0) * (1.0 + rel) + slack
+                    grid = (-1, len(sub))
+                    yield (members[at : at + across], sub, low.reshape(grid), high.reshape(grid),
+                           lambda keep: np.linalg.svd(diffs[keep], compute_uv=False).min(axis=1))
 
     least, first = _filtered_least(blocks(), tol, len(jobs))
     return [(v, None if f is None else tuple(f.tolist())) for v, f in zip(least, first)]
@@ -671,10 +632,11 @@ def _widest_first(
     1e-4 relative just above the guard). A NaN distance counts as under
     HULL_TOL.
 
-    The widest groups of every job are scanned together: the jobs'
-    vertices are stacked, and groups of one (|A|, |B|) shape, so of one
-    width, share blocks of at most ``_CHUNK_FLOATS`` floats that run on
-    across jobs. Each system is built once, and is the matrix, at the same
+    Jobs that hold one groups tuple (and vertices of one shape) form one
+    grid: their vertices are concatenated, and job j reads each widest
+    group's (A, B) rows shifted by its row offset k j. Each (job slice x
+    pair slice) block holds at most ``_CHUNK_FLOATS`` floats, or one
+    system. Each system is built once, and is the matrix, at the same
     width, that a scan of its job alone builds, so each job's result has
     that scan's bytes. :func:`_filtered_least` solves the systems its
     bounds leave open from the same arrays. Modified Gram-Schmidt on
@@ -686,42 +648,34 @@ def _widest_first(
     ``_FILTER_EPS``). The full scan below the guard is not filtered, so
     every message comes from it.
     """
-    shapes: dict[tuple[int, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    for j, (_, groups) in enumerate(jobs):
+    grids: dict[tuple, list[int]] = {}
+    for j, (vertices, groups) in enumerate(jobs):
         if groups:
-            width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
-            for ia, ib in groups:
-                if ia.shape[1] + ib.shape[1] == width:
-                    shapes.setdefault((ia.shape[1], ib.shape[1]), []).append((j, ia, ib))
-    start = list(accumulate((len(vertices) for vertices, _ in jobs), initial=0))
-    stacked = _stack([vertices for vertices, _ in jobs])
-
-    def rows_of(ia: np.ndarray, ib: np.ndarray, start: int) -> Callable:
-        # the job's next pairs, as rows of the stacked vertices
-        at = 0
-
-        def take(k: int) -> tuple[np.ndarray, np.ndarray]:
-            nonlocal at
-            at += k
-            pair = ia[at - k : at], ib[at - k : at]
-            return (pair[0] + start, pair[1] + start) if start else pair
-
-        return take
+            grids.setdefault((id(groups), vertices.shape), []).append(j)
 
     def blocks() -> Iterator[tuple]:
-        for (a, b), parts in shapes.items():
-            rows = max(1, _CHUNK_FLOATS // (stacked.shape[1] * (a + b - 1)))  # M and r floats
-            for pieces, (ia, ib) in _job_blocks(
-                    [(j, rows_of(ia, ib, start[j])) for j, ia, ib in parts], rows):
-                m, r = _span_systems(stacked, [(ia, ib)])
-                w = m.shape[2]
-                with np.errstate(all="ignore"):
-                    sq = _gram_schmidt(np.concatenate([m.T, r.T[None]]))
-                    kappa = np.sqrt(np.einsum("nij,nij->n", m, m) ** w / sq[:w].prod(axis=0))
-                    err = _FILTER_EPS * kappa * np.einsum("ni,ni->n", r, r)
-                    low = np.sqrt(np.maximum(sq[w] - err, 0.0))
-                    high = np.sqrt(sq[w] + err)
-                yield pieces, ia, low, high, lambda keep: _solve_spans(m[keep], r[keep])
+        for (_, (k, d)), members in grids.items():
+            groups, members = jobs[members[0]][1], np.array(members)
+            points = np.concatenate([jobs[j][0] for j in members])
+            offsets = k * np.arange(len(members))[:, None, None]
+            width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
+            for ia, ib in groups:
+                if ia.shape[1] + ib.shape[1] < width:
+                    continue
+                across, down = _grid_block(len(members), len(ia), d * (width - 1))  # M and r
+                for start, at in product(range(0, len(ia), down), range(0, len(members), across)):
+                    rows, shift = slice(start, start + down), offsets[at : at + across]
+                    m, r = _span_systems(points, [tuple(
+                        (g[rows] + shift).reshape(-1, g.shape[1]) for g in (ia, ib))])
+                    w = m.shape[2]
+                    with np.errstate(all="ignore"):
+                        sq = _gram_schmidt(np.concatenate([m.T, r.T[None]]))
+                        kappa = np.sqrt(np.einsum("nij,nij->n", m, m) ** w / sq[:w].prod(axis=0))
+                        err = _FILTER_EPS * kappa * np.einsum("ni,ni->n", r, r)
+                        low = np.sqrt(np.maximum(sq[w] - err, 0.0)).reshape(len(shift), -1)
+                        high = np.sqrt(sq[w] + err).reshape(low.shape)
+                    yield (members[at : at + across], ia[rows], low, high,
+                           lambda keep: _solve_spans(m[keep], r[keep]))
 
     # no tolerance: the guard below decides, so only the least is needed
     least, _ = _filtered_least(blocks(), -math.inf, len(jobs))

@@ -126,8 +126,9 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
     contraction and clearance bounds, the small-ball (V-mapping) property
     of the final map, hyperplane avoidance, and injectivity.
 
-    Every stage is validated before any check runs, so a malformed stage
-    raises, in stage order, before anything is measured. Then one scan
+    Every stage, and then every avoided entry, is validated before any
+    check runs, so a malformed stage raises, in stage order, and then a
+    malformed avoided list or plane, before anything is measured. Then one scan
     measures the least sigma of every stage (vertices and anchors) and one
     scan the eta and eta' spans of every stage, and the stage loop reads
     their results; each stage's values are the bytes a scan of that stage
@@ -172,6 +173,12 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         if empty.size:
             raise InputError(f"{loc}: cover_u member {int(empty[0])} is empty")
         span_jobs += [_span_job(st.vertices, n), _span_job(st.vertices, n, st.hyperplane)]
+    if len(r.avoided) != len(r.stages):
+        raise InputError("result must record one avoided hyperplane per stage")
+    for i, av in enumerate(r.avoided):
+        if av.hyperplane.ambient_dim != d:
+            raise InputError(f"avoided {i}: hyperplane has ambient dimension "
+                             f"{av.hyperplane.ambient_dim}, not {d}")
     # one scan per quantity over every stage: sigma, then eta and eta' together
     sigmas = _least_sigmas([np.vstack([st.vertices, st.anchors]) for st in r.stages], RANK_TOL)
     spans = _widest_first(span_jobs)
@@ -266,8 +273,6 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
     ok = bool(np.array_equal(r.stages[-1].f_next, r.f))
     add("final-chain", ok, 0.0 if ok else -1.0, f"stage {r.stages[-1].t}")
 
-    if len(r.avoided) != len(r.stages):
-        raise InputError("result must record one avoided hyperplane per stage")
     for st, av in zip(r.stages, r.avoided):
         loc = f"stage {st.t}"
         ok = av.hyperplane == st.hyperplane and av.eta_prime == st.eta_prime

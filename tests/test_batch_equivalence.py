@@ -21,9 +21,9 @@ the same verdict and the same least singular value up to rounding, and
 names the first maximal subset at or under the tolerance. Both decompose
 only the systems that an error-bounded Gram-Schmidt estimate cannot rule
 out; against decomposing every system they give the same values, named
-subsets and messages, byte for byte. The verifier runs one sigma scan
-over every stage and one span scan over every stage's eta and eta' jobs,
-with blocks that run on across stages; its report has the bytes of the
+subsets and messages, byte for byte. The verifier runs one sigma grid,
+one eta grid and one eta' grid over the stages that share an index array,
+with blocks that hold several stages; its report has the bytes of the
 per-stage loop that called ``_least_sigma``, ``eta`` and ``eta_prime``
 one stage at a time, on valid and tampered results and at any block size.
 Order reduction, which shrinks the least (n+2)-subset of members sharing a
@@ -82,12 +82,16 @@ from dimlab.embedding import (
     _group_row,
     _lattice_cells,
     _least_sigma,
+    _least_sigmas,
     _plane_groups,
+    _plane_pairs,
     _solve_spans,
+    _span_job,
     _span_distances,
     _span_systems,
     _stage_covers,
     _subsets,
+    _widest_first,
     ball_preimage_cover,
     enumerate_hyperplanes,
     eta,
@@ -1208,20 +1212,20 @@ class TestFilteredScans:
         assert math.isnan(least) and first == (0, 1, 2)
         with pytest.raises(GeneralPositionError, match=r"subset: \(0, 1, 2\)"):
             general_position(targets, eps=0.01)
-        one = [(0, 0, 2)]
-        blocks = [(one, np.array([[0], [1]]), np.zeros(2), np.ones(2),
+        one = [0]
+        blocks = [(one, np.array([[0], [1]]), np.zeros((1, 2)), np.ones((1, 2)),
                    lambda keep: np.array([0.5, 0.7])),
-                  (one, np.array([[2], [3]]), np.full(2, np.nan), np.full(2, np.nan),
+                  (one, np.array([[2], [3]]), np.full((1, 2), np.nan), np.full((1, 2), np.nan),
                    lambda keep: np.array([np.nan, 0.1]))]
         least, first = embedding._filtered_least(iter(blocks), 0.2, 1)
         assert math.isnan(least[0]) and first[0].tolist() == [2]
         # in a block two jobs share, one job's NaN leaves the other's least
-        # and first label alone
-        mixed = [([(0, 0, 1), (1, 1, 4)], np.array([[0], [1], [2], [3]]), np.zeros(4), np.ones(4),
-                  lambda keep: np.array([np.nan, 0.3, 0.1, 0.05]))]
-        least, first = embedding._filtered_least(iter(mixed), 0.2, 2)
-        assert math.isnan(least[0]) and least[1] == 0.05
-        assert first[0].tolist() == [0] and first[1].tolist() == [2]
+        # and first label alone; job 1 has no block and keeps (inf, None)
+        mixed = [([2, 0], np.array([[0], [1], [2]]), np.zeros((2, 3)), np.ones((2, 3)),
+                  lambda keep: np.array([np.nan, 0.3, 0.25, 0.3, 0.1, 0.05]))]
+        least, first = embedding._filtered_least(iter(mixed), 0.2, 3)
+        assert math.isnan(least[2]) and least[0] == 0.05 and least[1] == math.inf
+        assert first[2].tolist() == [0] and first[0].tolist() == [1] and first[1] is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_distances_fail(self):
@@ -1346,28 +1350,40 @@ class TestBatchedVerifier:
     @pytest.mark.parametrize("chunk", [None, 1, 9, 50])
     @pytest.mark.parametrize("tampers", STAGE_TAMPERS, ids=lambda t: "-".join(map(str, t.items())))
     def test_tampered_stages(self, monkeypatch, golden_runs, chunk, tampers):
-        # blocks of one system, of a few that run across stage boundaries,
-        # and of everything; the guard band sends only its own eta job to
-        # the full scan
+        # blocks of one system, of a few stages' systems, and of everything;
+        # the guard band sends only its own eta job to the full scan
         space, n, r = golden_runs[1]
         assert len(r.stages) == 16
         r = stage_tampered(r, tampers, np.random.default_rng(1000))
         if chunk is not None:
             monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
-        full, blocks = [], []
-        real_full, real_blocks = embedding._span_distances, embedding._job_blocks
+        full, scans, blocks, floats = [], [], [], []
+        real_full, real_least, real_gs = (embedding._span_distances, embedding._filtered_least,
+                                          embedding._gram_schmidt)
 
         def full_scan(vertices, groups):
             full.append(vertices.copy())
             return real_full(vertices, groups)
 
-        def job_blocks(parts, rows):
-            for pieces, columns in real_blocks(parts, rows):
-                blocks.append({j for j, _, _ in pieces})
-                yield pieces, columns
+        def filtered_least(scan, tol, jobs):
+            # the scan's index (0 sigma, 1 spans) and the job ids of each block
+            scan_no = len(scans)
+            scans.append(jobs)
+
+            def recorded():
+                for block in scan:
+                    blocks.append((scan_no, block[0]))
+                    yield block
+            return real_least(recorded(), tol, jobs)
+
+        def gram_schmidt(q):
+            # each block builds its systems' floats once: q is (w, d, systems)
+            floats.append((q.size, q.shape[2]))
+            return real_gs(q)
 
         monkeypatch.setattr(embedding, "_span_distances", full_scan)
-        monkeypatch.setattr(embedding, "_job_blocks", job_blocks)
+        monkeypatch.setattr(embedding, "_filtered_least", filtered_least)
+        monkeypatch.setattr(embedding, "_gram_schmidt", gram_schmidt)
         report = json.loads(report_bytes(r, space, n))
         # each full scan's vertices start with its stage's vertices
         reached = [next(t for t, st in enumerate(r.stages)
@@ -1376,9 +1392,18 @@ class TestBatchedVerifier:
         assert set(reached) == {t for t, kind in tampers.items()
                                 if kind in ("meet", "guard", "overflow")}
         assert all(reached.count(t) == 1 for t, kind in tampers.items() if kind == "guard")
-        assert any(len(jobs) > 1 for jobs in blocks) == (chunk in (None, 50))
+        assert scans == [16, 32] and len(floats) == len(blocks)
+        assert any(len(jobs) > 1 for _, jobs in blocks) == (chunk in (None, 50))
+        limit = embedding._CHUNK_FLOATS
+        assert all(size <= limit or systems == 1 for size, systems in floats)
+        # a block's jobs share one grid: sigma jobs of one vertex count, span
+        # jobs of one kind (eta at even ids, eta' at odd ones) and vertex count
+        grid = [lambda j: len(r.stages[j].vertices),
+                lambda j: (j % 2, len(r.stages[j // 2].vertices))]
+        assert all(len({grid[i](j) for j in jobs}) == 1 for i, jobs in blocks)
         monkeypatch.setattr(embedding, "_span_distances", real_full)
-        monkeypatch.setattr(embedding, "_job_blocks", real_blocks)
+        monkeypatch.setattr(embedding, "_filtered_least", real_least)
+        monkeypatch.setattr(embedding, "_gram_schmidt", real_gs)
         assert assert_per_stage(r, space, n, "overflow" not in tampers.values()) == report
         checks = {(c["name"], c["location"].split(",")[0]): c for c in report["checks"]}
         for t, kind in tampers.items():
@@ -1404,6 +1429,35 @@ class TestBatchedVerifier:
         doc["stages"][0]["anchors"] = doc["stages"][0]["anchors"][:1]
         with pytest.raises(InputError, match=r"stage 0: anchors has shape \(1, 3\)"):
             verify_result(result_from_json_dict(doc), space, n)
+
+    @pytest.mark.parametrize("chunk", [1, 9, 50])
+    def test_grouping_only_decides_batching(self, monkeypatch, chunk):
+        # jobs whose groups are equal but distinct tuples scan as jobs that
+        # share the cached tuple, and jobs of mixed vertex counts, in grids
+        # of their own, give each job's one-job result
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
+        rng = np.random.default_rng(1010)
+        for n in (1, 2):
+            d = 2 * n + 1
+            plane = enumerate_hyperplanes(n, 6)[5]
+            sets = [rng.uniform(0.0, 1.0, (s, d)) for s in (8, 8, 5, 3, 8, 2, 5, 1, 2 * n + 3)]
+            sets[1][1] = sets[1][0]  # spans meet: the full scan runs for this job
+            sets[4][2] = sets[4][0] + 1e-7 * rng.normal(size=d)  # inside the guard band
+            sets[6][3] = 0.5 * (sets[6][0] + sets[6][1])  # collinear: sigma names a subset
+            shared = [_span_job(z, n) for z in sets] + [_span_job(z, n, plane) for z in sets]
+            distinct = ([(z, _disjoint_pairs.__wrapped__(len(z), n)) for z in sets]
+                        + [(zp, _plane_pairs.__wrapped__(len(z), n, n + 1))
+                           for z, (zp, _) in zip(sets, shared[len(sets):])])
+            assert all(a[1] is not b[1] for a, b in zip(shared, distinct) if len(a[1]))
+            one = [_widest_first([job])[0] for job in shared]
+            assert sum(pair is not None for _, pair in one) >= 2
+            assert _widest_first(shared) == one == _widest_first(distinct)
+            points = [np.vstack([z, rng.uniform(0.0, 1.0, (n + 1, d))]) for z in sets]
+            points += [rng.uniform(0.0, 1.0, (3, d)), rng.uniform(0.0, 1.0, (4, 2))]
+            for tol in (RANK_TOL, 1e-3):
+                want = [_least_sigma(p, tol) for p in points]
+                assert any(first is not None for _, first in want)
+                assert _least_sigmas(points, tol) == want
 
     def test_lapack_calls_do_not_grow_with_stages(self, monkeypatch):
         # one SVD batch for sigma and one pinv batch for the spans, whatever

@@ -2,7 +2,9 @@
 
 import json
 import re
+import tracemalloc
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -143,6 +145,31 @@ class TestEnumerateHyperplanes:
         for h in enumerate_hyperplanes(2, 30):
             assert len(h.coords) == 3
             assert h.ambient_dim == 5
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_order_is_the_documented_sort(self, n):
+        """Every plane with values of denominator <= 3, sorted by (largest denominator,
+        coordinate set, value ranks), is the enumeration's prefix."""
+        ranked = stern_brocot_rationals(3)
+        rank = {v: i for i, v in enumerate(ranked)}
+        want = sorted(
+            ((coords, values) for coords in combinations(range(2 * n + 1), n + 1)
+             for values in product(ranked, repeat=n + 1)),
+            key=lambda p: (max(v.denominator for v in p[1]), p[0], [rank[v] for v in p[1]]))
+        got = enumerate_hyperplanes(n, len(want))
+        assert [(h.coords, h.values) for h in got] == want
+
+    def test_memory_does_not_grow_with_coordinate_sets(self):
+        # C(21, 11) = 352,716 coordinate sets at n = 10; the first four
+        # planes need only the first of them
+        tracemalloc.start()
+        try:
+            planes = enumerate_hyperplanes(10, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [h.coords for h in planes] == [tuple(range(11))] * 4
+        assert peak < 1 << 20
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InputError):

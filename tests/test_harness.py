@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dimlab import InputError, nobeling_embed, verify_nobeling_membership, verify_result
+from dimlab import InputError, harness, nobeling_embed, verify_nobeling_membership, verify_result
 from dimlab.embedding import result_from_json_dict, result_to_json_dict
 from conftest import line_space
 
@@ -294,6 +294,29 @@ class TestVerifyResult:
         with pytest.raises(InputError) as info:
             tampered(line_run[1], mutate)
         assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("coords", [[0, 1, 3], [0]])
+    def test_rejects_avoided_plane_of_other_dimension(self, monkeypatch, line_run, coords):
+        """An avoided plane outside I^3 is bad input, raised before anything is measured."""
+        space, r = line_run
+        bad = tampered(r, lambda doc: doc["avoided"][2].update(
+            hyperplane={"coords": coords, "values": [[1, 2]] * len(coords)}))
+
+        def measured(*args):
+            raise AssertionError("measured before the document was validated")
+
+        monkeypatch.setattr(harness, "_least_sigmas", measured)
+        dim = 2 * len(coords) - 1
+        with pytest.raises(InputError, match=rf"^avoided 2: hyperplane has ambient dimension "
+                                             rf"{dim}, not 3$"):
+            verify_result(bad, space, 1)
+
+    def test_rejects_avoided_list_of_other_length(self, monkeypatch, line_run):
+        space, r = line_run
+        bad = tampered(r, lambda doc: doc["avoided"].pop())
+        monkeypatch.setattr(harness, "_least_sigmas", None)
+        with pytest.raises(InputError, match="^result must record one avoided hyperplane per"):
+            verify_result(bad, space, 1)
 
     @pytest.mark.parametrize("where", ["result", "stage", "avoided"])
     def test_rejects_entry_that_is_not_an_object(self, line_run, where):
