@@ -165,6 +165,9 @@ class Hyperplane:
     def _offsets(self, x: np.ndarray) -> np.ndarray:
         """x_{c_i} - r_i over the fixed coordinates, along the last axis of x."""
         x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.ambient_dim:
+            raise InputError(f"points have dimension {x.shape[-1]}, but the hyperplane has "
+                             f"ambient dimension {self.ambient_dim}")
         return x[..., list(self.coords)] - np.array([float(v) for v in self.values])
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:

@@ -23,19 +23,27 @@ only the systems that an error-bounded Gram-Schmidt estimate cannot rule
 out; against decomposing every system they give the same values, named
 subsets and messages, byte for byte. The verifier runs one sigma grid,
 one eta grid and one eta' grid over the stages that share an index array,
-with blocks that hold several stages; its report has the bytes of the
-per-stage loop that called ``_least_sigma``, ``eta`` and ``eta_prime``
-one stage at a time, on valid and tampered results and at any block size.
+with blocks that hold several stages; at the default block size its report
+has the bytes of the per-stage loop that called ``_least_sigma``, ``eta``
+and ``eta_prime`` one stage at a time, on valid and tampered results, and
+every other block size gives the default size's bytes.
 Order reduction, which shrinks the least (n+2)-subset of members sharing a
 point pass after pass, gives the bytes and the shrink count of the
 lexicographic sweep of every (n+2)-subset. The star refinement, taken as k meet steps, gives the
 members, member order and witness of the per-point signature enumeration.
-The nerve, enumerated and printed as integer bit masks, gives the facets,
-face order and export bytes of the tuple-set enumeration and ``json.dumps``.
+The nerve, its faces enumerated and exported as text that marks each
+vertex with its digit count, gives the facets, face order and export bytes
+of the tuple-set enumeration and ``json.dumps``.
+
+The block size ``_CHUNK_FLOATS`` only decides how systems are batched, so a
+reference that does not depend on it is computed once per input, at the
+default size, in a module-scoped fixture, and every patched size is compared
+with those bytes.
 """
 
 import json
 import math
+import warnings
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -820,6 +828,21 @@ def planted(rng, d, k, kind, at):
 KIND_SIZES = {"coincident": 2, "collinear": 3, "off-plane": 4}
 
 
+@pytest.fixture(scope="module")
+def sigma_block_cases(golden_runs):
+    """(point sets, targets, want) of TestMaximalSubsets.test_small_blocks: want holds each
+    set's _least_sigma, the placed targets' bytes and the 16-stage line run's report, at
+    the default block size."""
+    rng = np.random.default_rng(800)
+    cases = [planted(rng, 3, 9, "collinear", (5, 7, 8)), rng.uniform(0.0, 1.0, (10, 5))]
+    targets = rng.uniform(0.0, 1.0, (7, 3))
+    space, n, r = golden_runs[1]
+    want = ([_least_sigma(p, RANK_TOL) for p in cases],
+            general_position(targets, eps=0.01, seed=3).tobytes(),
+            verify_result(r, space, n).to_json_dict())
+    return cases, targets, want
+
+
 class TestMaximalSubsets:
     """General position measures the maximal subsets only; the all-sizes scan is the reference."""
 
@@ -890,16 +913,11 @@ class TestMaximalSubsets:
             assert subset_sigma(pts, inner) >= subset_sigma(pts, outer) - 1e-12
 
     @pytest.mark.parametrize("chunk", [1, 9, 50])
-    def test_small_blocks(self, monkeypatch, golden_runs, chunk):
+    def test_small_blocks(self, monkeypatch, golden_runs, sigma_block_cases, chunk):
         # blocks of one subset, of a few and of many give the same sigma, the
         # same named subset, the same placement and the same report
-        rng = np.random.default_rng(800)
-        cases = [planted(rng, 3, 9, "collinear", (5, 7, 8)), rng.uniform(0.0, 1.0, (10, 5))]
-        targets = rng.uniform(0.0, 1.0, (7, 3))
+        cases, targets, want = sigma_block_cases
         space, n, r = golden_runs[1]
-        want = ([_least_sigma(p, RANK_TOL) for p in cases],
-                general_position(targets, eps=0.01, seed=3).tobytes(),
-                verify_result(r, space, n).to_json_dict())
         monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
         got = ([_least_sigma(p, RANK_TOL) for p in cases],
                general_position(targets, eps=0.01, seed=3).tobytes(),
@@ -976,27 +994,41 @@ def assert_filtered_scans(z, n, plane, tols=()):
                 reference_least_sigma, z, tol)
 
 
-def embed_corpus():
-    """(space, n, result or None when it fails) for the generic corpus, seeds 0 and 1.
+@pytest.fixture(scope="module")
+def corpus():
+    """(runs, calls) of the generic corpus, seeds 0 and 1: each run is (space, n, result or
+    None when it fails), and calls are the (name, args) of every eta, eta_prime and
+    _least_sigma call made while embedding.
 
     Uniform 10-point squares, the 12-point circle, the 8-, 10- and 16-point
     lines and the 3x3 grid, the failing runs included.
     """
+    calls = []
+
+    def recording(name, real):
+        def run(*args):
+            calls.append((name, args))
+            return real(*args)
+        return run
+
     th = 2 * np.pi * np.arange(12) / 12
     circle = np.column_stack([0.5 + 0.5 * np.cos(th), 0.5 + 0.5 * np.sin(th)])
     squares = [np.random.default_rng(s).uniform(0, 1, (10, 2)) for s in range(8)]
-    corpus = [(SampledSpace.from_points(x, mesh=0.3), 1, 4) for x in squares]
-    corpus += [(SampledSpace.from_points(circle, mesh=0.3), 1, 4), (line_space(8), 1, 16),
-               (line_space(8), 1, 24), (line_space(10), 1, 6), (line_space(10), 1, 9),
-               (line_space(16), 1, 8), (grid_square_space(3, 3), 2, 2)]
+    cases = [(SampledSpace.from_points(x, mesh=0.3), 1, 4) for x in squares]
+    cases += [(SampledSpace.from_points(circle, mesh=0.3), 1, 4), (line_space(8), 1, 16),
+              (line_space(8), 1, 24), (line_space(10), 1, 6), (line_space(10), 1, 9),
+              (line_space(16), 1, 8), (grid_square_space(3, 3), 2, 2)]
     runs = []
-    for space, n, T in corpus:
-        for seed in (0, 1):
-            try:
-                runs.append((space, n, nobeling_embed(space, n=n, T=T, seed=seed)))
-            except (CertificateError, GeneralPositionError):
-                runs.append((space, n, None))
-    return runs
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("eta", "eta_prime", "_least_sigma"):
+            mp.setattr(embedding, name, recording(name, getattr(embedding, name)))
+        for space, n, T in cases:
+            for seed in (0, 1):
+                try:
+                    runs.append((space, n, nobeling_embed(space, n=n, T=T, seed=seed)))
+                except (CertificateError, GeneralPositionError):
+                    runs.append((space, n, None))
+    return runs, calls
 
 
 def spans_at(rng, n, gap, angle=None):
@@ -1018,6 +1050,35 @@ def spans_at(rng, n, gap, angle=None):
     b = np.vstack([base + gap * q[-1], base + gap * q[-1] + lengths[1] * dirs_b])
     b += rng.uniform(-0.1, 0.1) * (b[1] - b[0])
     return np.vstack([a, b])
+
+
+@pytest.fixture(scope="module")
+def small_block_cases():
+    """(sigma cases, tolerances, their sigma outcomes, span cases, their eta and eta'
+    outcomes) of TestFilteredScans.test_small_blocks, the outcomes from the references."""
+    rng = np.random.default_rng(940)
+    two = planted(rng, 3, 9, "collinear", (6, 7, 8))
+    two[2] = two[0] + 0.5 * (two[1] - two[0]) + 1e-5
+    cases = [rng.uniform(0.0, 1.0, (9, 3)), planted(rng, 3, 9, "collinear", (2, 5, 8)),
+             planted(rng, 5, 9, "off-plane", (0, 3, 4, 8)), spans_at(rng, 1, 1e-8, 1e-7), two]
+    tols = (RANK_TOL, 1e-3)
+    want = [sigma_outcome(reference_least_sigma, p, tol) for p in cases for tol in tols]
+    rng = np.random.default_rng(980)
+    span_cases = []
+    for n in (1, 2, 3):
+        planes = enumerate_hyperplanes(n, 20)
+        for s in (2, 3, 5, 2 * n + 3):
+            span_cases.append((rng.uniform(0.0, 1.0, (s, 2 * n + 1)), n,
+                               planes[int(rng.integers(len(planes)))]))
+    for n, gap in ((1, 1e-10), (1, 1e-7), (2, 5e-7), (2, 1e-5)):
+        z = np.vstack([spans_at(rng, n, gap), rng.uniform(0.0, 1.0, (2, 2 * n + 1))])
+        plane = Hyperplane(tuple(range(n + 1)), (F(1, 2),) * (n + 1))
+        z[-1, list(plane.coords)] = 0.5
+        span_cases.append((z, n, plane))
+    want_spans = [(outcome(lambda: reference_eta(z, n)),
+                   outcome(lambda: reference_eta_prime(z, plane, n)))
+                  for z, n, plane in span_cases]
+    return cases, tols, want, span_cases, want_spans
 
 
 class TestFilteredScans:
@@ -1106,21 +1167,11 @@ class TestFilteredScans:
         tie = np.vstack([np.zeros(d), np.eye(d)])
         assert_filtered_scans(tie, n, planes[0], tols=(reference_least_sigma(tie, 0.0)[0],))
 
-    def test_every_call_of_the_corpus(self, monkeypatch):
+    def test_every_call_of_the_corpus(self, corpus):
         # the inputs of every eta, eta_prime and general-position call made
         # while embedding the generic corpus, the failing runs included
-        calls = []
-
-        def recording(name, real):
-            def run(*args):
-                calls.append((name, args))
-                return real(*args)
-            return run
-
-        for name in ("eta", "eta_prime", "_least_sigma"):
-            monkeypatch.setattr(embedding, name, recording(name, getattr(embedding, name)))
-        failed = sum(r is None for _, _, r in embed_corpus())
-        monkeypatch.undo()
+        runs, calls = corpus
+        failed = sum(r is None for _, _, r in runs)
         references = {"eta": (eta, reference_eta),
                       "eta_prime": (eta_prime, reference_eta_prime)}
         for name, args in calls:
@@ -1134,37 +1185,16 @@ class TestFilteredScans:
         assert 10 <= failed < 30
 
     @pytest.mark.parametrize("chunk", [1, 9, 50])
-    def test_small_blocks(self, monkeypatch, chunk):
+    def test_small_blocks(self, monkeypatch, small_block_cases, chunk):
         # the bound carried from block to block never drops a system that
         # sets the result. Sigma: in the last case points 0-2 are 1e-5 off a
         # line and points 6-8 are on one, so under the loose tolerance the
         # first subset named is not the one with the least sigma. Spans:
         # random sets (two widest groups at s = 5, n = 3), spans on both
         # sides of SCAN_GUARD and HULL_TOL, and a vertex on the plane
-        rng = np.random.default_rng(940)
-        two = planted(rng, 3, 9, "collinear", (6, 7, 8))
-        two[2] = two[0] + 0.5 * (two[1] - two[0]) + 1e-5
-        cases = [rng.uniform(0.0, 1.0, (9, 3)), planted(rng, 3, 9, "collinear", (2, 5, 8)),
-                 planted(rng, 5, 9, "off-plane", (0, 3, 4, 8)), spans_at(rng, 1, 1e-8, 1e-7), two]
-        tols = (RANK_TOL, 1e-3)
-        want = [sigma_outcome(reference_least_sigma, p, tol) for p in cases for tol in tols]
-        least, first = reference_least_sigma(cases[-1], 1e-3)
-        assert first[:3] == (0, 1, 2) and least < 1e-9
-        rng = np.random.default_rng(980)
-        span_cases = []
-        for n in (1, 2, 3):
-            planes = enumerate_hyperplanes(n, 20)
-            for s in (2, 3, 5, 2 * n + 3):
-                span_cases.append((rng.uniform(0.0, 1.0, (s, 2 * n + 1)), n,
-                                   planes[int(rng.integers(len(planes)))]))
-        for n, gap in ((1, 1e-10), (1, 1e-7), (2, 5e-7), (2, 1e-5)):
-            z = np.vstack([spans_at(rng, n, gap), rng.uniform(0.0, 1.0, (2, 2 * n + 1))])
-            plane = Hyperplane(tuple(range(n + 1)), (F(1, 2),) * (n + 1))
-            z[-1, list(plane.coords)] = 0.5
-            span_cases.append((z, n, plane))
-        want_spans = [(outcome(lambda: reference_eta(z, n)),
-                       outcome(lambda: reference_eta_prime(z, plane, n)))
-                      for z, n, plane in span_cases]
+        cases, tols, want, span_cases, want_spans = small_block_cases
+        least, first = want[-1]
+        assert first[:3] == (0, 1, 2) and np.frombuffer(least)[0] < 1e-9
         assert sum(isinstance(o, str) for pair in want_spans for o in pair) >= 3
         for patched in (False, True):
             if patched:
@@ -1247,10 +1277,10 @@ class TestFilteredScans:
         assert _subsets.cache_info() == before
         assert first is None and RANK_TOL < least < 1e-3
 
-    def test_few_systems_reach_lapack(self, monkeypatch):
+    def test_few_systems_reach_lapack(self, monkeypatch, golden_runs):
         # the 8-point line at n = 1, T = 16: each stage has 210 eta systems
         # (8 vertices) and 210 maximal subsets (with the 2 anchors)
-        r = nobeling_embed(line_space(8), n=1, T=16, seed=0)
+        r = golden_runs[1][2]
         rows = {"pinv": 0, "svd": 0}
 
         def counting(name, real):
@@ -1303,13 +1333,13 @@ def per_stage_report(r, space, n, least_sigma=_least_sigma, eta_of=eta, eta_prim
 def assert_per_stage(r, space, n, unfiltered=True):
     """verify_result's report is the per-stage loop's, byte for byte; with ``unfiltered`` also
     that of the loop over the references that decompose every system (which, unlike the
-    library, let a NaN value pass)."""
+    library, let a NaN value pass). Returns the report's bytes."""
     got = report_bytes(r, space, n)
     assert got == per_stage_report(r, space, n)
     if unfiltered:
         assert got == per_stage_report(r, space, n, reference_least_sigma, reference_eta,
                                        reference_eta_prime)
-    return json.loads(got)
+    return got
 
 
 def stage_tampered(r, tampers, rng):
@@ -1336,12 +1366,54 @@ STAGE_TAMPERS = [{3: "meet"}, {5: "guard"}, {9: "overflow"}, {2: 3, 7: 2, 11: 1}
                  {2: 3, 3: "meet", 5: "guard", 7: 2, 9: "overflow", 11: 1}]
 
 
+@pytest.fixture(scope="module")
+def tampered_reports(golden_runs):
+    """{tamper set items: (tampered run, report bytes)} for the 16-stage line run, each
+    report checked against the per-stage loops once, at the default block size."""
+    space, n, r = golden_runs[1]
+    out = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflows are the point
+        for tampers in STAGE_TAMPERS:
+            bad = stage_tampered(r, tampers, np.random.default_rng(1000))
+            report = assert_per_stage(bad, space, n, "overflow" not in tampers.values())
+            out[tuple(tampers.items())] = bad, report
+    return out
+
+
+@pytest.fixture(scope="module")
+def grouping_cases():
+    """Per n in (1, 2): the span jobs with cached and with distinct group tuples, each
+    job's one-job _widest_first result, the sigma jobs and each one's _least_sigma per
+    tolerance, all at the default block size."""
+    rng = np.random.default_rng(1010)
+    cases = []
+    for n in (1, 2):
+        d = 2 * n + 1
+        plane = enumerate_hyperplanes(n, 6)[5]
+        sets = [rng.uniform(0.0, 1.0, (s, d)) for s in (8, 8, 5, 3, 8, 2, 5, 1, 2 * n + 3)]
+        sets[1][1] = sets[1][0]  # spans meet: the full scan runs for this job
+        sets[4][2] = sets[4][0] + 1e-7 * rng.normal(size=d)  # inside the guard band
+        sets[6][3] = 0.5 * (sets[6][0] + sets[6][1])  # collinear: sigma names a subset
+        shared = [_span_job(z, n) for z in sets] + [_span_job(z, n, plane) for z in sets]
+        distinct = ([(z, _disjoint_pairs.__wrapped__(len(z), n)) for z in sets]
+                    + [(zp, _plane_pairs.__wrapped__(len(z), n, n + 1))
+                       for z, (zp, _) in zip(sets, shared[len(sets):])])
+        one = [_widest_first([job])[0] for job in shared]
+        points = [np.vstack([z, rng.uniform(0.0, 1.0, (n + 1, d))]) for z in sets]
+        points += [rng.uniform(0.0, 1.0, (3, d)), rng.uniform(0.0, 1.0, (4, 2))]
+        want = {tol: [_least_sigma(p, tol) for p in points] for tol in (RANK_TOL, 1e-3)}
+        cases.append((shared, distinct, one, points, want))
+    return cases
+
+
 class TestBatchedVerifier:
     """verify_result scans sigma once over every stage and the spans once over the 2T eta and
-    eta' jobs; its report has the bytes of the per-stage loop."""
+    eta' jobs; its report has the bytes of the per-stage loop at the default block size, and
+    the same bytes at every other block size."""
 
-    def test_golden_and_corpus_runs(self, golden_runs):
-        runs = [run for run in embed_corpus() if run[2] is not None]
+    def test_golden_and_corpus_runs(self, golden_runs, corpus):
+        runs = [run for run in corpus[0] if run[2] is not None]
         assert len(runs) >= 6
         for space, n, r in golden_runs + runs:
             assert_per_stage(r, space, n)
@@ -1349,12 +1421,12 @@ class TestBatchedVerifier:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
     @pytest.mark.parametrize("chunk", [None, 1, 9, 50])
     @pytest.mark.parametrize("tampers", STAGE_TAMPERS, ids=lambda t: "-".join(map(str, t.items())))
-    def test_tampered_stages(self, monkeypatch, golden_runs, chunk, tampers):
+    def test_tampered_stages(self, monkeypatch, golden_runs, tampered_reports, chunk, tampers):
         # blocks of one system, of a few stages' systems, and of everything;
         # the guard band sends only its own eta job to the full scan
-        space, n, r = golden_runs[1]
+        space, n, _ = golden_runs[1]
+        r, want = tampered_reports[tuple(tampers.items())]
         assert len(r.stages) == 16
-        r = stage_tampered(r, tampers, np.random.default_rng(1000))
         if chunk is not None:
             monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
         full, scans, blocks, floats = [], [], [], []
@@ -1384,7 +1456,9 @@ class TestBatchedVerifier:
         monkeypatch.setattr(embedding, "_span_distances", full_scan)
         monkeypatch.setattr(embedding, "_filtered_least", filtered_least)
         monkeypatch.setattr(embedding, "_gram_schmidt", gram_schmidt)
-        report = json.loads(report_bytes(r, space, n))
+        got = report_bytes(r, space, n)
+        assert got == want
+        report = json.loads(got)
         # each full scan's vertices start with its stage's vertices
         reached = [next(t for t, st in enumerate(r.stages)
                         if v[: len(st.vertices)].tobytes() == st.vertices.tobytes()) for v in full]
@@ -1401,10 +1475,6 @@ class TestBatchedVerifier:
         grid = [lambda j: len(r.stages[j].vertices),
                 lambda j: (j % 2, len(r.stages[j // 2].vertices))]
         assert all(len({grid[i](j) for j in jobs}) == 1 for i, jobs in blocks)
-        monkeypatch.setattr(embedding, "_span_distances", real_full)
-        monkeypatch.setattr(embedding, "_filtered_least", real_least)
-        monkeypatch.setattr(embedding, "_gram_schmidt", real_gs)
-        assert assert_per_stage(r, space, n, "overflow" not in tampers.values()) == report
         checks = {(c["name"], c["location"].split(",")[0]): c for c in report["checks"]}
         for t, kind in tampers.items():
             eta_check = checks[("eta", f"stage {t}")]
@@ -1413,6 +1483,17 @@ class TestBatchedVerifier:
                 assert not checks[("general-position", f"stage {t}")]["passed"]
             elif kind == "guard":  # measured by the full scan, and not the stored value
                 assert -1.0 < eta_check["margin"] < 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
+    def test_per_stage_loop_in_blocks_of_one(self, monkeypatch, golden_runs, tampered_reports):
+        # the one-job scans in blocks of one system each, on a meeting, a
+        # guard-band and an overflowing stage, give the default size's bytes
+        space, n, _ = golden_runs[1]
+        union = STAGE_TAMPERS[-1]
+        assert {"meet", "guard", "overflow"} <= set(union.values())
+        r, want = tampered_reports[tuple(union.items())]
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 1)
+        assert assert_per_stage(r, space, n, unfiltered=False) == want
 
     @pytest.mark.parametrize("coords", [[0], [0, 1, 3]])
     def test_first_malformed_stage_raises(self, golden_runs, coords):
@@ -1431,33 +1512,18 @@ class TestBatchedVerifier:
             verify_result(result_from_json_dict(doc), space, n)
 
     @pytest.mark.parametrize("chunk", [1, 9, 50])
-    def test_grouping_only_decides_batching(self, monkeypatch, chunk):
+    def test_grouping_only_decides_batching(self, monkeypatch, grouping_cases, chunk):
         # jobs whose groups are equal but distinct tuples scan as jobs that
         # share the cached tuple, and jobs of mixed vertex counts, in grids
         # of their own, give each job's one-job result
         monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
-        rng = np.random.default_rng(1010)
-        for n in (1, 2):
-            d = 2 * n + 1
-            plane = enumerate_hyperplanes(n, 6)[5]
-            sets = [rng.uniform(0.0, 1.0, (s, d)) for s in (8, 8, 5, 3, 8, 2, 5, 1, 2 * n + 3)]
-            sets[1][1] = sets[1][0]  # spans meet: the full scan runs for this job
-            sets[4][2] = sets[4][0] + 1e-7 * rng.normal(size=d)  # inside the guard band
-            sets[6][3] = 0.5 * (sets[6][0] + sets[6][1])  # collinear: sigma names a subset
-            shared = [_span_job(z, n) for z in sets] + [_span_job(z, n, plane) for z in sets]
-            distinct = ([(z, _disjoint_pairs.__wrapped__(len(z), n)) for z in sets]
-                        + [(zp, _plane_pairs.__wrapped__(len(z), n, n + 1))
-                           for z, (zp, _) in zip(sets, shared[len(sets):])])
+        for shared, distinct, one, points, want in grouping_cases:
             assert all(a[1] is not b[1] for a, b in zip(shared, distinct) if len(a[1]))
-            one = [_widest_first([job])[0] for job in shared]
             assert sum(pair is not None for _, pair in one) >= 2
             assert _widest_first(shared) == one == _widest_first(distinct)
-            points = [np.vstack([z, rng.uniform(0.0, 1.0, (n + 1, d))]) for z in sets]
-            points += [rng.uniform(0.0, 1.0, (3, d)), rng.uniform(0.0, 1.0, (4, 2))]
             for tol in (RANK_TOL, 1e-3):
-                want = [_least_sigma(p, tol) for p in points]
-                assert any(first is not None for _, first in want)
-                assert _least_sigmas(points, tol) == want
+                assert any(first is not None for _, first in want[tol])
+                assert _least_sigmas(points, tol) == want[tol]
 
     def test_lapack_calls_do_not_grow_with_stages(self, monkeypatch):
         # one SVD batch for sigma and one pinv batch for the spans, whatever
@@ -2064,8 +2130,8 @@ def random_complex(rng, vertex_count):
 
 
 class TestNerveMasks:
-    """The mask enumeration and byte writer give the facets, face order and
-    bytes of the tuple sets and ``json.dumps``."""
+    """The digit-marked face text and the byte writer give the facets, face order
+    and bytes of the tuple sets and ``json.dumps``."""
 
     def test_cover_calculus_pass(self):
         orders = {}

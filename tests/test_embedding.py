@@ -95,6 +95,17 @@ class TestHyperplane:
         assert h.contains(np.array([0.0, 0.5, 0.77]))
         assert not h.contains(x)
 
+    @pytest.mark.parametrize("x", [[0.3, 0.1], [[0.3, 0.1, 0.9, 0.2]] * 2], ids=["point", "rows"])
+    def test_point_tests_refuse_other_dimensions(self, x):
+        # the plane fixes coordinates 0 and 1 of I^3, which a point of
+        # I^2 or I^4 also has: each would otherwise get a silent verdict
+        h = Hyperplane((0, 1), (F(0), F(1, 2)))
+        dim = np.shape(x)[-1]
+        for test in (h.contains, h.distance_to_point, h.equation_violation):
+            with pytest.raises(InputError, match=rf"^points have dimension {dim}, but the "
+                                                 rf"hyperplane has ambient dimension 3$"):
+                test(np.array(x))
+
     def test_json_round_trip(self):
         h = Hyperplane((0, 2), (F(2, 5), F(1)))
         assert Hyperplane.from_json_dict(h.to_json_dict()) == h

@@ -422,6 +422,18 @@ class TestVerifyMembership:
             assert c.name == "rational-avoidance"
             assert c.margin > 0.0
 
+    @pytest.mark.parametrize("coords", [[0, 1, 3], [0]])
+    def test_refuses_avoided_plane_of_other_dimension(self, coords):
+        """One image point in I^3 against a plane of I^5 (no column 3) or of I^1 (column 0 only)."""
+        r = nobeling_embed(line_space(1, mesh=0.5), n=1, T=1, seed=0)
+        assert r.f.shape == (1, 3)
+        bad = tampered(r, lambda doc: doc["avoided"][0].update(
+            hyperplane={"coords": coords, "values": [[1, 2]] * len(coords)}))
+        dim = 2 * len(coords) - 1
+        with pytest.raises(InputError, match=rf"^points have dimension 3, but the hyperplane "
+                                             rf"has ambient dimension {dim}$"):
+            verify_nobeling_membership(bad)
+
     def test_detects_forged_margin(self, line_run):
         _, r = line_run
 
