@@ -149,10 +149,14 @@ class Hyperplane:
         fixed = set(self.coords)
         return tuple(i for i in range(self.ambient_dim) if i not in fixed)
 
+    @functools.cached_property
+    def _levels(self) -> np.ndarray:
+        """The values as floats; built once per plane, read-only."""
+        return _as_readonly([float(v) for v in self.values])
+
     def base_point(self) -> np.ndarray:
         x = np.full(self.ambient_dim, 0.5)
-        for c, v in zip(self.coords, self.values):
-            x[c] = float(v)
+        x[list(self.coords)] = self._levels
         return x
 
     def basis(self) -> np.ndarray:
@@ -168,7 +172,7 @@ class Hyperplane:
         if x.shape[-1] != self.ambient_dim:
             raise InputError(f"points have dimension {x.shape[-1]}, but the hyperplane has "
                              f"ambient dimension {self.ambient_dim}")
-        return x[..., list(self.coords)] - np.array([float(v) for v in self.values])
+        return x[..., list(self.coords)] - self._levels
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         return self.equation_violation(x) <= 0.0
@@ -183,6 +187,12 @@ class Hyperplane:
         """Largest single-equation violation max_i |x_{c_i} - r_i|."""
         worst = np.abs(self._offsets(x)).max(axis=-1)
         return float(worst) if worst.ndim == 0 else worst
+
+    @functools.cached_property
+    def _span_points(self) -> np.ndarray:
+        """The base point, then the base point plus each basis row; built once per plane, read-only."""
+        base = self.base_point()
+        return _as_readonly(np.vstack([base, base + self.basis()]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,13 +264,15 @@ def _gram_schmidt(q: np.ndarray) -> np.ndarray:
     out of it. A zero length gives NaN in the later entries, so callers
     treat non-finite values as undecided.
     """
-    # np.add.reduce is what ndarray.sum runs, without its Python wrapper
+    # np.add.reduce is what ndarray.sum runs, without its Python wrapper; one
+    # product and one reduction give vector i's squared length and its dot
+    # products with the later vectors
     sq = np.empty((q.shape[0], q.shape[2]))
     for i, qi in enumerate(q):
-        np.add.reduce(qi * qi, axis=0, out=sq[i])
-        later = q[i + 1 :]
-        if len(later):
-            later -= np.add.reduce(later * qi, axis=1)[:, None] / sq[i] * qi
+        dots = np.add.reduce(q[i:] * qi, axis=1)
+        sq[i] = dots[0]
+        if i + 1 < len(q):
+            q[i + 1 :] -= dots[1:, None] / dots[0] * qi
     return sq
 
 
@@ -304,6 +316,23 @@ def _filtered_least(
     return least.tolist(), first
 
 
+def _grid_points(points: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The stacked points of a grid's jobs, and each job's row offset as a (jobs, 1, 1) array.
+
+    A one-job grid reads its points as they are, with no offsets.
+    """
+    if len(points) == 1:
+        return points[0], None
+    return np.concatenate(points), len(points[0]) * np.arange(len(points))[:, None, None]
+
+
+def _grid_rows(rows: np.ndarray, offsets: np.ndarray | None, at: int, across: int) -> np.ndarray:
+    """Index ``rows`` as jobs at..at+across of a grid read them, job-major."""
+    if offsets is None:
+        return rows
+    return (rows + offsets[at : at + across]).reshape(-1, rows.shape[1])
+
+
 def _grid_block(jobs: int, systems: int, floats: int) -> tuple[int, int]:
     """Jobs and systems per block of a (jobs x systems) grid of ``floats`` floats per system:
     at most ``_CHUNK_FLOATS`` floats, or one system."""
@@ -343,10 +372,14 @@ def _least_sigmas(
     K u is ``_FILTER_EPS``. Jobs of one point shape (k, d) share the subsets
     of ``combinations(range(k), size)`` and form one grid: their points are
     concatenated, and job j reads each subset shifted by its row offset k j.
-    The subsets are taken in slices, and each (job slice x subset slice)
-    block holds at most ``_CHUNK_FLOATS`` difference floats, or one subset.
-    Every decomposed D is the matrix that a scan of its job alone
-    decomposes, so each job's result has that scan's bytes.
+    Each (job slice x subset slice) block holds at most ``_CHUNK_FLOATS``
+    difference floats, or one subset, and gathers its subsets' points once.
+    When one slice holds every subset in at most 2^16 indices (the
+    builder's 210 subsets of 10 points) it is the cached :func:`_subsets`
+    table; otherwise the slices are streamed from ``combinations``, so no
+    cached table grows with the input. Every
+    decomposed D is the matrix that a scan of its job alone decomposes, so
+    each job's result has that scan's bytes.
     """
     grids: dict[tuple[int, int], list[int]] = {}
     for j, points in enumerate(jobs):
@@ -356,18 +389,21 @@ def _least_sigmas(
     def blocks() -> Iterator[tuple]:
         for (k, d), members in grids.items():
             size, members = min(k, d + 1), np.array(members)
-            points = np.concatenate([jobs[j] for j in members])
-            offsets = k * np.arange(len(members))[:, None, None]
+            points, offsets = _grid_points([jobs[j] for j in members])
             count = math.comb(k, size)
             across, down = _grid_block(len(members), count, (size - 1) * d)
-            subsets = combinations(range(k), size)
-            for _ in range(0, count, down):
-                sub = np.fromiter(chain.from_iterable(islice(subsets, down)), dtype=np.intp)
-                sub = sub.reshape(-1, size)
+            if down == count and count * size <= 1 << 16:
+                slices: Iterable[np.ndarray] = [_subsets(k, size)]
+            else:
+                subsets = combinations(range(k), size)
+                slices = (np.fromiter(chain.from_iterable(islice(subsets, down)), dtype=np.intp)
+                          .reshape(-1, size) for _ in range(0, count, down))
+            for sub in slices:
                 for at in range(0, len(members), across):
-                    idx = (sub + offsets[at : at + across]).reshape(-1, size)
+                    # the gathered points are dropped once differenced
+                    diffs = points.take(_grid_rows(sub, offsets, at, across), axis=0)
                     with np.errstate(all="ignore"):
-                        diffs = points[idx[:, 1:]] - points[idx[:, :1]]
+                        diffs = diffs[:, 1:] - diffs[:, :1]
                         norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
                         lengths = np.sqrt(_gram_schmidt(diffs.transpose(1, 2, 0).copy()))
                         det = lengths.prod(axis=0)
@@ -386,6 +422,13 @@ def _least_sigmas(
 def _least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...] | None]:
     """:func:`_least_sigmas` of one set of points."""
     return _least_sigmas([points], tol)[0]
+
+
+def _check_seed(seed) -> None:
+    """A seed is a non-negative integer or a tuple (or list) of them, as numpy's generators take."""
+    for part in seed if isinstance(seed, (tuple, list)) else (seed,):
+        if not (isinstance(part, (int, np.integer)) and not isinstance(part, bool) and part >= 0):
+            raise InputError(f"seed must be a non-negative integer or a tuple of them, got {seed!r}")
 
 
 def general_position(
@@ -412,18 +455,23 @@ def general_position(
     inside on their own). Round 0 tries the projected targets unperturbed;
     later rounds redraw uniform perturbations of Euclidean size <= eps/2
     (on the free coordinates only, for a constrained point) from a
-    generator seeded by ``seed``, so results are reproducible. Exhausting
-    the round budget raises and names the last round's lexicographically
-    first violating maximal subset.
+    generator seeded by ``seed``, a non-negative integer or a tuple of
+    them, so results are reproducible; the generator is made on the first
+    perturbed round. ``eps`` must be positive and finite and ``rounds`` at
+    least 1. Exhausting the round budget raises and names the last round's
+    lexicographically first violating maximal subset.
     """
     pts = _float_array(targets, "targets")
     if pts.ndim != 2:
         raise InputError("targets must be points of a common dimension")
     k, d = pts.shape
-    if not (eps > 0):
-        raise InputError("perturbation budget must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise InputError(f"perturbation budget must be positive and finite, got {eps!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"rank tolerance must be finite and nonnegative, got {tol!r}")
+    if not (type(rounds) is int and rounds >= 1):
+        raise InputError(f"round budget must be an integer >= 1, got {rounds!r}")
+    _check_seed(seed)
     planes: list[Hyperplane | None] = list(constraints) if constraints else [None] * k
     if len(planes) != k:
         raise InputError("need one constraint entry (possibly None) per target")
@@ -438,33 +486,30 @@ def general_position(
             raise InputError(
                 f"target {i} lies {gap:.3g} from its constraint hyperplane, beyond eps"
             )
-        projected[i, list(plane.coords)] = [float(v) for v in plane.values]
+        projected[i, list(plane.coords)] = plane._levels
+    free = np.array([plane is None for plane in planes], dtype=bool)
     if box is not None:
         lo, hi = (np.asarray(b, dtype=float) for b in box)
-    rng = np.random.default_rng(seed)
+    rng = None
     violation: tuple[int, ...] | None = None
     for round_no in range(rounds):
         candidate = projected.copy()
         if round_no > 0:
+            # made on the first perturbed round: round 0 draws nothing
+            rng = np.random.default_rng(seed) if rng is None else rng
             for i, plane in enumerate(planes):
-                free = list(range(d)) if plane is None else list(plane.free_coords)
-                if free:
-                    noise = rng.uniform(-1.0, 1.0, len(free))
-                    candidate[i, free] += noise * (eps / (2.0 * math.sqrt(len(free))))
+                axes = list(range(d)) if plane is None else list(plane.free_coords)
+                if axes:
+                    noise = rng.uniform(-1.0, 1.0, len(axes))
+                    candidate[i, axes] += noise * (eps / (2.0 * math.sqrt(len(axes))))
         if box is not None:
             # clipping a constrained point could move it off its hyperplane,
             # so a constrained point outside the box invalidates the round
-            escaped = False
-            for i, plane in enumerate(planes):
-                if plane is None:
-                    candidate[i] = np.clip(candidate[i], lo, hi)
-                elif ((candidate[i] < lo) | (candidate[i] > hi)).any():
-                    escaped = True
-                    break
-            if escaped:
+            candidate[free] = np.clip(candidate[free], lo, hi)
+            fixed = candidate[~free]
+            if ((fixed < lo) | (fixed > hi)).any():
                 continue
-        shift = np.linalg.norm(candidate - pts, axis=1)
-        if round_no > 0 and (shift >= eps).any():
+        if round_no > 0 and (np.linalg.norm(candidate - pts, axis=1) >= eps).any():
             continue
         _, violation = _least_sigma(candidate, tol)
         if violation is None:
@@ -547,26 +592,33 @@ def _group_row(groups: Sequence[tuple[np.ndarray, np.ndarray]], i: int) -> tuple
     raise IndexError(i)
 
 
-def _span_systems(
-    vertices: np.ndarray, groups: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The padded least-squares systems (M, r) of :func:`_span_distances`, one row per pair."""
-    d = vertices.shape[1]
-    widths = [ia.shape[1] + ib.shape[1] - 2 for ia, ib in groups]
-    total = sum(len(ia) for ia, _ in groups)
-    m = np.zeros((total, d, max(widths)))
-    r = np.empty((total, d))
-    at = 0
-    for (ia, ib), width in zip(groups, widths):
-        rows = slice(at, at + len(ia))
-        pa = vertices[ia]
-        pb = vertices[ib]
-        ka = ia.shape[1] - 1
-        m[rows, :, :ka] = (pa[:, 1:] - pa[:, :1]).transpose(0, 2, 1)
-        m[rows, :, ka:width] = (pb[:, 1:] - pb[:, :1]).transpose(0, 2, 1)
-        r[rows] = pb[:, 0] - pa[:, 0]
-        at += len(ia)
-    return m, r
+@functools.lru_cache(maxsize=32)
+def _span_selectors(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column selectors (tails, heads) of the [M | r] columns of an (A, B) pair, |A| = a, |B| = b.
+
+    On the pair's points p = [A | B], column i is p[tails[i]] - p[heads[i]]:
+    the edges of A from A_0, then those of B from B_0, then r = B_0 - A_0.
+    They depend only on the sizes; the arrays are read-only.
+    """
+    tails = np.r_[1:a, a + 1 : a + b, a]
+    heads = np.repeat([0, a, 0], [a - 1, b - 1, 1])
+    for sel in (tails, heads):
+        sel.setflags(write=False)
+    return tails, heads
+
+
+def _span_columns(points: np.ndarray, rows: np.ndarray, a: int) -> np.ndarray:
+    """The [M | r] columns of the span systems whose [A | B] point indices are ``rows``, |A| = a.
+
+    One gather of the rows' points and one subtraction with the
+    :func:`_span_selectors` give a (systems, w + 1, d) array: M's
+    w = |A| + |B| - 2 edge columns, then r.
+    """
+    tails, heads = _span_selectors(a, rows.shape[1] - a)
+    p = points.take(rows, axis=0)
+    cols = p.take(tails, axis=1)
+    cols -= p.take(heads, axis=1)
+    return cols
 
 
 def _solve_spans(m: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -585,11 +637,20 @@ def _span_distances(
     ``groups`` holds nonempty index arrays (A rows, B rows) of equal subset
     sizes (for ``eta_prime`` the B rows are a hyperplane's spanning points,
     see :func:`_plane_groups`). Each pair is one least-squares system: M the
-    edge directions of A then of B, r the base-point difference, padded
-    with zero columns to a common width; dist^2 = |r|^2 - r^T M M^+ r. The
-    distances have the bytes of solving each system on its own.
+    edge directions of A then of B, r the base-point difference
+    (:func:`_span_columns`), M padded with zero columns to a common width;
+    dist^2 = |r|^2 - r^T M M^+ r. The distances have the bytes of solving
+    each system on its own.
     """
-    return _solve_spans(*_span_systems(vertices, groups))
+    cols = [_span_columns(vertices, np.concatenate((ia, ib), axis=1), ia.shape[1])
+            for ia, ib in groups]
+    width = max(c.shape[1] for c in cols) - 1
+    m = np.zeros((sum(len(c) for c in cols), vertices.shape[1], width))
+    at = 0
+    for c in cols:
+        m[at : at + len(c), :, : c.shape[1] - 1] = c[:, :-1].transpose(0, 2, 1)
+        at += len(c)
+    return _solve_spans(m, np.concatenate([c[:, -1] for c in cols]))
 
 
 def _plane_groups(
@@ -603,8 +664,7 @@ def _plane_groups(
     are unit vectors and the base point is 1/2 on the free axes, so the
     appended edges are the basis rows exactly.
     """
-    base = plane.base_point()
-    span = np.vstack([base, base + plane.basis()])
+    span = plane._span_points
     return np.vstack([vertices, span]), _plane_pairs(vertices.shape[0], n, len(span))
 
 
@@ -637,16 +697,17 @@ def _widest_first(
 
     Jobs that hold one groups tuple (and vertices of one shape) form one
     grid: their vertices are concatenated, and job j reads each widest
-    group's (A, B) rows shifted by its row offset k j. Each (job slice x
+    group's [A | B] rows shifted by its row offset k j. Each (job slice x
     pair slice) block holds at most ``_CHUNK_FLOATS`` floats, or one
-    system. Each system is built once, and is the matrix, at the same
-    width, that a scan of its job alone builds, so each job's result has
-    that scan's bytes. :func:`_filtered_least` solves the systems its
-    bounds leave open from the same arrays. Modified Gram-Schmidt on
-    [M r] gives M's column lengths R_ii and the residual a. With
-    kappa = |M|_F^w / prod R_ii >= cond(M) (w columns), a^2 and the pinv
-    form each lie within a small multiple of u kappa |r|^2 of the exact
-    value (Higham, ch. 19-20), so the distance lies between
+    system, and builds its systems' [M | r] columns with one gather
+    (:func:`_span_columns`). Each system is built once, and is the matrix,
+    at the same width, that a scan of its job alone builds, so each job's
+    result has that scan's bytes. :func:`_filtered_least` solves the
+    systems its bounds leave open from the same arrays. Modified
+    Gram-Schmidt on [M r] gives M's column lengths R_ii and the residual a.
+    With kappa = |M|_F^w / prod R_ii >= cond(M) (w columns), a^2 and the
+    pinv form each lie within a small multiple of u kappa |r|^2 of the
+    exact value (Higham, ch. 19-20), so the distance lies between
     sqrt(max(a^2 - e, 0)) and sqrt(a^2 + e), e = K u kappa |r|^2 (K u is
     ``_FILTER_EPS``). The full scan below the guard is not filtered, so
     every message comes from it.
@@ -659,25 +720,26 @@ def _widest_first(
     def blocks() -> Iterator[tuple]:
         for (_, (k, d)), members in grids.items():
             groups, members = jobs[members[0]][1], np.array(members)
-            points = np.concatenate([jobs[j][0] for j in members])
-            offsets = k * np.arange(len(members))[:, None, None]
+            points, offsets = _grid_points([jobs[j][0] for j in members])
             width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
+            w = width - 2  # M's columns; a system holds d (w + 1) floats
             for ia, ib in groups:
                 if ia.shape[1] + ib.shape[1] < width:
                     continue
-                across, down = _grid_block(len(members), len(ia), d * (width - 1))  # M and r
+                joined = np.concatenate((ia, ib), axis=1)
+                across, down = _grid_block(len(members), len(ia), d * (w + 1))
                 for start, at in product(range(0, len(ia), down), range(0, len(members), across)):
-                    rows, shift = slice(start, start + down), offsets[at : at + across]
-                    m, r = _span_systems(points, [tuple(
-                        (g[rows] + shift).reshape(-1, g.shape[1]) for g in (ia, ib))])
-                    w = m.shape[2]
+                    pairs = joined[start : start + down]
+                    cols = _span_columns(points, _grid_rows(pairs, offsets, at, across), ia.shape[1])
+                    # M as contiguous (d, w) matrices: the layout |M|_F and the solve read
+                    m, r = cols[:, :w].transpose(0, 2, 1).copy(), cols[:, w]
                     with np.errstate(all="ignore"):
-                        sq = _gram_schmidt(np.concatenate([m.T, r.T[None]]))
+                        sq = _gram_schmidt(cols.transpose(1, 2, 0).copy())
                         kappa = np.sqrt(np.einsum("nij,nij->n", m, m) ** w / sq[:w].prod(axis=0))
                         err = _FILTER_EPS * kappa * np.einsum("ni,ni->n", r, r)
-                        low = np.sqrt(np.maximum(sq[w] - err, 0.0)).reshape(len(shift), -1)
+                        low = np.sqrt(np.maximum(sq[w] - err, 0.0)).reshape(-1, len(pairs))
                         high = np.sqrt(sq[w] + err).reshape(low.shape)
-                    yield (members[at : at + across], ia[rows], low, high,
+                    yield (members[at : at + across], ia[start : start + down], low, high,
                            lambda keep: _solve_spans(m[keep], r[keep]))
 
     # no tolerance: the guard below decides, so only the least is needed
@@ -699,7 +761,7 @@ def _span_job(
 ) -> tuple[np.ndarray, Sequence[tuple[np.ndarray, np.ndarray]]]:
     """The (vertices, groups) job of :func:`_widest_first` that ``eta`` (no plane) or
     ``eta_prime`` (the plane) measures."""
-    z = np.array(vertices, dtype=float)
+    z = np.asarray(vertices, dtype=float)
     if plane is None:
         return z, _disjoint_pairs(z.shape[0], n)
     if z.shape[1] != plane.ambient_dim:
@@ -746,11 +808,23 @@ def eta_prime(
 
 
 def _depth_pairs(space: SampledSpace, radii: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(inner, outer) ball indices of the pairs whose inner ball has the last radius."""
+    """(inner, outer) ball indices of the pairs whose inner ball has the last radius.
+
+    The (inner, outer depth, outer) mask is built for blocks of inner points,
+    each of at most ``_CHUNK_FLOATS`` entries or one inner point, and read
+    out in that order; one block needs no concatenation.
+    """
     k, p = len(radii) - 1, space.size
     gaps = np.subtract(radii[:k], radii[k])[:, None]
-    i, outer_depth, j = np.nonzero(space.dist[:, None, :] < gaps)
-    return k * p + i, outer_depth * p + j
+    step = max(1, _CHUNK_FLOATS // (k * p))
+    parts = []
+    for start in range(0, p, step):
+        i, outer_depth, j = np.nonzero(space.dist[start : start + step, None, :] < gaps)
+        parts.append((k * p + start + i, outer_depth * p + j))
+    if len(parts) == 1:
+        return parts[0]
+    inner, outer = zip(*parts)
+    return np.concatenate(inner), np.concatenate(outer)
 
 
 def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[int, int]], int]:
@@ -759,9 +833,9 @@ def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[i
     Ball q lies strictly inside ball m when d(c_q, c_m) < r_m - r_q, the
     float comparison :func:`strictly_included` makes. Ball k*p + i (centre
     i, radius R_k halving with k) can only lie inside a ball k'*p + j with
-    k' < k, so one boolean mask per depth k, indexed (i, k', j), holds the
-    pairs of its inner balls, and ``nonzero`` reads them out by inner, then
-    outer index. A deeper list extends a shallower one, so the t-th pair
+    k' < k, so a boolean mask per depth k, indexed (i, k', j) and built in
+    blocks of i (:func:`_depth_pairs`), holds the pairs of its inner balls,
+    and ``nonzero`` reads them out by inner, then outer index. A deeper list extends a shallower one, so the t-th pair
     does not depend on the depth. Equal ball indices in the list are one
     int object.
 
@@ -1200,6 +1274,8 @@ def nobeling_embed(
             raise InputError(f"{name} must be an integer, got {value!r}")
     if T < 1:
         raise InputError("need at least one stage")
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     if space.size < 1:
         raise InputError("sample must be nonempty")
     if n < 0:

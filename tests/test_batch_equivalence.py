@@ -43,6 +43,7 @@ with those bytes.
 
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -95,8 +96,8 @@ from dimlab.embedding import (
     _plane_pairs,
     _solve_spans,
     _span_job,
+    _span_columns,
     _span_distances,
-    _span_systems,
     _stage_covers,
     _subsets,
     _widest_first,
@@ -157,8 +158,8 @@ def reference_lattice_cells(f, radius, m):
     return np.array(sorted(cells), dtype=np.int64).reshape(-1, f.shape[1])
 
 
-def reference_span_distances(vertices, subsets_a, subsets_b, b_extra=None):
-    """One least-squares system per pair, padded and solved in one batch."""
+def reference_span_systems(vertices, subsets_a, subsets_b, b_extra=None):
+    """One least-squares system (M, r) per pair, built pair by pair and padded to one width."""
     d = vertices.shape[1]
     systems = []
     rhs = []
@@ -176,7 +177,12 @@ def reference_span_distances(vertices, subsets_a, subsets_b, b_extra=None):
     m = np.zeros((len(systems), d, width))
     for i, s in enumerate(systems):
         m[i, :, : s.shape[1]] = s
-    r = np.asarray(rhs)
+    return m, np.asarray(rhs)
+
+
+def reference_span_distances(vertices, subsets_a, subsets_b, b_extra=None):
+    """The reference systems, solved in one batch."""
+    m, r = reference_span_systems(vertices, subsets_a, subsets_b, b_extra)
     proj = np.einsum("nij,nj->ni", m @ np.linalg.pinv(m), r)
     sq = np.einsum("ni,ni->n", r, r) - np.einsum("ni,ni->n", proj, r)
     return np.sqrt(np.maximum(sq, 0.0))
@@ -573,7 +579,65 @@ def span_distance(a, b):
     return float(_span_distances(z, groups)[0])
 
 
+def reference_columns(vertices, pairs_a, pairs_b):
+    """The [M | r] columns of each pair, built pair by pair: (pairs, |A| + |B| - 1, d)."""
+    out = []
+    for sa, sb in zip(pairs_a, pairs_b):
+        pa, pb = vertices[list(sa)], vertices[list(sb)]
+        out.append(np.vstack([pa[1:] - pa[0], pb[1:] - pb[0], pb[0] - pa[0]]))
+    return np.array(out)
+
+
 class TestSpanDistanceBytes:
+    @pytest.mark.parametrize("chunk", [1, 9, 50, None])
+    def test_gathered_columns_match_per_pair_systems(self, monkeypatch, chunk):
+        # every group of _disjoint_pairs and _plane_pairs: the widest blocks'
+        # [M | r] columns, the rows they hand to the solver and the padded
+        # full scan's systems are the per-pair construction, bit for bit
+        if chunk is not None:
+            monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
+        built, solved = [], []
+
+        def columns(points, rows, a):
+            built.append(_span_columns(points, rows, a))
+            return built[-1]
+
+        def solve(m, r):
+            solved.append((m.copy(), r.copy()))
+            return _solve_spans(m, r)
+
+        monkeypatch.setattr(embedding, "_span_columns", columns)
+        monkeypatch.setattr(embedding, "_solve_spans", solve)
+        rng = np.random.default_rng(640)
+        for n in (0, 1, 2, 3):
+            plane = enumerate_hyperplanes(n, 12)[-1]
+            for s in range(1, 2 * n + 4):
+                z = rng.uniform(0.0, 1.0, (s, 2 * n + 1))
+                for zp, groups in ((z, _disjoint_pairs(s, n)), _plane_groups(z, plane, n)):
+                    if not groups:
+                        continue
+                    pairs_a, pairs_b = flatten(groups)
+                    sizes = np.array([len(a) + len(b) for a, b in zip(pairs_a, pairs_b)])
+                    widest = np.flatnonzero(sizes == sizes.max())
+                    want = reference_columns(zp, [pairs_a[i] for i in widest],
+                                             [pairs_b[i] for i in widest])
+                    m, r = reference_span_systems(zp, pairs_a, pairs_b)
+                    built.clear()
+                    solved.clear()
+                    _widest_first([(zp, groups)])
+                    got = np.concatenate(built)[: len(widest)]
+                    assert got.tobytes() == want.tobytes()
+                    # each solved block holds kept widest rows, in order
+                    rows = {(m[i].tobytes(), r[i].tobytes()): i for i in widest}
+                    order = [rows[mk.tobytes(), rk.tobytes()]
+                             for mc, rc in solved for mk, rk in zip(mc, rc)
+                             if (mk.tobytes(), rk.tobytes()) in rows]
+                    assert order and order == sorted(order) and len(set(order)) == len(order)
+                    solved.clear()
+                    _span_distances(zp, groups)
+                    assert [(mc.tobytes(), rc.tobytes()) for mc, rc in solved] == [
+                        (m.tobytes(), r.tobytes())]
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_eta_pairs_and_distances(self, n):
         rng = np.random.default_rng(200 + n)
@@ -749,7 +813,7 @@ class TestWidestFirst:
         zp, groups = _plane_groups(z, plane, 1)
         widest = float(_span_distances(zp, groups[-1:]).min())
         assert HULL_TOL < widest <= SCAN_GUARD
-        m, r = _span_systems(zp, groups)
+        m, r = reference_span_systems(zp, *flatten(groups))
         calls = []
 
         def recording(mc, rc):
@@ -1210,12 +1274,12 @@ class TestFilteredScans:
         rng = np.random.default_rng(990)
         built = []
 
-        def recording(vertices, groups):
-            built.append([(ia.copy(), ib.copy()) for ia, ib in groups])
-            return _span_systems(vertices, groups)
+        def recording(points, rows, a):
+            built.append((rows[:, :a].copy(), rows[:, a:].copy()))
+            return _span_columns(points, rows, a)
 
         monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
-        monkeypatch.setattr(embedding, "_span_systems", recording)
+        monkeypatch.setattr(embedding, "_span_columns", recording)
         for n in (1, 2, 3):
             plane = enumerate_hyperplanes(n, 20)[-1]
             for s in (3, 5, 2 * n + 3):
@@ -1227,11 +1291,10 @@ class TestFilteredScans:
                     assert run() > SCAN_GUARD
                     width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
                     widest = [g for g in groups if g[0].shape[1] + g[1].shape[1] == width]
-                    for call in built:
-                        assert len(call) == 1
-                        rows = len(call[0][0])
+                    for ia, _ in built:
+                        rows = len(ia)
                         assert rows == 1 or rows * zp.shape[1] * (width - 1) <= chunk
-                    got = [(a.tolist(), b.tolist()) for call in built for a, b in zip(*call[0])]
+                    got = [(a.tolist(), b.tolist()) for ia, ib in built for a, b in zip(ia, ib)]
                     assert got == [(a.tolist(), b.tolist()) for g in widest for a, b in zip(*g)]
 
     def test_nan_values_fail(self):
@@ -1269,11 +1332,14 @@ class TestFilteredScans:
             eta_prime(z, plane, 1)
 
     def test_no_cached_indices(self):
-        # 735,471 maximal subsets of 24 points in d = 7, taken in blocks:
-        # nothing is added to the _subsets cache
+        # 735,471 maximal subsets of 24 points in d = 7, taken in blocks, and
+        # the 79,800 pairs of 400 points in d = 1, one block of 159,600
+        # indices: nothing is added to the _subsets cache
         pts = np.random.default_rng(960).uniform(0.0, 1.0, (24, 7))
+        line = np.linspace(0.0, 1.0, 400)[:, None]
         before = _subsets.cache_info()
         least, first = _least_sigma(pts, RANK_TOL)
+        assert _least_sigma(line, RANK_TOL) == (float(np.diff(line[:, 0]).min()), None)
         assert _subsets.cache_info() == before
         assert first is None and RANK_TOL < least < 1e-3
 
@@ -1668,6 +1734,34 @@ class TestPairSchedule:
         pts = rng.uniform(0.0, 1.0, size=(12, 3))
         dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
         assert_same_schedule(SampledSpace.from_distance_matrix(dist, mesh=0.5), T)
+
+    def test_deep_mask_built_in_blocks(self):
+        # depth 256 on 128 points: the whole (p, k, p) mask would be 4.19 MB
+        space = square_space(np.random.default_rng(256), count=128)
+        radii = metric._ball_radii(space, 256)
+        tracemalloc.start()
+        try:
+            inner, outer = embedding._depth_pairs(space, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 256 * 128
+        gaps = np.subtract(radii[:-1], radii[-1])[:, None]
+        i, k, j = np.nonzero(space.dist[:, None, :] < gaps)
+        assert inner.tolist() == (256 * 128 + i).tolist()
+        assert outer.tolist() == (k * 128 + j).tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 3000, 20000])
+    def test_small_mask_blocks(self, monkeypatch, chunk):
+        # one inner point per block, and blocks that end inside the points;
+        # 45,363 pairs take depth 2
+        space = square_space(np.random.default_rng(256), count=256)
+        want = repr((pair_schedule(space, 64), pair_schedule(space, 45363)))
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
+        assert repr((pair_schedule(space, 64), pair_schedule(space, 45363))) == want
+        rng = np.random.default_rng(480)
+        for count in (1, 7, 40):
+            assert_same_schedule(square_space(rng, count=count), 150)
 
     @pytest.mark.parametrize("T", [0, 1, 2, 3, 4, 10])
     def test_one_point_space(self, T):

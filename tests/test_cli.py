@@ -540,6 +540,33 @@ def test_bad_env_seed_exits_2(workdir, capsys, monkeypatch):
     assert cli_main(argv + ["--seed", "7"]) == 0
 
 
+@pytest.mark.parametrize("command", ["embed", "genpos"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_seed_exits_2(workdir, capsys, monkeypatch, command, source):
+    # a negative seed is bad input, whether from --seed or from DIMLAB_SEED
+    tmp, _, _ = workdir
+    (tmp / "targets.json").write_text(json.dumps({"targets": [[0.2, 0.2], [0.7, 0.2]]}))
+    argv = {"embed": ["embed", "--space", str(tmp / "space.json"), "--n", "1", "--stages", "2"],
+            "genpos": ["genpos", "--targets", str(tmp / "targets.json"), "--eps", "0.01"]}[command]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("DIMLAB_SEED", "-3")
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: seed must be a non-negative integer") and err.count("\n") == 1
+
+
+def test_genpos_infinite_eps_exits_2(workdir, capsys):
+    # every perturbed round of collinear targets would be inf
+    tmp, _, _ = workdir
+    (tmp / "targets.json").write_text(json.dumps({"targets": [[0.2, 0.2], [0.7, 0.2], [0.45, 0.2]]}))
+    argv = ["genpos", "--targets", str(tmp / "targets.json"), "--eps", "inf"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == (
+        "input error: perturbation budget must be positive and finite, got inf\n")
+
+
 def test_one_point_embed_verifies(tmp_path, capsys):
     """One point has no disjoint spans: eta is inf when built and when rechecked, -0.0 apart."""
     (tmp_path / "space.json").write_text(json.dumps({"points": [[0.0]], "mesh": 0.5}))

@@ -1,6 +1,8 @@
 """Hyperplane enumeration, general position, kappa maps, separation, stages."""
 
+import hashlib
 import json
+import math
 import re
 import tracemalloc
 from fractions import Fraction as F
@@ -21,6 +23,7 @@ from dimlab import (
     result_from_json_bytes,
     result_to_json_bytes,
 )
+from dimlab import embedding
 from dimlab.embedding import (
     Hyperplane,
     ball_preimage_cover,
@@ -271,6 +274,58 @@ class TestGeneralPosition:
         a = general_position(targets, eps=0.01, seed=(4, 2))
         b = general_position(targets, eps=0.01, seed=(4, 2))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name,case,want", [
+        # collinear targets fail round 0
+        ("collinear", lambda: general_position(
+            np.array([[0.2, 0.2], [0.5, 0.2], [0.8, 0.2]]), eps=0.01, seed=3),
+         "42d36253b74dbed7d751d18a013a8dad2702c871e1cb6344807f59bf7261119c"),
+        ("collinear-box-tuple", lambda: general_position(
+            np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [1.0, 0.2]]), eps=0.02,
+            box=(np.zeros(2), np.ones(2)), seed=(7, 1)),
+         "1efb503bc55664da55b143a639e011b32e52c85d30abc70221002873a295fe21"),
+        # the constrained target lies past the box in round 0; rows 1 and 2 are clipped
+        ("escape", lambda: general_position(
+            np.array([[1 / 3, 0.5, 1.002], [1.003, 0.2, 0.3], [0.4, 0.9, -0.001],
+                      [0.7, 0.1, 0.6]]), eps=0.01,
+            constraints=[Hyperplane((0, 1), (F(1, 3), F(1, 2))), None, None, None],
+            box=(np.zeros(3), np.ones(3)), seed=(2, 9)),
+         "864f984e938ec3a18e8e0f388693a67f5c6f1838e646e3375c463567739fb0ea"),
+    ])
+    def test_later_rounds_pinned(self, monkeypatch, name, case, want):
+        # pinned bytes of outputs that need a perturbed round
+        sigmas = []
+        real = embedding._least_sigma
+        monkeypatch.setattr(embedding, "_least_sigma",
+                            lambda points, tol: sigmas.append(1) or real(points, tol))
+        out = case()
+        assert hashlib.sha256(out.tobytes()).hexdigest() == want
+        # a later round was needed: round 0 failed sigma or escaped the box
+        assert len(sigmas) == (1 if name == "escape" else 2)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"seed": (4, -2)}, "seed must be a non-negative integer"),
+        ({"seed": 1.5}, "seed must be a non-negative integer"),
+        ({"seed": True}, "seed must be a non-negative integer"),
+        ({"eps": math.inf}, "perturbation budget must be positive and finite"),
+        ({"eps": math.nan}, "perturbation budget must be positive and finite"),
+        ({"rounds": 0}, "round budget must be an integer >= 1"),
+    ])
+    def test_rejects_bad_seed_budget_and_rounds(self, kwargs, message):
+        # generic targets pass round 0, which draws nothing: the checks come first
+        targets = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(InputError, match=message):
+            general_position(targets, **{"eps": 0.1, **kwargs})
+
+    def test_no_targets_in_a_box(self):
+        out = general_position(np.zeros((0, 3)), eps=0.1, box=(np.zeros(3), np.ones(3)))
+        assert out.shape == (0, 3)
+
+    def test_accepts_numpy_integer_seeds(self):
+        targets = np.array([[0.2, 0.2], [0.5, 0.2], [0.8, 0.2]])
+        want = general_position(targets, eps=0.01, seed=(4, 2))
+        assert np.array_equal(general_position(targets, eps=0.01, seed=(np.int64(4), 2)), want)
 
     def test_rejects_far_constraint(self):
         plane = Hyperplane((0, 1), (F(0), F(0)))
@@ -601,6 +656,13 @@ class TestNobelingEmbed:
             nobeling_embed(s, n=1, T=0, seed=0)
         with pytest.raises(InputError):
             nobeling_embed(s, n=-1, T=1, seed=0)
+
+    def test_rejects_negative_seed_before_any_stage(self):
+        def oracle(space, pairs):
+            raise AssertionError("a stage ran")
+
+        with pytest.raises(InputError, match=r"^seed must be a non-negative integer, got -1$"):
+            nobeling_embed(line_space(4), n=1, T=2, oracle=oracle, seed=-1)
 
     @pytest.mark.parametrize("value", [True, np.int64(1), 1.0], ids=["bool", "int64", "float"])
     @pytest.mark.parametrize("name", ["n", "T", "seed"])
