@@ -73,6 +73,11 @@ from dimlab.metric import (
     strictly_included,
 )
 from dimlab.covers import (
+    _box_cells,
+    _grid_boxes,
+    _grid_steps,
+    _point_stars,
+    _stars_within,
     closed_shrinking,
     dedupe_by_support,
     is_point_star_refinement,
@@ -81,8 +86,11 @@ from dimlab.covers import (
     star,
     star_refinement,
 )
+from dimlab.harness import CertificateCheck, CertificateReport
 from dimlab.nerve import SimplicialComplex
 from dimlab.embedding import (
+    CUBE_TOL,
+    DELTA0,
     HULL_TOL,
     RANK_TOL,
     SCAN_GUARD,
@@ -99,6 +107,7 @@ from dimlab.embedding import (
     _span_columns,
     _span_distances,
     _stage_covers,
+    _stage_vertices,
     _subsets,
     _widest_first,
     ball_preimage_cover,
@@ -106,6 +115,7 @@ from dimlab.embedding import (
     eta,
     eta_prime,
     general_position,
+    kappa_map,
     result_from_json_dict,
     result_to_json_dict,
 )
@@ -2000,11 +2010,9 @@ class TestStarRefinementCheck:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_random_covers(self, d):
         rng = np.random.default_rng(1310 + d)
-        verdicts = []
-        for _ in range(60):
-            case = random_star_case(rng, d)
-            verdicts.append(harness._stars_in_met_cover(*case))
-            assert verdicts[-1] == reference_met_star(*case)
+        cases = [random_star_case(rng, d) for _ in range(60)]
+        verdicts = star_verdicts(cases)
+        assert verdicts == [reference_met_star(*case) for case in cases]
         assert 0 < sum(verdicts) < len(verdicts)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -2012,9 +2020,8 @@ class TestStarRefinementCheck:
         # one cell per block, and blocks that end inside a star's box
         monkeypatch.setattr(harness, "_CHUNK_FLOATS", chunk)
         rng = np.random.default_rng(1320)
-        for _ in range(20):
-            case = random_star_case(rng, 2)
-            assert harness._stars_in_met_cover(*case) == reference_met_star(*case)
+        cases = [random_star_case(rng, 2) for _ in range(20)]
+        assert star_verdicts(cases) == [reference_met_star(*case) for case in cases]
 
     def test_cell_off_the_middle(self):
         # the middle cell of the star's box, (3, 1)/5, is 0.322 from image 2;
@@ -2023,10 +2030,283 @@ class TestStarRefinementCheck:
         assert np.linalg.norm(f[2] - [0.6, 0.2]) > 0.3
         assert (np.linalg.norm(f - [0.8, 0.4], axis=1) < 0.3).all()
         cover_u, cover_v = Cover(np.ones((1, 3))), np.ones((2, 3))
-        assert harness._stars_in_met_cover(cover_u, cover_v, f, 0.3)
-        assert reference_met_star(cover_u, cover_v, f, 0.3)
-        assert not harness._stars_in_met_cover(cover_u, cover_v, f, 0.25)
-        assert not reference_met_star(cover_u, cover_v, f, 0.25)
+        cases = [(cover_u, cover_v, f, 0.3), (cover_u, cover_v, f, 0.25)]
+        assert star_verdicts(cases) == [True, False]
+        assert [reference_met_star(*case) for case in cases] == [True, False]
+
+    def test_stage_verdicts_are_independent(self, golden_runs):
+        # a grid too fine to index, boxes that do not meet and a star outside
+        # V each fail their own stage of a stack, between stages that pass
+        space, n, r = golden_runs[0]
+        balls = pair_schedule(space, len(r.stages))[0]
+        good = [star_case(space, balls, st) for st in r.stages]
+        cover_u, cover_v, f, delta = good[0]
+        outside_v = cover_v.copy()
+        outside_v[:, 3] = 0.0
+        # one-point stars on grid points: only the grid too fine to index fails them
+        singles, halves = Cover(np.eye(len(f))), np.full(f.shape, 0.5)
+        good.append((singles, np.ones_like(cover_v), halves, 0.3))
+        bad = [(cover_u, cover_v, f, 1e-300), (cover_u, cover_v, f, 1e-6),
+               (cover_u, outside_v, f, delta), (singles, np.ones_like(cover_v), halves, 1e-300)]
+        assert not any(reference_met_star(*case) for case in bad)
+        assert all(reference_met_star(*case) for case in good)
+        cases = [good[0], bad[0], good[1], bad[1], good[2], bad[2], good[4], bad[3], good[3]]
+        assert star_verdicts(cases) == [True, False] * 4 + [True]
+
+
+def star_case(space, balls, st):
+    """(cover_u, cover_v rows, f, delta) of one result stage."""
+    inner, outer = st.pair_code
+    cover_v = np.vstack((ball_cozero(space, balls[outer]), complement_cozero(space, balls[inner])))
+    return st.cover_u, cover_v, st.f, st.delta
+
+
+def stacked_star_verdicts(cases):
+    """The batched star check of cases that share p and d, as one stack of stages whose
+    member supports are zero-padded to the largest member count."""
+    k, p = max(case[0].size for case in cases), cases[0][2].shape[0]
+    sup = np.zeros((len(cases), k, p), dtype=bool)
+    for row, (cover_u, _, _, _) in zip(sup, cases):
+        row[: cover_u.size] = cover_u.supports()
+    return harness._stars_in_met_covers(sup, np.stack([case[1] for case in cases]),
+                                        np.stack([case[2] for case in cases]),
+                                        np.array([case[3] for case in cases])).tolist()
+
+
+def star_verdicts(cases):
+    """Each case's verdict as a stack of one stage; stacking the cases of one sample size
+    together gives the same verdicts."""
+    alone = [stacked_star_verdicts([case])[0] for case in cases]
+    together = [None] * len(cases)
+    for p in {case[2].shape[0] for case in cases}:
+        rows = [i for i, case in enumerate(cases) if case[2].shape[0] == p]
+        for i, verdict in zip(rows, stacked_star_verdicts([cases[i] for i in rows])):
+            together[i] = verdict
+    assert together == alone
+    return alone
+
+
+# ---------------------------------------------------------------------------
+# the verifier's structural checks, one stage at a time
+
+
+def reference_cube_excess(points):
+    return float(max(0.0, (-points).max(initial=0.0), (points - 1.0).max(initial=0.0)))
+
+
+def reference_stars_in_met_cover(cover_u, cover_v, f, delta):
+    """The star check of one stage: the distinct nonempty point stars, each inside a V row,
+    then the middle cell of each star's box, then every cell of the boxes left open."""
+    stars = _point_stars(cover_u)
+    if not _stars_within(stars, cover_v > 0.0):
+        return False
+    p, d = f.shape
+    try:
+        m = _grid_steps(d, delta)
+    except CertificateError:
+        return False
+    lo, hi = _grid_boxes(f, delta, m)
+    lo = np.where(stars[:, :, None], lo, 0).max(axis=1)
+    hi = np.where(stars[:, :, None], hi, m).min(axis=1)
+    if (lo > hi).any():
+        return False
+
+    def fits(owner, cells):
+        near = np.linalg.norm(f[None] - (cells / m)[:, None], axis=2) < delta
+        return (near | ~stars[owner]).all(axis=1)
+
+    found = fits(np.arange(len(stars)), lo + (hi - lo) // 2)
+    todo = np.flatnonzero(~found)
+    for rows, cells in _box_cells(lo[todo], hi[todo], max(1, metric._CHUNK_FLOATS // (p * d))):
+        owner = todo[rows]
+        found[owner[fits(owner, cells)]] = True
+    return bool(found.all())
+
+
+def reference_stage_report(r, space, n):
+    """The bytes of verify_result's report from a stage loop that measures each stage's
+    structural checks on that stage's own arrays; sigma and the spans come from the
+    library's scans. The input must be valid: nothing here raises."""
+    balls, pairs, _ = pair_schedule(space, len(r.stages))
+    planes = enumerate_hyperplanes(n, len(r.stages))
+    images = np.linalg.norm(r.f[None] - r.f[:, None], axis=2)
+    checks = []
+
+    def add(name, passed, margin, location):
+        margin = -math.inf if math.isnan(margin) else float(margin)
+        checks.append(CertificateCheck(name, bool(passed), margin, location))
+
+    sigmas = _least_sigmas([np.vstack([st.vertices, st.anchors]) for st in r.stages], RANK_TOL)
+    spans = _widest_first([job for st in r.stages for job in (
+        _span_job(st.vertices, n), _span_job(st.vertices, n, st.hyperplane))])
+    prev = None
+    for st, (sigma, subset), eta_re, etap_re in zip(r.stages, sigmas, spans[::2], spans[1::2]):
+        loc = f"stage {st.t}"
+        if prev is not None:
+            ok = bool(np.array_equal(prev.f_next, st.f)) and prev.delta_next == st.delta
+            add("chain", ok, 0.0 if ok else -1.0, loc)
+        ok = tuple(st.pair_code) == pairs[st.t]
+        add("pair-schedule", ok, 0.0 if ok else -1.0, loc)
+        ok = st.hyperplane == planes[st.t]
+        add("hyperplane-schedule", ok, 0.0 if ok else -1.0, loc)
+        excess = max(reference_cube_excess(a) for a in (st.f, st.f_next, st.vertices, st.anchors))
+        add("in-cube", excess <= CUBE_TOL, CUBE_TOL - excess, loc)
+        uncovered = st.cover_u.uncovered_point()
+        add("covering", uncovered is None, 0.0 if uncovered is None else -1.0,
+            loc if uncovered is None else f"{loc}, point {uncovered}")
+        if uncovered is None:
+            add("order", order_of(st.cover_u) <= n, float(n - order_of(st.cover_u)), loc)
+        else:
+            add("order", False, -1.0, loc)
+        _, cover_v, _, _ = star_case(space, balls, st)
+        ok = reference_stars_in_met_cover(st.cover_u, cover_v, st.f, st.delta)
+        add("star-refinement", ok, 0.0 if ok else -1.0, loc)
+        picks = _stage_vertices(st.cover_u)
+        prox = float(np.linalg.norm(st.vertices - st.f[picks], axis=1).max())
+        add("vertex-proximity", prox < st.delta, st.delta - prox, loc)
+        anchor_err = float(st.hyperplane.equation_violation(st.anchors).max())
+        add("anchors-on-plane", anchor_err == 0.0, -anchor_err, loc)
+        add("general-position", subset is None, sigma - RANK_TOL,
+            loc if subset is None else f"{loc}, subset {subset}")
+        if uncovered is None:
+            kap = kappa_map(st.cover_u, st.vertices)
+            kdiff = float(np.abs(kap.values - st.f_next).max())
+            add("kappa-values", kdiff <= CUBE_TOL, CUBE_TOL - kdiff, loc)
+            wsum = float(np.abs(kap.weights.sum(axis=1) - 1.0).max())
+            wneg = float((-kap.weights).max())
+            add("kappa-weights", wsum <= 1e-12 and wneg <= 0.0, 1e-12 - max(wsum, wneg), loc)
+        else:
+            add("kappa-values", False, -1.0, loc)
+            add("kappa-weights", False, -1.0, loc)
+        if eta_re[1] is None and etap_re[1] is None:
+            for name, (got, _), want in (("eta", eta_re, st.eta),
+                                         ("eta-prime", etap_re, st.eta_prime)):
+                add(name, got == want, -0.0 if got == want else -abs(got - want), loc)
+        else:
+            add("eta", False, -1.0, loc)
+            add("eta-prime", False, -1.0, loc)
+        want = min(st.delta, st.eta / 8.0, st.eta_prime / 4.0) / 3.0
+        ok = st.delta_next == want and st.delta_next <= st.delta / 3.0
+        if st.t == 0:
+            ok = ok and st.delta == r.delta0 == DELTA0
+        add("delta-schedule", ok, st.delta / 3.0 - st.delta_next, loc)
+        contraction = float(np.linalg.norm(st.f_next - st.f, axis=1).max())
+        add("contraction", contraction < 3.0 * st.delta and contraction == st.contraction,
+            3.0 * st.delta - contraction, loc)
+        clearance = float(st.hyperplane.distance_to_point(st.f_next).min())
+        add("stage-clearance", clearance >= st.eta_prime - HULL_TOL, clearance - st.eta_prime, loc)
+        pre = images < st.eta / 4.0
+        inside = ~(pre[:, None, :] & ~(cover_v > 0.0)).any(axis=2)
+        bad = np.flatnonzero(~(pre.any(axis=1) & inside.any(axis=1)))
+        if bad.size:
+            add("v-mapping", False, 0.0, f"{loc}, point {int(bad[0])}")
+        else:
+            low = np.where(pre[:, None, :], cover_v, np.inf).min(axis=2)
+            add("v-mapping", True, float(np.where(inside, low, -np.inf).max(axis=1).min()), loc)
+        prev = st
+    ok = bool(np.array_equal(r.stages[-1].f_next, r.f))
+    add("final-chain", ok, 0.0 if ok else -1.0, f"stage {r.stages[-1].t}")
+    for st, av in zip(r.stages, r.avoided):
+        loc = f"stage {st.t}"
+        ok = av.hyperplane == st.hyperplane and av.eta_prime == st.eta_prime
+        add("avoided-schedule", ok, 0.0 if ok else -1.0, loc)
+        dists = av.hyperplane.distance_to_point(r.f)
+        worst = int(dists.argmin())
+        margin = float(dists[worst]) - st.eta_prime / 2.0
+        add("line-avoiding", margin > 0.0 and float(dists[worst]) == av.distance_margin,
+            margin, f"{loc}, point {worst}")
+        eqs = av.hyperplane.equation_violation(r.f)
+        eq_worst = int(eqs.argmin())
+        add("equation-margin",
+            float(eqs[eq_worst]) > 0.0 and float(eqs[eq_worst]) == av.equation_margin,
+            float(eqs[eq_worst]), f"{loc}, point {eq_worst}")
+    if space.size > 1:
+        iu = np.triu_indices(space.size, k=1)
+        flat = int(images[iu].argmin())
+        x, y = int(iu[0][flat]), int(iu[1][flat])
+        margin = float(images[iu].min())
+        add("injectivity", margin > 0.0 and r.injectivity_margin == margin, margin,
+            f"points ({x},{y})")
+    else:
+        add("injectivity", r.injectivity_margin is None
+            or math.isinf(r.injectivity_margin), math.inf, "single point")
+    return metric._write_json(CertificateReport(tuple(checks)).to_json_dict())
+
+
+def with_stage(r, t, change):
+    """r with ``change`` applied to the JSON document of stage t."""
+    doc = result_to_json_dict(r)
+    change(doc["stages"][t])
+    return result_from_json_dict(doc)
+
+
+@pytest.fixture(scope="module")
+def structural_cases(golden_runs, corpus, tampered_reports):
+    """{label: (space, n, result, reference bytes)}: the golden and corpus runs, every
+    STAGE_TAMPERS and TAMPERS case, and the uncovered-point and too-fine-grid stages of
+    the console-script check, each reference built once at the default block size."""
+    runs = {f"golden {i}": run for i, run in enumerate(golden_runs)}
+    runs.update((f"corpus {i}", run) for i, run in enumerate(corpus[0]) if run[2] is not None)
+    line = golden_runs[1]
+    runs.update((f"stage tampers {key}", (line[0], line[1], bad))
+                for key, (bad, _) in tampered_reports.items())
+    for kind in TAMPERS:
+        rng = np.random.default_rng(1300 + TAMPERS.index(kind))
+        for i in 0, 2:
+            space, n, r = golden_runs[i]
+            for t in 0, int(rng.integers(1, len(r.stages))):
+                runs[f"{kind} {i} {t}"] = space, n, tampered(r, kind, t, rng)
+    space, n, r = golden_runs[0]
+
+    def drop7(st):
+        for member in st["cover_u"]["members"]:
+            member["values"].pop("7", None)
+
+    runs["uncovered point"] = space, n, with_stage(r, 0, drop7)
+    four = SampledSpace.from_points([[0.0], [0.333], [0.667], [1.0]], mesh=0.5)
+    fine = with_stage(nobeling_embed(four, n=1, T=2, seed=0), 0, lambda st: st.update(delta=1e-300))
+    runs["too-fine grid"] = four, 1, fine
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflows are the point
+        return {label: (space, n, r, reference_stage_report(r, space, n))
+                for label, (space, n, r) in runs.items()}
+
+
+class TestStackedChecks:
+    """verify_result measures each structural check once over all stages; its report has the
+    bytes of the loop that measured them stage by stage, at every block size."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
+    def test_matches_per_stage_reference(self, structural_cases):
+        counts = set()
+        for label, (space, n, r, want) in structural_cases.items():
+            assert report_bytes(r, space, n) == want, label
+            counts.add(len({st.cover_u.size for st in r.stages}))
+        assert max(counts) > 1  # stages with different member counts
+        checks = {label: json.loads(case[3])["checks"] for label, case in structural_cases.items()}
+        assert {"name": "covering", "passed": False, "margin": -1.0,
+                "location": "stage 0, point 7"} in checks["uncovered point"]
+        assert {"name": "star-refinement", "passed": False, "margin": -1.0,
+                "location": "stage 0"} in checks["too-fine grid"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
+    @pytest.mark.parametrize("chunk", [1, 9, 50, 600])
+    def test_stage_blocks(self, monkeypatch, structural_cases, chunk):
+        # one stage per block up to 50 floats; 600 holds three 8-point stages
+        # (8 * 8 * 3 floats each), so 16 stages end in a block of one
+        space, n, r, want = structural_cases[f"stage tampers {tuple(STAGE_TAMPERS[-1].items())}"]
+        blocks = []
+        real = harness._stars_in_met_covers
+
+        def recording(sup, cover_v, f, delta):
+            blocks.append(len(f))
+            return real(sup, cover_v, f, delta)
+
+        # the scans' own block sizes are test_tampered_stages' concern
+        monkeypatch.setattr(harness, "_CHUNK_FLOATS", chunk)
+        monkeypatch.setattr(harness, "_stars_in_met_covers", recording)
+        assert report_bytes(r, space, n) == want
+        assert blocks == ([3] * 5 + [1] if chunk == 600 else [1] * 16)
 
 
 def reference_is_point_star_refinement(v, u):

@@ -1,10 +1,12 @@
 """Re-verification harness: full recheck and tamper detection."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
-from dimlab import InputError, harness, nobeling_embed, verify_nobeling_membership, verify_result
+from dimlab import Cover, InputError, harness, nobeling_embed, verify_nobeling_membership, verify_result
 from dimlab.embedding import result_from_json_dict, result_to_json_dict
 from conftest import line_space
 
@@ -21,6 +23,15 @@ def tampered(r, mutate):
     doc = json.loads(json.dumps(doc))  # deep copy, plain data
     mutate(doc)
     return result_from_json_dict(doc)
+
+
+def stage_replaced(r, t, field, entries):
+    """r with stage t's array ``field`` changed at the given {(row, column): value} entries."""
+    a = getattr(r.stages[t], field).copy()
+    for at, value in entries.items():
+        a[at] = value
+    st = dataclasses.replace(r.stages[t], **{field: a})
+    return dataclasses.replace(r, stages=r.stages[:t] + (st,) + r.stages[t + 1:])
 
 
 class TestVerifyResult:
@@ -394,6 +405,43 @@ class TestVerifyResult:
         space, r = line_run
         with pytest.raises(InputError, match=message):
             verify_result(tampered(r, lambda doc: mutate(doc["stages"][1])), space, 1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["f", "f_next", "vertices", "anchors"])
+    def test_rejects_non_finite_stage_array(self, line_run, field, value):
+        """A NaN or infinite stage entry is bad input, named by stage and field, before the
+        sigma scan (which raised LinAlgError on a NaN vertex or anchor) measures it."""
+        space, r = line_run
+        bad = stage_replaced(r, 1, field, {(0, 1): value})
+        with pytest.raises(InputError, match=rf"^stage 1: {field} holds a non-finite value$"):
+            verify_result(bad, space, 1)
+
+    @pytest.mark.parametrize("field", ["f", "f_next"])
+    def test_nan_beside_a_point_outside_the_cube(self, line_run, field):
+        """5.0 fails in-cube; with a NaN beside it the stage is bad input, where the NaN
+        used to hide the 5.0 and in-cube passed with margin 1e-12."""
+        space, r = line_run
+        report = verify_result(stage_replaced(r, 1, field, {(0, 0): 5.0}), space, 1)
+        (check,) = [c for c in report.checks if (c.name, c.location) == ("in-cube", "stage 1")]
+        assert (check.passed, check.margin) == (False, 1e-12 - 4.0)
+        bad = stage_replaced(r, 1, field, {(0, 0): 5.0, (2, 1): math.nan})
+        with pytest.raises(InputError, match=rf"^stage 1: {field} holds a non-finite value$"):
+            verify_result(bad, space, 1)
+
+    def test_rejects_non_finite_final_map(self, line_run):
+        space, r = line_run
+        f = r.f.copy()
+        f[3, 2] = math.nan
+        with pytest.raises(InputError, match="^final map holds a non-finite value$"):
+            verify_result(dataclasses.replace(r, f=f), space, 1)
+
+    def test_rejects_cover_over_other_sample(self, line_run):
+        space, r = line_run
+        st = r.stages[2]
+        bad = dataclasses.replace(st, cover_u=Cover(st.cover_u.matrix[:, :7]))
+        with pytest.raises(InputError, match="^stage 2: cover_u covers 7 points, not 8$"):
+            verify_result(dataclasses.replace(r, stages=r.stages[:2] + (bad,) + r.stages[3:]),
+                          space, 1)
 
     def test_names_least_sigma_subset(self, line_run):
         """Coincident vertices give sigma about 0, located at the first maximal subset holding them.
