@@ -316,21 +316,15 @@ def _filtered_least(
     return least.tolist(), first
 
 
-def _grid_points(points: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
-    """The stacked points of a grid's jobs, and each job's row offset as a (jobs, 1, 1) array.
-
-    A one-job grid reads its points as they are, with no offsets.
-    """
-    if len(points) == 1:
-        return points[0], None
-    return np.concatenate(points), len(points[0]) * np.arange(len(points))[:, None, None]
-
-
-def _grid_rows(rows: np.ndarray, offsets: np.ndarray | None, at: int, across: int) -> np.ndarray:
-    """Index ``rows`` as jobs at..at+across of a grid read them, job-major."""
-    if offsets is None:
-        return rows
-    return (rows + offsets[at : at + across]).reshape(-1, rows.shape[1])
+def _grids(points: Sequence[np.ndarray], keys: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The jobs grouped by key, in job order: per grid, its job ids and its jobs' points
+    stacked as one (jobs, k, d) array. A job keyed None joins no grid."""
+    grids: dict = {}
+    for j, key in enumerate(keys):
+        if key is not None:
+            grids.setdefault(key, []).append(j)
+    for members in grids.values():
+        yield np.array(members), np.array([points[j] for j in members])
 
 
 def _grid_block(jobs: int, systems: int, floats: int) -> tuple[int, int]:
@@ -370,10 +364,10 @@ def _least_sigmas(
     prod l_ii / |D|_F^(m-1) and min l_ii, widened by K u kappa relative
     (kappa = |D|_F^m / prod l_ii >= cond(D)) and K u |D|_F absolute (Weyl);
     K u is ``_FILTER_EPS``. Jobs of one point shape (k, d) share the subsets
-    of ``combinations(range(k), size)`` and form one grid: their points are
-    concatenated, and job j reads each subset shifted by its row offset k j.
+    of ``combinations(range(k), size)`` and form one grid (:func:`_grids`).
     Each (job slice x subset slice) block holds at most ``_CHUNK_FLOATS``
-    difference floats, or one subset, and gathers its subsets' points once.
+    difference floats, or one subset, and gathers its subsets' points once,
+    along the point axis of the grid's stacked points.
     When one slice holds every subset in at most 2^16 indices (the
     builder's 210 subsets of 10 points) it is the cached :func:`_subsets`
     table; otherwise the slices are streamed from ``combinations``, so no
@@ -381,15 +375,12 @@ def _least_sigmas(
     decomposed D is the matrix that a scan of its job alone decomposes, so
     each job's result has that scan's bytes.
     """
-    grids: dict[tuple[int, int], list[int]] = {}
-    for j, points in enumerate(jobs):
-        if min(points.shape[0], points.shape[1] + 1) >= 2:
-            grids.setdefault(points.shape, []).append(j)
+    keys = [p.shape if min(p.shape[0], p.shape[1] + 1) >= 2 else None for p in jobs]
 
     def blocks() -> Iterator[tuple]:
-        for (k, d), members in grids.items():
-            size, members = min(k, d + 1), np.array(members)
-            points, offsets = _grid_points([jobs[j] for j in members])
+        for members, points in _grids(jobs, keys):
+            _, k, d = points.shape
+            size = min(k, d + 1)
             count = math.comb(k, size)
             across, down = _grid_block(len(members), count, (size - 1) * d)
             if down == count and count * size <= 1 << 16:
@@ -401,7 +392,7 @@ def _least_sigmas(
             for sub in slices:
                 for at in range(0, len(members), across):
                     # the gathered points are dropped once differenced
-                    diffs = points.take(_grid_rows(sub, offsets, at, across), axis=0)
+                    diffs = points[at : at + across].take(sub, axis=1).reshape(-1, size, d)
                     with np.errstate(all="ignore"):
                         diffs = diffs[:, 1:] - diffs[:, :1]
                         norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
@@ -608,14 +599,15 @@ def _span_selectors(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _span_columns(points: np.ndarray, rows: np.ndarray, a: int) -> np.ndarray:
-    """The [M | r] columns of the span systems whose [A | B] point indices are ``rows``, |A| = a.
+    """The [M | r] columns of the span systems whose [A | B] point indices are ``rows``, |A| = a,
+    in each job of the stacked (jobs, k, d) ``points``.
 
     One gather of the rows' points and one subtraction with the
-    :func:`_span_selectors` give a (systems, w + 1, d) array: M's
-    w = |A| + |B| - 2 edge columns, then r.
+    :func:`_span_selectors` give a (jobs x systems, w + 1, d) array,
+    job-major: M's w = |A| + |B| - 2 edge columns, then r.
     """
     tails, heads = _span_selectors(a, rows.shape[1] - a)
-    p = points.take(rows, axis=0)
+    p = points.take(rows, axis=1).reshape(-1, rows.shape[1], points.shape[2])
     cols = p.take(tails, axis=1)
     cols -= p.take(heads, axis=1)
     return cols
@@ -642,7 +634,7 @@ def _span_distances(
     dist^2 = |r|^2 - r^T M M^+ r. The distances have the bytes of solving
     each system on its own.
     """
-    cols = [_span_columns(vertices, np.concatenate((ia, ib), axis=1), ia.shape[1])
+    cols = [_span_columns(vertices[None], np.concatenate((ia, ib), axis=1), ia.shape[1])
             for ia, ib in groups]
     width = max(c.shape[1] for c in cols) - 1
     m = np.zeros((sum(len(c) for c in cols), vertices.shape[1], width))
@@ -696,13 +688,12 @@ def _widest_first(
     HULL_TOL.
 
     Jobs that hold one groups tuple (and vertices of one shape) form one
-    grid: their vertices are concatenated, and job j reads each widest
-    group's [A | B] rows shifted by its row offset k j. Each (job slice x
-    pair slice) block holds at most ``_CHUNK_FLOATS`` floats, or one
-    system, and builds its systems' [M | r] columns with one gather
-    (:func:`_span_columns`). Each system is built once, and is the matrix,
-    at the same width, that a scan of its job alone builds, so each job's
-    result has that scan's bytes. :func:`_filtered_least` solves the
+    grid (:func:`_grids`). Each (job slice x pair slice) block holds at
+    most ``_CHUNK_FLOATS`` floats, or one system, and builds its systems'
+    [M | r] columns with one gather along the point axis of the grid's
+    stacked vertices (:func:`_span_columns`). Each system is built once,
+    and is the matrix, at the same width, that a scan of its job alone
+    builds, so each job's result has that scan's bytes. :func:`_filtered_least` solves the
     systems its bounds leave open from the same arrays. Modified
     Gram-Schmidt on [M r] gives M's column lengths R_ii and the residual a.
     With kappa = |M|_F^w / prod R_ii >= cond(M) (w columns), a^2 and the
@@ -712,15 +703,11 @@ def _widest_first(
     ``_FILTER_EPS``). The full scan below the guard is not filtered, so
     every message comes from it.
     """
-    grids: dict[tuple, list[int]] = {}
-    for j, (vertices, groups) in enumerate(jobs):
-        if groups:
-            grids.setdefault((id(groups), vertices.shape), []).append(j)
+    keys = [(id(groups), vertices.shape) if groups else None for vertices, groups in jobs]
 
     def blocks() -> Iterator[tuple]:
-        for (_, (k, d)), members in grids.items():
-            groups, members = jobs[members[0]][1], np.array(members)
-            points, offsets = _grid_points([jobs[j][0] for j in members])
+        for members, points in _grids([vertices for vertices, _ in jobs], keys):
+            groups, d = jobs[members[0]][1], points.shape[2]
             width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
             w = width - 2  # M's columns; a system holds d (w + 1) floats
             for ia, ib in groups:
@@ -730,7 +717,7 @@ def _widest_first(
                 across, down = _grid_block(len(members), len(ia), d * (w + 1))
                 for start, at in product(range(0, len(ia), down), range(0, len(members), across)):
                     pairs = joined[start : start + down]
-                    cols = _span_columns(points, _grid_rows(pairs, offsets, at, across), ia.shape[1])
+                    cols = _span_columns(points[at : at + across], pairs, ia.shape[1])
                     # M as contiguous (d, w) matrices: the layout |M|_F and the solve read
                     m, r = cols[:, :w].transpose(0, 2, 1).copy(), cols[:, w]
                     with np.errstate(all="ignore"):
@@ -812,7 +799,7 @@ def _depth_pairs(space: SampledSpace, radii: list[float]) -> tuple[np.ndarray, n
 
     The (inner, outer depth, outer) mask is built for blocks of inner points,
     each of at most ``_CHUNK_FLOATS`` entries or one inner point, and read
-    out in that order; one block needs no concatenation.
+    out in that order.
     """
     k, p = len(radii) - 1, space.size
     gaps = np.subtract(radii[:k], radii[k])[:, None]
@@ -821,8 +808,6 @@ def _depth_pairs(space: SampledSpace, radii: list[float]) -> tuple[np.ndarray, n
     for start in range(0, p, step):
         i, outer_depth, j = np.nonzero(space.dist[start : start + step, None, :] < gaps)
         parts.append((k * p + start + i, outer_depth * p + j))
-    if len(parts) == 1:
-        return parts[0]
     inner, outer = zip(*parts)
     return np.concatenate(inner), np.concatenate(outer)
 

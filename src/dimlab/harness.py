@@ -124,9 +124,10 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
     Raises on malformed input (wrong n, a map, vertex or anchor array of
     the wrong shape or holding a non-finite value, a radii_depth other than
     the one the stage count schedules, a stage index or pair code outside its
-    range); returns a report whose checks, in deterministic order, cover the
-    stage chain, ball-pair and hyperplane schedules, cover properties, vertex
-    placement and general position, the kappa recomputation, the delta
+    range, a stage at position i whose index is not i); returns a report
+    whose checks, in deterministic order, cover the stage chain, ball-pair
+    and hyperplane schedules, cover properties, vertex placement and
+    general position, the kappa recomputation, the delta
     schedule, the contraction and clearance bounds, the small-ball
     (V-mapping) property of the final map, hyperplane avoidance, and
     injectivity.
@@ -171,10 +172,14 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         checks.append(CertificateCheck(name, bool(passed), margin, location))
 
     span_jobs = []
-    for st in r.stages:
+    for at, st in enumerate(r.stages):
         loc = f"stage {st.t}"
         if not 0 <= st.t < len(r.stages):
             raise InputError(f"{loc} outside 0..{len(r.stages) - 1}")
+        # stage t handles pair t and plane t: a repeated or reordered index
+        # would leave a scheduled pair and plane unhandled
+        if st.t != at:
+            raise InputError(f"stage at position {at} records t={st.t}")
         if not all(0 <= i < len(balls) for i in st.pair_code):
             raise InputError(f"{loc}: pair_code {list(st.pair_code)} names a ball "
                              f"outside 0..{len(balls) - 1}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -99,15 +100,14 @@ def _float(value, name: str) -> float:
 def _json_array(value, what: str) -> np.ndarray:
     """A document array as floats; numpy would also read "0.5", true and null,
     and json reads a float past the float range, such as 1e309, as +-inf."""
-    todo = [value]
-    while todo:
-        leaf = todo.pop()
-        if type(leaf) is list:
-            todo.extend(leaf)
-        elif not _is_number(leaf):
-            raise InputError(f"{what} must be a rectangular array of numbers")
     out = _float_array(value, what)
-    if not np.isfinite(out).all():
+    # the array is rectangular, so its leaves lie out.ndim lists deep; their
+    # types are gathered at C level, and each kind meets _is_number's rule once
+    leaves = [value]
+    for _ in range(out.ndim):
+        leaves = chain.from_iterable(leaves)
+    numbers = all(kind is int or issubclass(kind, float) for kind in set(map(type, leaves)))
+    if not numbers or not np.isfinite(out).all():
         raise InputError(f"{what} must be a rectangular array of numbers")
     return out
 

@@ -347,7 +347,7 @@ def test_nan_literal_exits_2(workdir, capsys, command, field):
     assert capsys.readouterr().err == "input error: non-finite number NaN in JSON input\n"
 
 
-@pytest.mark.parametrize("leaf", ["string", "bool"])
+@pytest.mark.parametrize("leaf", ["string", "bool", "null", "object"])
 @pytest.mark.parametrize(
     "field, what",
     [("points", "points"), ("distance_matrix", "distance matrix"), ("targets", "targets"),
@@ -355,7 +355,7 @@ def test_nan_literal_exits_2(workdir, capsys, command, field):
      ("anchors", "anchors"), ("f_next", "f_next")],
 )
 def test_array_leaf_must_be_a_number(workdir, capsys, field, what, leaf):
-    """numpy reads "0.5" and true as numbers; a document array holds JSON numbers only."""
+    """numpy reads "0.5", true and null as numbers; a document array holds JSON numbers only."""
     tmp, space, _ = workdir
     path = tmp / "doc.json"
     space_args = ["--space", str(tmp / "space.json")]
@@ -381,7 +381,8 @@ def test_array_leaf_must_be_a_number(workdir, capsys, field, what, leaf):
         rows = doc["f"] if field == "f" else doc["stages"][1][field.removeprefix("stage-")]
         what = what if field == "f" else f"stage 1: {what}"
         argv = ["verify", "--result", str(path), *space_args, "--n", "0"]
-    rows[0][-1] = repr(rows[0][-1]) if leaf == "string" else True
+    rows[0][-1] = {"string": repr(rows[0][-1]), "bool": True, "null": None,
+                   "object": {"x": rows[0][-1]}}[leaf]
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli_main(argv) == 2

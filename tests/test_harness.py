@@ -7,7 +7,13 @@ import math
 import pytest
 
 from dimlab import Cover, InputError, harness, nobeling_embed, verify_nobeling_membership, verify_result
-from dimlab.embedding import result_from_json_dict, result_to_json_dict
+from dimlab.embedding import (
+    AvoidedHyperplane,
+    embedding_stage,
+    pair_schedule,
+    result_from_json_dict,
+    result_to_json_dict,
+)
 from conftest import line_space
 
 
@@ -368,6 +374,38 @@ class TestVerifyResult:
 
         with pytest.raises(InputError, match=rf"stage {t} outside 0\.\.3"):
             verify_result(tampered(r, mutate), space, 1)
+
+    def test_rejects_relabelled_stage(self, line_run):
+        space, r = line_run
+
+        def mutate(doc):
+            doc["stages"][1]["t"] = 0
+
+        with pytest.raises(InputError, match=r"stage at position 1 records t=0"):
+            verify_result(tampered(r, mutate), space, 1)
+
+    def test_rejects_repeated_stage(self):
+        """Stage 1 run twice, as stages 1 and 2, with a consistent final map: hyperplane 2
+        and ball pair 2 are never handled, so the result must not be certified."""
+        space = line_space(8)
+        r = nobeling_embed(space, n=1, T=3, seed=0)
+        balls, _, _ = pair_schedule(space, 3)
+        one = r.stages[1]
+        again = embedding_stage(1, one.f_next, one.delta_next, space, balls, 1,
+                                one.pair_code, one.hyperplane, seed=0)
+        stages = r.stages[:2] + (again,)
+        f = again.f_next
+        avoided = tuple(
+            AvoidedHyperplane(st.hyperplane, st.eta_prime,
+                              float(st.hyperplane.distance_to_point(f).min()),
+                              float(st.hyperplane.equation_violation(f).min()))
+            for st in stages)
+        gaps = [math.dist(f[x], f[y]) for x in range(len(f)) for y in range(x + 1, len(f))]
+        forged = dataclasses.replace(r, f=f, stages=stages, avoided=avoided,
+                                     injectivity_margin=min(gaps))
+        assert [st.t for st in forged.stages] == [0, 1, 1]
+        with pytest.raises(InputError, match=r"stage at position 2 records t=1"):
+            verify_result(forged, space, 1)
 
     @pytest.mark.parametrize("depth", [50, 2, 0])
     def test_rejects_radii_depth_off_schedule(self, line_run, depth):
