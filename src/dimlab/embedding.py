@@ -794,8 +794,9 @@ def eta_prime(
 # stage machinery
 
 
-def _depth_pairs(space: SampledSpace, radii: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(inner, outer) ball indices of the pairs whose inner ball has the last radius.
+def _depth_pairs(space: SampledSpace, radii: list[float]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(inner, outer) ball indices of the pairs whose inner ball has the last radius,
+    one tuple per block of inner points.
 
     The (inner, outer depth, outer) mask is built for blocks of inner points,
     each of at most ``_CHUNK_FLOATS`` entries or one inner point, and read
@@ -808,8 +809,7 @@ def _depth_pairs(space: SampledSpace, radii: list[float]) -> tuple[np.ndarray, n
     for start in range(0, p, step):
         i, outer_depth, j = np.nonzero(space.dist[start : start + step, None, :] < gaps)
         parts.append((k * p + start + i, outer_depth * p + j))
-    inner, outer = zip(*parts)
-    return np.concatenate(inner), np.concatenate(outer)
+    return parts
 
 
 def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[int, int]], int]:
@@ -820,23 +820,26 @@ def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[i
     i, radius R_k halving with k) can only lie inside a ball k'*p + j with
     k' < k, so a boolean mask per depth k, indexed (i, k', j) and built in
     blocks of i (:func:`_depth_pairs`), holds the pairs of its inner balls,
-    and ``nonzero`` reads them out by inner, then outer index. A deeper list extends a shallower one, so the t-th pair
-    does not depend on the depth. Equal ball indices in the list are one
-    int object.
+    and ``nonzero`` reads them out by inner, then outer index; the blocks of
+    every depth are concatenated once. A deeper list extends a shallower
+    one, so the t-th pair does not depend on the depth. Equal ball indices
+    in the list are one int object.
 
     The depth is the least whose list holds T pairs (1 when T <= 0), the
     balls are its :func:`enumerate_balls` list and the pairs the first T of
     that list, sliced as a list is for negative T.
     """
-    depths, count = [], 0
-    while not depths or count < T:
-        depths.append(_depth_pairs(space, _ball_radii(space, len(depths) + 1)))
-        count += len(depths[-1][0])
-    balls = enumerate_balls(space, len(depths))
+    blocks, depth, count = [], 0, 0
+    while not depth or count < T:
+        depth += 1
+        parts = _depth_pairs(space, _ball_radii(space, depth))
+        blocks += parts
+        count += sum(len(inner) for inner, _ in parts)
+    balls = enumerate_balls(space, depth)
     # one int object per ball index, where tolist() would make one per entry
     ids = np.arange(len(balls), dtype=object)
-    inner, outer = (np.concatenate(a)[:T] for a in zip(*depths))
-    return balls, list(zip(ids[inner], ids[outer])), len(depths)
+    inner, outer = (np.concatenate(a)[:T] for a in zip(*blocks))
+    return balls, list(zip(ids[inner], ids[outer])), depth
 
 
 def _lattice_cells(f: np.ndarray, radius: float, m: int) -> np.ndarray:

@@ -154,6 +154,23 @@ def _check_triangles(d: np.ndarray) -> None:
         start += rows
 
 
+def _euclidean(c: np.ndarray) -> np.ndarray:
+    """Distances between the rows of ``c``: ``diff*diff`` summed, ``sqrt``, zero diagonal."""
+    diff = c[:, None, :] - c[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _rounding_certified(d: np.ndarray, c) -> bool:
+    """Whether ``d`` is ``_euclidean(c)`` with too little rounding to fail the
+    triangle check; the bound is proved in :class:`SampledSpace`."""
+    if not (isinstance(c, np.ndarray) and c.dtype == float and c.ndim == 2 and len(c) == len(d)):
+        return False
+    bound = (c.shape[1] + 4) * 2.0**-50 * d.max() + 1e-100
+    return bound < DISTANCE_TOL and np.array_equal(d, _euclidean(c))
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
@@ -178,6 +195,25 @@ class SampledSpace:
     ``_TRIANGLE_FLOATS``, and p^3 in the single block below it (p <= 40).
     The first violation in row-major order has k > i, so the pair it names
     is the one a full check names.
+
+    Those sums run for a distance matrix, and for coordinates unless
+    ``_rounding_certified`` shows that they cannot fail: ``coords`` is a
+    float64 array of m columns, ``dist`` is ``_euclidean(coords)`` bit for
+    bit, and (m + 4) 2^-50 D + 1e-100 < ``DISTANCE_TOL``, D the largest
+    distance. Proof, with u = 2^-53 and γ_n = nu / (1 - nu) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3). The real
+    distances δ of the rows satisfy the triangle inequality exactly. Every
+    computed d is finite (checked first), so no step overflowed. A
+    difference has relative error at most u (one that underflows is exact),
+    a square u plus 2^-1075, a sum of m non-negative terms in any order
+    γ_{m-1}, the root u; so |d - δ| <= γ_{m+3} δ + τ, τ <= √m 2^-537. The
+    slack of (i, j, k) rounds x = fl(d_ij + d_jk) - d_ik >=
+    (1 - u)(d_ij + d_jk) - d_ik >= -(2γ_{m+3} + u) δ_ik - 3τ, and
+    δ_ik <= (D + τ) / (1 - γ_{m+3}). An array in memory has m < 2^50, so
+    (m + 3) u <= 1/4 and x >= -(4m + 14) u D - 4τ, where 4τ < 2^-509. The
+    test's terms are twice those, 8 (m + 4) u D and 1e-100, which covers
+    its own two roundings, so x > -``DISTANCE_TOL``. Rounding is monotone
+    and -``DISTANCE_TOL`` is a float, so no slack falls below it.
     """
 
     dist: np.ndarray
@@ -200,7 +236,8 @@ class SampledSpace:
         if (off <= 0.0).any():
             i, j = np.argwhere(off <= 0.0)[0]
             raise InputError(f"distinct points must have positive distance (points {i}, {j})")
-        _check_triangles(d)
+        if not _rounding_certified(d, self.coords):
+            _check_triangles(d)
         mesh = self.mesh
         if not (_is_number(mesh) and math.isfinite(mesh) and mesh > 0):
             raise InputError("mesh must be a positive real")
@@ -217,10 +254,7 @@ class SampledSpace:
         c = _float_array(points, "points")
         if c.ndim != 2 or c.shape[0] == 0:
             raise InputError("points must be a nonempty list of coordinate rows")
-        diff = c[:, None, :] - c[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=-1))
-        np.fill_diagonal(d, 0.0)
-        return cls(dist=d, coords=c, mesh=mesh)
+        return cls(dist=_euclidean(c), coords=c, mesh=mesh)
 
     @classmethod
     def from_distance_matrix(cls, dist: Sequence[Sequence[float]], mesh: float) -> "SampledSpace":

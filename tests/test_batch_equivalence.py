@@ -5,7 +5,10 @@ The references below walk lattice cells, subset pairs and ball pairs one
 at a time, exactly as the definitions read, and check the triangle
 inequality over the full matrix. The library's batched routes must give
 the same bytes: same member order, same cozero values, same distances,
-same pair list, same schedule depth, same verdict and message. The
+same pair list, same schedule depth, same verdict and message. A
+coordinate sample that the rounding bound certifies skips the triangle
+sums; on a seeded corpus ``from_points`` gives the full check's message
+or distance bytes. The
 lattice cover walks only the cells of crowded images and finds an
 isolated image's first cell by a per-axis search; its bytes are the
 walk's either way. The
@@ -1751,11 +1754,13 @@ class TestPairSchedule:
         radii = metric._ball_radii(space, 256)
         tracemalloc.start()
         try:
-            inner, outer = embedding._depth_pairs(space, radii)
+            blocks = embedding._depth_pairs(space, radii)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 128 * 256 * 128
+        assert len(blocks) > 1
+        inner, outer = (np.concatenate(a) for a in zip(*blocks))
         gaps = np.subtract(radii[:-1], radii[-1])[:, None]
         i, k, j = np.nonzero(space.dist[:, None, :] < gaps)
         assert inner.tolist() == (256 * 128 + i).tolist()
@@ -1853,6 +1858,84 @@ class TestTriangleCheck:
     def test_one_and_two_points(self):
         assert assert_same_triangle_verdict(np.zeros((1, 1))) is None
         assert assert_same_triangle_verdict(np.array([[0.0, 3.0], [3.0, 0.0]])) is None
+
+
+def near_line(rng, count, dim, scale):
+    """Points on a random line through 0 at the given scale, off it by 1e-15 relative."""
+    v = rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    t = rng.uniform(0.0, 1.0, size=(count, 1))
+    return scale * (t * v + 1e-15 * rng.normal(size=(count, dim)))
+
+
+def construction_outcome(make):
+    """The dist bytes of a space, or the text of the InputError its construction raises."""
+    try:
+        return make().dist.tobytes()
+    except InputError as exc:
+        return str(exc)
+
+
+class TestCertifiedTriangles:
+    # from_points skips the triangle sums when a rounding bound shows they
+    # cannot fail; the coords=None construction always makes them
+
+    def test_coordinate_corpus_matches_the_full_check(self):
+        # 1-6 columns, 2-39 points, scales 1e-6 to 1e9, every other set near a line
+        rng = np.random.default_rng(520)
+        raised = certified = 0
+        for case in range(400):
+            count, dim = int(rng.integers(2, 40)), int(rng.integers(1, 7))
+            scale = 10.0 ** rng.uniform(-6.0, 9.0)
+            if case % 2:
+                c = near_line(rng, count, dim, scale)
+            else:
+                c = scale * rng.uniform(-1.0, 1.0, size=(count, dim))
+            d = metric._euclidean(c)
+            want = construction_outcome(lambda: SampledSpace(dist=d, coords=None, mesh=1.0))
+            assert construction_outcome(lambda: SampledSpace.from_points(c, mesh=1.0)) == want
+            if isinstance(want, str):
+                raised += 1
+                assert want == reference_triangle_message(d)
+            else:
+                assert want == d.tobytes()
+            certified += metric._rounding_certified(d, c)
+        assert raised >= 30
+        assert 200 <= certified <= 350
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_near_line_at_1e7_raises(self, seed):
+        # rounding breaks the triangle inequality by more than DISTANCE_TOL
+        # here, so the bound must send these points to the full check
+        c = near_line(np.random.default_rng(530 + seed), 32, 3, 1e7)
+        d = metric._euclidean(c)
+        assert not metric._rounding_certified(d, c)
+        with pytest.raises(InputError, match="triangle inequality violated at points ") as info:
+            SampledSpace.from_points(c, mesh=1.0)
+        assert str(info.value) == reference_triangle_message(d)
+
+    def test_certified_square_skips_the_sums(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError("the triangle sums ran")
+
+        monkeypatch.setattr(metric, "_check_triangles", refuse)
+        square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        space = SampledSpace.from_points(square, mesh=1.0)
+        assert space.dist[0, 3] == math.sqrt(2.0)
+        with pytest.raises(AssertionError, match="the triangle sums ran"):
+            SampledSpace.from_distance_matrix(space.dist, mesh=1.0)
+        with pytest.raises(AssertionError, match="the triangle sums ran"):
+            SampledSpace.from_points(np.multiply(square, 1e6), mesh=1.0)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [np.array([[0.0], [1.0], [2.0]]), [[0.0], [1.0], [5.0]], [[0.0], [1.0, 2.0], [3.0]]],
+        ids=["float-array", "list", "ragged"],
+    )
+    def test_direct_construction_checks_a_non_metric(self, coords):
+        bad = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+        with pytest.raises(InputError, match="^triangle inequality violated at points 0, 2$"):
+            SampledSpace(dist=bad, coords=coords, mesh=1.0)
 
 
 # ---------------------------------------------------------------------------
