@@ -334,17 +334,13 @@ def _grid_block(jobs: int, systems: int, floats: int) -> tuple[int, int]:
     return across, min(systems, max(1, _CHUNK_FLOATS // (floats * across)))
 
 
-def _least_sigmas(
-    jobs: Sequence[np.ndarray], tol: float
-) -> list[tuple[float, tuple[int, ...] | None]]:
-    """Least sigma over the maximal subsets of each job's rows, and the first at or under ``tol``.
+def _sigma_blocks(jobs: Sequence[np.ndarray]) -> Iterator[tuple]:
+    """The filter blocks of the maximal subsets of each job's rows, in label order per job.
 
     A subset S = {s_0 < ... < s_m} has the m x d difference matrix D_S with
     rows p_j - p_{s_0}, and its sigma is D_S's least singular value. Only
-    subsets of size min(k, d+1) are measured, in lexicographic order; the
-    first of them with sigma <= ``tol`` (or NaN) is returned as a tuple of
-    ints, or None. With fewer than two rows there is no difference to
-    measure: (inf, None).
+    subsets of size min(k, d+1) are measured, in lexicographic order; a job
+    of fewer than two rows has no difference to measure and no block.
 
     Every smaller subset S of size >= 2 lies in a maximal S', and its sigma
     is at least that of S': for least elements b >= b' of S and S',
@@ -352,67 +348,94 @@ def _least_sigmas(
     E E^T is I (b = b') or I + 11^T (b > b'). For unit x, |E^T x| >= 1 and
     D_{S'} has at most d rows, so |D_S^T x| = |D_{S'}^T E^T x| >= sigma(S').
     The least sigma over all subsets is thus reached at a maximal one, and
-    a set has a subset at or under ``tol`` exactly when a maximal one does
-    (a set is affinely independent exactly when its maximal subsets are).
-    In floats each maximal subset's sigma has the bytes a scan of every
-    size computes for it, and a smaller subset's computed sigma can fall
-    below its superset's only within the SVD's backward error, far below
-    ``RANK_TOL``.
+    a set has a subset at or under a tolerance exactly when a maximal one
+    does (a set is affinely independent exactly when its maximal subsets
+    are). In floats each maximal subset's sigma has the bytes a scan of
+    every size computes for it, and a smaller subset's computed sigma can
+    fall below its superset's only within the SVD's backward error, far
+    below ``RANK_TOL``.
 
-    The filter (:func:`_filtered_least`) takes the Gram-Schmidt lengths
-    l_ii of D's rows: prod l_ii = prod sigma_i, so sigma lies between
-    prod l_ii / |D|_F^(m-1) and min l_ii, widened by K u kappa relative
-    (kappa = |D|_F^m / prod l_ii >= cond(D)) and K u |D|_F absolute (Weyl);
-    K u is ``_FILTER_EPS``. Jobs of one point shape (k, d) share the subsets
-    of ``combinations(range(k), size)`` and form one grid (:func:`_grids`).
-    Each (job slice x subset slice) block holds at most ``_CHUNK_FLOATS``
-    difference floats, or one subset, and gathers its subsets' points once,
-    along the point axis of the grid's stacked points.
-    When one slice holds every subset in at most 2^16 indices (the
+    A block's ends (see :func:`_filtered_least`) come from the Gram-Schmidt
+    lengths l_ii of D's rows: prod l_ii = prod sigma_i, so sigma lies
+    between prod l_ii / |D|_F^(m-1) and min l_ii, widened by K u kappa
+    relative (kappa = |D|_F^m / prod l_ii >= cond(D)) and K u |D|_F
+    absolute (Weyl); K u is ``_FILTER_EPS``. Jobs of one point shape (k, d)
+    share the subsets of ``combinations(range(k), size)`` and form one grid
+    (:func:`_grids`). Each (job slice x subset slice) block holds at most
+    ``_CHUNK_FLOATS`` difference floats, or one subset, and gathers its
+    subsets' points once, along the point axis of the grid's stacked
+    points. When one slice holds every subset in at most 2^16 indices (the
     builder's 210 subsets of 10 points) it is the cached :func:`_subsets`
     table; otherwise the slices are streamed from ``combinations``, so no
-    cached table grows with the input. Every
-    decomposed D is the matrix that a scan of its job alone decomposes, so
-    each job's result has that scan's bytes.
+    cached table grows with the input. Every decomposed D is the matrix
+    that a scan of its job alone decomposes, so each job's result has that
+    scan's bytes.
     """
     keys = [p.shape if min(p.shape[0], p.shape[1] + 1) >= 2 else None for p in jobs]
+    for members, points in _grids(jobs, keys):
+        _, k, d = points.shape
+        size = min(k, d + 1)
+        count = math.comb(k, size)
+        across, down = _grid_block(len(members), count, (size - 1) * d)
+        if down == count and count * size <= 1 << 16:
+            slices: Iterable[np.ndarray] = [_subsets(k, size)]
+        else:
+            subsets = combinations(range(k), size)
+            slices = (np.fromiter(chain.from_iterable(islice(subsets, down)), dtype=np.intp)
+                      .reshape(-1, size) for _ in range(0, count, down))
+        for sub in slices:
+            for at in range(0, len(members), across):
+                # the gathered points are dropped once differenced
+                diffs = points[at : at + across].take(sub, axis=1).reshape(-1, size, d)
+                with np.errstate(all="ignore"):
+                    diffs = diffs[:, 1:] - diffs[:, :1]
+                    norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
+                    lengths = np.sqrt(_gram_schmidt(diffs.transpose(1, 2, 0).copy()))
+                    det = lengths.prod(axis=0)
+                    rel = _FILTER_EPS * norm ** (size - 1) / det
+                    slack = _FILTER_EPS * norm
+                    low = det / norm ** (size - 2) * (1.0 - rel) - slack
+                    high = np.fmin.reduce(lengths, axis=0) * (1.0 + rel) + slack
+                grid = (-1, len(sub))
+                yield (members[at : at + across], sub, low.reshape(grid), high.reshape(grid),
+                       lambda keep: np.linalg.svd(diffs[keep], compute_uv=False).min(axis=1))
 
-    def blocks() -> Iterator[tuple]:
-        for members, points in _grids(jobs, keys):
-            _, k, d = points.shape
-            size = min(k, d + 1)
-            count = math.comb(k, size)
-            across, down = _grid_block(len(members), count, (size - 1) * d)
-            if down == count and count * size <= 1 << 16:
-                slices: Iterable[np.ndarray] = [_subsets(k, size)]
-            else:
-                subsets = combinations(range(k), size)
-                slices = (np.fromiter(chain.from_iterable(islice(subsets, down)), dtype=np.intp)
-                          .reshape(-1, size) for _ in range(0, count, down))
-            for sub in slices:
-                for at in range(0, len(members), across):
-                    # the gathered points are dropped once differenced
-                    diffs = points[at : at + across].take(sub, axis=1).reshape(-1, size, d)
-                    with np.errstate(all="ignore"):
-                        diffs = diffs[:, 1:] - diffs[:, :1]
-                        norm = np.sqrt(np.einsum("nij,nij->n", diffs, diffs))
-                        lengths = np.sqrt(_gram_schmidt(diffs.transpose(1, 2, 0).copy()))
-                        det = lengths.prod(axis=0)
-                        rel = _FILTER_EPS * norm ** (size - 1) / det
-                        slack = _FILTER_EPS * norm
-                        low = det / norm ** (size - 2) * (1.0 - rel) - slack
-                        high = np.fmin.reduce(lengths, axis=0) * (1.0 + rel) + slack
-                    grid = (-1, len(sub))
-                    yield (members[at : at + across], sub, low.reshape(grid), high.reshape(grid),
-                           lambda keep: np.linalg.svd(diffs[keep], compute_uv=False).min(axis=1))
 
-    least, first = _filtered_least(blocks(), tol, len(jobs))
+def _least_sigmas(
+    jobs: Sequence[np.ndarray], tol: float
+) -> list[tuple[float, tuple[int, ...] | None]]:
+    """Least sigma over the maximal subsets of each job's rows (:func:`_sigma_blocks`), and the
+    first at or under ``tol`` (or NaN) as a tuple of ints, or None; (inf, None) for a job of
+    fewer than two rows. The verifier reports the least sigma as its margin, so the filter
+    (:func:`_filtered_least`) solves every subset that can set it."""
+    least, first = _filtered_least(_sigma_blocks(jobs), tol, len(jobs))
     return [(v, None if f is None else tuple(f.tolist())) for v, f in zip(least, first)]
 
 
-def _least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...] | None]:
-    """:func:`_least_sigmas` of one set of points."""
-    return _least_sigmas([points], tol)[0]
+def _violating_subset(points: np.ndarray, tol: float) -> tuple[int, ...] | None:
+    """The maximal subset of ``points`` that :func:`_least_sigmas` names, without the least sigma.
+
+    Blocks are walked in label order. A subset whose high end is at or
+    under ``tol`` is a sure hit: its computed sigma is at most that end, as
+    the filter's running bound assumes. Before a block's first sure hit,
+    the subsets whose low end is not above ``tol`` (NaN included) are
+    solved, and the first solved value at or under ``tol`` (or NaN) names
+    its subset; otherwise the sure hit does. Every subset before the named
+    one has a low end or a computed sigma above ``tol``, so it is the full
+    scan's first. The walk stops there, and later blocks are never built.
+    """
+    for _, labels, low, high, solve in _sigma_blocks([points]):
+        sure = np.flatnonzero(high[0] <= tol)
+        end = sure[0] if len(sure) else len(labels)
+        keep = ~(low[0] > tol)
+        keep[end:] = False
+        if keep.any():
+            hits = np.flatnonzero(keep)[~(solve(keep) > tol)]
+            if len(hits):
+                end = hits[0]
+        if end < len(labels):
+            return tuple(labels[end].tolist())
+    return None
 
 
 def _check_seed(seed) -> None:
@@ -437,8 +460,8 @@ def general_position(
     min(k, d+1): the least singular value of its differences from its
     first point must exceed ``tol``, which must be finite and nonnegative.
     That covers every smaller subset too, because deleting points never
-    lowers the least singular value (:func:`_least_sigma` gives the
-    argument).
+    lowers the least singular value (:func:`_sigma_blocks` gives the
+    argument). A round needs only the verdict (:func:`_violating_subset`).
     A target with a constraint hyperplane must lie within eps of it; its
     fixed coordinates are set to the plane's values and never perturbed,
     so the output stays exactly on the hyperplane. If ``box`` is given,
@@ -449,8 +472,10 @@ def general_position(
     generator seeded by ``seed``, a non-negative integer or a tuple of
     them, so results are reproducible; the generator is made on the first
     perturbed round. ``eps`` must be positive and finite and ``rounds`` at
-    least 1. Exhausting the round budget raises and names the last round's
-    lexicographically first violating maximal subset.
+    least 1. Exhausting the round budget raises: the message names the
+    lexicographically first violating maximal subset of the last round that
+    reached the subset test, or says that no round reached it because each
+    left a constrained target outside the box or moved a point eps or more.
     """
     pts = _float_array(targets, "targets")
     if pts.ndim != 2:
@@ -502,12 +527,14 @@ def general_position(
                 continue
         if round_no > 0 and (np.linalg.norm(candidate - pts, axis=1) >= eps).any():
             continue
-        _, violation = _least_sigma(candidate, tol)
+        violation = _violating_subset(candidate, tol)
         if violation is None:
             return candidate
     raise GeneralPositionError(
         f"no general-position perturbation found in {rounds} rounds; "
-        f"last violating subset: {violation}"
+        + (f"last violating subset: {violation}" if violation is not None else
+           "no round reached the subset test: each left a constrained target outside the box "
+           "or moved a point eps or more")
     )
 
 

@@ -3,8 +3,9 @@
 Random instances are built from seeded numpy generators so every test run
 sees the same data. Covers built here are covering by construction: each
 sample point is assigned an owner ball whose radius is padded past the
-owner's farthest assigned point. The space writer, the complex reader and
-the face test below are helpers that only the tests call.
+owner's farthest assigned point. The space writer, the complex reader, the
+face test and the one-set sigma scan below are helpers that only the tests
+call.
 """
 
 import json
@@ -14,6 +15,7 @@ import pytest
 
 from dimlab import Ball, Cover, InputError, SampledSpace, ball_cozero
 from dimlab.dimension import DisjointPairFamily
+from dimlab.embedding import _least_sigmas
 from dimlab.metric import _reject_json_constant
 from dimlab.nerve import SimplicialComplex
 
@@ -132,6 +134,12 @@ def import_complex(data: bytes) -> SimplicialComplex:
     if faces != out.simplices:
         raise InputError("complex document's faces are not downward closed")
     return out
+
+
+def least_sigma(points: np.ndarray, tol: float) -> tuple[float, tuple[int, ...] | None]:
+    """The verifier's sigma scan (``_least_sigmas``) of one set of points: the least sigma
+    over its maximal subsets and the first subset at or under ``tol``, or None."""
+    return _least_sigmas([points], tol)[0]
 
 
 def segment_distance(p1, p2, q1, q2) -> float:

@@ -24,10 +24,12 @@ the same verdict and the same least singular value up to rounding, and
 names the first maximal subset at or under the tolerance. Both decompose
 only the systems that an error-bounded Gram-Schmidt estimate cannot rule
 out; against decomposing every system they give the same values, named
-subsets and messages, byte for byte. The verifier runs one sigma grid,
-one eta grid and one eta' grid over the stages that share an index array,
+subsets and messages, byte for byte. The builder's general-position verdict,
+which stops at its first failing subset, names the same subset. The
+verifier runs one sigma grid, one eta grid and one eta' grid over the
+stages that share an index array,
 with blocks that hold several stages; at the default block size its report
-has the bytes of the per-stage loop that called ``_least_sigma``, ``eta``
+has the bytes of the per-stage loop that called the one-set sigma scan, ``eta``
 and ``eta_prime`` one stage at a time, on valid and tampered results, and
 every other block size gives the default size's bytes.
 Order reduction, which shrinks the least (n+2)-subset of members sharing a
@@ -101,10 +103,10 @@ from dimlab.embedding import (
     _disjoint_pairs,
     _group_row,
     _lattice_cells,
-    _least_sigma,
     _least_sigmas,
     _plane_groups,
     _plane_pairs,
+    _sigma_blocks,
     _solve_spans,
     _span_job,
     _span_columns,
@@ -112,6 +114,7 @@ from dimlab.embedding import (
     _stage_covers,
     _stage_vertices,
     _subsets,
+    _violating_subset,
     _widest_first,
     ball_preimage_cover,
     enumerate_hyperplanes,
@@ -124,6 +127,7 @@ from dimlab.embedding import (
 )
 from conftest import (
     grid_square_space,
+    least_sigma,
     line_space,
     random_ball_cover,
     random_value_cover,
@@ -870,11 +874,11 @@ def subset_sigma(points, subset):
 
 
 def assert_same_verdict(points, tols=(RANK_TOL,)):
-    """_least_sigma against the all-sizes scan: verdicts, least sigma, first named subset."""
+    """least_sigma against the all-sizes scan: verdicts, least sigma, first named subset."""
     want = all_sizes_sigma(points)
     k, d = points.shape
     for tol in tols:
-        least, first = _least_sigma(points, tol)
+        least, first = least_sigma(points, tol)
         assert want <= least <= want + 1e-12
         assert (least > tol) == (want > tol) == (first is None)
         if first is not None:
@@ -882,7 +886,7 @@ def assert_same_verdict(points, tols=(RANK_TOL,)):
             maximal = list(combinations(range(k), min(k, d + 1)))
             assert first in maximal and subset_sigma(points, first) <= tol
             assert all(subset_sigma(points, c) > tol for c in maximal[: maximal.index(first)])
-    return _least_sigma(points, tols[0])
+    return least_sigma(points, tols[0])
 
 
 def planted(rng, d, k, kind, at):
@@ -908,13 +912,13 @@ KIND_SIZES = {"coincident": 2, "collinear": 3, "off-plane": 4}
 @pytest.fixture(scope="module")
 def sigma_block_cases(golden_runs):
     """(point sets, targets, want) of TestMaximalSubsets.test_small_blocks: want holds each
-    set's _least_sigma, the placed targets' bytes and the 16-stage line run's report, at
+    set's least_sigma, the placed targets' bytes and the 16-stage line run's report, at
     the default block size."""
     rng = np.random.default_rng(800)
     cases = [planted(rng, 3, 9, "collinear", (5, 7, 8)), rng.uniform(0.0, 1.0, (10, 5))]
     targets = rng.uniform(0.0, 1.0, (7, 3))
     space, n, r = golden_runs[1]
-    want = ([_least_sigma(p, RANK_TOL) for p in cases],
+    want = ([least_sigma(p, RANK_TOL) for p in cases],
             general_position(targets, eps=0.01, seed=3).tobytes(),
             verify_result(r, space, n).to_json_dict())
     return cases, targets, want
@@ -996,7 +1000,7 @@ class TestMaximalSubsets:
         cases, targets, want = sigma_block_cases
         space, n, r = golden_runs[1]
         monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
-        got = ([_least_sigma(p, RANK_TOL) for p in cases],
+        got = ([least_sigma(p, RANK_TOL) for p in cases],
                general_position(targets, eps=0.01, seed=3).tobytes(),
                verify_result(r, space, n).to_json_dict())
         assert got == want
@@ -1053,29 +1057,30 @@ def outcome(run):
         return str(exc)
 
 
-def sigma_outcome(least_sigma, points, tol):
+def sigma_outcome(scan, points, tol):
     """The bytes of the least sigma and the subset named."""
-    least, first = least_sigma(points, tol)
+    least, first = scan(points, tol)
     return np.float64(least).tobytes(), first
 
 
 def assert_filtered_scans(z, n, plane, tols=()):
-    """eta, eta_prime and _least_sigma give the unfiltered scans' bytes and messages on z."""
+    """eta, eta_prime and least_sigma give the unfiltered scans' bytes and messages on z."""
     assert outcome(lambda: eta(z, n)) == outcome(lambda: reference_eta(z, n))
     assert outcome(lambda: eta_prime(z, plane, n)) == outcome(
         lambda: reference_eta_prime(z, plane, n))
     least = reference_least_sigma(z, RANK_TOL)[0]
     for tol in (RANK_TOL, *tols, least / 2, least, 2 * least):
         if math.isfinite(tol):
-            assert sigma_outcome(_least_sigma, z, tol) == sigma_outcome(
+            assert sigma_outcome(least_sigma, z, tol) == sigma_outcome(
                 reference_least_sigma, z, tol)
 
 
 @pytest.fixture(scope="module")
 def corpus():
     """(runs, calls) of the generic corpus, seeds 0 and 1: each run is (space, n, result or
-    None when it fails), and calls are the (name, args) of every eta, eta_prime and
-    _least_sigma call made while embedding.
+    None when it fails), and calls are the (name, args, results) of every eta, eta_prime and
+    _violating_subset call made while embedding, where results holds the value returned,
+    or nothing when the call raised.
 
     Uniform 10-point squares, the 12-point circle, the 8-, 10- and 16-point
     lines and the 3x3 grid, the failing runs included.
@@ -1084,8 +1089,9 @@ def corpus():
 
     def recording(name, real):
         def run(*args):
-            calls.append((name, args))
-            return real(*args)
+            calls.append((name, args, results := []))
+            results.append(real(*args))
+            return results[0]
         return run
 
     th = 2 * np.pi * np.arange(12) / 12
@@ -1097,7 +1103,7 @@ def corpus():
               (line_space(16), 1, 8), (grid_square_space(3, 3), 2, 2)]
     runs = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("eta", "eta_prime", "_least_sigma"):
+        for name in ("eta", "eta_prime", "_violating_subset"):
             mp.setattr(embedding, name, recording(name, getattr(embedding, name)))
         for space, n, T in cases:
             for seed in (0, 1):
@@ -1251,14 +1257,16 @@ class TestFilteredScans:
         failed = sum(r is None for _, _, r in runs)
         references = {"eta": (eta, reference_eta),
                       "eta_prime": (eta_prime, reference_eta_prime)}
-        for name, args in calls:
+        for name, args, results in calls:
             if name in references:
                 run, reference = references[name]
                 assert outcome(lambda: run(*args)) == outcome(lambda: reference(*args))
             else:
-                assert sigma_outcome(_least_sigma, *args) == sigma_outcome(
+                # the builder's verdict, and the verifier's scan on the same points
+                assert results == [reference_least_sigma(*args)[1]]
+                assert sigma_outcome(least_sigma, *args) == sigma_outcome(
                     reference_least_sigma, *args)
-        assert {name for name, _ in calls} == {"eta", "eta_prime", "_least_sigma"}
+        assert {name for name, _, _ in calls} == {"eta", "eta_prime", "_violating_subset"}
         assert 10 <= failed < 30
 
     @pytest.mark.parametrize("chunk", [1, 9, 50])
@@ -1268,7 +1276,8 @@ class TestFilteredScans:
         # line and points 6-8 are on one, so under the loose tolerance the
         # first subset named is not the one with the least sigma. Spans:
         # random sets (two widest groups at s = 5, n = 3), spans on both
-        # sides of SCAN_GUARD and HULL_TOL, and a vertex on the plane
+        # sides of SCAN_GUARD and HULL_TOL, and a vertex on the plane. The
+        # builder's verdict, which stops at its first hit, names the same subsets
         cases, tols, want, span_cases, want_spans = small_block_cases
         least, first = want[-1]
         assert first[:3] == (0, 1, 2) and np.frombuffer(least)[0] < 1e-9
@@ -1276,9 +1285,25 @@ class TestFilteredScans:
         for patched in (False, True):
             if patched:
                 monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
-            assert [sigma_outcome(_least_sigma, p, tol) for p in cases for tol in tols] == want
+            assert [sigma_outcome(least_sigma, p, tol) for p in cases for tol in tols] == want
+            assert [_violating_subset(p, tol) for p in cases for tol in tols] == [
+                first for _, first in want]
             assert [(outcome(lambda: eta(z, n)), outcome(lambda: eta_prime(z, plane, n)))
                     for z, n, plane in span_cases] == want_spans
+
+    def test_verdict_on_nan_bounds(self):
+        # NaN ends are undecided: they are solved even when a sure hit follows.
+        # Points 0-2 lie on a line with dyadic differences, so each subset
+        # holding them has an exact zero Gram-Schmidt length and NaN ends;
+        # points 3 and 4 are 1e-12 apart, so (0, 1, 3, 4) is a sure hit
+        pts = np.array([[0.0, 0.5, 0.5], [0.25, 0.5, 0.5], [0.5, 0.5, 0.5],
+                        [0.3, 0.9, 0.1], [0.3, 0.9, 0.1 + 1e-12], [0.8, 0.2, 0.6]])
+        (_, labels, low, high, _), = _sigma_blocks([pts])
+        sure = int(np.flatnonzero(high[0] <= RANK_TOL)[0])
+        assert tuple(labels[sure]) == (0, 1, 3, 4)
+        assert np.isnan(low[0, :sure]).all() and np.isnan(high[0, :sure]).all()
+        for tol in (RANK_TOL, 1e-3):
+            assert _violating_subset(pts, tol) == reference_least_sigma(pts, tol)[1] == (0, 1, 2, 3)
 
     @pytest.mark.parametrize("chunk", [1, 9, 50])
     def test_widest_systems_built_once_in_blocks(self, monkeypatch, chunk):
@@ -1314,8 +1339,8 @@ class TestFilteredScans:
         # differences past the float range give NaN sigmas and distances:
         # each counts as at or under the tolerance, never as a pass
         targets = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
-        least, first = _least_sigma(targets, RANK_TOL)
-        assert math.isnan(least) and first == (0, 1, 2)
+        least, first = least_sigma(targets, RANK_TOL)
+        assert math.isnan(least) and first == _violating_subset(targets, RANK_TOL) == (0, 1, 2)
         with pytest.raises(GeneralPositionError, match=r"subset: \(0, 1, 2\)"):
             general_position(targets, eps=0.01)
         one = [0]
@@ -1351,8 +1376,8 @@ class TestFilteredScans:
         pts = np.random.default_rng(960).uniform(0.0, 1.0, (24, 7))
         line = np.linspace(0.0, 1.0, 400)[:, None]
         before = _subsets.cache_info()
-        least, first = _least_sigma(pts, RANK_TOL)
-        assert _least_sigma(line, RANK_TOL) == (float(np.diff(line[:, 0]).min()), None)
+        least, first = least_sigma(pts, RANK_TOL)
+        assert least_sigma(line, RANK_TOL) == (float(np.diff(line[:, 0]).min()), None)
         assert _subsets.cache_info() == before
         assert first is None and RANK_TOL < least < 1e-3
 
@@ -1373,20 +1398,34 @@ class TestFilteredScans:
         for st in r.stages:
             assert len(_disjoint_pairs(len(st.vertices), 1)[-1][0]) == 210
             eta(st.vertices, 1)
-            _least_sigma(np.vstack([st.vertices, st.anchors]), RANK_TOL)
+            least_sigma(np.vstack([st.vertices, st.anchors]), RANK_TOL)
         assert len(r.stages) == 16
         assert 16 <= rows["pinv"] <= 0.02 * 16 * 210
         assert 16 <= rows["svd"] <= 0.25 * 16 * 210
+
+    def test_builder_solves_few_subsets(self, monkeypatch, golden_runs):
+        # embedding the 8-point line at n = 1, T = 16 tests 17 point sets of
+        # 210 subsets each; the verdict scan decomposes the 20 subsets of
+        # stage 0, round 0 that its bounds leave undecided before a sure hit
+        # (the least-sigma scan of the same sets decomposes 723)
+        space, n, r = golden_runs[1]
+        rows = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: rows.append(len(a))
+                            or real(a, *args, **kwargs))
+        again = nobeling_embed(space, n=n, T=16, seed=0)
+        assert sum(rows) <= 20
+        assert result_to_json_dict(again) == result_to_json_dict(r)
 
 
 def report_bytes(r, space, n):
     return metric._write_json(verify_result(r, space, n).to_json_dict())
 
 
-def per_stage_report(r, space, n, least_sigma=_least_sigma, eta_of=eta, eta_prime_of=eta_prime):
+def per_stage_report(r, space, n, sigma_of=least_sigma, eta_of=eta, eta_prime_of=eta_prime):
     """The bytes of verify_result's report with its scans run one stage at a time.
 
-    Each stage's sigma is ``least_sigma`` of its vertices and anchors, and
+    Each stage's sigma is ``sigma_of`` of its vertices and anchors, and
     its spans are ``eta_of`` and ``eta_prime_of`` of its vertices, as the
     verifier's stage loop called them before its scans were batched: a
     GeneralPositionError from either fails both span checks.
@@ -1403,7 +1442,7 @@ def per_stage_report(r, space, n, least_sigma=_least_sigma, eta_of=eta, eta_prim
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_least_sigmas", lambda jobs, tol: [least_sigma(p, tol) for p in jobs])
+        mp.setattr(harness, "_least_sigmas", lambda jobs, tol: [sigma_of(p, tol) for p in jobs])
         mp.setattr(harness, "_span_job", lambda vertices, n, plane=None: (vertices, plane))
         mp.setattr(harness, "_widest_first", spans)
         return report_bytes(r, space, n)
@@ -1463,7 +1502,7 @@ def tampered_reports(golden_runs):
 @pytest.fixture(scope="module")
 def grouping_cases():
     """Per n in (1, 2): the span jobs with cached and with distinct group tuples, each
-    job's one-job _widest_first result, the sigma jobs and each one's _least_sigma per
+    job's one-job _widest_first result, the sigma jobs and each one's least_sigma per
     tolerance, all at the default block size."""
     rng = np.random.default_rng(1010)
     cases = []
@@ -1481,7 +1520,7 @@ def grouping_cases():
         one = [_widest_first([job])[0] for job in shared]
         points = [np.vstack([z, rng.uniform(0.0, 1.0, (n + 1, d))]) for z in sets]
         points += [rng.uniform(0.0, 1.0, (3, d)), rng.uniform(0.0, 1.0, (4, 2))]
-        want = {tol: [_least_sigma(p, tol) for p in points] for tol in (RANK_TOL, 1e-3)}
+        want = {tol: [least_sigma(p, tol) for p in points] for tol in (RANK_TOL, 1e-3)}
         cases.append((shared, distinct, one, points, want))
     return cases
 

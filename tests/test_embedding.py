@@ -269,6 +269,35 @@ class TestGeneralPosition:
         with pytest.raises(GeneralPositionError, match=r"last violating subset: \(0, 1, 2\)$"):
             general_position(targets, eps=0.1, rounds=1)
 
+    def test_no_round_reaches_the_subset_test(self, monkeypatch):
+        # target 0 is held on x0 = x1 = 0, below the box's floor of 0.1, in
+        # every round: no subset is tested, and the message names none
+        tested = []
+        monkeypatch.setattr(embedding, "_violating_subset", lambda *args: tested.append(args))
+        plane = Hyperplane((0, 1), (F(0), F(0)))
+        targets = np.array([[0.0, 0.0, 0.5], [0.5, 0.5, 0.5], [0.7, 0.2, 0.9]])
+        with pytest.raises(GeneralPositionError,
+                           match=r"in 3 rounds; no round reached the subset test: each left a "
+                                 r"constrained target outside the box or moved a point eps or more$"):
+            general_position(targets, eps=0.05, constraints=[plane, None, None],
+                             box=(np.full(3, 0.1), np.ones(3)), rounds=3)
+        assert tested == []
+
+    def test_skipped_last_round_names_an_earlier_subset(self, monkeypatch):
+        # target 0 lies exactly eps from its plane x0 = 0, x1 = 1/2: round 0
+        # tests the collinear projection, and every perturbed round moves
+        # target 0 by sqrt(eps^2 + noise^2) >= eps, so rounds 1 and 2 are skipped
+        tested = []
+        real = embedding._violating_subset
+        monkeypatch.setattr(embedding, "_violating_subset",
+                            lambda points, tol: tested.append(1) or real(points, tol))
+        plane = Hyperplane((0, 1), (F(0), F(1, 2)))
+        targets = np.array([[0.25, 0.5, 0.5], [0.0, 0.5, 0.0], [0.0, 0.5, 1.0]])
+        with pytest.raises(GeneralPositionError,
+                           match=r"in 3 rounds; last violating subset: \(0, 1, 2\)$"):
+            general_position(targets, eps=0.25, constraints=[plane, None, None], rounds=3)
+        assert len(tested) == 1
+
     def test_deterministic_under_seed(self):
         targets = np.array([[0.2, 0.2], [0.7, 0.2], [0.45, 0.2]])
         a = general_position(targets, eps=0.01, seed=(4, 2))
@@ -295,8 +324,8 @@ class TestGeneralPosition:
     def test_later_rounds_pinned(self, monkeypatch, name, case, want):
         # pinned bytes of outputs that need a perturbed round
         sigmas = []
-        real = embedding._least_sigma
-        monkeypatch.setattr(embedding, "_least_sigma",
+        real = embedding._violating_subset
+        monkeypatch.setattr(embedding, "_violating_subset",
                             lambda points, tol: sigmas.append(1) or real(points, tol))
         out = case()
         assert hashlib.sha256(out.tobytes()).hexdigest() == want
