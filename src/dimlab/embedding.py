@@ -636,16 +636,19 @@ def _span_columns(points: np.ndarray, rows: np.ndarray, a: int) -> np.ndarray:
     tails, heads = _span_selectors(a, rows.shape[1] - a)
     p = points.take(rows, axis=1).reshape(-1, rows.shape[1], points.shape[2])
     cols = p.take(tails, axis=1)
-    cols -= p.take(heads, axis=1)
+    with np.errstate(all="ignore"):  # points near +-1e308: the scans read inf and NaN
+        cols -= p.take(heads, axis=1)
     return cols
 
 
 def _solve_spans(m: np.ndarray, r: np.ndarray) -> np.ndarray:
     """sqrt(|r|^2 - r^T M M^+ r) per stacked system (M, r); pinv runs matrix by matrix,
-    so a row's bytes depend only on its own system and the padded width."""
-    proj = np.einsum("nij,nj->ni", m @ np.linalg.pinv(m), r)
-    sq = np.einsum("ni,ni->n", r, r) - np.einsum("ni,ni->n", proj, r)
-    return np.sqrt(np.maximum(sq, 0.0))
+    so a row's bytes depend only on its own system and the padded width; a
+    non-finite system gives a NaN or inf row."""
+    with np.errstate(all="ignore"):
+        proj = np.einsum("nij,nj->ni", m @ np.linalg.pinv(m), r)
+        sq = np.einsum("ni,ni->n", r, r) - np.einsum("ni,ni->n", proj, r)
+        return np.sqrt(np.maximum(sq, 0.0))
 
 
 def _span_distances(

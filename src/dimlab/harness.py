@@ -236,7 +236,8 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
     # picks: the least-index point of each member, as the builder places vertices
     picks = sup.argmax(axis=1)
     owner = np.repeat(np.arange(count), sizes)
-    prox = np.linalg.norm(vertices - f[owner, picks], axis=1)
+    with np.errstate(all="ignore"):  # vertices near +-1e308 give an inf proximity
+        prox = np.linalg.norm(vertices - f[owner, picks], axis=1)
     prox = np.maximum.reduceat(prox, starts).tolist()
     anchor_err = np.abs(_plane_offsets(anchors, coords, levels)).max(axis=(1, 2)).tolist()
     contraction = np.linalg.norm(f_next - f, axis=2).max(axis=1).tolist()

@@ -155,20 +155,83 @@ def _check_triangles(d: np.ndarray) -> None:
 
 
 def _euclidean(c: np.ndarray) -> np.ndarray:
-    """Distances between the rows of ``c``: ``diff*diff`` summed, ``sqrt``, zero diagonal."""
-    diff = c[:, None, :] - c[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
-    return d
+    """Distances between the rows of ``c``: ``diff*diff`` summed column by column
+    into one (p, p) array, ``sqrt``, zero diagonal.
+
+    For m <= 7 columns the sums have the bytes of numpy's ``sum(axis=-1)``
+    over the (p, p, m) squares, which adds a short axis in column order.
+    """
+    acc = np.zeros((len(c), len(c)))
+    diff = np.empty_like(acc)
+    for col in c.T:
+        np.subtract(col[:, None], col[None, :], out=diff)
+        diff *= diff
+        acc += diff
+    np.sqrt(acc, out=acc)
+    np.fill_diagonal(acc, 0.0)
+    return acc
+
+
+def _witness_bound(m: int, top: float, rho: float) -> float:
+    """The rounding bound of :class:`SampledSpace` for m columns, largest distance
+    ``top`` and residual ``rho``; the check is certified when it is below ``DISTANCE_TOL``."""
+    return (m + 4) * 2.0**-50 * (top + rho) + 4.0 * rho + 1e-100
+
+
+def _gram_witness(d: np.ndarray) -> np.ndarray | None:
+    """Coordinates whose distances are meant to be ``d``, or None where no witness can help.
+
+    A pivoted partial Cholesky of the anchor-0 Gram matrix G_ij = (d_0i^2 +
+    d_0j^2 - d_ij^2) / 2 of ``d`` / D, D the largest distance: rows[k] is
+    the k-th column of L, G ~ L L^T, and point i sits at row i of L times D
+    (point 0 at the origin). Each step computes one column of G from one
+    row of ``d`` and subtracts the earlier columns' part, O(p k). It stops
+    when the largest residual diagonal entry is at most p u (rounding noise
+    on entries of at most 1), and gives up when an entry falls below
+    minus that: G, and so ``d``, is then not Euclidean. No entry can leave
+    the float range, since a kept row has residual diagonal at least -p u,
+    so its L entries are bounded by about 1. Nothing here decides a
+    verdict: :func:`_rounding_certified` measures how far these coordinates'
+    distances are from ``d``.
+    """
+    p, top = len(d), float(d.max())
+    if p < 2 or not _witness_bound(1, top, 0.0) < DISTANCE_TOL:
+        return None  # one point has no triangle; a wider witness only has a larger bound
+    noise = p * 2.0**-53
+    a = (d[0] / top) ** 2
+    diag = a.copy()
+    rows = np.empty((p - 1, p))
+    k = 0
+    while k < p - 1:
+        pivot = int(diag.argmax())
+        if diag[pivot] <= noise:
+            break
+        col = (a + a[pivot] - (d[pivot] / top) ** 2) / 2.0 - rows[:k, pivot] @ rows[:k]
+        col /= math.sqrt(diag[pivot])
+        diag -= col * col
+        if diag.min() < -noise:
+            return None
+        rows[k] = col
+        k += 1
+    return rows[:k].T * top
 
 
 def _rounding_certified(d: np.ndarray, c) -> bool:
-    """Whether ``d`` is ``_euclidean(c)`` with too little rounding to fail the
-    triangle check; the bound is proved in :class:`SampledSpace`."""
+    """Whether the triangle check on ``d`` cannot fail, by the residual of ``d``
+    against the distances of the witness coordinates ``c`` (a (p, m) float
+    array, or anything else, which certifies nothing); the bound is proved in
+    :class:`SampledSpace`."""
     if not (isinstance(c, np.ndarray) and c.dtype == float and c.ndim == 2 and len(c) == len(d)):
         return False
-    bound = (c.shape[1] + 4) * 2.0**-50 * d.max() + 1e-100
-    return bound < DISTANCE_TOL and np.array_equal(d, _euclidean(c))
+    m, top = c.shape[1], float(d.max())
+    if not _witness_bound(m, top, 0.0) < DISTANCE_TOL:
+        return False
+    with np.errstate(all="ignore"):  # any coordinates: an overflow makes rho inf or NaN
+        res = _euclidean(c)
+        np.subtract(d, res, out=res)
+        np.abs(res, out=res)
+        rho = float(np.nextafter(res.max(), math.inf))
+    return _witness_bound(m, top, rho) < DISTANCE_TOL
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -196,24 +259,31 @@ class SampledSpace:
     The first violation in row-major order has k > i, so the pair it names
     is the one a full check names.
 
-    Those sums run for a distance matrix, and for coordinates unless
-    ``_rounding_certified`` shows that they cannot fail: ``coords`` is a
-    float64 array of m columns, ``dist`` is ``_euclidean(coords)`` bit for
-    bit, and (m + 4) 2^-50 D + 1e-100 < ``DISTANCE_TOL``, D the largest
-    distance. Proof, with u = 2^-53 and γ_n = nu / (1 - nu) (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 3). The real
-    distances δ of the rows satisfy the triangle inequality exactly. Every
-    computed d is finite (checked first), so no step overflowed. A
-    difference has relative error at most u (one that underflows is exact),
-    a square u plus 2^-1075, a sum of m non-negative terms in any order
-    γ_{m-1}, the root u; so |d - δ| <= γ_{m+3} δ + τ, τ <= √m 2^-537. The
-    slack of (i, j, k) rounds x = fl(d_ij + d_jk) - d_ik >=
-    (1 - u)(d_ij + d_jk) - d_ik >= -(2γ_{m+3} + u) δ_ik - 3τ, and
-    δ_ik <= (D + τ) / (1 - γ_{m+3}). An array in memory has m < 2^50, so
-    (m + 3) u <= 1/4 and x >= -(4m + 14) u D - 4τ, where 4τ < 2^-509. The
-    test's terms are twice those, 8 (m + 4) u D and 1e-100, which covers
-    its own two roundings, so x > -``DISTANCE_TOL``. Rounding is monotone
-    and -``DISTANCE_TOL`` is a float, so no slack falls below it.
+    Those sums run unless ``_rounding_certified`` shows that they cannot
+    fail, from witness coordinates c: ``coords`` when given, and otherwise
+    the Gram-matrix coordinates of ``_gram_witness``. How c was found does
+    not matter. With m the columns of c, e = ``_euclidean(c)``, D the
+    largest distance and ρ the computed max |d - e| raised to the next
+    float, the test is (m + 4) 2^-50 (D + ρ) + 4ρ + 1e-100 <
+    ``DISTANCE_TOL``. Proof, with u = 2^-53 and γ_n = nu / (1 - nu)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3). A
+    rounded difference lies within half an ulp of the exact one, so ρ >=
+    |d - e| exactly; ρ is finite (or the test fails), and so is every e,
+    so no step overflowed. The real distances δ of the rows of c satisfy
+    the triangle inequality exactly. A difference has relative error at
+    most u (one that underflows is exact), a square u plus 2^-1075, a sum
+    of m non-negative terms in any order γ_{m-1}, the root u; so
+    |e - δ| <= γ_{m+3} δ + τ, τ <= √m 2^-537, and |d - δ| <= γ_{m+3} δ +
+    τ + ρ. The slack of (i, j, k) rounds x = fl(d_ij + d_jk) - d_ik >=
+    (1 - u)(d_ij + d_jk) - d_ik >= -(2γ_{m+3} + u) δ_ik - 3τ - 3ρ, and
+    δ_ik <= (e_ik + τ) / (1 - γ_{m+3}) <= (D + ρ + τ) / (1 - γ_{m+3}). An
+    array in memory has m < 2^50, so (m + 3) u <= 1/4 and x >= -(4m + 14)
+    u (D + ρ) - 3ρ - 4τ, where 4τ < 2^-509. The test's terms, 8 (m + 4) u
+    (D + ρ), 4ρ and 1e-100, exceed those by more than its own four
+    roundings, so x > -``DISTANCE_TOL``. Rounding is monotone and
+    -``DISTANCE_TOL`` is a float, so no slack falls below it. So a
+    certified matrix is one the sums pass, and every other one meets the
+    sums, with the same first pair and message.
     """
 
     dist: np.ndarray
@@ -236,7 +306,7 @@ class SampledSpace:
         if (off <= 0.0).any():
             i, j = np.argwhere(off <= 0.0)[0]
             raise InputError(f"distinct points must have positive distance (points {i}, {j})")
-        if not _rounding_certified(d, self.coords):
+        if not _rounding_certified(d, _gram_witness(d) if self.coords is None else self.coords):
             _check_triangles(d)
         mesh = self.mesh
         if not (_is_number(mesh) and math.isfinite(mesh) and mesh > 0):

@@ -6,9 +6,10 @@ at a time, exactly as the definitions read, and check the triangle
 inequality over the full matrix. The library's batched routes must give
 the same bytes: same member order, same cozero values, same distances,
 same pair list, same schedule depth, same verdict and message. A
-coordinate sample that the rounding bound certifies skips the triangle
-sums; on a seeded corpus ``from_points`` gives the full check's message
-or distance bytes. The
+space whose witness coordinates (its own, or those recovered from its
+Gram matrix) the rounding bound certifies skips the triangle sums; on
+seeded corpora ``from_points`` and ``from_distance_matrix`` give the full
+check's message or distance bytes. The
 lattice cover walks only the cells of crowded images and finds an
 isolated image's first cell by a per-axis search; its bytes are the
 walk's either way. The
@@ -1915,11 +1916,76 @@ def construction_outcome(make):
         return str(exc)
 
 
-class TestCertifiedTriangles:
-    # from_points skips the triangle sums when a rounding bound shows they
-    # cannot fail; the coords=None construction always makes them
+def full_check_outcome(d, monkeypatch):
+    """construction_outcome of SampledSpace(dist=d) with no certificate: the sums always run."""
+    with monkeypatch.context() as patch:
+        patch.setattr(metric, "_rounding_certified", lambda d, c: False)
+        return construction_outcome(lambda: SampledSpace(dist=d, coords=None, mesh=1.0))
 
-    def test_coordinate_corpus_matches_the_full_check(self):
+
+def broadcast_euclidean(c):
+    """The (p, p, m) broadcast formula from_points used before its column-by-column sums."""
+    diff = c[:, None, :] - c[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def shortest_paths(w):
+    """Floyd-Warshall on a (p, p) weight matrix with inf for no edge."""
+    d = w.copy()
+    np.fill_diagonal(d, 0.0)
+    for k in range(len(d)):
+        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
+    return d
+
+
+def distance_corpus(rng):
+    """(kind, d): Euclidean matrices of 1-6 columns and 2-64 points at scales
+    1e-160 to 1e160, near-line sets at 1e7, one entry of a Euclidean matrix
+    moved by +-0.5, 1 or 3 DISTANCE_TOL, l1 metrics, shortest-path metrics of
+    random graphs, random [1, 2] metrics and point sets of rank p - 1."""
+    exponents = [-160, -80, -12, -6, -3, 0, 0, 1, 3, 5, 7, 80, 160]
+    for case in range(330):
+        kind = ["euclid", "shifted", "l1", "graph", "one-two", "rank"][case % 6]
+        p, m = int(rng.integers(2, 65)), int(rng.integers(1, 7))
+        scale = 10.0 ** int(rng.choice(exponents)) * rng.uniform(0.5, 2.0)
+        c = rng.uniform(-1.0, 1.0, size=(p, m))
+        if kind == "euclid" and case % 4 == 0:
+            yield kind, metric._euclidean(near_line(rng, p, m, 1e7))
+        elif kind == "euclid":
+            yield kind, metric._euclidean(c) * scale
+        elif kind == "shifted":
+            # every other set on one axis, so that some triangles are tight
+            d = metric._euclidean(c * (np.arange(m) == 0) if rng.uniform() < 0.5 else c)
+            i, j = rng.choice(p, size=2, replace=False)
+            d[i, j] = d[j, i] = d[i, j] + float(rng.choice([-3, -1, -0.5, 0.5, 1, 3])) * DISTANCE_TOL
+            yield kind, d
+        elif kind == "l1":
+            yield kind, np.abs(c[:, None, :] - c[None, :, :]).sum(axis=-1) * scale
+        elif kind == "graph":
+            # a random spanning tree plus random chords, positive integer weights
+            w = np.full((p, p), np.inf)
+            for v in range(1, p):
+                u = int(rng.integers(v))
+                w[u, v] = w[v, u] = rng.integers(1, 5)
+            for u, v in rng.integers(0, p, size=(p, 2)):
+                if u != v:
+                    w[u, v] = w[v, u] = rng.integers(1, 5)
+            yield kind, shortest_paths(w)
+        elif kind == "one-two":
+            u = np.triu(rng.uniform(1.0, 2.0, size=(p, p)), 1)
+            yield kind, u + u.T
+        else:
+            yield kind, metric._euclidean(rng.normal(size=(p, p - 1)))
+
+
+class TestCertifiedTriangles:
+    # the triangle sums are skipped when witness coordinates (the given ones,
+    # or those the Gram-matrix factorisation recovers from a distance matrix)
+    # carry a rounding bound that shows the sums cannot fail
+
+    def test_coordinate_corpus_matches_the_full_check(self, monkeypatch):
         # 1-6 columns, 2-39 points, scales 1e-6 to 1e9, every other set near a line
         rng = np.random.default_rng(520)
         raised = certified = 0
@@ -1931,7 +1997,7 @@ class TestCertifiedTriangles:
             else:
                 c = scale * rng.uniform(-1.0, 1.0, size=(count, dim))
             d = metric._euclidean(c)
-            want = construction_outcome(lambda: SampledSpace(dist=d, coords=None, mesh=1.0))
+            want = full_check_outcome(d, monkeypatch)
             assert construction_outcome(lambda: SampledSpace.from_points(c, mesh=1.0)) == want
             if isinstance(want, str):
                 raised += 1
@@ -1952,19 +2018,68 @@ class TestCertifiedTriangles:
         with pytest.raises(InputError, match="triangle inequality violated at points ") as info:
             SampledSpace.from_points(c, mesh=1.0)
         assert str(info.value) == reference_triangle_message(d)
+        assert metric._gram_witness(d) is None  # past the scale any witness could certify
+        with pytest.raises(InputError, match="triangle inequality violated at points ") as again:
+            SampledSpace.from_distance_matrix(d, mesh=1.0)
+        assert str(again.value) == str(info.value)
+
+    def test_distance_corpus_matches_the_full_check(self, monkeypatch):
+        rng = np.random.default_rng(540)
+        certified = {}
+        raised = {}
+        for kind, d in distance_corpus(rng):
+            want = full_check_outcome(d, monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                witness = metric._gram_witness(d)
+                passed = metric._rounding_certified(d, witness)
+                got = construction_outcome(lambda: SampledSpace.from_distance_matrix(d, mesh=1.0))
+            message = reference_triangle_message(d)
+            assert got == want == (d.tobytes() if message is None else message), kind
+            if passed:
+                assert isinstance(want, bytes), kind
+            certified[kind] = certified.get(kind, 0) + passed
+            raised[kind] = raised.get(kind, 0) + isinstance(want, str)
+        # what the corpus reaches: certified Euclidean sets at every rank, and
+        # rejections among the moved entries, the near-line sets and the l1
+        # metrics past the scale where rounding alone breaks a triangle
+        assert certified["euclid"] >= 15 and certified["rank"] >= 40
+        assert raised["shifted"] >= 5 and raised["euclid"] >= 5 and raised["l1"] >= 5
 
     def test_certified_square_skips_the_sums(self, monkeypatch):
-        def refuse(d):
-            raise AssertionError("the triangle sums ran")
-
-        monkeypatch.setattr(metric, "_check_triangles", refuse)
+        calls = []
+        monkeypatch.setattr(metric, "_check_triangles", calls.append)
         square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         space = SampledSpace.from_points(square, mesh=1.0)
         assert space.dist[0, 3] == math.sqrt(2.0)
-        with pytest.raises(AssertionError, match="the triangle sums ran"):
-            SampledSpace.from_distance_matrix(space.dist, mesh=1.0)
-        with pytest.raises(AssertionError, match="the triangle sums ran"):
-            SampledSpace.from_points(np.multiply(square, 1e6), mesh=1.0)
+        again = SampledSpace.from_distance_matrix(space.dist, mesh=1.0)
+        assert again.dist.tobytes() == space.dist.tobytes()
+        assert calls == []
+        # at 1e6 the bound is above the tolerance, so both constructions sum
+        big = SampledSpace.from_points(np.multiply(square, 1e6), mesh=1.0)
+        SampledSpace.from_distance_matrix(big.dist, mesh=1.0)
+        assert len(calls) == 2
+        # the 4-cycle graph metric is no Euclidean one. The factorisation
+        # stops at rank 1 with a zero residual diagonal, putting points 1
+        # and 3 together; the measured residual d(1, 3) = 2 refuses it
+        cycle = np.array([[0.0, 1.0, 2.0, 1.0], [1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, 1.0],
+                          [1.0, 2.0, 1.0, 0.0]])
+        assert metric._gram_witness(cycle).tolist() == [[0.0], [1.0], [2.0], [1.0]]
+        assert not metric._rounding_certified(cycle, metric._gram_witness(cycle))
+        SampledSpace.from_distance_matrix(cycle, mesh=1.0)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_euclidean_has_the_broadcast_bytes(self, m):
+        # the column-by-column sums add in the order numpy sums a short last axis
+        rng = np.random.default_rng(560 + m)
+        for case in range(12):
+            count = int(rng.integers(1, 70))
+            scale = 10.0 ** rng.uniform(-200.0, 200.0)
+            c = rng.uniform(-1.0, 1.0, size=(count, m)) * 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+            for points in (c, scale * c, near_line(rng, count, m, scale), np.round(64 * c)):
+                with np.errstate(all="ignore"):  # squares past the float range are inf in both
+                    assert metric._euclidean(points).tobytes() == broadcast_euclidean(points).tobytes()
 
     @pytest.mark.parametrize(
         "coords",

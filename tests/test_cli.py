@@ -590,9 +590,10 @@ def test_genpos_overflowing_targets_exit_1(tmp_path, capsys):
     assert "last violating subset: (0, 1, 2)" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflows are silent
 def test_verify_reports_overflowing_vertices(tmp_path, capsys):
-    """Stage-1 vertices at +-1e308 fail general position and both etas; no margin is NaN."""
+    """Stage-1 vertices at +-1e308 fail general position and both etas; no margin is NaN,
+    and nothing but the report is written."""
     (tmp_path / "space.json").write_text(json.dumps(space_json_dict(line_space(4))))
     args = ["--space", str(tmp_path / "space.json"), "--n", "1"]
     path = tmp_path / "result.json"
@@ -603,7 +604,9 @@ def test_verify_reports_overflowing_vertices(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli_main(["verify", "--result", str(path), *args]) == 1
-    checks = json.loads(capsys.readouterr().out)["checks"]
+    out, err = capsys.readouterr()
+    assert err == ""
+    checks = json.loads(out)["checks"]
     failed = {(c["name"], c["location"].split(",")[0]): c["margin"]
               for c in checks if not c["passed"]}
     assert failed[("eta", "stage 1")] == failed[("eta-prime", "stage 1")] == -1.0
