@@ -824,22 +824,24 @@ def eta_prime(
 # stage machinery
 
 
-def _depth_pairs(space: SampledSpace, radii: list[float]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _depth_pairs(space: SampledSpace, radii: list[float]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(inner, outer) ball indices of the pairs whose inner ball has the last radius,
     one tuple per block of inner points.
 
-    The (inner, outer depth, outer) mask is built for blocks of inner points,
-    each of at most ``_CHUNK_FLOATS`` entries or one inner point, and read
-    out in that order.
+    The (inner, outer depth, outer) mask is built for blocks of inner points
+    and read out in that order. The first block holds one inner point and
+    each next one twice as many, up to ``_CHUNK_FLOATS`` entries or one
+    inner point, so a caller that needs only the first pairs stops after a
+    few small blocks.
     """
     k, p = len(radii) - 1, space.size
     gaps = np.subtract(radii[:k], radii[k])[:, None]
-    step = max(1, _CHUNK_FLOATS // (k * p))
-    parts = []
-    for start in range(0, p, step):
+    cap = max(1, _CHUNK_FLOATS // (k * p))
+    start, step = 0, 1
+    while start < p:
         i, outer_depth, j = np.nonzero(space.dist[start : start + step, None, :] < gaps)
-        parts.append((k * p + start + i, outer_depth * p + j))
-    return parts
+        yield k * p + start + i, outer_depth * p + j
+        start, step = start + step, min(2 * step, cap)
 
 
 def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[int, int]], int]:
@@ -849,22 +851,28 @@ def pair_schedule(space: SampledSpace, T: int) -> tuple[list[Ball], list[tuple[i
     float comparison :func:`strictly_included` makes. Ball k*p + i (centre
     i, radius R_k halving with k) can only lie inside a ball k'*p + j with
     k' < k, so a boolean mask per depth k, indexed (i, k', j) and built in
-    blocks of i (:func:`_depth_pairs`), holds the pairs of its inner balls,
-    and ``nonzero`` reads them out by inner, then outer index; the blocks of
-    every depth are concatenated once. A deeper list extends a shallower
-    one, so the t-th pair does not depend on the depth. Equal ball indices
-    in the list are one int object.
+    doubling blocks of i (:func:`_depth_pairs`), holds the pairs of its
+    inner balls, and ``nonzero`` reads them out by inner, then outer index.
+    Blocks are drawn depth after depth until they hold T pairs; the block
+    that completes T is the last one built. A deeper list extends a
+    shallower one, so the t-th pair does not depend on the depth. Equal
+    ball indices in the list are one int object.
 
     The depth is the least whose list holds T pairs (1 when T <= 0), the
     balls are its :func:`enumerate_balls` list and the pairs the first T of
-    that list, sliced as a list is for negative T.
+    that list, sliced as a list is for negative T, which reads all of depth
+    1. T is an int or a numpy integer, not a bool.
     """
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
+        raise InputError(f"pair count must be an integer, got {T!r}")
     blocks, depth, count = [], 0, 0
     while not depth or count < T:
         depth += 1
-        parts = _depth_pairs(space, _ball_radii(space, depth))
-        blocks += parts
-        count += sum(len(inner) for inner, _ in parts)
+        for block in _depth_pairs(space, _ball_radii(space, depth)):
+            blocks.append(block)
+            count += len(block[0])
+            if 0 <= T <= count:  # T = 0 still draws one block, which gives the dtype
+                break
     balls = enumerate_balls(space, depth)
     # one int object per ball index, where tolist() would make one per entry
     ids = np.arange(len(balls), dtype=object)

@@ -178,6 +178,17 @@ def _witness_bound(m: int, top: float, rho: float) -> float:
     return (m + 4) * 2.0**-50 * (top + rho) + 4.0 * rho + 1e-100
 
 
+def _witness_columns(p: int) -> int:
+    """The most columns a witness of p points may have: max(64, p // 4).
+
+    Measuring m columns makes about 3 m p^2 float passes against the
+    triangle sums' p^3 adds and mins (half of p^3 sums, each added and
+    reduced), so past p / 4 columns the sums are cheaper; 64 keeps every
+    witness of at most 65 points.
+    """
+    return max(64, p // 4)
+
+
 def _gram_witness(d: np.ndarray) -> np.ndarray | None:
     """Coordinates whose distances are meant to be ``d``, or None where no witness can help.
 
@@ -188,7 +199,8 @@ def _gram_witness(d: np.ndarray) -> np.ndarray | None:
     row of ``d`` and subtracts the earlier columns' part, O(p k). It stops
     when the largest residual diagonal entry is at most p u (rounding noise
     on entries of at most 1), and gives up when an entry falls below
-    minus that: G, and so ``d``, is then not Euclidean. No entry can leave
+    minus that: G, and so ``d``, is then not Euclidean, or when it would
+    need more than :func:`_witness_columns` columns. No entry can leave
     the float range, since a kept row has residual diagonal at least -p u,
     so its L entries are bounded by about 1. Nothing here decides a
     verdict: :func:`_rounding_certified` measures how far these coordinates'
@@ -197,15 +209,17 @@ def _gram_witness(d: np.ndarray) -> np.ndarray | None:
     p, top = len(d), float(d.max())
     if p < 2 or not _witness_bound(1, top, 0.0) < DISTANCE_TOL:
         return None  # one point has no triangle; a wider witness only has a larger bound
-    noise = p * 2.0**-53
+    noise, cap = p * 2.0**-53, _witness_columns(p)
     a = (d[0] / top) ** 2
     diag = a.copy()
-    rows = np.empty((p - 1, p))
+    rows = np.empty((min(p - 1, cap), p))
     k = 0
     while k < p - 1:
         pivot = int(diag.argmax())
         if diag[pivot] <= noise:
             break
+        if k == cap:
+            return None
         col = (a + a[pivot] - (d[pivot] / top) ** 2) / 2.0 - rows[:k, pivot] @ rows[:k]
         col /= math.sqrt(diag[pivot])
         diag -= col * col
@@ -219,9 +233,11 @@ def _gram_witness(d: np.ndarray) -> np.ndarray | None:
 def _rounding_certified(d: np.ndarray, c) -> bool:
     """Whether the triangle check on ``d`` cannot fail, by the residual of ``d``
     against the distances of the witness coordinates ``c`` (a (p, m) float
-    array, or anything else, which certifies nothing); the bound is proved in
-    :class:`SampledSpace`."""
+    array with m at most :func:`_witness_columns`, or anything else, which
+    certifies nothing); the bound is proved in :class:`SampledSpace`."""
     if not (isinstance(c, np.ndarray) and c.dtype == float and c.ndim == 2 and len(c) == len(d)):
+        return False
+    if c.shape[1] > _witness_columns(len(d)):
         return False
     m, top = c.shape[1], float(d.max())
     if not _witness_bound(m, top, 0.0) < DISTANCE_TOL:
@@ -262,11 +278,12 @@ class SampledSpace:
     Those sums run unless ``_rounding_certified`` shows that they cannot
     fail, from witness coordinates c: ``coords`` when given, and otherwise
     the Gram-matrix coordinates of ``_gram_witness``. How c was found does
-    not matter. With m the columns of c, e = ``_euclidean(c)``, D the
-    largest distance and ρ the computed max |d - e| raised to the next
-    float, the test is (m + 4) 2^-50 (D + ρ) + 4ρ + 1e-100 <
-    ``DISTANCE_TOL``. Proof, with u = 2^-53 and γ_n = nu / (1 - nu)
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3). A
+    not matter. A witness wider than ``_witness_columns`` (max(64, p / 4))
+    is not measured: its residual would cost more than the sums. With m
+    the columns of c, e = ``_euclidean(c)``, D the largest distance and ρ
+    the computed max |d - e| raised to the next float, the test is
+    (m + 4) 2^-50 (D + ρ) + 4ρ + 1e-100 < ``DISTANCE_TOL``. Proof, with
+    u = 2^-53 and γ_n = nu / (1 - nu) (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3). A
     rounded difference lies within half an ulp of the exact one, so ρ >=
     |d - e| exactly; ρ is finite (or the test fails), and so is every e,
     so no step overflowed. The real distances δ of the rows of c satisfy
@@ -371,7 +388,7 @@ class Ball:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0):
+        if isinstance(self.radius, bool) or not (math.isfinite(self.radius) and self.radius > 0):
             raise InputError(f"ball radius must be positive, got {self.radius!r}")
         if isinstance(self.center, bool) or not isinstance(self.center, (int, np.integer)):
             raise InputError(f"ball center must be a point index, got {self.center!r}")

@@ -1794,7 +1794,7 @@ class TestPairSchedule:
         radii = metric._ball_radii(space, 256)
         tracemalloc.start()
         try:
-            blocks = embedding._depth_pairs(space, radii)
+            blocks = list(embedding._depth_pairs(space, radii))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1805,6 +1805,36 @@ class TestPairSchedule:
         i, k, j = np.nonzero(space.dist[:, None, :] < gaps)
         assert inner.tolist() == (256 * 128 + i).tolist()
         assert outer.tolist() == (k * 128 + j).tolist()
+
+    @pytest.mark.parametrize("T", [1, 64, 300, 45362, 45363])
+    def test_stops_at_the_block_that_completes_T(self, monkeypatch, T):
+        # the golden sample: depth 1 holds 45,362 pairs, the first 64 of them
+        # around inner point 0, so T = 64 draws one block of one point
+        space = square_space(np.random.default_rng(256), count=256)
+        want = repr(pair_schedule(space, T))
+        drawn, blocks = [], embedding._depth_pairs
+
+        def counted(space, radii):
+            for block in blocks(space, radii):
+                drawn.append(len(block[0]))
+                yield block
+
+        monkeypatch.setattr(embedding, "_depth_pairs", counted)
+        assert repr(pair_schedule(space, T)) == want
+        assert sum(drawn[:-1]) < T <= sum(drawn)
+        if T == 64:
+            assert len(drawn) == 1
+
+    @pytest.mark.parametrize("T", [2.5, None, "3", True, False, np.float64(3.0)],
+                             ids=["float", "none", "str", "true", "false", "numpy-float"])
+    def test_refuses_a_count_that_is_not_an_integer(self, T):
+        with pytest.raises(InputError, match="pair count must be an integer"):
+            pair_schedule(line_space(4), T)
+
+    def test_numpy_integer_count(self):
+        space = line_space(4)
+        assert repr(pair_schedule(space, np.int64(5))) == repr(pair_schedule(space, 5))
+        assert assert_same_schedule(space, np.int32(7)) == assert_same_schedule(space, 7)
 
     @pytest.mark.parametrize("chunk", [1, 3000, 20000])
     def test_small_mask_blocks(self, monkeypatch, chunk):
@@ -2068,6 +2098,28 @@ class TestCertifiedTriangles:
         assert not metric._rounding_certified(cycle, metric._gram_witness(cycle))
         SampledSpace.from_distance_matrix(cycle, mesh=1.0)
         assert len(calls) == 3
+
+    def test_witness_wider_than_the_cap_is_not_measured(self, monkeypatch):
+        # 256 points: at most 64 columns. Rank 64 is recovered and measured;
+        # past it the factorisation gives up and the sums run, with no
+        # residual computed
+        rng = np.random.default_rng(570)
+        assert metric._witness_columns(256) == 64 and metric._witness_columns(1000) == 250
+        low = metric._euclidean(rng.normal(size=(256, 64)))
+        high = metric._euclidean(rng.normal(size=(256, 255)))
+        assert metric._gram_witness(low).shape == (256, 64)
+        assert metric._gram_witness(high) is None
+        columns, sums = [], []
+        euclidean, check = metric._euclidean, metric._check_triangles
+        monkeypatch.setattr(metric, "_euclidean", lambda c: columns.append(c.shape[1]) or euclidean(c))
+        monkeypatch.setattr(metric, "_check_triangles", lambda d: sums.append(len(d)) or check(d))
+        assert not metric._rounding_certified(high, rng.normal(size=(256, 65)))
+        assert columns == []
+        for d, want_columns, want_sums in ((low, [64], []), (high, [], [256])):
+            columns.clear()
+            space = SampledSpace.from_distance_matrix(d, mesh=1.0)
+            assert space.dist.tobytes() == d.tobytes()
+            assert (columns, sums) == (want_columns, want_sums)
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_euclidean_has_the_broadcast_bytes(self, m):

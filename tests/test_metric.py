@@ -138,6 +138,12 @@ class TestBalls:
         with pytest.raises(InputError):
             Ball(center=0, radius=0.0)
 
+    @pytest.mark.parametrize("radius", [True, False])
+    def test_ball_rejects_bool_radius(self, radius):
+        # bool subclasses int, but is no radius, as it is no centre
+        with pytest.raises(InputError, match="ball radius must be positive"):
+            Ball(center=0, radius=radius)
+
     def test_ball_cozero_values(self):
         s = line_space(3)  # points 0, 0.5, 1
         u = ball_cozero(s, Ball(center=0, radius=0.6))
