@@ -610,43 +610,34 @@ def _group_row(groups: Sequence[tuple[np.ndarray, np.ndarray]], i: int) -> tuple
     raise IndexError(i)
 
 
-@functools.lru_cache(maxsize=32)
-def _span_selectors(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column selectors (tails, heads) of the [M | r] columns of an (A, B) pair, |A| = a, |B| = b.
+def _span_rows(ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The point indices (tails, heads) of the [M | r] columns p[tails] - p[heads] of an (A, B)
+    group's pairs: A's edges from A_0, then B's from B_0, then r = B_0 - A_0."""
+    a, b = ia.shape[1], ib.shape[1]
+    joined = np.concatenate((ia, ib), axis=1)
+    tails, heads = np.r_[1:a, a + 1 : a + b, a], np.repeat([0, a, 0], [a - 1, b - 1, 1])
+    return joined[:, tails], joined[:, heads]
 
-    On the pair's points p = [A | B], column i is p[tails[i]] - p[heads[i]]:
-    the edges of A from A_0, then those of B from B_0, then r = B_0 - A_0.
-    They depend only on the sizes; the arrays are read-only.
+
+def _span_columns(points: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The [M | r] columns p[tails] - p[heads] of span systems (:func:`_span_rows`; any |A| and
+    |B| of one w) in each job of the stacked (jobs, k, d) ``points``: one gather per table
+    gives a (jobs x systems, w + 1, d) array, job-major: M's w = |A| + |B| - 2 edges, then r.
     """
-    tails = np.r_[1:a, a + 1 : a + b, a]
-    heads = np.repeat([0, a, 0], [a - 1, b - 1, 1])
-    for sel in (tails, heads):
-        sel.setflags(write=False)
-    return tails, heads
-
-
-def _span_columns(points: np.ndarray, rows: np.ndarray, a: int) -> np.ndarray:
-    """The [M | r] columns of the span systems whose [A | B] point indices are ``rows``, |A| = a,
-    in each job of the stacked (jobs, k, d) ``points``.
-
-    One gather of the rows' points and one subtraction with the
-    :func:`_span_selectors` give a (jobs x systems, w + 1, d) array,
-    job-major: M's w = |A| + |B| - 2 edge columns, then r.
-    """
-    tails, heads = _span_selectors(a, rows.shape[1] - a)
-    p = points.take(rows, axis=1).reshape(-1, rows.shape[1], points.shape[2])
-    cols = p.take(tails, axis=1)
     with np.errstate(all="ignore"):  # points near +-1e308: the scans read inf and NaN
-        cols -= p.take(heads, axis=1)
-    return cols
+        cols = points.take(tails, axis=1) - points.take(heads, axis=1)
+    return cols.reshape(-1, *cols.shape[2:])
 
 
 def _solve_spans(m: np.ndarray, r: np.ndarray) -> np.ndarray:
     """sqrt(|r|^2 - r^T M M^+ r) per stacked system (M, r); pinv runs matrix by matrix,
     so a row's bytes depend only on its own system and the padded width; a
-    non-finite system gives a NaN or inf row."""
+    non-finite system gives a NaN or inf row. pinv, whose SVD can loop on an
+    inf, sees zeros for a non-finite M, whose M^+ is then NaN, as is its row."""
     with np.errstate(all="ignore"):
-        proj = np.einsum("nij,nj->ni", m @ np.linalg.pinv(m), r)
+        ok = np.isfinite(m).all(axis=(1, 2))[:, None, None]
+        pinv = np.where(ok, np.linalg.pinv(np.where(ok, m, 0.0)), math.nan)
+        proj = np.einsum("nij,nj->ni", m @ pinv, r)
         sq = np.einsum("ni,ni->n", r, r) - np.einsum("ni,ni->n", proj, r)
         return np.sqrt(np.maximum(sq, 0.0))
 
@@ -658,14 +649,13 @@ def _span_distances(
 
     ``groups`` holds nonempty index arrays (A rows, B rows) of equal subset
     sizes (for ``eta_prime`` the B rows are a hyperplane's spanning points,
-    see :func:`_plane_groups`). Each pair is one least-squares system: M the
+    see :func:`_span_job`). Each pair is one least-squares system: M the
     edge directions of A then of B, r the base-point difference
     (:func:`_span_columns`), M padded with zero columns to a common width;
     dist^2 = |r|^2 - r^T M M^+ r. The distances have the bytes of solving
     each system on its own.
     """
-    cols = [_span_columns(vertices[None], np.concatenate((ia, ib), axis=1), ia.shape[1])
-            for ia, ib in groups]
+    cols = [_span_columns(vertices[None], *_span_rows(ia, ib)) for ia, ib in groups]
     width = max(c.shape[1] for c in cols) - 1
     m = np.zeros((sum(len(c) for c in cols), vertices.shape[1], width))
     at = 0
@@ -675,115 +665,145 @@ def _span_distances(
     return _solve_spans(m, np.concatenate([c[:, -1] for c in cols]))
 
 
-def _plane_groups(
-    vertices: np.ndarray, plane: Hyperplane, n: int
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """The vertices with the plane appended, and the groups measuring spans against it.
-
-    The plane's spanning points, its base point and the base point plus
-    each basis row, follow the s vertices, and each group pairs the
-    k-subsets of the vertices (k <= n+1) with those points. The basis rows
-    are unit vectors and the base point is 1/2 on the free axes, so the
-    appended edges are the basis rows exactly.
-    """
-    span = plane._span_points
-    return np.vstack([vertices, span]), _plane_pairs(vertices.shape[0], n, len(span))
-
-
 @functools.lru_cache(maxsize=32)
 def _plane_pairs(s: int, n: int, span: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The groups of :func:`_plane_groups` for s vertices and ``span`` plane points; read-only."""
+    """The eta' groups of :func:`_span_job`: each k-subset of the s vertices (k <= n+1)
+    against the ``span`` plane points that follow them; read-only."""
     ib = np.arange(s, s + span)
     return tuple((ia, np.broadcast_to(ib, (len(ia), span)))
                  for ia in (_subsets(s, k) for k in range(1, min(n + 1, s) + 1)))
 
 
+def _span_plan(quantities: tuple[Sequence[tuple[np.ndarray, np.ndarray]], ...]) -> tuple:
+    """The (eta groups, eta' groups) ``quantities`` of a span job, and the widest systems of each
+    quantity by M's width w, eta's first: per w, (w, the systems' column point indices tails
+    and heads (:func:`_span_rows`), their quantity 0 or 1), read-only."""
+    shapes: dict = {}
+    for q, groups in enumerate(quantities):
+        width = max((ia.shape[1] + ib.shape[1] for ia, ib in groups), default=0)
+        for ia, ib in groups:
+            if ia.shape[1] + ib.shape[1] == width:
+                shapes.setdefault(width - 2, []).append((*_span_rows(ia, ib), np.full(len(ia), q)))
+    widest = tuple((w, *map(np.concatenate, zip(*parts))) for w, parts in shapes.items())
+    for table in (table for block in widest for table in block[1:]):
+        table.setflags(write=False)
+    return quantities, widest
+
+
+@functools.lru_cache(maxsize=32)
+def _job_plan(s: int, n: int, span: int | None) -> tuple:
+    """The :func:`_span_plan` of :func:`_span_job`: s vertices, ``span`` plane points or None."""
+    return _span_plan((_disjoint_pairs(s, n), () if span is None else _plane_pairs(s, n, span)))
+
+
 def _widest_first(
-    jobs: Sequence[tuple[np.ndarray, Sequence[tuple[np.ndarray, np.ndarray]]]]
-) -> list[tuple[float, tuple | None]]:
-    """Per (vertices, groups) job: the least span distance, and the pair that sets it when it is
-    at or under HULL_TOL; (inf, None) for a job with no groups.
+    jobs: Sequence[tuple[np.ndarray, tuple]]
+) -> list[tuple[tuple[float, tuple | None], ...]]:
+    """Per (points, :func:`_span_plan`) job: per quantity, eta then eta', the least span distance
+    over its groups, and the pair that sets it when it is at or under HULL_TOL; (inf, None)
+    for a quantity with no groups.
 
     A span only grows with its subset, so every pair lies inside a no
     farther pair of a widest group (|A| + |B| largest). The float form
     cancels, though: near zero a smaller pair can come out lower than its
-    widest superset, even under HULL_TOL. So when the widest groups' least
-    clears ``SCAN_GUARD`` it is returned, and otherwise every group of that
-    job is measured and the value and the pair (as index tuples, or None
-    above HULL_TOL) are the full scan's. Above the guard the verdict is the
-    full scan's, and so is the value unless a smaller pair exactly ties its
-    widest superset: the superset's rounding is returned, which can differ
-    from the full scan's minimum by the cancellation error (up to about
-    1e-4 relative just above the guard). A NaN distance counts as under
-    HULL_TOL.
+    widest superset, even under HULL_TOL. So when a quantity's widest
+    groups' least clears ``SCAN_GUARD`` it is returned, and otherwise every
+    group of that quantity is measured and the value and the pair (as index
+    tuples, or None above HULL_TOL) are the full scan's. Above the guard the
+    verdict is the full scan's, and so is the value unless a smaller pair
+    exactly ties its widest superset: the superset's rounding is returned,
+    which can differ from the full scan's minimum by the cancellation error
+    (up to about 1e-4 relative just above the guard). A NaN distance counts
+    as under HULL_TOL.
 
-    Jobs that hold one groups tuple (and vertices of one shape) form one
-    grid (:func:`_grids`). Each (job slice x pair slice) block holds at
-    most ``_CHUNK_FLOATS`` floats, or one system, and builds its systems'
-    [M | r] columns with one gather along the point axis of the grid's
-    stacked vertices (:func:`_span_columns`). Each system is built once,
-    and is the matrix, at the same width, that a scan of its job alone
-    builds, so each job's result has that scan's bytes. :func:`_filtered_least` solves the
-    systems its bounds leave open from the same arrays. Modified
-    Gram-Schmidt on [M r] gives M's column lengths R_ii and the residual a.
-    With kappa = |M|_F^w / prod R_ii >= cond(M) (w columns), a^2 and the
-    pinv form each lie within a small multiple of u kappa |r|^2 of the
-    exact value (Higham, ch. 19-20), so the distance lies between
+    Jobs that hold the same plan (and points of one shape) form one grid
+    (:func:`_grids`). Both quantities' widest systems of one M width w are
+    one list of the plan, eta's first (below 2n + 2 vertices eta's are
+    narrower, a second list). Each (job slice x system slice) block holds
+    at most ``_CHUNK_FLOATS`` floats, or one system, and builds its
+    systems' [M | r] columns with one gather along the point axis of the
+    grid's stacked points (:func:`_span_columns`). Each system is built once, as the
+    matrix, at the same width, that a scan of its job and quantity alone
+    builds, so each result has that scan's bytes. :func:`_filtered_least`
+    keeps one row per (job, quantity) and solves, once per block, the
+    systems its bounds leave open. A row's entries of the other quantity's
+    systems have low = high = +inf: they never lower its bound, and are kept
+    only while it has none, to read +inf. Modified Gram-Schmidt on [M r]
+    gives M's column lengths R_ii and the residual a. With
+    kappa = |M|_F^w / prod R_ii >= cond(M) (w columns), a^2 and the pinv
+    form each lie within a small multiple of u kappa |r|^2 of the exact
+    value (Higham, ch. 19-20), so the distance lies between
     sqrt(max(a^2 - e, 0)) and sqrt(a^2 + e), e = K u kappa |r|^2 (K u is
     ``_FILTER_EPS``). The full scan below the guard is not filtered, so
     every message comes from it.
     """
-    keys = [(id(groups), vertices.shape) if groups else None for vertices, groups in jobs]
+    keys = [(id(plan), points.shape) if plan[1] else None for points, plan in jobs]
+
+    def solve(own: np.ndarray, m: np.ndarray, r: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        # solve the kept entries of each row's own quantity, in (job, system)
+        # order; the other quantity's entries read +inf
+        keep = keep.reshape(-1, *own.shape)
+        values = np.full(keep.shape, math.inf)
+        mine = keep & own
+        at = np.broadcast_to(np.arange(m.shape[0]).reshape(len(keep), 1, -1), keep.shape)[mine]
+        values[mine] = _solve_spans(m[at], r[at])
+        return values[keep]
 
     def blocks() -> Iterator[tuple]:
-        for members, points in _grids([vertices for vertices, _ in jobs], keys):
-            groups, d = jobs[members[0]][1], points.shape[2]
-            width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
-            w = width - 2  # M's columns; a system holds d (w + 1) floats
-            for ia, ib in groups:
-                if ia.shape[1] + ib.shape[1] < width:
-                    continue
-                joined = np.concatenate((ia, ib), axis=1)
-                across, down = _grid_block(len(members), len(ia), d * (w + 1))
-                for start, at in product(range(0, len(ia), down), range(0, len(members), across)):
-                    pairs = joined[start : start + down]
-                    cols = _span_columns(points[at : at + across], pairs, ia.shape[1])
+        for members, points in _grids([points for points, _ in jobs], keys):
+            for w, tails, heads, quantity in jobs[members[0]][1][1]:
+                across, down = _grid_block(len(members), len(tails), points.shape[2] * (w + 1))
+                for start, at in product(range(0, len(tails), down),
+                                         range(0, len(members), across)):
+                    sl = slice(start, start + down)
+                    cols = _span_columns(points[at : at + across], tails[sl], heads[sl])
                     # M as contiguous (d, w) matrices: the layout |M|_F and the solve read
                     m, r = cols[:, :w].transpose(0, 2, 1).copy(), cols[:, w]
                     with np.errstate(all="ignore"):
                         sq = _gram_schmidt(cols.transpose(1, 2, 0).copy())
                         kappa = np.sqrt(np.einsum("nij,nij->n", m, m) ** w / sq[:w].prod(axis=0))
                         err = _FILTER_EPS * kappa * np.einsum("ni,ni->n", r, r)
-                        low = np.sqrt(np.maximum(sq[w] - err, 0.0)).reshape(-1, len(pairs))
-                        high = np.sqrt(sq[w] + err).reshape(low.shape)
-                    yield (members[at : at + across], ia[start : start + down], low, high,
-                           lambda keep: _solve_spans(m[keep], r[keep]))
+                        low = np.sqrt(np.maximum(sq[w] - err, 0.0))
+                        high = np.sqrt(sq[w] + err)
+                    # one (job, quantity) row per quantity in the slice, row id 2 job + q
+                    qs = np.flatnonzero(np.bincount(quantity[sl], minlength=2))
+                    own = quantity[sl] == qs[:, None]
+                    ends = [np.where(own, e.reshape(-1, 1, own.shape[1]), math.inf)
+                            .reshape(-1, own.shape[1]) for e in (low, high)]
+                    yield ((2 * members[at : at + across, None] + qs).ravel(), tails[sl], *ends,
+                           functools.partial(solve, own, m, r))
 
-    # no tolerance: the guard below decides, so only the least is needed
-    least, _ = _filtered_least(blocks(), -math.inf, len(jobs))
-    out: list[tuple[float, tuple | None]] = []
-    for (vertices, groups), value in zip(jobs, least):
+    def guarded(value: float, points: np.ndarray, groups: Sequence) -> tuple[float, tuple | None]:
         if value > SCAN_GUARD:
-            out.append((value, None))
-            continue
-        dists = _span_distances(vertices, groups)
+            return value, None
+        dists = _span_distances(points, groups)
         worst = int(dists.argmin())
-        out.append((float(dists[worst]),
-                    None if dists[worst] > HULL_TOL else _group_row(groups, worst)))
-    return out
+        return float(dists[worst]), None if dists[worst] > HULL_TOL else _group_row(groups, worst)
+
+    # no tolerance: the guard decides, so only the least is needed
+    least, _ = _filtered_least(blocks(), -math.inf, 2 * len(jobs))
+    return [tuple(guarded(v, points, groups) for v, groups in zip(least[2 * j :], plan[0]))
+            for j, (points, plan) in enumerate(jobs)]
 
 
 def _span_job(
     vertices: np.ndarray | Sequence[np.ndarray], n: int, plane: Hyperplane | None = None
-) -> tuple[np.ndarray, Sequence[tuple[np.ndarray, np.ndarray]]]:
-    """The (vertices, groups) job of :func:`_widest_first` that ``eta`` (no plane) or
-    ``eta_prime`` (the plane) measures."""
+) -> tuple[np.ndarray, tuple]:
+    """A stage's job of :func:`_widest_first`: V = [z; the plane's spanning points], and the
+    cached plan of its eta groups (index-disjoint pairs within z) and eta' groups (subsets of
+    z against the plane's points, :func:`_plane_pairs`); with no plane, z and eta alone.
+
+    The spanning points are the base point and the base point plus each
+    basis row. The basis rows are unit vectors and the base point is 1/2 on
+    the free axes, so the appended edges are the basis rows exactly.
+    """
     z = np.asarray(vertices, dtype=float)
     if plane is None:
-        return z, _disjoint_pairs(z.shape[0], n)
+        return z, _job_plan(z.shape[0], n, None)
     if z.shape[1] != plane.ambient_dim:
         raise InputError("vertices and hyperplane disagree on ambient dimension")
-    return _plane_groups(z, plane, n)
+    span = plane._span_points
+    return np.vstack([z, span]), _job_plan(z.shape[0], n, len(span))
 
 
 def _separation(least: float, pair: tuple | None, plane: Hyperplane | None) -> float:
@@ -805,7 +825,7 @@ def eta(vertices: np.ndarray | Sequence[np.ndarray], n: int) -> float:
     first and decide the value when it clears ``SCAN_GUARD``; otherwise
     every pair is (see :func:`_widest_first`).
     """
-    return _separation(*_widest_first([_span_job(vertices, n)])[0], None)
+    return _separation(*_widest_first([_span_job(vertices, n)])[0][0], None)
 
 
 def eta_prime(
@@ -817,7 +837,8 @@ def eta_prime(
     value when it clears ``SCAN_GUARD``; otherwise every subset's is (see
     :func:`_widest_first`).
     """
-    return _separation(*_widest_first([_span_job(vertices, n, plane)])[0], plane)
+    points, plan = _span_job(vertices, n, plane)
+    return _separation(*_widest_first([(points, _span_plan(((), plan[0][1])))])[0][1], plane)
 
 
 # ---------------------------------------------------------------------------
@@ -1174,7 +1195,9 @@ def embedding_stage(
     ``pair`` (inner, outer indices into ``balls``) and ``plane`` are the t-th
     entries of :func:`pair_schedule` and :func:`enumerate_hyperplanes`.
     Raises a certificate error naming the failing claim if any stage
-    inequality fails.
+    inequality fails. One scan of the stage's span job (:func:`_span_job`)
+    gives eta and eta' the values and messages of :func:`eta` and
+    :func:`eta_prime`; eta's error is raised first.
     """
     f_t = np.asarray(f, dtype=float)
     d = 2 * n + 1
@@ -1220,8 +1243,8 @@ def embedding_stage(
         raise CertificateError(
             f"stage {t}: map moved {contraction:.3g}, not under {3 * delta:.3g}"
         )
-    eta_t = eta(z, n)
-    etap_t = eta_prime(z, plane, n)
+    (eta_re, etap_re), = _widest_first([_span_job(z, n, plane)])
+    eta_t, etap_t = _separation(*eta_re, None), _separation(*etap_re, plane)
     clearance = float(plane.distance_to_point(f_next).min())
     if clearance < etap_t - HULL_TOL:
         raise CertificateError(

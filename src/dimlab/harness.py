@@ -139,7 +139,8 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
     ``anchors``, or of the final map, is an :class:`InputError` naming it.
     Then each check is one array expression over the stacked stages: one
     scan measures the least sigma of every stage (vertices and anchors), one
-    scan the eta and eta' spans of every stage, and the other per-stage
+    scan every stage's span job, which measures eta and eta' together as the
+    builder's does (:func:`~dimlab.embedding._span_job`), and the other per-stage
     checks run over (T, p, d) stacks, member rows concatenated across
     stages, and blocks of stages for the (p, p) star and v-mapping tests.
     Only the kappa recomputation and the scalar schedule checks run stage
@@ -196,14 +197,14 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         empty = np.flatnonzero(~st.cover_u.supports().any(axis=1))
         if empty.size:
             raise InputError(f"{loc}: cover_u member {int(empty[0])} is empty")
-        span_jobs += [_span_job(st.vertices, n), _span_job(st.vertices, n, st.hyperplane)]
+        span_jobs.append(_span_job(st.vertices, n, st.hyperplane))
     if len(r.avoided) != len(r.stages):
         raise InputError("result must record one avoided hyperplane per stage")
     for i, av in enumerate(r.avoided):
         if av.hyperplane.ambient_dim != d:
             raise InputError(f"avoided {i}: hyperplane has ambient dimension "
                              f"{av.hyperplane.ambient_dim}, not {d}")
-    # one scan per quantity over every stage: sigma, then eta and eta' together
+    # two scans over every stage: sigma, then eta and eta' together
     sigmas = _least_sigmas([np.vstack([st.vertices, st.anchors]) for st in r.stages], RANK_TOL)
     spans = _widest_first(span_jobs)
 
@@ -270,9 +271,9 @@ def verify_result(r: EmbeddingResult, space: SampledSpace, n: int) -> Certificat
         margin = np.where(inside, low, -np.inf).max(axis=2).min(axis=1)
         vmap += zip(good.all(axis=1).tolist(), (~good).argmax(axis=1).tolist(), margin.tolist())
 
-    rows = zip(r.stages, sigmas, spans[::2], spans[1::2], excess, uncovered, order, star_ok,
+    rows = zip(r.stages, sigmas, spans, excess, uncovered, order, star_ok,
                prox, anchor_err, contraction, clearance, vmap)
-    for s, (st, (sigma, subset), eta_re, etap_re, exc, unc, order_s, star_s, prox_s,
+    for s, (st, (sigma, subset), (eta_re, etap_re), exc, unc, order_s, star_s, prox_s,
             anchor_s, contraction_s, clear_s, (vm_ok, vm_point, vm_margin)) in enumerate(rows):
         loc = f"stage {st.t}"
         if s:

@@ -19,7 +19,9 @@ stage cover, then the point-star test), and its batched
 v-mapping check the margin and location of the per-point loop. ``eta`` and
 ``eta_prime`` measure the widest pairs first; against the full scan of
 every pair they give the same messages and the same values, up to exact
-ties between a pair and its widest superset. General position measures
+ties between a pair and its widest superset. A stage's span job measures
+both in one scan and gives each quantity the bytes and the message of its
+one-quantity scan. General position measures
 only the maximal subsets; against the scan of every subset size it gives
 the same verdict and the same least singular value up to rounding, and
 names the first maximal subset at or under the tolerance. Both decompose
@@ -27,8 +29,8 @@ only the systems that an error-bounded Gram-Schmidt estimate cannot rule
 out; against decomposing every system they give the same values, named
 subsets and messages, byte for byte. The builder's general-position verdict,
 which stops at its first failing subset, names the same subset. The
-verifier runs one sigma grid, one eta grid and one eta' grid over the
-stages that share an index array,
+verifier runs one sigma grid and one span grid, measuring eta and eta'
+together, over the stages that share an index array,
 with blocks that hold several stages; at the default block size its report
 has the bytes of the per-stage loop that called the one-set sigma scan, ``eta``
 and ``eta_prime`` one stage at a time, on valid and tampered results, and
@@ -56,6 +58,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dimlab import (
     Ball,
@@ -103,14 +107,17 @@ from dimlab.embedding import (
     Hyperplane,
     _disjoint_pairs,
     _group_row,
+    _job_plan,
     _lattice_cells,
     _least_sigmas,
-    _plane_groups,
     _plane_pairs,
+    _separation,
     _sigma_blocks,
     _solve_spans,
     _span_job,
     _span_columns,
+    _span_plan,
+    _span_rows,
     _span_distances,
     _stage_covers,
     _stage_vertices,
@@ -597,6 +604,12 @@ def span_distance(a, b):
     return float(_span_distances(z, groups)[0])
 
 
+def plane_groups(z, plane, n):
+    """The points and the eta' groups of the per-stage span job of z and the plane."""
+    points, plan = _span_job(z, n, plane)
+    return points, plan[0][1]
+
+
 def reference_columns(vertices, pairs_a, pairs_b):
     """The [M | r] columns of each pair, built pair by pair: (pairs, |A| + |B| - 1, d)."""
     out = []
@@ -611,13 +624,14 @@ class TestSpanDistanceBytes:
     def test_gathered_columns_match_per_pair_systems(self, monkeypatch, chunk):
         # every group of _disjoint_pairs and _plane_pairs: the widest blocks'
         # [M | r] columns, the rows they hand to the solver and the padded
-        # full scan's systems are the per-pair construction, bit for bit
+        # full scan's systems are the per-pair construction, bit for bit; a
+        # per-stage job builds eta's widest columns, then eta''s
         if chunk is not None:
             monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
         built, solved = [], []
 
-        def columns(points, rows, a):
-            built.append(_span_columns(points, rows, a))
+        def columns(points, tails, heads):
+            built.append(_span_columns(points, tails, heads))
             return built[-1]
 
         def solve(m, r):
@@ -631,7 +645,9 @@ class TestSpanDistanceBytes:
             plane = enumerate_hyperplanes(n, 12)[-1]
             for s in range(1, 2 * n + 4):
                 z = rng.uniform(0.0, 1.0, (s, 2 * n + 1))
-                for zp, groups in ((z, _disjoint_pairs(s, n)), _plane_groups(z, plane, n)):
+                stage = []
+                for q, (zp, groups) in enumerate(((z, _disjoint_pairs(s, n)),
+                                                  plane_groups(z, plane, n))):
                     if not groups:
                         continue
                     pairs_a, pairs_b = flatten(groups)
@@ -639,10 +655,11 @@ class TestSpanDistanceBytes:
                     widest = np.flatnonzero(sizes == sizes.max())
                     want = reference_columns(zp, [pairs_a[i] for i in widest],
                                              [pairs_b[i] for i in widest])
+                    stage += [c.tobytes() for c in want]
                     m, r = reference_span_systems(zp, pairs_a, pairs_b)
                     built.clear()
                     solved.clear()
-                    _widest_first([(zp, groups)])
+                    _widest_first([(zp, _span_plan((groups, ()) if q == 0 else ((), groups)))])
                     got = np.concatenate(built)[: len(widest)]
                     assert got.tobytes() == want.tobytes()
                     # each solved block holds kept widest rows, in order
@@ -655,6 +672,9 @@ class TestSpanDistanceBytes:
                     _span_distances(zp, groups)
                     assert [(mc.tobytes(), rc.tobytes()) for mc, rc in solved] == [
                         (m.tobytes(), r.tobytes())]
+                built.clear()
+                _widest_first([_span_job(z, n, plane)])
+                assert [c.tobytes() for block in built for c in block][: len(stage)] == stage
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_eta_pairs_and_distances(self, n):
@@ -690,7 +710,7 @@ class TestSpanDistanceBytes:
                 want = reference_span_distances(z, subsets, subsets, b_extra=extra)
                 # the route under test appends the plane's n+1 spanning points
                 # to the vertices and pairs every subset with them
-                zp, groups = _plane_groups(z, plane, n)
+                zp, groups = plane_groups(z, plane, n)
                 assert zp.shape == (s + n + 1, 2 * n + 1)
                 assert flatten(groups) == (subsets, [tuple(range(s, s + n + 1))] * len(subsets))
                 got = _span_distances(zp, groups)
@@ -741,7 +761,7 @@ class TestSpanDistanceBytes:
         h = Hyperplane((0, 2), (F(1, 4), F(3, 4)))
         for _ in range(10):
             x = rng.uniform(0.0, 1.0, size=(1, 3))
-            got = float(_span_distances(*_plane_groups(x, h, 1))[0])
+            got = float(_span_distances(*plane_groups(x, h, 1))[0])
             assert got == pytest.approx(h.distance_to_point(x[0]), abs=1e-9)
 
     def test_touching_plane_message(self):
@@ -828,7 +848,7 @@ class TestWidestFirst:
         plane = Hyperplane((0, 1), (F(1, 3), F(1, 2)))
         v = np.array([1 / 3 + 3e-7, 0.5 - 2e-7, 0.2])
         z = np.array([v, v + [0.0, 0.0, 0.5]])
-        zp, groups = _plane_groups(z, plane, 1)
+        zp, groups = plane_groups(z, plane, 1)
         widest = float(_span_distances(zp, groups[-1:]).min())
         assert HULL_TOL < widest <= SCAN_GUARD
         m, r = reference_span_systems(zp, *flatten(groups))
@@ -854,6 +874,12 @@ class TestWidestFirst:
                     rows[0, 0] = 5
         with pytest.raises(ValueError):
             _subsets(6, 2)[0, 0] = 5
+        # a span job's plan: the widest systems' index tables, per M width
+        plan = _job_plan(6, 1, 2)
+        assert plan is _job_plan(6, 1, 2) and plan[0][0] is _disjoint_pairs(6, 1)
+        for table in (table for block in plan[1] for table in block[1:]):
+            with pytest.raises(ValueError):
+                table[0] = 5
 
 
 def all_sizes_sigma(points):
@@ -1031,7 +1057,7 @@ def reference_eta(z, n):
 
 
 def reference_eta_prime(z, plane, n):
-    least, pair = reference_widest_first(*_plane_groups(z, plane, n))
+    least, pair = reference_widest_first(*plane_groups(z, plane, n))
     if pair is not None:
         raise GeneralPositionError(
             f"span of {pair[0]} touches the hyperplane (distance {least:.3g})")
@@ -1058,6 +1084,22 @@ def outcome(run):
         return str(exc)
 
 
+def stage_outcomes(z, n, plane):
+    """The eta and eta' outcomes of the per-stage span scan, as embedding_stage reads them."""
+    eta_re, etap_re = _widest_first([_span_job(z, n, plane)])[0]
+    return outcome(lambda: _separation(*eta_re, None)), outcome(lambda: _separation(*etap_re, plane))
+
+
+def reference_outcomes(z, n, plane):
+    """The unfiltered references' eta and eta' outcomes."""
+    return outcome(lambda: reference_eta(z, n)), outcome(lambda: reference_eta_prime(z, plane, n))
+
+
+def one_quantity_outcomes(z, n, plane):
+    """The outcomes of eta and eta_prime, each a scan of its quantity alone."""
+    return outcome(lambda: eta(z, n)), outcome(lambda: eta_prime(z, plane, n))
+
+
 def sigma_outcome(scan, points, tol):
     """The bytes of the least sigma and the subset named."""
     least, first = scan(points, tol)
@@ -1079,9 +1121,9 @@ def assert_filtered_scans(z, n, plane, tols=()):
 @pytest.fixture(scope="module")
 def corpus():
     """(runs, calls) of the generic corpus, seeds 0 and 1: each run is (space, n, result or
-    None when it fails), and calls are the (name, args, results) of every eta, eta_prime and
-    _violating_subset call made while embedding, where results holds the value returned,
-    or nothing when the call raised.
+    None when it fails), and calls are the (name, args, results) of every _span_job (the
+    per-stage span scan's job) and _violating_subset call made while embedding, where
+    results holds the value returned, or nothing when the call raised.
 
     Uniform 10-point squares, the 12-point circle, the 8-, 10- and 16-point
     lines and the 3x3 grid, the failing runs included.
@@ -1104,7 +1146,7 @@ def corpus():
               (line_space(16), 1, 8), (grid_square_space(3, 3), 2, 2)]
     runs = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("eta", "eta_prime", "_violating_subset"):
+        for name in ("_span_job", "_violating_subset"):
             mp.setattr(embedding, name, recording(name, getattr(embedding, name)))
         for space, n, T in cases:
             for seed in (0, 1):
@@ -1136,6 +1178,44 @@ def spans_at(rng, n, gap, angle=None):
     return np.vstack([a, b])
 
 
+VERTEX_KINDS = ("uniform", "collinear", "free-line", "offset", "scaled", "on-plane", "meet",
+                "guard", "overflow")
+
+
+def stage_vertices_case(rng, n, s, kind, plane):
+    """s stage vertices in d = 2n + 1 of one of VERTEX_KINDS.
+
+    Uniform; nearly collinear (3e-9 off a line); the first three on a line
+    along a free axis of the plane, at dyadic points, so that every span
+    system within them, of both quantities, has an exact zero Gram-Schmidt
+    length and NaN ends; offset by 1e3 or scaled by 1e-6; a
+    vertex on the plane; vertices 0 and 1 1e-10 apart (spans that meet) or
+    1e-7 apart (under SCAN_GUARD); or rows at +-1e308, whose differences
+    overflow to NaN distances.
+    """
+    d = 2 * n + 1
+    z = rng.uniform(0.0, 1.0, (s, d))
+    if kind == "collinear":
+        a, b = z[0], rng.uniform(0.0, 1.0, d)
+        z = a + rng.uniform(0.0, 1.0, (s, 1)) * (b - a) + rng.uniform(-3e-9, 3e-9, (s, d))
+    elif kind == "free-line":
+        z[:3] = np.round(z[0] * 4) / 4
+        z[:3, (plane.free_coords or (0,))[0]] = np.arange(min(s, 3)) / 8
+    elif kind == "offset":
+        z += 1e3
+    elif kind == "scaled":
+        z *= 1e-6
+    elif kind == "on-plane":
+        z[int(rng.integers(s)), list(plane.coords)] = plane._levels
+    elif kind in ("meet", "guard") and s > 1:
+        step = rng.normal(size=d)
+        z[1] = z[0] + (1e-10 if kind == "meet" else 1e-7) * step / np.linalg.norm(step)
+    elif kind == "overflow":
+        z[0] = 1e308
+        z[-1] = -1e308 if s > 1 else z[-1]
+    return z
+
+
 @pytest.fixture(scope="module")
 def small_block_cases():
     """(sigma cases, tolerances, their sigma outcomes, span cases, their eta and eta'
@@ -1159,9 +1239,13 @@ def small_block_cases():
         plane = Hyperplane(tuple(range(n + 1)), (F(1, 2),) * (n + 1))
         z[-1, list(plane.coords)] = 0.5
         span_cases.append((z, n, plane))
-    want_spans = [(outcome(lambda: reference_eta(z, n)),
-                   outcome(lambda: reference_eta_prime(z, plane, n)))
-                  for z, n, plane in span_cases]
+    for n, s, kind in ((1, 4, "free-line"), (2, 5, "free-line"), (1, 4, "overflow"),
+                       (2, 3, "overflow"), (1, 3, "meet"), (3, 6, "guard")):
+        plane = enumerate_hyperplanes(n, 20)[int(rng.integers(20))]
+        span_cases.append((stage_vertices_case(rng, n, s, kind, plane), n, plane))
+    # the references let a NaN distance pass; eta and eta_prime name its pair
+    want_spans = [(reference_outcomes if np.isfinite(z).all() and np.abs(z).max() < 1e300
+                   else one_quantity_outcomes)(z, n, plane) for z, n, plane in span_cases]
     return cases, tols, want, span_cases, want_spans
 
 
@@ -1234,6 +1318,28 @@ class TestFilteredScans:
             near = offset + scale * spans_at(rng, n, 1e-4, 1e-6)
             assert_filtered_scans(near, n, planes[0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=hst.integers(0, 3), data=hst.data())
+    def test_stage_scan_matches_one_quantity_scans(self, n, data):
+        # eta and eta' in one scan, at drawn block sizes: a block holding both
+        # quantities' systems never lets one quantity's bound decide the
+        # other's, and fewer than 2n + 2 vertices make eta's widest systems
+        # narrower than eta''s, a second block shape in the same scan
+        s = data.draw(hst.integers(1, 2 * n + 4), label="s")
+        kind = data.draw(hst.sampled_from(VERTEX_KINDS), label="kind")
+        chunk = data.draw(hst.sampled_from([None, 1, 9, 36, 50, 200]) if n < 3 else hst.none(),
+                          label="chunk")
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+        plane = enumerate_hyperplanes(n, 20)[int(rng.integers(20))]
+        z = stage_vertices_case(rng, n, s, kind, plane)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(embedding, "_CHUNK_FLOATS", chunk)
+            got = stage_outcomes(z, n, plane)
+            assert got == one_quantity_outcomes(z, n, plane)
+        if kind != "overflow":  # the references let a NaN distance pass
+            assert got == reference_outcomes(z, n, plane)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_exact_ties(self, n):
         # cube corners and dyadic grid points: many systems with the same
@@ -1252,22 +1358,21 @@ class TestFilteredScans:
         assert_filtered_scans(tie, n, planes[0], tols=(reference_least_sigma(tie, 0.0)[0],))
 
     def test_every_call_of_the_corpus(self, corpus):
-        # the inputs of every eta, eta_prime and general-position call made
-        # while embedding the generic corpus, the failing runs included
+        # the inputs of every per-stage span scan and general-position call
+        # made while embedding the generic corpus, the failing runs included:
+        # the scan's eta and eta' outcomes are the one-quantity references'
         runs, calls = corpus
         failed = sum(r is None for _, _, r in runs)
-        references = {"eta": (eta, reference_eta),
-                      "eta_prime": (eta_prime, reference_eta_prime)}
         for name, args, results in calls:
-            if name in references:
-                run, reference = references[name]
-                assert outcome(lambda: run(*args)) == outcome(lambda: reference(*args))
+            if name == "_span_job":
+                z, n, plane = args
+                assert stage_outcomes(z, n, plane) == reference_outcomes(z, n, plane)
             else:
                 # the builder's verdict, and the verifier's scan on the same points
                 assert results == [reference_least_sigma(*args)[1]]
                 assert sigma_outcome(least_sigma, *args) == sigma_outcome(
                     reference_least_sigma, *args)
-        assert {name for name, _, _ in calls} == {"eta", "eta_prime", "_violating_subset"}
+        assert {name for name, _, _ in calls} == {"_span_job", "_violating_subset"}
         assert 10 <= failed < 30
 
     @pytest.mark.parametrize("chunk", [1, 9, 50])
@@ -1278,7 +1383,12 @@ class TestFilteredScans:
         # first subset named is not the one with the least sigma. Spans:
         # random sets (two widest groups at s = 5, n = 3), spans on both
         # sides of SCAN_GUARD and HULL_TOL, and a vertex on the plane. The
-        # builder's verdict, which stops at its first hit, names the same subsets
+        # builder's verdict, which stops at its first hit, names the same subsets.
+        # The per-stage scan, whose blocks can hold both quantities' systems
+        # (at 50 floats a block of 5 systems holds 3 eta and 2 eta' systems of
+        # 4 vertices at n = 1), gives each quantity its one-quantity outcome;
+        # on dyadic points along a free axis every system of both has NaN
+        # ends, so each row keeps the other quantity's entries
         cases, tols, want, span_cases, want_spans = small_block_cases
         least, first = want[-1]
         assert first[:3] == (0, 1, 2) and np.frombuffer(least)[0] < 1e-9
@@ -1289,8 +1399,34 @@ class TestFilteredScans:
             assert [sigma_outcome(least_sigma, p, tol) for p in cases for tol in tols] == want
             assert [_violating_subset(p, tol) for p in cases for tol in tols] == [
                 first for _, first in want]
-            assert [(outcome(lambda: eta(z, n)), outcome(lambda: eta_prime(z, plane, n)))
-                    for z, n, plane in span_cases] == want_spans
+            assert [one_quantity_outcomes(z, n, plane) for z, n, plane in span_cases] == want_spans
+            assert [stage_outcomes(z, n, plane) for z, n, plane in span_cases] == want_spans
+
+    def test_row_without_a_bound_reads_the_other_quantity_as_inf(self, monkeypatch):
+        # 5 vertices at n = 1, the first three on a line along the plane's
+        # free axis, in blocks of 4 systems: the fourth block holds eta's last
+        # 3 systems and eta''s first, (0, 1), whose ends are NaN. The eta'
+        # row has no bound there, so it keeps eta's entries; they must read
+        # +inf, not eta's smaller distances, which are above SCAN_GUARD
+        monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 36)
+        kept = []
+        real = embedding._filtered_least
+
+        def recording(blocks, tol, rows):
+            def seen():
+                for block in blocks:
+                    kept.append((block[0].tolist(), np.isinf(block[2]).tolist()))
+                    yield block
+            return real(seen(), tol, rows)
+
+        monkeypatch.setattr(embedding, "_filtered_least", recording)
+        rng = np.random.default_rng(36)
+        plane = enumerate_hyperplanes(1, 20)[int(rng.integers(20))]
+        z = stage_vertices_case(rng, 1, 5, "free-line", plane)
+        assert stage_outcomes(z, 1, plane) == reference_outcomes(z, 1, plane)
+        assert ([0, 1], [[False] * 3 + [True], [True] * 3 + [False]]) in kept
+        eta_least = float(reference_span_distances(z, *reference_eta_pairs(5, 1))[-3:].min())
+        assert SCAN_GUARD < eta_least < np.frombuffer(reference_outcomes(z, 1, plane)[1])[0]
 
     def test_verdict_on_nan_bounds(self):
         # NaN ends are undecided: they are solved even when a sure hit follows.
@@ -1309,13 +1445,14 @@ class TestFilteredScans:
     @pytest.mark.parametrize("chunk", [1, 9, 50])
     def test_widest_systems_built_once_in_blocks(self, monkeypatch, chunk):
         # above SCAN_GUARD each widest system is built exactly once, in
-        # order, and a block holds at most chunk floats unless it is one row
+        # order (a per-stage job's eta systems first), and a block holds at
+        # most chunk floats unless it is one row
         rng = np.random.default_rng(990)
         built = []
 
-        def recording(points, rows, a):
-            built.append((rows[:, :a].copy(), rows[:, a:].copy()))
-            return _span_columns(points, rows, a)
+        def recording(points, tails, heads):
+            built.append((tails.copy(), heads.copy()))
+            return _span_columns(points, tails, heads)
 
         monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
         monkeypatch.setattr(embedding, "_span_columns", recording)
@@ -1323,18 +1460,24 @@ class TestFilteredScans:
             plane = enumerate_hyperplanes(n, 20)[-1]
             for s in (3, 5, 2 * n + 3):
                 z = rng.uniform(0.0, 1.0, (s, 2 * n + 1))
-                for run, (zp, groups) in ((lambda: eta(z, n), (z, _disjoint_pairs(s, n))),
-                                          (lambda: eta_prime(z, plane, n),
-                                           _plane_groups(z, plane, n))):
+                eta_groups, prime_groups = _span_job(z, n, plane)[1][0]
+                for run, quantities in ((lambda: [eta(z, n)], [eta_groups]),
+                                        (lambda: [eta_prime(z, plane, n)], [prime_groups]),
+                                        (lambda: [v for v, _ in _widest_first(
+                                            [_span_job(z, n, plane)])[0]], [eta_groups, prime_groups])):
                     built.clear()
-                    assert run() > SCAN_GUARD
-                    width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
-                    widest = [g for g in groups if g[0].shape[1] + g[1].shape[1] == width]
-                    for ia, _ in built:
-                        rows = len(ia)
-                        assert rows == 1 or rows * zp.shape[1] * (width - 1) <= chunk
-                    got = [(a.tolist(), b.tolist()) for ia, ib in built for a, b in zip(ia, ib)]
-                    assert got == [(a.tolist(), b.tolist()) for g in widest for a, b in zip(*g)]
+                    assert min(run()) > SCAN_GUARD
+                    want = []
+                    for groups in quantities:
+                        width = max(ia.shape[1] + ib.shape[1] for ia, ib in groups)
+                        want += [(t.tolist(), h.tolist()) for ia, ib in groups
+                                 if ia.shape[1] + ib.shape[1] == width
+                                 for t, h in zip(*_span_rows(ia, ib))]
+                    for tails, _ in built:
+                        rows, columns = tails.shape
+                        assert rows == 1 or rows * z.shape[1] * columns <= chunk
+                    got = [(t.tolist(), h.tolist()) for ts, hs in built for t, h in zip(ts, hs)]
+                    assert got == want
 
     def test_nan_values_fail(self):
         # differences past the float range give NaN sigmas and distances:
@@ -1370,6 +1513,22 @@ class TestFilteredScans:
         with pytest.raises(GeneralPositionError, match=r"distance nan"):
             eta_prime(z, plane, 1)
 
+    def test_inf_systems_never_reach_pinv(self, monkeypatch):
+        # at n = 2 the systems holding both +-1e308 rows have inf edges, on
+        # which LAPACK's SVD can loop forever: they read NaN without it
+        real = np.linalg.pinv
+
+        def finite_only(m):
+            assert np.isfinite(m).all()
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "pinv", finite_only)
+        z = np.vstack([np.full((2, 5), [[1e308], [-1e308]]), [[0.2, 0.5, 0.9, 0.4, 0.6]]])
+        plane = enumerate_hyperplanes(2, 4)[0]
+        assert stage_outcomes(z, 2, plane) == (
+            "spans of (0,) and (1,) meet (distance nan)",
+            "span of (0,) touches the hyperplane (distance nan)")
+
     def test_no_cached_indices(self):
         # 735,471 maximal subsets of 24 points in d = 7, taken in blocks, and
         # the 79,800 pairs of 400 points in d = 1, one block of 159,600
@@ -1404,6 +1563,23 @@ class TestFilteredScans:
         assert 16 <= rows["pinv"] <= 0.02 * 16 * 210
         assert 16 <= rows["svd"] <= 0.25 * 16 * 210
 
+    def test_one_span_solve_per_stage(self, monkeypatch, golden_runs):
+        # the 8-point line at n = 1, T = 16: the builder measures eta and eta'
+        # of a stage in one scan, one _solve_spans call per stage, and solves
+        # 32 rows; the verifier's one scan over every stage solves the same
+        # 32 rows in one call
+        space, n, r = golden_runs[1]
+        rows = []
+        real = embedding._solve_spans
+        monkeypatch.setattr(embedding, "_solve_spans",
+                            lambda m, rhs: rows.append(len(m)) or real(m, rhs))
+        again = nobeling_embed(space, n=n, T=16, seed=0)
+        assert (len(rows), sum(rows)) == (16, 32)
+        assert result_to_json_dict(again) == result_to_json_dict(r)
+        rows.clear()
+        assert verify_result(r, space, n).overall
+        assert (len(rows), sum(rows)) == (1, 32)
+
     def test_builder_solves_few_subsets(self, monkeypatch, golden_runs):
         # embedding the 8-point line at n = 1, T = 16 tests 17 point sets of
         # 210 subsets each; the verdict scan decomposes the 20 subsets of
@@ -1432,15 +1608,15 @@ def per_stage_report(r, space, n, sigma_of=least_sigma, eta_of=eta, eta_prime_of
     GeneralPositionError from either fails both span checks.
     """
 
+    def separation(run):
+        try:
+            return run(), None
+        except GeneralPositionError as exc:
+            return math.nan, str(exc)
+
     def spans(jobs):
-        out = []
-        for vertices, plane in jobs:
-            try:
-                out.append((eta_of(vertices, n) if plane is None
-                            else eta_prime_of(vertices, plane, n), None))
-            except GeneralPositionError as exc:
-                out.append((math.nan, str(exc)))
-        return out
+        return [(separation(lambda: eta_of(vertices, n)),
+                 separation(lambda: eta_prime_of(vertices, plane, n))) for vertices, plane in jobs]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_least_sigmas", lambda jobs, tol: [sigma_of(p, tol) for p in jobs])
@@ -1502,9 +1678,9 @@ def tampered_reports(golden_runs):
 
 @pytest.fixture(scope="module")
 def grouping_cases():
-    """Per n in (1, 2): the span jobs with cached and with distinct group tuples, each
-    job's one-job _widest_first result, the sigma jobs and each one's least_sigma per
-    tolerance, all at the default block size."""
+    """Per n in (1, 2): the span jobs (eta alone and per-stage) with cached and with distinct
+    group tuples, each job's one-job _widest_first result, the sigma jobs and each one's
+    least_sigma per tolerance, all at the default block size."""
     rng = np.random.default_rng(1010)
     cases = []
     for n in (1, 2):
@@ -1515,8 +1691,9 @@ def grouping_cases():
         sets[4][2] = sets[4][0] + 1e-7 * rng.normal(size=d)  # inside the guard band
         sets[6][3] = 0.5 * (sets[6][0] + sets[6][1])  # collinear: sigma names a subset
         shared = [_span_job(z, n) for z in sets] + [_span_job(z, n, plane) for z in sets]
-        distinct = ([(z, _disjoint_pairs.__wrapped__(len(z), n)) for z in sets]
-                    + [(zp, _plane_pairs.__wrapped__(len(z), n, n + 1))
+        distinct = ([(z, _span_plan((_disjoint_pairs.__wrapped__(len(z), n), ()))) for z in sets]
+                    + [(zp, _span_plan((_disjoint_pairs.__wrapped__(len(z), n),
+                                        _plane_pairs.__wrapped__(len(z), n, n + 1))))
                        for z, (zp, _) in zip(sets, shared[len(sets):])])
         one = [_widest_first([job])[0] for job in shared]
         points = [np.vstack([z, rng.uniform(0.0, 1.0, (n + 1, d))]) for z in sets]
@@ -1527,9 +1704,9 @@ def grouping_cases():
 
 
 class TestBatchedVerifier:
-    """verify_result scans sigma once over every stage and the spans once over the 2T eta and
-    eta' jobs; its report has the bytes of the per-stage loop at the default block size, and
-    the same bytes at every other block size."""
+    """verify_result scans sigma once over every stage and the spans once over the T per-stage
+    jobs, each measuring eta and eta'; its report has the bytes of the per-stage loop at the
+    default block size, and the same bytes at every other block size."""
 
     def test_golden_and_corpus_runs(self, golden_runs, corpus):
         runs = [run for run in corpus[0] if run[2] is not None]
@@ -1542,7 +1719,7 @@ class TestBatchedVerifier:
     @pytest.mark.parametrize("tampers", STAGE_TAMPERS, ids=lambda t: "-".join(map(str, t.items())))
     def test_tampered_stages(self, monkeypatch, golden_runs, tampered_reports, chunk, tampers):
         # blocks of one system, of a few stages' systems, and of everything;
-        # the guard band sends only its own eta job to the full scan
+        # the guard band sends only its own eta row to the full scan
         space, n, _ = golden_runs[1]
         r, want = tampered_reports[tuple(tampers.items())]
         assert len(r.stages) == 16
@@ -1589,11 +1766,12 @@ class TestBatchedVerifier:
         assert any(len(jobs) > 1 for _, jobs in blocks) == (chunk in (None, 50))
         limit = embedding._CHUNK_FLOATS
         assert all(size <= limit or systems == 1 for size, systems in floats)
-        # a block's jobs share one grid: sigma jobs of one vertex count, span
-        # jobs of one kind (eta at even ids, eta' at odd ones) and vertex count
-        grid = [lambda j: len(r.stages[j].vertices),
-                lambda j: (j % 2, len(r.stages[j // 2].vertices))]
+        # a block's rows share one grid: sigma jobs of one vertex count, span
+        # rows (eta of stage j at 2 j, eta' at 2 j + 1) of stages of one vertex
+        # count; one block of everything holds both quantities' rows
+        grid = [lambda j: len(r.stages[j].vertices), lambda j: len(r.stages[j // 2].vertices)]
         assert all(len({grid[i](j) for j in jobs}) == 1 for i, jobs in blocks)
+        assert any({j % 2 for j in jobs} == {0, 1} for i, jobs in blocks if i) == (chunk is None)
         checks = {(c["name"], c["location"].split(",")[0]): c for c in report["checks"]}
         for t, kind in tampers.items():
             eta_check = checks[("eta", f"stage {t}")]
@@ -1637,8 +1815,9 @@ class TestBatchedVerifier:
         # of their own, give each job's one-job result
         monkeypatch.setattr(embedding, "_CHUNK_FLOATS", chunk)
         for shared, distinct, one, points, want in grouping_cases:
-            assert all(a[1] is not b[1] for a, b in zip(shared, distinct) if len(a[1]))
-            assert sum(pair is not None for _, pair in one) >= 2
+            assert all(x is not y for a, b in zip(shared, distinct)
+                       for x, y in zip(a[1][0], b[1][0]) if len(x))
+            assert sum(pair is not None for quantities in one for _, pair in quantities) >= 2
             assert _widest_first(shared) == one == _widest_first(distinct)
             for tol in (RANK_TOL, 1e-3):
                 assert any(first is not None for _, first in want[tol])
@@ -2426,10 +2605,9 @@ def reference_stage_report(r, space, n):
         checks.append(CertificateCheck(name, bool(passed), margin, location))
 
     sigmas = _least_sigmas([np.vstack([st.vertices, st.anchors]) for st in r.stages], RANK_TOL)
-    spans = _widest_first([job for st in r.stages for job in (
-        _span_job(st.vertices, n), _span_job(st.vertices, n, st.hyperplane))])
+    spans = _widest_first([_span_job(st.vertices, n, st.hyperplane) for st in r.stages])
     prev = None
-    for st, (sigma, subset), eta_re, etap_re in zip(r.stages, sigmas, spans[::2], spans[1::2]):
+    for st, (sigma, subset), (eta_re, etap_re) in zip(r.stages, sigmas, spans):
         loc = f"stage {st.t}"
         if prev is not None:
             ok = bool(np.array_equal(prev.f_next, st.f)) and prev.delta_next == st.delta
