@@ -27,8 +27,11 @@ the same verdict and the same least singular value up to rounding, and
 names the first maximal subset at or under the tolerance. Both decompose
 only the systems that an error-bounded Gram-Schmidt estimate cannot rule
 out; against decomposing every system they give the same values, named
-subsets and messages, byte for byte. The builder's general-position verdict,
-which stops at its first failing subset, names the same subset. The
+subsets and messages, byte for byte. On every stage of the certified n=1
+runs their ends bracket the exact least (``exact``, over integers and
+Fractions): least low end <= exact least <= least high end. The builder's
+general-position verdict, which stops at its first failing subset, names
+the same subset. The
 verifier runs one sigma grid and one span grid, measuring eta and eta'
 together, over the stages that share an index array,
 with blocks that hold several stages; at the default block size its report
@@ -83,11 +86,6 @@ from dimlab.metric import (
     strictly_included,
 )
 from dimlab.covers import (
-    _box_cells,
-    _grid_boxes,
-    _grid_steps,
-    _point_stars,
-    _stars_within,
     closed_shrinking,
     dedupe_by_support,
     is_point_star_refinement,
@@ -133,6 +131,7 @@ from dimlab.embedding import (
     result_from_json_dict,
     result_to_json_dict,
 )
+import exact
 from conftest import (
     grid_square_space,
     least_sigma,
@@ -1595,46 +1594,49 @@ class TestFilteredScans:
         assert result_to_json_dict(again) == result_to_json_dict(r)
 
 
-def report_bytes(r, space, n):
-    return metric._write_json(verify_result(r, space, n).to_json_dict())
+def filter_ends(scan, rows):
+    """Run ``scan`` and return each filter row's least low end and least high end over the
+    blocks that ``_filtered_least`` reads, as a (2, rows) array."""
+    ends = np.full((2, rows), math.inf)
+    real = embedding._filtered_least
 
-
-def per_stage_report(r, space, n, sigma_of=least_sigma, eta_of=eta, eta_prime_of=eta_prime):
-    """The bytes of verify_result's report with its scans run one stage at a time.
-
-    Each stage's sigma is ``sigma_of`` of its vertices and anchors, and
-    its spans are ``eta_of`` and ``eta_prime_of`` of its vertices, as the
-    verifier's stage loop called them before its scans were batched: a
-    GeneralPositionError from either fails both span checks.
-    """
-
-    def separation(run):
-        try:
-            return run(), None
-        except GeneralPositionError as exc:
-            return math.nan, str(exc)
-
-    def spans(jobs):
-        return [(separation(lambda: eta_of(vertices, n)),
-                 separation(lambda: eta_prime_of(vertices, plane, n))) for vertices, plane in jobs]
+    def recording(blocks, tol, jobs):
+        def seen():
+            for block in blocks:
+                for end, values in zip(ends, block[2:4]):
+                    np.minimum.at(end, block[0], values.min(axis=1))
+                yield block
+        return real(seen(), tol, jobs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_least_sigmas", lambda jobs, tol: [sigma_of(p, tol) for p in jobs])
-        mp.setattr(harness, "_span_job", lambda vertices, n, plane=None: (vertices, plane))
-        mp.setattr(harness, "_widest_first", spans)
-        return report_bytes(r, space, n)
+        mp.setattr(embedding, "_filtered_least", recording)
+        scan()
+    return ends
 
 
-def assert_per_stage(r, space, n, unfiltered=True):
-    """verify_result's report is the per-stage loop's, byte for byte; with ``unfiltered`` also
-    that of the loop over the references that decompose every system (which, unlike the
-    library, let a NaN value pass). Returns the report's bytes."""
-    got = report_bytes(r, space, n)
-    assert got == per_stage_report(r, space, n)
-    if unfiltered:
-        assert got == per_stage_report(r, space, n, reference_least_sigma, reference_eta,
-                                       reference_eta_prime)
-    return got
+def test_filter_ends_bracket_the_exact_least(golden_runs, corpus):
+    """On every stage of each certified n=1 run, the least low end of the span and sigma
+    filters <= the exact least (:mod:`exact`) <= their least high end: eta and eta' over the
+    maximal pairs, sigma over the maximal subsets of the vertices and anchors."""
+    stages = [st for _, n, r in golden_runs + corpus[0] if n == 1 and r is not None
+              for st in r.stages]
+    points = [np.vstack([st.vertices, st.anchors]) for st in stages]
+    spans = filter_ends(lambda: _widest_first([_span_job(st.vertices, 1, st.hyperplane)
+                                               for st in stages]), 2 * len(stages))
+    sigmas = filter_ends(lambda: _least_sigmas(points, RANK_TOL), len(stages))
+    assert np.isfinite(spans).all() and np.isfinite(sigmas).all()
+    for j, st in enumerate(stages):
+        plane = st.hyperplane
+        exact_spans = (exact.least_eta(st.vertices, 1),
+                       exact.least_eta_prime(st.vertices, plane.coords, plane.values, 1))
+        for (low, high), least in zip(spans[:, 2 * j : 2 * j + 2].T, exact_spans):
+            assert F(low) ** 2 <= least <= F(high) ** 2, (j, low, least, high)
+        assert exact.sigma_bracket(points[j], *sigmas[:, j]), j
+    assert len(stages) >= 100
+
+
+def report_bytes(r, space, n):
+    return metric._write_json(verify_result(r, space, n).to_json_dict())
 
 
 def stage_tampered(r, tampers, rng):
@@ -1663,16 +1665,19 @@ STAGE_TAMPERS = [{3: "meet"}, {5: "guard"}, {9: "overflow"}, {2: 3, 7: 2, 11: 1}
 
 @pytest.fixture(scope="module")
 def tampered_reports(golden_runs):
-    """{tamper set items: (tampered run, report bytes)} for the 16-stage line run, each
-    report checked against the per-stage loops once, at the default block size."""
+    """{tamper set items: (tampered run, reference report bytes)} for the 16-stage line run,
+    each reference (:func:`reference_stage_report`) built once at the default block size and
+    checked against the unfiltered scans' (which, unlike the library, let a NaN value pass)."""
     space, n, r = golden_runs[1]
     out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflows are the point
         for tampers in STAGE_TAMPERS:
             bad = stage_tampered(r, tampers, np.random.default_rng(1000))
-            report = assert_per_stage(bad, space, n, "overflow" not in tampers.values())
-            out[tuple(tampers.items())] = bad, report
+            want = reference_stage_report(bad, space, n)
+            if "overflow" not in tampers.values():
+                assert unfiltered_stage_report(bad, space, n) == want
+            out[tuple(tampers.items())] = bad, want
     return out
 
 
@@ -1708,11 +1713,12 @@ class TestBatchedVerifier:
     jobs, each measuring eta and eta'; its report has the bytes of the per-stage loop at the
     default block size, and the same bytes at every other block size."""
 
-    def test_golden_and_corpus_runs(self, golden_runs, corpus):
-        runs = [run for run in corpus[0] if run[2] is not None]
-        assert len(runs) >= 6
-        for space, n, r in golden_runs + runs:
-            assert_per_stage(r, space, n)
+    def test_golden_and_corpus_runs(self, structural_cases):
+        labels = [label for label in structural_cases if label.startswith(("golden", "corpus"))]
+        assert sum(label.startswith("corpus") for label in labels) >= 6
+        for label in labels:
+            space, n, r, want = structural_cases[label]
+            assert report_bytes(r, space, n) == want == unfiltered_stage_report(r, space, n)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
     @pytest.mark.parametrize("chunk", [None, 1, 9, 50])
@@ -1790,7 +1796,7 @@ class TestBatchedVerifier:
         assert {"meet", "guard", "overflow"} <= set(union.values())
         r, want = tampered_reports[tuple(union.items())]
         monkeypatch.setattr(embedding, "_CHUNK_FLOATS", 1)
-        assert assert_per_stage(r, space, n, unfiltered=False) == want
+        assert report_bytes(r, space, n) == reference_stage_report(r, space, n) == want
 
     @pytest.mark.parametrize("coords", [[0], [0, 1, 3]])
     def test_first_malformed_stage_raises(self, golden_runs, coords):
@@ -2328,16 +2334,8 @@ class TestCertifiedTriangles:
 
 
 def reference_star_verdict(space, balls, st):
-    """The builder's route: the met stage cover, then the point-star test.
-
-    A met cover that cannot be built (a grid too fine to index, a sample
-    point no grid ball reaches, an empty meet) certifies nothing: False.
-    """
-    try:
-        met = _stage_covers(space, balls, st.pair_code, st.f, st.delta)[1]
-    except (CertificateError, InputError):
-        return False
-    return is_point_star_refinement(st.cover_u, met)
+    """The builder's route (:func:`reference_met_star`) on one result stage."""
+    return reference_met_star(*star_case(space, balls, st))
 
 
 def reference_v_mapping(r, space, balls, st):
@@ -2425,9 +2423,15 @@ def random_star_case(rng, d):
 
 
 def reference_met_star(cover_u, cover_v, f, delta):
+    """The builder's route: the met stage cover of ``_stage_covers`` (V meet the delta-ball
+    preimage cover, deduplicated by support), then the point-star test.
+
+    A met cover that cannot be built (a grid too fine to index, a sample
+    point no grid ball reaches, an empty meet) certifies nothing: False.
+    """
     try:
         w = ball_preimage_cover(line_space(f.shape[0]), f, delta)
-        return is_point_star_refinement(cover_u, meet(Cover(cover_v), w))
+        return is_point_star_refinement(cover_u, dedupe_by_support(meet(Cover(cover_v), w)))
     except (CertificateError, InputError):
         return False
 
@@ -2562,39 +2566,14 @@ def reference_cube_excess(points):
     return float(max(0.0, (-points).max(initial=0.0), (points - 1.0).max(initial=0.0)))
 
 
-def reference_stars_in_met_cover(cover_u, cover_v, f, delta):
-    """The star check of one stage: the distinct nonempty point stars, each inside a V row,
-    then the middle cell of each star's box, then every cell of the boxes left open."""
-    stars = _point_stars(cover_u)
-    if not _stars_within(stars, cover_v > 0.0):
-        return False
-    p, d = f.shape
-    try:
-        m = _grid_steps(d, delta)
-    except CertificateError:
-        return False
-    lo, hi = _grid_boxes(f, delta, m)
-    lo = np.where(stars[:, :, None], lo, 0).max(axis=1)
-    hi = np.where(stars[:, :, None], hi, m).min(axis=1)
-    if (lo > hi).any():
-        return False
-
-    def fits(owner, cells):
-        near = np.linalg.norm(f[None] - (cells / m)[:, None], axis=2) < delta
-        return (near | ~stars[owner]).all(axis=1)
-
-    found = fits(np.arange(len(stars)), lo + (hi - lo) // 2)
-    todo = np.flatnonzero(~found)
-    for rows, cells in _box_cells(lo[todo], hi[todo], max(1, metric._CHUNK_FLOATS // (p * d))):
-        owner = todo[rows]
-        found[owner[fits(owner, cells)]] = True
-    return bool(found.all())
-
-
-def reference_stage_report(r, space, n):
-    """The bytes of verify_result's report from a stage loop that measures each stage's
-    structural checks on that stage's own arrays; sigma and the spans come from the
-    library's scans. The input must be valid: nothing here raises."""
+def reference_stage_report(r, space, n, sigma_of=least_sigma, eta_of=eta, eta_prime_of=eta_prime):
+    """The bytes of verify_result's report from a stage loop that measures each stage on its
+    own arrays. Its sigma is ``sigma_of`` of its vertices and anchors, and its spans are
+    ``eta_of`` and ``eta_prime_of`` of its vertices, as the verifier's stage loop called them
+    before its scans were batched: a GeneralPositionError from either fails both span
+    checks. The star check takes the builder's route (:func:`reference_star_verdict`) and
+    the v-mapping check the per-point loop (:func:`reference_v_mapping`). The input must
+    be valid: nothing here raises."""
     balls, pairs, _ = pair_schedule(space, len(r.stages))
     planes = enumerate_hyperplanes(n, len(r.stages))
     images = np.linalg.norm(r.f[None] - r.f[:, None], axis=2)
@@ -2604,11 +2583,14 @@ def reference_stage_report(r, space, n):
         margin = -math.inf if math.isnan(margin) else float(margin)
         checks.append(CertificateCheck(name, bool(passed), margin, location))
 
-    sigmas = _least_sigmas([np.vstack([st.vertices, st.anchors]) for st in r.stages], RANK_TOL)
-    spans = _widest_first([_span_job(st.vertices, n, st.hyperplane) for st in r.stages])
     prev = None
-    for st, (sigma, subset), (eta_re, etap_re) in zip(r.stages, sigmas, spans):
+    for st in r.stages:
         loc = f"stage {st.t}"
+        sigma, subset = sigma_of(np.vstack([st.vertices, st.anchors]), RANK_TOL)
+        try:
+            spans = eta_of(st.vertices, n), eta_prime_of(st.vertices, st.hyperplane, n)
+        except GeneralPositionError:
+            spans = None
         if prev is not None:
             ok = bool(np.array_equal(prev.f_next, st.f)) and prev.delta_next == st.delta
             add("chain", ok, 0.0 if ok else -1.0, loc)
@@ -2625,8 +2607,7 @@ def reference_stage_report(r, space, n):
             add("order", order_of(st.cover_u) <= n, float(n - order_of(st.cover_u)), loc)
         else:
             add("order", False, -1.0, loc)
-        _, cover_v, _, _ = star_case(space, balls, st)
-        ok = reference_stars_in_met_cover(st.cover_u, cover_v, st.f, st.delta)
+        ok = reference_star_verdict(space, balls, st)
         add("star-refinement", ok, 0.0 if ok else -1.0, loc)
         picks = _stage_vertices(st.cover_u)
         prox = float(np.linalg.norm(st.vertices - st.f[picks], axis=1).max())
@@ -2645,9 +2626,8 @@ def reference_stage_report(r, space, n):
         else:
             add("kappa-values", False, -1.0, loc)
             add("kappa-weights", False, -1.0, loc)
-        if eta_re[1] is None and etap_re[1] is None:
-            for name, (got, _), want in (("eta", eta_re, st.eta),
-                                         ("eta-prime", etap_re, st.eta_prime)):
+        if spans is not None:
+            for name, got, want in zip(("eta", "eta-prime"), spans, (st.eta, st.eta_prime)):
                 add(name, got == want, -0.0 if got == want else -abs(got - want), loc)
         else:
             add("eta", False, -1.0, loc)
@@ -2662,14 +2642,7 @@ def reference_stage_report(r, space, n):
             3.0 * st.delta - contraction, loc)
         clearance = float(st.hyperplane.distance_to_point(st.f_next).min())
         add("stage-clearance", clearance >= st.eta_prime - HULL_TOL, clearance - st.eta_prime, loc)
-        pre = images < st.eta / 4.0
-        inside = ~(pre[:, None, :] & ~(cover_v > 0.0)).any(axis=2)
-        bad = np.flatnonzero(~(pre.any(axis=1) & inside.any(axis=1)))
-        if bad.size:
-            add("v-mapping", False, 0.0, f"{loc}, point {int(bad[0])}")
-        else:
-            low = np.where(pre[:, None, :], cover_v, np.inf).min(axis=2)
-            add("v-mapping", True, float(np.where(inside, low, -np.inf).max(axis=1).min()), loc)
+        add("v-mapping", *reference_v_mapping(r, space, balls, st))
         prev = st
     ok = bool(np.array_equal(r.stages[-1].f_next, r.f))
     add("final-chain", ok, 0.0 if ok else -1.0, f"stage {r.stages[-1].t}")
@@ -2700,6 +2673,12 @@ def reference_stage_report(r, space, n):
     return metric._write_json(CertificateReport(tuple(checks)).to_json_dict())
 
 
+def unfiltered_stage_report(r, space, n):
+    """:func:`reference_stage_report` over the scans that decompose every system."""
+    return reference_stage_report(r, space, n, reference_least_sigma, reference_eta,
+                                  reference_eta_prime)
+
+
 def with_stage(r, t, change):
     """r with ``change`` applied to the JSON document of stage t."""
     doc = result_to_json_dict(r)
@@ -2710,13 +2689,10 @@ def with_stage(r, t, change):
 @pytest.fixture(scope="module")
 def structural_cases(golden_runs, corpus, tampered_reports):
     """{label: (space, n, result, reference bytes)}: the golden and corpus runs, every
-    STAGE_TAMPERS and TAMPERS case, and the uncovered-point and too-fine-grid stages of
-    the console-script check, each reference built once at the default block size."""
+    STAGE_TAMPERS and TAMPERS case, and an uncovered point and a grid too fine to index,
+    each reference built once at the default block size."""
     runs = {f"golden {i}": run for i, run in enumerate(golden_runs)}
     runs.update((f"corpus {i}", run) for i, run in enumerate(corpus[0]) if run[2] is not None)
-    line = golden_runs[1]
-    runs.update((f"stage tampers {key}", (line[0], line[1], bad))
-                for key, (bad, _) in tampered_reports.items())
     for kind in TAMPERS:
         rng = np.random.default_rng(1300 + TAMPERS.index(kind))
         for i in 0, 2:
@@ -2733,10 +2709,12 @@ def structural_cases(golden_runs, corpus, tampered_reports):
     four = SampledSpace.from_points([[0.0], [0.333], [0.667], [1.0]], mesh=0.5)
     fine = with_stage(nobeling_embed(four, n=1, T=2, seed=0), 0, lambda st: st.update(delta=1e-300))
     runs["too-fine grid"] = four, 1, fine
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflows are the point
-        return {label: (space, n, r, reference_stage_report(r, space, n))
-                for label, (space, n, r) in runs.items()}
+    cases = {label: (space, n, r, reference_stage_report(r, space, n))
+             for label, (space, n, r) in runs.items()}
+    line = golden_runs[1]
+    cases.update((f"stage tampers {key}", (line[0], line[1], bad, want))
+                 for key, (bad, want) in tampered_reports.items())
+    return cases
 
 
 class TestStackedChecks:

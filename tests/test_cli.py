@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +12,16 @@ from dimlab import Cover, SampledSpace, order_of, result_from_json_bytes, verify
 from dimlab.cli import cli_main
 
 from conftest import brute_force_order, line_space, space_json_dict
+
+
+def square64(violation=0.0):
+    """The space given as the distance matrix of 64 seeded points in the unit square; with
+    ``violation``, entry (0, 1) exceeds d(0, 2) + d(2, 1) by that much."""
+    p = np.random.default_rng(7).uniform(size=(64, 2))
+    d = np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1))
+    if violation:
+        d[0, 1] = d[1, 0] = d[0, 2] + d[2, 1] + violation
+    return {"points": None, "distance_matrix": d.tolist(), "mesh": 0.5}
 
 
 @pytest.fixture
@@ -48,6 +60,12 @@ def test_cover_order(workdir, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == f"{order_of(cover)}\n"
+    # a one-member cover of a space given by its distance matrix alone
+    (tmp / "square64.json").write_text(json.dumps(square64()))
+    (tmp / "one.json").write_text(json.dumps({"members": [{"values": {str(i): 1.0 for i in range(64)}}]}))
+    argv = ["cover", "order", "--space", str(tmp / "square64.json"), "--cover", str(tmp / "one.json")]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_cover_shrink_writes_file(workdir):
@@ -149,6 +167,18 @@ def test_nerve_export(workdir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["vertices"] == 2
     assert [0, 1] in doc["simplices"]
+    # a band of 14 three-point members on a 16-point line (labels of one and two
+    # digits) against its faces enumerated by brute force
+    (tmp / "line16.json").write_text(json.dumps(space_json_dict(line_space(16))))
+    members = [{"values": {str(p): 1.0 for p in range(i, i + 3)}} for i in range(14)]
+    (tmp / "band.json").write_text(json.dumps({"members": members}))
+    argv = ["nerve", "--space", str(tmp / "line16.json"), "--cover", str(tmp / "band.json")]
+    assert cli_main([*argv, "--out", str(tmp / "nerve.json")]) == 0
+    active = [[i for i in range(14) if i <= p < i + 3] for p in range(16)]
+    faces = sorted({f for a in active for r in range(1, len(a) + 1) for f in combinations(a, r)},
+                   key=lambda f: (len(f), f))
+    want = {"vertices": 14, "simplices": [list(f) for f in faces]}
+    assert (tmp / "nerve.json").read_bytes() == json.dumps(want, separators=(",", ":")).encode()
 
 
 def test_genpos(workdir, capsys):
@@ -160,6 +190,11 @@ def test_genpos(workdir, capsys):
     assert code == 0
     pts = np.array(json.loads(capsys.readouterr().out)["points"])
     assert np.linalg.norm(pts[0] - pts[1]) > 1e-9
+    # three collinear targets are moved off their line
+    (tmp / "targets.json").write_text(json.dumps({"targets": [[0.2, 0.2], [0.7, 0.2], [0.45, 0.2]]}))
+    assert cli_main(["genpos", "--targets", str(tmp / "targets.json"), "--eps", "0.01"]) == 0
+    pts = np.array(json.loads(capsys.readouterr().out)["points"])
+    assert np.linalg.matrix_rank(pts[1:] - pts[0]) == 2
 
 
 def test_embed_verify_roundtrip(workdir, capsys):
@@ -196,6 +231,17 @@ def test_embed_verify_roundtrip(workdir, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["overall"] is True
     assert any(c["name"] == "equation-margin" for c in report["checks"])
+    # at n = 1 too; the three points' stages have 3 vertices, so eta's widest pairs
+    # are (1, 2) and eta''s (2, plane), two block shapes in each stage's span scan
+    for points, stages in ([[0.0], [0.333], [0.667], [1.0]], 2), ([[0.0], [0.5], [1.0]], 3):
+        (tmp / "n1.json").write_text(json.dumps({"points": points, "mesh": 0.5}))
+        args = ["--space", str(tmp / "n1.json"), "--n", "1"]
+        assert cli_main(["embed", *args, "--stages", str(stages), "--out", str(result_path)]) == 0
+        doc = json.loads(result_path.read_text())
+        if len(points) == 3:
+            assert [len(st["vertices"]) for st in doc["stages"]] == [3, 3, 3]
+        assert cli_main(["verify", "--result", str(result_path), *args]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] is True
 
 
 def test_verify_rejects_tampered_result(workdir, capsys):
@@ -247,12 +293,18 @@ def test_verify_rejects_malformed_pair_code(workdir, capsys, code):
 @pytest.mark.parametrize(
     "where,field,value,message",
     [
-        ("stage", "t", 1.5, "t must be an integer"),
-        ("stage", "t", 999, "stage 999 outside"),
-        ("result", "radii_depth", 50, "radii_depth 50"),
-        ("result", "radii_depth", 1.5, "radii_depth must be an integer"),
+        ("stage", "t", 1.5, "stage 1: not a stage document: t must be an integer, got 1.5"),
+        ("stage", "t", 999, "stage 999 outside 0..1"),
+        ("result", "radii_depth", 50,
+         "result has radii_depth 50, but its 2 stages schedule balls at depth 1"),
+        ("result", "radii_depth", 1.5,
+         "not a result document: radii_depth must be an integer, got 1.5"),
+        ("stage", "t", 0, "stage at position 1 records t=0"),
+        ("hyperplane", "coords", [0.5, 1.5],
+         "stage 1: not a hyperplane document: hyperplane coord must be an integer, got 0.5"),
     ],
-    ids=["t-float", "t-past-the-end", "depth-off-schedule", "depth-float"],
+    ids=["t-float", "t-past-the-end", "depth-off-schedule", "depth-float", "t-relabelled",
+         "coord-float"],
 )
 def test_verify_rejects_bad_integer_field(workdir, capsys, where, field, value, message):
     tmp, _, _ = workdir
@@ -260,11 +312,12 @@ def test_verify_rejects_bad_integer_field(workdir, capsys, where, field, value, 
     space = ["--space", str(tmp / "space.json"), "--n", "0"]
     assert cli_main(["embed", *space, "--stages", "2", "--out", str(result_path)]) == 0
     doc = json.loads(result_path.read_text())
-    (doc["stages"][1] if where == "stage" else doc)[field] = value
+    {"stage": doc["stages"][1], "result": doc,
+     "hyperplane": doc["stages"][1]["hyperplane"]}[where][field] = value
     result_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli_main(["verify", "--result", str(result_path), *space]) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_embed_merge_exits_1(tmp_path, capsys):
@@ -297,8 +350,14 @@ def test_malformed_json_exits_2(tmp_path, capsys):
          "mesh must be a positive real"),
         ({"points": [[0.0], [1.0]], "distance_matrix": None, "mesh": 1.0, "mesh_typo": 1},
          "not a space document: unknown keys ['mesh_typo']"),
+        # 32 points on a line at scale 1e7, whose rounded distances break the inequality
+        ({"points": [[1e7 * i / 31 * x for x in (0.6, 0.8, 0.0)] for i in range(32)],
+          "distance_matrix": None, "mesh": 1.0},
+         "triangle inequality violated at points 0, 29"),
+        (square64(1e-6), "triangle inequality violated at points 0, 1"),
     ],
-    ids=["ragged-matrix", "string-point", "bool-mesh", "unknown-key"],
+    ids=["ragged-matrix", "string-point", "bool-mesh", "unknown-key", "line-at-1e7",
+         "matrix-violation"],
 )
 def test_embed_malformed_space_exits_2(tmp_path, capsys, doc, message):
     (tmp_path / "space.json").write_text(json.dumps(doc))
@@ -456,8 +515,11 @@ def test_reduce_order_ragged_map_exits_2(workdir, capsys):
         ({"members": [{"values": {"0": True}}]}, "bad value True at point 0 in cover values"),
         ({"members": [{"values": {"0": 1.0}, "valeus": {"1": 1.0}}]},
          "not a cover member: unknown keys ['valeus']"),
+        ({"members": [{"values": {"0": 1.0, "01": 1.0, "2": 1.0, "3": 1.0}}]},
+         "bad point index '01' in cover values"),
     ],
-    ids=["members-number", "values-list", "string-value", "bool-value", "unknown-member-key"],
+    ids=["members-number", "values-list", "string-value", "bool-value", "unknown-member-key",
+         "padded-point-key"],
 )
 def test_malformed_cover_exits_2(workdir, capsys, doc, message):
     tmp, _, _ = workdir
@@ -582,6 +644,14 @@ def test_one_point_embed_verifies(tmp_path, capsys):
     assert margin == 0.0 and math.copysign(1.0, margin) == -1.0
 
 
+def test_genpos_coincident_targets_exit_1(tmp_path, capsys):
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps({"targets": [[0.5, 0.5]] * 3}))
+    assert cli_main(["genpos", "--targets", str(path), "--eps", "1e-12"]) == 1
+    assert capsys.readouterr().err == ("certificate failure: no general-position perturbation "
+                                       "found in 64 rounds; last violating subset: (0, 1, 2)\n")
+
+
 def test_genpos_overflowing_targets_exit_1(tmp_path, capsys):
     """Differences past the float range make sigma NaN, which fails general position."""
     path = tmp_path / "targets.json"
@@ -646,3 +716,38 @@ def test_verify_refuses_numbers_past_float_range(tmp_path, capsys, field, messag
     capsys.readouterr()
     assert cli_main(["verify", "--result", str(path), *args]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "points, edit, n, expected",
+    [([[0.0], [0.333], [0.667], [1.0]],
+      lambda doc: doc["stages"][0].update(delta=repr(doc["stages"][0]["delta"])), 1,
+      "input error: stage 0: not a stage document: delta must be a number, got '0.25'\n"),
+     ([[0.0], [0.333], [0.667], [1.0]], lambda doc: doc["stages"][0].update(delta=1e-300), 1,
+      {"name": "star-refinement", "passed": False, "margin": -1.0, "location": "stage 0"}),
+     ([[0.0]], lambda doc: doc["avoided"][0].update(
+         hyperplane={"coords": [0, 1, 3], "values": [[1, 2]] * 3}), 1,
+      "input error: avoided 0: hyperplane has ambient dimension 5, not 3\n"),
+     ([[0.0]], lambda doc: doc.update(n=14, f=[[0.5] * 29]), 14,
+      "input error: stage 0: f has shape (1, 3), not (1, 29)\n")],
+    ids=["delta-string", "grid-too-fine", "avoided-coords-0-1-3", "n-14"],
+)
+def test_verify_rewritten_n1_result(tmp_path, capsys, points, edit, n, expected):
+    """A result embedded at n=1 and rewritten: bad input exits 2 with one input error line,
+    the n=14 document within 20 s; a stage-0 grid too fine to index fails star refinement."""
+    (tmp_path / "space.json").write_text(json.dumps({"points": points, "mesh": 0.5}))
+    space = ["--space", str(tmp_path / "space.json")]
+    path = tmp_path / "result.json"
+    stages = "2" if len(points) > 1 else "1"
+    assert cli_main(["embed", *space, "--n", "1", "--stages", stages, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = cli_main(["verify", "--result", str(path), *space, "--n", str(n)])
+    assert time.perf_counter() - start < 20.0
+    out, err = capsys.readouterr()
+    if isinstance(expected, str):
+        assert (code, out, err) == (2, "", expected)
+    else:
+        assert (code, err) == (1, "") and expected in json.loads(out)["checks"]
