@@ -222,6 +222,11 @@ def shrink_to_empty_intersection(
     return out
 
 
+def _require_order_bound(n) -> None:
+    if type(n) is not int or n < 0:
+        raise InputError(f"n must be an integer >= 0, got {n!r}")
+
+
 def reduce_order(
     space: SampledSpace,
     cover: Cover,
@@ -241,8 +246,7 @@ def reduce_order(
     and D never returns: the passes shrink exactly the subsets a
     lexicographic sweep of all (n+2)-subsets would, in the same order.
     """
-    if type(n) is not int or n < 0:
-        raise InputError(f"n must be an integer >= 0, got {n!r}")
+    _require_order_bound(n)
     _require_covering(cover)
     g = cover.matrix.copy()
     while True:

@@ -8,7 +8,8 @@ tail bound sum_{s>t} 3*delta_s <= (9/2)*delta_{t+1}. A stage:
      and forms the two-member cover {outer, complement of closed inner};
   2. meets it with the cover of delta_t-ball preimages under f_t taken
      over a uniform grid of the cube;
-  3. reduces the meet to order <= n, star-refines, reduces again;
+  3. reduces the meet to order <= n, star-refines, reduces again (a meet
+     that is a partition gives the same cover without these steps);
   4. picks one sample point per member, perturbs the image points (plus
      n+1 anchor points kept exactly on the stage's rational hyperplane)
      into general position inside the cube;
@@ -47,7 +48,7 @@ from .covers import (
     order_of,
     star_refinement,
 )
-from .dimension import Oracle, reduce_order, separator_oracle
+from .dimension import Oracle, _require_order_bound, reduce_order, separator_oracle
 from .errors import CertificateError, GeneralPositionError, InputError
 from .metric import (
     _CHUNK_FLOATS,
@@ -1178,6 +1179,45 @@ def _stage_covers(
     return cover_v, dedupe_by_support(meet(cover_v, cover_w))
 
 
+def _stage_refinement(space: SampledSpace, met: Cover, n: int, oracle: Oracle) -> Cover:
+    """The stage cover U: the met cover g reduced, star-refined, deduped, reduced again.
+
+    That chain (empty members dropped after each :func:`reduce_order`) runs
+    unless g is a partition: every point in exactly one member, no member
+    empty. A partition gives min(g, 1/2), the chain's own result. Write S_l
+    for the support of member l:
+
+    - :func:`reduce_order` finds no point in more than 1 <= n + 1 members,
+      so it returns a copy of g, and :func:`drop_empty_members` keeps every
+      row.
+    - In :func:`closed_shrinking`, at a point x of S_l every other member is
+      0. For i < l, gt_i(x) = 0 / (a sum >= g_l(x) > 0), so gp_i(x) = 0; then
+      gt_l(x) = g_l(x) / g_l(x), exactly 1.0 for any positive float, so
+      gp_l(x) = 1/2; for i > l the denominator is 1/2 and gt_i(x) = 0. So
+      gt is the indicator of the supports, gp is 1/2 on them, and the
+      complement max(0, 1/2 - gt_i) is 1/2 off S_i and 0 on it.
+    - Meet step i of :func:`star_refinement` splits the row r = 1/2 on S_l
+      into min(r, comp_i) and min(r, g_i). For l != i the first is r and the
+      second empty; for l = i the first is empty and the second min(1/2, g_l),
+      nonempty. Each step keeps k rows in the same order, and after step k
+      row l is min(g_l, 1/2).
+    - Those rows have the distinct supports S_l, so
+      :func:`dedupe_by_support` keeps every row, and the second reduction
+      and drop return them unchanged.
+
+    The bytes are the chain's but for the sign of a zero where g holds -0.0,
+    which no stage cover does. Kappa of this cover is z[owner] exactly: at
+    x in S_l the weights are u_l(x) / u_l(x) = 1 and 0 elsewhere.
+    """
+    _require_order_bound(n)  # reduce_order's first check, so both paths raise it
+    sup = met.supports()
+    if (sup.sum(axis=0) == 1).all() and sup.any(axis=1).all():
+        return Cover(np.minimum(met.matrix, 0.5))
+    reduced = drop_empty_members(reduce_order(space, met, n, oracle))
+    starred = dedupe_by_support(star_refinement(reduced)[0])
+    return drop_empty_members(reduce_order(space, starred, n, oracle))
+
+
 def embedding_stage(
     t: int,
     f: np.ndarray,
@@ -1209,9 +1249,7 @@ def embedding_stage(
     if bad is not None:
         raise CertificateError(f"stage {t}: ball pair cover misses point {bad}")
 
-    reduced = drop_empty_members(reduce_order(space, met, n, oracle))
-    starred = dedupe_by_support(star_refinement(reduced)[0])
-    cover_u = drop_empty_members(reduce_order(space, starred, n, oracle))
+    cover_u = _stage_refinement(space, met, n, oracle)
     if order_of(cover_u) > n:
         raise CertificateError(f"stage {t}: cover order exceeds {n}")
     if not is_point_star_refinement(cover_u, met):

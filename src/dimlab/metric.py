@@ -319,9 +319,10 @@ class SampledSpace:
         if not (d == d.T).all():
             i, j = np.argwhere(d != d.T)[0]
             raise InputError(f"distance matrix must be symmetric (points {i}, {j})")
-        off = d + np.eye(d.shape[0])
-        if (off <= 0.0).any():
-            i, j = np.argwhere(off <= 0.0)[0]
+        nonpos = d <= 0.0
+        np.fill_diagonal(nonpos, False)
+        if nonpos.any():
+            i, j = np.argwhere(nonpos)[0]
             raise InputError(f"distinct points must have positive distance (points {i}, {j})")
         if not _rounding_certified(d, _gram_witness(d) if self.coords is None else self.coords):
             _check_triangles(d)

@@ -2877,17 +2877,36 @@ class TestStarRefinementMeet:
 
     @pytest.mark.parametrize("T", [4, 16])
     def test_stage_covers_on_the_line(self, monkeypatch, T):
-        reduced = []
+        covers, mets = embedding._stage_covers, []
+
+        def recording(*args):
+            cover_v, met = covers(*args)
+            mets.append(met)
+            return cover_v, met
+
+        monkeypatch.setattr(embedding, "_stage_covers", recording)
+        nobeling_embed(line_space(8), n=1, T=T, seed=0)
+        assert len(mets) == T
+        for c in mets:
+            assert_same_star_refinement(c)
+
+    def test_partition_stages_skip_the_star_refinement(self, monkeypatch):
+        # on the 16-stage line only stage 0's met cover is not a partition
+        stage, calls = embedding.embedding_stage, []
+
+        def staged(t, *args):
+            calls.append((t, []))
+            return stage(t, *args)
 
         def recording(c):
-            reduced.append(c)
+            calls[-1][1].append(c)
             return star_refinement(c)
 
+        monkeypatch.setattr(embedding, "embedding_stage", staged)
         monkeypatch.setattr(embedding, "star_refinement", recording)
-        nobeling_embed(line_space(8), n=1, T=T, seed=0)
-        assert len(reduced) == T
-        for c in reduced:
-            assert_same_star_refinement(c)
+        nobeling_embed(line_space(8), n=1, T=16, seed=0)
+        assert [(t, len(refined)) for t, refined in calls] == [(t, int(t == 0)) for t in range(16)]
+        assert_same_star_refinement(calls[0][1][0])
 
 
 def assert_same_nerve(cover):

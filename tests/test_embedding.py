@@ -10,11 +10,14 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.optimize import nnls
 
 from dimlab import (
     CertificateError,
     Cover,
+    DimlabError,
     GeneralPositionError,
     InputError,
     SampledSpace,
@@ -24,6 +27,8 @@ from dimlab import (
     result_to_json_bytes,
 )
 from dimlab import embedding
+from dimlab.covers import dedupe_by_support, drop_empty_members, star_refinement
+from dimlab.dimension import reduce_order, separator_oracle
 from dimlab.embedding import (
     Hyperplane,
     ball_preimage_cover,
@@ -622,6 +627,82 @@ class TestEmbeddingStage:
             embedding_stage(
                 0, np.full((4, 2), 0.5), 0.25, s, balls, 1, pairs[0], enumerate_hyperplanes(1, 1)[0]
             )
+
+
+# member values: the edges of the cut min(g, 1/2), and subnormals
+PARTITION_VALUES = hst.one_of(
+    hst.sampled_from([1.0, 0.5, float(np.nextafter(0.5, 1.0)), 5e-324, 2.0**-1030]),
+    hst.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+@hst.composite
+def partitions(draw):
+    """(g, owner): the (k, p) values of a partition cover and each point's member."""
+    p = draw(hst.integers(1, 24))
+    labels = draw(hst.lists(hst.integers(0, p - 1), min_size=p, max_size=p))
+    owner = np.unique(labels, return_inverse=True)[1]
+    g = np.zeros((owner.max() + 1, p))
+    g[owner, np.arange(p)] = draw(hst.lists(PARTITION_VALUES, min_size=p, max_size=p))
+    return g, owner
+
+
+def full_chain(space, met, n, oracle=separator_oracle):
+    """The stage cover by the whole reduce, star-refine, dedupe, reduce chain."""
+    reduced = drop_empty_members(reduce_order(space, met, n, oracle))
+    starred = dedupe_by_support(star_refinement(reduced)[0])
+    return drop_empty_members(reduce_order(space, starred, n, oracle))
+
+
+def outcome(refine, space, g, n):
+    """The refined cover's bytes, or the type and message of its error."""
+    try:
+        return refine(space, Cover(g), n, separator_oracle).matrix.tobytes()
+    except DimlabError as exc:
+        return type(exc), str(exc)
+
+
+class TestPartitionStages:
+    """A partition met cover skips the chain; every other cover runs it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(partition=partitions(), n=hst.integers(0, 3), data=hst.data())
+    def test_partition_refines_to_its_cut_at_one_half(self, partition, n, data):
+        g, owner = partition
+        space = line_space(g.shape[1])
+        chained = full_chain(space, Cover(g), n)
+        assert chained.matrix.tobytes() == np.minimum(g, 0.5).tobytes()
+        fast = embedding._stage_refinement(space, Cover(g), n, separator_oracle)
+        assert fast.matrix.tobytes() == chained.matrix.tobytes()
+        z = np.array(
+            data.draw(hst.lists(hst.floats(0.0, 1.0), min_size=3 * len(g), max_size=3 * len(g)))
+        ).reshape(-1, 3)
+        assert kappa_map(chained, z).values.tobytes() == z[owner].tobytes()
+
+    @pytest.mark.parametrize("n", [1.0, True, -1])
+    def test_partition_checks_n_as_the_chain_does(self, n):
+        g = np.eye(3)
+        got = outcome(embedding._stage_refinement, line_space(3), g, n)
+        assert got == outcome(full_chain, line_space(3), g, n)
+        assert got[0] is InputError
+
+    @settings(max_examples=100, deadline=None)
+    @given(partition=partitions(), n=hst.integers(0, 3), data=hst.data())
+    def test_shared_or_uncovered_point_runs_the_chain(self, partition, n, data):
+        g, owner = partition
+        k, p = g.shape
+        x = data.draw(hst.integers(0, p - 1))
+        if k > 1 and data.draw(hst.booleans()):
+            other = (owner[x] + data.draw(hst.integers(1, k - 1))) % k
+            g[other, x] = data.draw(PARTITION_VALUES)  # x lies in two members
+        else:
+            g[owner[x], x] = 0.0  # x lies in none
+        space, calls = line_space(p), []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embedding, "reduce_order", lambda *a: calls.append(a) or reduce_order(*a))
+            got = outcome(embedding._stage_refinement, space, g, n)
+        assert calls
+        assert got == outcome(full_chain, space, g, n)
 
 
 class TestNobelingEmbed:

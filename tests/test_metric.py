@@ -30,6 +30,25 @@ class TestSampledSpace:
         with pytest.raises(InputError):
             SampledSpace.from_distance_matrix([[0.0, 1.0], [2.0, 0.0]], mesh=1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0], ids=["zero", "negative-zero", "negative"])
+    def test_nonpositive_distance_names_first_pair(self, bad):
+        # two bad pairs, (1, 3) and (2, 3); row-major order names (1, 3)
+        d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+        for i, j in ((1, 3), (2, 3)):
+            d[i, j] = d[j, i] = bad
+        message = r"distinct points must have positive distance \(points 1, 3\)"
+        with pytest.raises(InputError, match=message):
+            SampledSpace.from_distance_matrix(d, mesh=1.0)
+
+    def test_positivity_check_skips_the_diagonal(self):
+        # a -0.0 diagonal is exactly zero, so no diagonal entry is a bad pair
+        d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+        np.fill_diagonal(d, -0.0)
+        assert SampledSpace.from_distance_matrix(d, mesh=1.0).size == 4
+        d[2, 3] = d[3, 2] = 0.0
+        with pytest.raises(InputError, match=r"\(points 2, 3\)"):
+            SampledSpace.from_distance_matrix(d, mesh=1.0)
+
     def test_rejects_triangle_violation(self):
         bad = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
         with pytest.raises(InputError):
