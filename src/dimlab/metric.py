@@ -381,6 +381,21 @@ class SampledSpace:
         return self.dist[self.check_point(center)]
 
 
+def _check_radius(radius: object) -> None:
+    """Refuse a ball radius that is not a finite positive real number.
+
+    A radius is an ``int``, a ``float`` or a numpy real scalar, not a
+    ``bool``; an int beyond the float range is not finite.
+    """
+    ok = isinstance(radius, (int, float, np.integer, np.floating)) and not isinstance(radius, bool)
+    try:
+        ok = ok and math.isfinite(radius) and radius > 0
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise InputError(f"ball radius must be positive, got {radius!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Ball:
     """An open metric ball, given by a center point index and a positive radius."""
@@ -389,8 +404,7 @@ class Ball:
     radius: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.radius, bool) or not (math.isfinite(self.radius) and self.radius > 0):
-            raise InputError(f"ball radius must be positive, got {self.radius!r}")
+        _check_radius(self.radius)
         if isinstance(self.center, bool) or not isinstance(self.center, (int, np.integer)):
             raise InputError(f"ball center must be a point index, got {self.center!r}")
         object.__setattr__(self, "center", int(self.center))
@@ -428,7 +442,8 @@ def _ball_radii(space: SampledSpace, radii_depth: int) -> list[float]:
     """Radius of each depth 0..radii_depth of :func:`enumerate_balls`."""
     if not (type(radii_depth) is int and radii_depth >= 1):
         raise InputError("radii_depth must be an integer >= 1")
-    base = space.diameter if space.diameter > 0 else space.mesh
+    diameter = space.diameter
+    base = diameter if diameter > 0 else space.mesh
     return [base * 2.0 ** (-k) for k in range(radii_depth + 1)]
 
 
@@ -439,6 +454,19 @@ def enumerate_balls(space: SampledSpace, radii_depth: int) -> list[Ball]:
     size (radii_depth + 1) * size and the ball with index k * size + i is
     centered at point i. A one-point sample has diameter zero; its radii fall
     back to the mesh so that every ball stays a genuine ball.
+
+    Each depth is one row: its radius is checked once, by the rule of
+    ``Ball.__post_init__``, and the row's balls are then set up without it,
+    as their centres are the ints 0..size-1. Each holds the same fields as
+    ``Ball(center=i, radius=r)``.
     """
-    radii = _ball_radii(space, radii_depth)
-    return [Ball(center=i, radius=r) for r in radii for i in range(space.size)]
+    new, put = object.__new__, object.__setattr__
+    balls = []
+    for r in _ball_radii(space, radii_depth):
+        _check_radius(r)
+        for i in range(space.size):
+            ball = new(Ball)
+            put(ball, "center", i)
+            put(ball, "radius", r)
+            balls.append(ball)
+    return balls

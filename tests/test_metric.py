@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimlab import Ball, Cover, InputError, SampledSpace, ball_cozero, complement_cozero
+from dimlab import Ball, Cover, InputError, SampledSpace, ball_cozero, complement_cozero, pair_schedule
 from dimlab.metric import enumerate_balls, strictly_included
 from dimlab import metric
-from conftest import line_space, space_json_dict
+from conftest import line_space, space_json_dict, square_space
 
 
 class TestSampledSpace:
@@ -157,11 +157,17 @@ class TestBalls:
         with pytest.raises(InputError):
             Ball(center=0, radius=0.0)
 
-    @pytest.mark.parametrize("radius", [True, False])
+    @pytest.mark.parametrize("radius", [True, False, "1.0", None, 1.0 + 0.0j, np.array([1.0]), 10**400],
+                             ids=["True", "False", "str", "none", "complex", "array", "huge-int"])
     def test_ball_rejects_bool_radius(self, radius):
-        # bool subclasses int, but is no radius, as it is no centre
-        with pytest.raises(InputError, match="ball radius must be positive"):
+        # bool subclasses int, but is no radius, as it is no centre; nor is
+        # anything that is not a real number of float range
+        with pytest.raises(InputError, match="ball radius must be positive, got "):
             Ball(center=0, radius=radius)
+
+    @pytest.mark.parametrize("radius", [np.float32(0.5), np.float64(0.5), np.int64(2), 3])
+    def test_ball_accepts_real_radius(self, radius):
+        assert Ball(center=0, radius=radius).radius is radius
 
     def test_ball_cozero_values(self):
         s = line_space(3)  # points 0, 0.5, 1
@@ -260,6 +266,26 @@ class TestEnumerateBalls:
         with pytest.raises(InputError):
             enumerate_balls(line_space(3), 0)
 
+    def test_underflowing_radius_row_raises(self):
+        # depth 1's radius 5e-324 / 2 rounds to 0.0, which is no radius
+        s = SampledSpace.from_points([[0.0]], mesh=5e-324)
+        with pytest.raises(InputError, match=r"^ball radius must be positive, got 0\.0$"):
+            enumerate_balls(s, 1)
+
+    def test_each_row_checks_its_radius_once(self, monkeypatch):
+        # the 256-point sample of tests/test_golden.py: 512 balls, 2 rows
+        checked = []
+        check = metric._check_radius
+
+        def counted(radius):
+            checked.append(radius)
+            check(radius)
+
+        monkeypatch.setattr(metric, "_check_radius", counted)
+        balls, _, depth = pair_schedule(square_space(np.random.default_rng(256), count=256), 64)
+        assert len(balls) == 512 and len(checked) == depth + 1 == 2
+        assert checked == [balls[0].radius, balls[256].radius]
+
     @pytest.mark.parametrize("depth", [True, 1.0, "1", np.int64(1)])
     def test_rejects_depth_that_is_not_an_int(self, depth):
         # a bool is not an integer here, as for the result's radii_depth
@@ -278,3 +304,7 @@ def test_enumeration_count_and_positivity(k, depth):
     assert len(balls) == (depth + 1) * k
     assert all(b.radius > 0.0 for b in balls)
     assert {b.center for b in balls} == set(range(k))
+    # a row's balls skip __post_init__, yet equal balls built one by one
+    for index, b in enumerate(balls):
+        one = Ball(center=index % k, radius=s.diameter * 2.0 ** -(index // k))
+        assert repr(b) == repr(one) and type(b.center) is int
